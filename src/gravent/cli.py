@@ -17,7 +17,7 @@ from pathlib import Path
 from . import io
 from .config import (FeasibilitySection, RunConfig, base_cell, load_config,
                      resolve_si)
-from .dynamics import MediatorInit, partial_transpose_matrix
+from .dynamics import partial_transpose_matrix
 from .errors import ConfigError, GraventError
 from .negativity import log_negativity_from_partial_transpose
 from .params import regime_report
@@ -25,11 +25,6 @@ from .presets import PRESET_NAMES, SEC5_GOLDEN, golden_check, load_preset
 from .sweep import (SweepSpec, AxisSpec, entanglement_rate, merge_cell,
                     run_sweep, timeseries_figure)
 from .validate import run_validation
-
-
-def _mediator_init(cfg: RunConfig) -> MediatorInit:
-    return MediatorInit(alpha0=cfg.mediator.alpha0,
-                        xi_mag=cfg.mediator.xi_mag, theta=cfg.mediator.theta)
 
 
 def _strip_drive(fixed: dict, axes) -> dict:
@@ -44,12 +39,11 @@ def cmd_feasibility(cfg: RunConfig, args) -> int:
     fz = cfg.feasibility if cfg.feasibility is not None \
         else FeasibilitySection()
     report = regime_report(setup, frame)
-    init = _mediator_init(cfg)
     t_eval = fz.cycles * frame.t_period
     g_lo, g_hi = fz.gamma_window
 
     def en_at(gamma: float) -> float:
-        m = partial_transpose_matrix(frame, init, t_eval, gamma)
+        m = partial_transpose_matrix(frame, cfg.mediator, t_eval, gamma)
         return log_negativity_from_partial_transpose(m)
 
     en_lo, en_hi = en_at(g_lo), en_at(g_hi)
@@ -138,7 +132,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                      fixed=_strip_drive(base_cell(cfg), sw.axes),
                      time_rule=sw.time, backend=sw.backend,
                      fock_n=sw.fock_n)
-    result = run_sweep(spec, threads=args.threads)
+    result = run_sweep(spec)
     info = io.provenance(cfg, command="sweep", backend=sw.backend)
     paths = io.write_sweep(Path(args.out), f"{cfg.label}_sweep", result,
                            info)
@@ -216,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--golden", action="store_true",
                         help="compare derived values against published "
                              "references")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="parallel workers for sweep cells")
     return parser
 
 

@@ -2,129 +2,39 @@
 
 One JSON file describes a system (dimensionless or SI) plus optional
 command sections (dynamics, sweep, rate, feasibility, validate); each CLI
-command reads the sections it needs.  Parsing is strict: unknown keys and
-type errors raise ConfigError with the dotted field path, and
-parse(serialize(cfg)) == cfg holds exactly.
+command reads the sections it needs.  The dataclasses are the schema,
+walked through their field annotations.  Parsing is strict: unknown keys,
+type errors, non-finite numbers and values a block's own rules reject
+raise ConfigError with the dotted field path, and parse(serialize(cfg))
+== cfg holds exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
-import math
+import sys
+import typing
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from . import fock
+from .dynamics import MediatorInit
+from .errors import ConfigError, GraventError
 from .params import (ModelParams, PhysicalSetup, coulomb_distance_for_drive,
                      derive_model_params, derive_squeezed_frame)
-from .sweep import AxisSpec, TimeRule
-
-_MODES = ("dimensionless", "si")
-_BACKENDS = ("analytic", "fock", "both")
-_HAMILTONIANS = ("squeezed", "lab")
-_BIPARTITIONS = ("tp_qubit", "tp_mediator", "qubit_mediator")
-
-
-def _check_keys(d: dict, path: str, allowed, required=()):
-    if not isinstance(d, dict):
-        raise ConfigError(path, f"expected an object, got {type(d).__name__}")
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-    for key in required:
-        if key not in d:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-
-
-def _num(d, key, path, default=None, required=False, allow_none=False):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    v = d[key]
-    if v is None:
-        if allow_none:
-            return None
-        raise ConfigError(f"{path}.{key}", "null not allowed here")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
-
-
-def _int(d, key, path, default=None, required=False):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {v!r}")
-    return v
-
-
-def _str(d, key, path, default=None, required=False, choices=None):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    v = d[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"{path}.{key}", f"expected a string, got {v!r}")
-    if choices and v not in choices:
-        raise ConfigError(f"{path}.{key}", f"must be one of {choices}")
-    return v
-
-
-def _complex(d, key, path, default):
-    if key not in d:
-        return default
-    v = d[key]
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(float(v), 0.0)
-    if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in v)):
-        return complex(float(v[0]), float(v[1]))
-    raise ConfigError(f"{path}.{key}",
-                      "expected a number or a [re, im] pair")
-
-
-def _variants(d, key, path):
-    if key not in d:
-        return ()
-    raw = d[key]
-    if not isinstance(raw, list):
-        raise ConfigError(f"{path}.{key}", "expected a list of [label, "
-                          "{overrides}] pairs")
-    out = []
-    for i, item in enumerate(raw):
-        if (not isinstance(item, list) or len(item) != 2
-                or not isinstance(item[0], str)
-                or not isinstance(item[1], dict)):
-            raise ConfigError(f"{path}.{key}[{i}]",
-                              "expected [label, {overrides}]")
-        out.append((item[0], dict(item[1])))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class MediatorBlock:
-    """Initial mediator state: D(alpha0) S(xi) vacuum in the moving frame.
-
-    xi_mag = null matches the squeezing to the frame (the self-consistent
-    ground-state choice); a number pins it, 0.0 giving a plain coherent
-    state.  theta is the squeezing phase.
-    """
-
-    alpha0: complex = 1.0 + 0.0j
-    xi_mag: float | None = None
-    theta: float = math.pi
+from .sweep import BACKENDS, AxisSpec, TimeRule
 
 
 @dataclass(frozen=True)
 class DephasingBlock:
     gamma: float = 0.0
     gamma_tp: float = 0.0
+
+    def __post_init__(self):
+        if self.gamma < 0 or self.gamma_tp < 0:
+            raise ValueError("dephasing rates must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -138,6 +48,13 @@ class DimensionlessSystem:
     omega_a: float = 0.0
     omega_b: float = 0.0
     epsilon: float = 0.0
+
+    def __post_init__(self):
+        if (self.F is None) == (self.delta is None):
+            raise ValueError("give exactly one of F, delta")
+        if (self.F if self.F is not None else (1.0 - self.delta) / 4) < 0:
+            raise ValueError("the drive F = (1 - delta) / 4 must be "
+                             "non-negative")
 
 
 @dataclass(frozen=True)
@@ -169,33 +86,62 @@ class SISystem:
     radius_a: float = 0.0
     radius_c: float = 0.0
 
+    def __post_init__(self):
+        n_drive = sum(v is not None for v in (self.r0, self.delta, self.F))
+        charged = self.Q1 != 0.0 and self.Q2 != 0.0
+        if charged and n_drive != 1:
+            raise ValueError("give exactly one of r0, delta, F when both "
+                             "charges are set")
+        if not charged and n_drive:
+            raise ValueError("r0/delta/F need both charges nonzero")
+
+    def setup(self, **changes) -> PhysicalSetup:
+        """The PhysicalSetup of these inputs, with some fields changed."""
+        return PhysicalSetup(**{f.name: changes.get(f.name,
+                                                    getattr(self, f.name))
+                                for f in dataclasses.fields(PhysicalSetup)})
+
+
+Variants = tuple[tuple[str, dict[str, float | None]], ...]
+
 
 @dataclass(frozen=True)
 class DynamicsSection:
     t_stop: float
     points: int
     t_start: float = 0.0
-    backend: str = "analytic"
-    hamiltonian: str = "squeezed"
+    backend: str = field(default="analytic", metadata={"choices": BACKENDS})
+    hamiltonian: str = field(default="squeezed",
+                             metadata={"choices": ("squeezed", "lab")})
     fock_n: int = 64
-    bipartitions: tuple[str, ...] = ("tp_qubit",)
-    variants: tuple = ()
+    bipartitions: tuple[str, ...] = field(
+        default=("tp_qubit",),
+        metadata={"choices": tuple(fock.BIPARTITIONS)})
+    variants: Variants = ()
+
+    def __post_init__(self):
+        if self.points < 2:
+            raise ConfigError("points", "need at least 2 points")
 
 
 @dataclass(frozen=True)
 class SweepSection:
     axes: tuple[AxisSpec, ...]
     time: TimeRule = TimeRule()
-    backend: str = "analytic"
+    backend: str = field(default="analytic", metadata={"choices": BACKENDS})
     fock_n: int = 64
+
+    def __post_init__(self):
+        if not self.axes:
+            raise ConfigError("axes", "expected a non-empty list")
 
 
 @dataclass(frozen=True)
 class RateSection:
-    which: str
+    which: str = field(metadata={"choices": ("g_a", "g_b")})
     axis: AxisSpec
     time: TimeRule = TimeRule()
-    variants: tuple = ()
+    variants: Variants = ()
 
 
 @dataclass(frozen=True)
@@ -215,6 +161,11 @@ class ValidateSection:
     pt_tol: float = 1e-6
     en_tol: float = 1e-3
 
+    def __post_init__(self):
+        for name, least in (("seed", 0), ("fock_n", 1), ("t_points", 2)):
+            if getattr(self, name) < least:
+                raise ConfigError(name, f"must be at least {least}")
+
 
 @dataclass(frozen=True)
 class ToleranceBlock:
@@ -225,10 +176,10 @@ class ToleranceBlock:
 @dataclass(frozen=True)
 class RunConfig:
     label: str
-    mode: str
+    mode: str = field(metadata={"choices": ("dimensionless", "si")})
     system: DimensionlessSystem | None = None
     si_system: SISystem | None = None
-    mediator: MediatorBlock = field(default_factory=MediatorBlock)
+    mediator: MediatorInit = field(default_factory=MediatorInit)
     dephasing: DephasingBlock = field(default_factory=DephasingBlock)
     tolerances: ToleranceBlock = field(default_factory=ToleranceBlock)
     dynamics: DynamicsSection | None = None
@@ -237,211 +188,113 @@ class RunConfig:
     feasibility: FeasibilitySection | None = None
     validate: ValidateSection | None = None
 
-
-def _parse_axis(raw, path) -> AxisSpec:
-    _check_keys(raw, path, ("name", "start", "stop", "count", "scale"),
-                ("name", "start", "stop", "count"))
-    return AxisSpec(name=_str(raw, "name", path, required=True),
-                    start=_num(raw, "start", path, required=True),
-                    stop=_num(raw, "stop", path, required=True),
-                    count=_int(raw, "count", path, required=True),
-                    scale=_str(raw, "scale", path, default="linear",
-                               choices=("linear", "log")))
+    def __post_init__(self):
+        if (self.mode == "dimensionless") != (self.system is not None) or \
+                (self.mode == "si") != (self.si_system is not None):
+            raise ConfigError("mode", "dimensionless mode requires the "
+                              "'system' block, si mode the 'si_system' "
+                              "block, never both")
 
 
-def _parse_time(raw, path) -> TimeRule:
-    if raw is None:
-        return TimeRule()
-    _check_keys(raw, path, ("kind", "cycles", "t"))
-    return TimeRule(kind=_str(raw, "kind", path, default="phase",
-                              choices=("phase", "fixed")),
-                    cycles=_num(raw, "cycles", path, default=1.0),
-                    t=_num(raw, "t", path, default=None, allow_none=True))
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _real(v) -> float | None:
+    """v as a finite float, or None when it is anything else."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool) \
+            and abs(v) <= sys.float_info.max:
+        return float(v)
+    return None
+
+
+def _leaf(hint, v, path: str):
+    if hint is float:
+        x = _real(v)
+        if x is None:
+            raise ConfigError(path, f"expected a finite number, got {v!r}")
+        return x
+    if hint is complex:
+        re, im = v if isinstance(v, list) and len(v) == 2 else (v, 0.0)
+        re, im = _real(re), _real(im)
+        if re is None or im is None:
+            raise ConfigError(path, "expected a finite number or a "
+                              "[re, im] pair")
+        return complex(re, im)
+    if hint is int and (isinstance(v, bool) or not isinstance(v, int)):
+        raise ConfigError(path, f"expected an integer, got {v!r}")
+    if hint is str and not isinstance(v, str):
+        raise ConfigError(path, f"expected a string, got {v!r}")
+    return v
+
+
+def _value(hint, v, path: str, meta):
+    """One JSON value -> the Python value its annotation asks for."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if v is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        args = typing.get_args(hint)
+    if v is None:
+        raise ConfigError(path, "null not allowed here")
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, v, path)
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        if not isinstance(v, list):
+            raise ConfigError(path, f"expected a list, got {v!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(v)
+        elif len(v) != len(args):
+            raise ConfigError(path, f"expected a list of {len(args)} items")
+        return tuple(_value(a, x, f"{path}[{i}]", meta)
+                     for i, (a, x) in enumerate(zip(args, v)))
+    if origin is dict:
+        if not isinstance(v, dict):
+            raise ConfigError(path, f"expected an object, got {v!r}")
+        return {k: _value(args[1], x, f"{path}.{k}", meta)
+                for k, x in v.items()}
+    v = _leaf(hint, v, path)
+    if "choices" in meta and v not in meta["choices"]:
+        raise ConfigError(path, f"must be one of {meta['choices']}")
+    return v
+
+
+def _build(cls, raw, path: str):
+    """Build dataclass cls from a JSON object, field by field.
+
+    Missing optional keys take the dataclass defaults.  The block's own
+    rules run in its __post_init__: a ConfigError raised there names a
+    field relative to the block, any other ValueError or GraventError is
+    reported against the block itself.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(path, f"expected an object, got "
+                          f"{type(raw).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}", "unknown key")
+    hints = _hints(cls)
+    kwargs = {}
+    for name, f in fields.items():
+        if name in raw:
+            kwargs[name] = _value(hints[name], raw[name], f"{path}.{name}",
+                                  f.metadata)
+        elif (f.default is dataclasses.MISSING
+              and f.default_factory is dataclasses.MISSING):
+            raise ConfigError(f"{path}.{name}", "missing required key")
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.path}", exc.message) from None
+    except (ValueError, GraventError) as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def parse_config(data: dict, source: str = "<config>") -> RunConfig:
     """Validate a raw JSON object and build the typed configuration."""
-    top = ("label", "mode", "system", "si_system", "mediator", "dephasing",
-           "tolerances", "dynamics", "sweep", "rate", "feasibility",
-           "validate")
-    _check_keys(data, source, top, ("label", "mode"))
-    label = _str(data, "label", source, required=True)
-    mode = _str(data, "mode", source, required=True, choices=_MODES)
-
-    if (mode == "dimensionless") != ("system" in data) or \
-            (mode == "si") != ("si_system" in data):
-        raise ConfigError(f"{source}.mode",
-                          "dimensionless mode requires the 'system' block, "
-                          "si mode the 'si_system' block, never both")
-
-    system = si_system = None
-    if mode == "dimensionless":
-        p = f"{source}.system"
-        raw = data["system"]
-        _check_keys(raw, p, ("g_a", "g_b", "F", "delta", "omega_a",
-                             "omega_b", "epsilon"), ("g_a", "g_b"))
-        F = _num(raw, "F", p, allow_none=True)
-        delta = _num(raw, "delta", p, allow_none=True)
-        if (F is None) == (delta is None):
-            raise ConfigError(p, "give exactly one of F, delta")
-        system = DimensionlessSystem(
-            g_a=_num(raw, "g_a", p, required=True),
-            g_b=_num(raw, "g_b", p, required=True),
-            F=F, delta=delta,
-            omega_a=_num(raw, "omega_a", p, default=0.0),
-            omega_b=_num(raw, "omega_b", p, default=0.0),
-            epsilon=_num(raw, "epsilon", p, default=0.0))
-    else:
-        p = f"{source}.si_system"
-        raw = data["si_system"]
-        _check_keys(raw, p, ("m_a", "m_c", "d", "d0", "omega_c", "omega_b",
-                             "omega_a0", "Q1", "Q2", "r0", "delta", "F",
-                             "chi", "B_grad", "gamma_e", "radius_a",
-                             "radius_c"),
-                    ("m_a", "m_c", "d", "d0", "omega_c", "omega_b"))
-        drive = {k: _num(raw, k, p, allow_none=True)
-                 for k in ("r0", "delta", "F")}
-        n_drive = sum(v is not None for v in drive.values())
-        charged = _num(raw, "Q1", p, default=0.0) != 0.0 \
-            and _num(raw, "Q2", p, default=0.0) != 0.0
-        if charged and n_drive != 1:
-            raise ConfigError(p, "give exactly one of r0, delta, F when "
-                              "both charges are set")
-        if not charged and n_drive:
-            raise ConfigError(p, "r0/delta/F need both charges nonzero")
-        si_system = SISystem(
-            m_a=_num(raw, "m_a", p, required=True),
-            m_c=_num(raw, "m_c", p, required=True),
-            d=_num(raw, "d", p, required=True),
-            d0=_num(raw, "d0", p, required=True),
-            omega_c=_num(raw, "omega_c", p, required=True),
-            omega_b=_num(raw, "omega_b", p, required=True),
-            omega_a0=_num(raw, "omega_a0", p, default=0.0),
-            Q1=_num(raw, "Q1", p, default=0.0),
-            Q2=_num(raw, "Q2", p, default=0.0),
-            r0=drive["r0"], delta=drive["delta"], F=drive["F"],
-            chi=_num(raw, "chi", p, allow_none=True),
-            B_grad=_num(raw, "B_grad", p, allow_none=True),
-            gamma_e=_num(raw, "gamma_e", p, allow_none=True),
-            radius_a=_num(raw, "radius_a", p, default=0.0),
-            radius_c=_num(raw, "radius_c", p, default=0.0))
-
-    p = f"{source}.mediator"
-    raw = data.get("mediator", {})
-    _check_keys(raw, p, ("alpha0", "xi_mag", "theta"))
-    mediator = MediatorBlock(
-        alpha0=_complex(raw, "alpha0", p, 1.0 + 0.0j),
-        xi_mag=_num(raw, "xi_mag", p, default=None, allow_none=True),
-        theta=_num(raw, "theta", p, default=math.pi))
-
-    p = f"{source}.dephasing"
-    raw = data.get("dephasing", {})
-    _check_keys(raw, p, ("gamma", "gamma_tp"))
-    dephasing = DephasingBlock(gamma=_num(raw, "gamma", p, default=0.0),
-                               gamma_tp=_num(raw, "gamma_tp", p, default=0.0))
-    if dephasing.gamma < 0 or dephasing.gamma_tp < 0:
-        raise ConfigError(p, "dephasing rates must be non-negative")
-
-    p = f"{source}.tolerances"
-    raw = data.get("tolerances", {})
-    _check_keys(raw, p, ("fock_tail", "en_convergence"))
-    tolerances = ToleranceBlock(
-        fock_tail=_num(raw, "fock_tail", p, default=1e-8),
-        en_convergence=_num(raw, "en_convergence", p, default=1e-4))
-
-    dynamics = None
-    if "dynamics" in data:
-        p = f"{source}.dynamics"
-        raw = data["dynamics"]
-        _check_keys(raw, p, ("t_stop", "points", "t_start", "backend",
-                             "hamiltonian", "fock_n", "bipartitions",
-                             "variants"), ("t_stop", "points"))
-        points = _int(raw, "points", p, required=True)
-        if points < 2:
-            raise ConfigError(f"{p}.points", "need at least 2 points")
-        bips = tuple(raw.get("bipartitions", ["tp_qubit"]))
-        for b in bips:
-            if b not in _BIPARTITIONS:
-                raise ConfigError(f"{p}.bipartitions",
-                                  f"{b!r} not in {_BIPARTITIONS}")
-        dynamics = DynamicsSection(
-            t_stop=_num(raw, "t_stop", p, required=True),
-            points=points,
-            t_start=_num(raw, "t_start", p, default=0.0),
-            backend=_str(raw, "backend", p, default="analytic",
-                         choices=_BACKENDS),
-            hamiltonian=_str(raw, "hamiltonian", p, default="squeezed",
-                             choices=_HAMILTONIANS),
-            fock_n=_int(raw, "fock_n", p, default=64),
-            bipartitions=bips,
-            variants=_variants(raw, "variants", p))
-
-    sweep = None
-    if "sweep" in data:
-        p = f"{source}.sweep"
-        raw = data["sweep"]
-        _check_keys(raw, p, ("axes", "time", "backend", "fock_n"), ("axes",))
-        if not isinstance(raw["axes"], list) or not raw["axes"]:
-            raise ConfigError(f"{p}.axes", "expected a non-empty list")
-        axes = tuple(_parse_axis(a, f"{p}.axes[{i}]")
-                     for i, a in enumerate(raw["axes"]))
-        sweep = SweepSection(
-            axes=axes,
-            time=_parse_time(raw.get("time"), f"{p}.time"),
-            backend=_str(raw, "backend", p, default="analytic",
-                         choices=_BACKENDS),
-            fock_n=_int(raw, "fock_n", p, default=64))
-
-    rate = None
-    if "rate" in data:
-        p = f"{source}.rate"
-        raw = data["rate"]
-        _check_keys(raw, p, ("which", "axis", "time", "variants"),
-                    ("which", "axis"))
-        rate = RateSection(
-            which=_str(raw, "which", p, required=True,
-                       choices=("g_a", "g_b")),
-            axis=_parse_axis(raw["axis"], f"{p}.axis"),
-            time=_parse_time(raw.get("time"), f"{p}.time"),
-            variants=_variants(raw, "variants", p))
-
-    feasibility = None
-    if "feasibility" in data:
-        p = f"{source}.feasibility"
-        raw = data["feasibility"]
-        _check_keys(raw, p, ("gamma_window", "cycles"))
-        win = raw.get("gamma_window", [0.0, 0.0])
-        if (not isinstance(win, list) or len(win) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                       for x in win)):
-            raise ConfigError(f"{p}.gamma_window",
-                              "expected [gamma_lo, gamma_hi]")
-        feasibility = FeasibilitySection(
-            gamma_window=(float(win[0]), float(win[1])),
-            cycles=_num(raw, "cycles", p, default=1.0))
-
-    validate = None
-    if "validate" in data:
-        p = f"{source}.validate"
-        raw = data["validate"]
-        _check_keys(raw, p, ("seed", "overlap_samples", "pt_samples",
-                             "fock_n", "t_points", "overlap_tol", "pt_tol",
-                             "en_tol"))
-        validate = ValidateSection(
-            seed=_int(raw, "seed", p, default=20240811),
-            overlap_samples=_int(raw, "overlap_samples", p, default=200),
-            pt_samples=_int(raw, "pt_samples", p, default=20),
-            fock_n=_int(raw, "fock_n", p, default=64),
-            t_points=_int(raw, "t_points", p, default=25),
-            overlap_tol=_num(raw, "overlap_tol", p, default=1e-8),
-            pt_tol=_num(raw, "pt_tol", p, default=1e-6),
-            en_tol=_num(raw, "en_tol", p, default=1e-3))
-
-    return RunConfig(label=label, mode=mode, system=system,
-                     si_system=si_system, mediator=mediator,
-                     dephasing=dephasing, tolerances=tolerances,
-                     dynamics=dynamics, sweep=sweep, rate=rate,
-                     feasibility=feasibility, validate=validate)
+    return _build(RunConfig, data, source)
 
 
 def load_config(path) -> RunConfig:
@@ -450,73 +303,31 @@ def load_config(path) -> RunConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad encoding, oversized integer
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     return parse_config(data, source=str(path))
 
 
+def _dump(obj):
+    """Typed value -> JSON value."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _dump(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, tuple):
+        return [_dump(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _dump(x) for k, x in obj.items()}
+    return obj
+
+
 def serialize_config(cfg: RunConfig) -> dict:
-    """Canonical JSON form; parse(serialize(cfg)) == cfg."""
-    out: dict = {"label": cfg.label, "mode": cfg.mode}
-    if cfg.system is not None:
-        s = cfg.system
-        out["system"] = {"g_a": s.g_a, "g_b": s.g_b, "F": s.F,
-                         "delta": s.delta, "omega_a": s.omega_a,
-                         "omega_b": s.omega_b, "epsilon": s.epsilon}
-    if cfg.si_system is not None:
-        s = cfg.si_system
-        out["si_system"] = {
-            "m_a": s.m_a, "m_c": s.m_c, "d": s.d, "d0": s.d0,
-            "omega_c": s.omega_c, "omega_b": s.omega_b,
-            "omega_a0": s.omega_a0, "Q1": s.Q1, "Q2": s.Q2, "r0": s.r0,
-            "delta": s.delta, "F": s.F, "chi": s.chi, "B_grad": s.B_grad,
-            "gamma_e": s.gamma_e, "radius_a": s.radius_a,
-            "radius_c": s.radius_c}
-    m = cfg.mediator
-    out["mediator"] = {"alpha0": [m.alpha0.real, m.alpha0.imag],
-                       "xi_mag": m.xi_mag, "theta": m.theta}
-    out["dephasing"] = {"gamma": cfg.dephasing.gamma,
-                        "gamma_tp": cfg.dephasing.gamma_tp}
-    out["tolerances"] = {"fock_tail": cfg.tolerances.fock_tail,
-                         "en_convergence": cfg.tolerances.en_convergence}
-    if cfg.dynamics is not None:
-        d = cfg.dynamics
-        out["dynamics"] = {"t_stop": d.t_stop, "points": d.points,
-                           "t_start": d.t_start, "backend": d.backend,
-                           "hamiltonian": d.hamiltonian, "fock_n": d.fock_n,
-                           "bipartitions": list(d.bipartitions),
-                           "variants": [[l, dict(o)] for l, o in d.variants]}
-    if cfg.sweep is not None:
-        out["sweep"] = {
-            "axes": [{"name": a.name, "start": a.start, "stop": a.stop,
-                      "count": a.count, "scale": a.scale}
-                     for a in cfg.sweep.axes],
-            "time": {"kind": cfg.sweep.time.kind,
-                     "cycles": cfg.sweep.time.cycles, "t": cfg.sweep.time.t},
-            "backend": cfg.sweep.backend,
-            "fock_n": cfg.sweep.fock_n}
-    if cfg.rate is not None:
-        r = cfg.rate
-        out["rate"] = {
-            "which": r.which,
-            "axis": {"name": r.axis.name, "start": r.axis.start,
-                     "stop": r.axis.stop, "count": r.axis.count,
-                     "scale": r.axis.scale},
-            "time": {"kind": r.time.kind, "cycles": r.time.cycles,
-                     "t": r.time.t},
-            "variants": [[l, dict(o)] for l, o in r.variants]}
-    if cfg.feasibility is not None:
-        out["feasibility"] = {"gamma_window": list(cfg.feasibility.gamma_window),
-                              "cycles": cfg.feasibility.cycles}
-    if cfg.validate is not None:
-        v = cfg.validate
-        out["validate"] = {"seed": v.seed,
-                           "overlap_samples": v.overlap_samples,
-                           "pt_samples": v.pt_samples, "fock_n": v.fock_n,
-                           "t_points": v.t_points,
-                           "overlap_tol": v.overlap_tol, "pt_tol": v.pt_tol,
-                           "en_tol": v.en_tol}
-    return out
+    """Canonical JSON form; parse(serialize(cfg)) == cfg.
+
+    Sections the configuration does not have are left out.
+    """
+    return {k: v for k, v in _dump(cfg).items() if v is not None}
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -531,16 +342,10 @@ def base_cell(cfg: RunConfig) -> dict:
     if cfg.system is None:
         raise ConfigError(f"{cfg.label}.system",
                           "this command needs a dimensionless system block")
-    s = cfg.system
-    cell = {"g_a": s.g_a, "g_b": s.g_b, "omega_a": s.omega_a,
-            "omega_b": s.omega_b, "epsilon": s.epsilon,
-            "gamma": cfg.dephasing.gamma, "gamma_tp": cfg.dephasing.gamma_tp,
-            "alpha0": cfg.mediator.alpha0, "xi_mag": cfg.mediator.xi_mag,
-            "theta": cfg.mediator.theta}
-    if s.F is not None:
-        cell["F"] = s.F
-    else:
-        cell["delta"] = s.delta
+    cell = {}
+    for block in (cfg.system, cfg.dephasing, cfg.mediator):
+        cell.update(dataclasses.asdict(block))
+    del cell["delta" if cfg.system.F is not None else "F"]
     return cell
 
 
@@ -548,50 +353,45 @@ def resolve_si(cfg: RunConfig):
     """SI block -> (PhysicalSetup, ModelParams, SqueezedFrame).
 
     When the drive is given as delta or F, the tip distance is back-solved
-    and the exact requested drive is kept for the frame derivation.
+    and the exact requested drive is kept for the frame derivation.  Inputs
+    the physical setup rejects (masses, charges, distances) are reported
+    as ConfigError against the SI block.
     """
     if cfg.si_system is None:
         raise ConfigError(f"{cfg.label}.si_system",
                           "this command needs an SI system block")
     s = cfg.si_system
-    common = dict(m_a=s.m_a, m_c=s.m_c, d=s.d, d0=s.d0, omega_c=s.omega_c,
-                  omega_b=s.omega_b, omega_a0=s.omega_a0, Q1=s.Q1, Q2=s.Q2,
-                  chi=s.chi, B_grad=s.B_grad, gamma_e=s.gamma_e,
-                  radius_a=s.radius_a, radius_c=s.radius_c)
-    F_exact = None
-    r0 = s.r0
-    if s.delta is not None or s.F is not None:
-        probe = derive_model_params(
-            PhysicalSetup(r0=None, **dict(common, Q1=0.0, Q2=0.0)))
-        F_exact = s.F if s.F is not None \
-            else (probe.omega_tilde - s.delta) / 4.0
-        if F_exact < 0:
-            raise ConfigError(f"{cfg.label}.si_system.delta",
-                              "detuning exceeds omega_tilde")
-        if F_exact == 0.0:
-            common.update(Q1=0.0, Q2=0.0)
-            F_exact, r0 = None, None
-        else:
-            r0 = coulomb_distance_for_drive(s.m_c, s.omega_c, s.Q1, s.Q2,
-                                            F_exact)
-    setup = PhysicalSetup(r0=r0, **common)
-    params = derive_model_params(setup, F_override=F_exact)
-    frame = derive_squeezed_frame(params)
-    return setup, params, frame
+    F_exact, r0, charges = None, s.r0, {}
+    try:
+        if s.delta is not None or s.F is not None:
+            probe = derive_model_params(s.setup(r0=None, Q1=0.0, Q2=0.0))
+            F_exact = s.F if s.F is not None \
+                else (probe.omega_tilde - s.delta) / 4.0
+            if F_exact < 0:
+                raise ConfigError(f"{cfg.label}.si_system.delta",
+                                  "detuning exceeds omega_tilde")
+            if F_exact == 0.0:
+                charges = {"Q1": 0.0, "Q2": 0.0}
+                F_exact, r0 = None, None
+            else:
+                r0 = coulomb_distance_for_drive(s.m_c, s.omega_c, s.Q1,
+                                                s.Q2, F_exact)
+        setup = s.setup(r0=r0, **charges)
+        params = derive_model_params(setup, F_override=F_exact)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.label}.si_system", str(exc)) from None
+    return setup, params, derive_squeezed_frame(params)
 
 
 def resolve_dimensionless(cfg: RunConfig) -> ModelParams:
     if cfg.system is None:
         raise ConfigError(f"{cfg.label}.system",
                           "this command needs a dimensionless system block")
-    s = cfg.system
-    return ModelParams.dimensionless(s.g_a, s.g_b, F=s.F, delta=s.delta,
-                                     omega_a=s.omega_a, omega_b=s.omega_b,
-                                     epsilon=s.epsilon)
+    return ModelParams.dimensionless(**dataclasses.asdict(cfg.system))
 
 
 __all__ = [
-    "MediatorBlock", "DephasingBlock", "DimensionlessSystem", "SISystem",
+    "DephasingBlock", "DimensionlessSystem", "SISystem",
     "DynamicsSection", "SweepSection", "RateSection", "FeasibilitySection",
     "ValidateSection", "ToleranceBlock", "RunConfig", "parse_config",
     "load_config", "serialize_config", "config_hash", "base_cell",

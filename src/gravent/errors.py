@@ -12,6 +12,7 @@ class ConfigError(GraventError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
 

@@ -11,7 +11,6 @@ backend is available for cross-checking small grids.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +22,7 @@ from .negativity import log_negativity_from_partial_transpose
 from .params import ModelParams, derive_squeezed_frame
 
 AXIS_NAMES = ("F", "delta", "g_a", "g_b", "gamma", "s", "t", "alpha0")
+BACKENDS = ("analytic", "fock", "both")
 
 # cell parameters understood by the fixed dict / variant overrides
 _CELL_DEFAULTS = {
@@ -95,7 +95,7 @@ class SweepSpec:
         names = [ax.name for ax in self.axes]
         if len(set(names)) != len(names):
             raise InvalidAxis(f"duplicate axis {names}")
-        if self.backend not in ("analytic", "fock", "both"):
+        if self.backend not in BACKENDS:
             raise InvalidAxis(f"backend {self.backend!r} unknown")
         for key in self.fixed:
             if key not in _CELL_DEFAULTS:
@@ -192,11 +192,6 @@ def _fock_cell_en(psi: np.ndarray, n: int, t: float, gamma: float,
     return log_negativity_from_partial_transpose(pt)
 
 
-def _cell_worker(payload):
-    spec, overrides = payload
-    return _eval_cell(spec, overrides)
-
-
 @dataclass
 class SweepResult:
     spec: SweepSpec
@@ -208,22 +203,16 @@ class SweepResult:
     meta: dict = field(default_factory=dict)
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate EN over the grid; deterministic for a fixed spec."""
     axes_vals = tuple(ax.values() for ax in spec.axes)
     shape = tuple(len(v) for v in axes_vals)
     idx_list = list(np.ndindex(*shape))
-    jobs = []
+    cells = []
     for idx in idx_list:
         overrides = {ax.name: float(axes_vals[k][i])
                      for k, (ax, i) in enumerate(zip(spec.axes, idx))}
-        jobs.append((spec, overrides))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            cells = list(ex.map(_cell_worker, jobs))
-    else:
-        cells = [_eval_cell(spec, ov) for _, ov in jobs]
+        cells.append(_eval_cell(spec, overrides))
 
     en = np.full(shape, np.nan)
     valid = np.zeros(shape, bool)
@@ -277,15 +266,29 @@ def entanglement_rate(spec: SweepSpec, which: str) -> RateResult:
         raise UnstableFrame("rate sweep crossed the instability; shrink "
                             "the axis range")
     eta = np.gradient(en, g)
-    zeros = []
-    for i in range(len(g) - 1):
-        if eta[i] == 0.0 and 0 < i:
-            zeros.append(float(g[i]))
-        elif eta[i] * eta[i + 1] < 0.0:
-            frac = eta[i] / (eta[i] - eta[i + 1])
-            zeros.append(float(g[i] + frac * (g[i + 1] - g[i])))
-    return RateResult(g_values=g, en=en, eta=eta, zero_crossings=zeros,
+    return RateResult(g_values=g, en=en, eta=eta,
+                      zero_crossings=_sign_changes(g, eta),
                       meta={"axis": which})
+
+
+def _sign_changes(g: np.ndarray, eta: np.ndarray) -> list[float]:
+    """Points of g where eta changes sign across its non-zero values.
+
+    Neighbours of opposite sign give the linear-interpolation zero; a run
+    of exact zeros between opposite signs is reported once, at its
+    middle.  A zero that eta only touches is no turning point.
+    """
+    nonzero = np.flatnonzero(eta)
+    zeros = []
+    for j, k in zip(nonzero[:-1], nonzero[1:]):
+        if (eta[j] > 0) == (eta[k] > 0):
+            continue
+        if k == j + 1:
+            frac = eta[j] / (eta[j] - eta[k])
+            zeros.append(float(g[j] + frac * (g[k] - g[j])))
+        else:
+            zeros.append(float(0.5 * (g[j + 1] + g[k - 1])))
+    return zeros
 
 
 @dataclass
@@ -345,7 +348,7 @@ def timeseries_figure(spec: SweepSpec, hamiltonian: str = "squeezed",
 
 
 __all__ = [
-    "AXIS_NAMES", "AxisSpec", "TimeRule", "SweepSpec", "SweepResult",
-    "RateResult", "TimeseriesResult", "merge_cell", "run_sweep",
-    "entanglement_rate", "timeseries_figure",
+    "AXIS_NAMES", "BACKENDS", "AxisSpec", "TimeRule", "SweepSpec",
+    "SweepResult", "RateResult", "TimeseriesResult", "merge_cell",
+    "run_sweep", "entanglement_rate", "timeseries_figure",
 ]

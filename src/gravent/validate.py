@@ -31,10 +31,6 @@ from .params import ModelParams, derive_squeezed_frame
 # lab oracle cannot represent the initial state at any sane cutoff.
 LAB_FRAME_S_MAX = 1.0
 
-# Negative-control hook: tests set this to prove the overlap check can
-# fail.  Conjugates every closed-form overlap before comparison.
-_corrupt_overlap_sign = False
-
 
 @dataclass
 class CheckResult:
@@ -92,8 +88,6 @@ def check_overlap_closed_form(v: ValidateSection) -> CheckResult:
         init = MediatorInit(alpha0=alpha0, xi_mag=rng.uniform(0.0, 1.0),
                             theta=rng.uniform(0.0, 2.0 * math.pi))
         ana = displaced_overlap(a_i, a_j, init)
-        if _corrupt_overlap_sign:
-            ana = ana.conjugate()
         orc = fock.fock_overlap(a_i, a_j, init, tail_tol=1e-10)
         worst = max(worst, abs(ana - orc))
     return CheckResult("overlap_closed_form_vs_fock", worst <= v.overlap_tol,
@@ -114,6 +108,8 @@ def _oracle_pt_matrix(params: ModelParams, init: MediatorInit, t: float,
         try:
             psi0 = fock.prepare_initial(init, n, frame, tail_tol)
         except fock.CutoffTooSmall:
+            if n >= 1024:
+                raise
             n *= 2
             continue
         h = fock.build_hamiltonian_squeezed(frame, params.omega_a,
@@ -318,9 +314,7 @@ def run_validation(cfg: RunConfig) -> ValidationReport:
     """Run the whole suite against the configured base system."""
     v = cfg.validate if cfg.validate is not None else ValidateSection()
     params = _base_params(cfg)
-    init = MediatorInit(alpha0=cfg.mediator.alpha0,
-                        xi_mag=cfg.mediator.xi_mag,
-                        theta=cfg.mediator.theta)
+    init = cfg.mediator
     frame = derive_squeezed_frame(params)
     report = ValidationReport(base={
         "g_a": params.g_a, "g_b": params.g_b, "F": params.F,

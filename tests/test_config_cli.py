@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravent import (ConfigError, config_hash, load_config, load_preset,
                      parse_config, serialize_config)
@@ -117,6 +119,127 @@ class TestParsing:
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(p)
+
+
+# Arbitrary JSON, weighted towards the edges of the model's domain.
+JSON_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.5, 0, 1, 1e300, None, True, "",
+     []]) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
+def json_nodes(obj, path=()):
+    """(path, value) for every node of a JSON tree, root first."""
+    yield path, obj
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        children = ()
+    for key, value in children:
+        yield from json_nodes(value, path + (key,))
+
+
+KNOWN_KEYS = sorted({path[-1] for name in PRESET_NAMES
+                     for path, _ in json_nodes(serialize_config(
+                         load_preset(name)))
+                     if path and isinstance(path[-1], str)})
+
+
+class TestConfigBoundary:
+    """Bad input stops at parse time as a ConfigError naming the field."""
+
+    @given(st.sampled_from(PRESET_NAMES), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_fuzzed_presets_parse_or_raise_config_error(self, name, data):
+        raw = serialize_config(load_preset(name))
+        nodes = list(json_nodes(raw))
+        value = data.draw(JSON_VALUES, label="value")
+        if data.draw(st.booleans(), label="inject"):
+            objects = [node for _, node in nodes if isinstance(node, dict)]
+            target = data.draw(st.sampled_from(objects))
+            key = data.draw(st.sampled_from(KNOWN_KEYS)
+                            | st.text(max_size=8), label="key")
+            target[key] = value
+        else:
+            leaves = [path for path, node in nodes[1:]
+                      if not (isinstance(node, (dict, list)) and node)]
+            path = data.draw(st.sampled_from(leaves), label="leaf")
+            parent = raw
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        try:
+            cfg = parse_config(raw)
+        except ConfigError:
+            return
+        again = serialize_config(cfg)
+        json.dumps(again, allow_nan=False)
+        assert parse_config(again) == cfg
+
+    MALFORMED = [
+        ("system.F",
+         lambda d: d["system"].update(F=math.nan)),
+        ("mediator",
+         lambda d: d.update(mediator={"xi_mag": -0.5})),
+        ("sweep.axes[0]",
+         lambda d: d["sweep"]["axes"][0].update(name="Q")),
+        ("dynamics.bipartitions",
+         lambda d: d["dynamics"].update(bipartitions="tp_qubit")),
+    ]
+
+    @pytest.mark.parametrize("command", ["dynamics", "sweep"])
+    @pytest.mark.parametrize("field,edit", MALFORMED,
+                             ids=[f for f, _ in MALFORMED])
+    def test_malformed_config_exits_2_naming_the_field(
+            self, tmp_path, capsys, command, field, edit):
+        data = cfg_with(
+            dynamics={"t_stop": 1.0, "points": 5},
+            sweep={"axes": [{"name": "F", "start": 0.0, "stop": 0.2,
+                             "count": 3}]})
+        edit(data)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(data))
+        rc = main([command, "--config", str(cfg_path), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {cfg_path}.{field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,edit", [
+        ("<config>.system", {"system": {"g_a": 0.02, "g_b": 1.0,
+                                        "delta": 1.5}}),
+        ("<config>.validate.seed", {"validate": {"seed": -1}}),
+        ("<config>.validate.t_points", {"validate": {"t_points": 0}}),
+        ("<config>.validate.fock_n", {"validate": {"fock_n": 0}}),
+        ("<config>.system.g_a", {"system": {"g_a": 10 ** 400, "g_b": 1.0,
+                                            "F": 0.1}}),
+    ], ids=["negative-drive", "seed", "t_points", "fock_n",
+            "float-overflow"])
+    def test_out_of_domain_values_name_the_field(self, field, edit):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg_with(**edit))
+        assert exc.value.path == field
+
+    def test_si_inputs_the_setup_rejects_are_config_errors(self,
+                                                            sec5_config):
+        data = serialize_config(sec5_config)
+        data["si_system"]["m_a"] = -1.0
+        with pytest.raises(ConfigError, match="m_a must be positive") as exc:
+            resolve_si(parse_config(data))
+        assert exc.value.path == "sec5-feasibility.si_system"
+
+    def test_non_finite_numbers_rejected_everywhere(self):
+        for edit in ({"dephasing": {"gamma": math.inf}},
+                     {"mediator": {"alpha0": [0.0, -math.inf]}},
+                     {"dynamics": {"t_stop": 1.0, "points": 5,
+                                   "variants": [["v", {"gamma": math.nan}]]}}):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_config(cfg_with(**edit))
 
 
 class TestRoundTrip:
@@ -326,7 +449,9 @@ class TestCliValidate:
 
     def test_corrupted_overlap_flags_the_check(self, tmp_path, monkeypatch):
         import gravent.validate as validate_mod
-        monkeypatch.setattr(validate_mod, "_corrupt_overlap_sign", True)
+        exact = validate_mod.displaced_overlap
+        monkeypatch.setattr(validate_mod, "displaced_overlap",
+                            lambda *a, **k: exact(*a, **k).conjugate())
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(self._tiny_validate_config()))
         rc = main(["validate", "--config", str(cfg_path), "--out",

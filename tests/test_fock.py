@@ -192,6 +192,20 @@ class TestConvergeCutoff:
         assert exc.value.report is not None
         assert exc.value.report.steps
 
+    def test_oracle_pt_matrix_stops_at_the_ceiling(self, monkeypatch):
+        from gravent.validate import _oracle_pt_matrix
+        tried = []
+
+        def never_fits(init, n, *args, **kwargs):
+            tried.append(n)
+            raise CutoffTooSmall(f"no room at N = {n}", 1.0)
+
+        monkeypatch.setattr(fock, "prepare_initial", never_fits)
+        params = ModelParams.dimensionless(g_a=0.01, g_b=1.0, F=0.0)
+        with pytest.raises(CutoffTooSmall):
+            _oracle_pt_matrix(params, MediatorInit(), 1.0, 64)
+        assert tried == [64, 128, 256, 512, 1024]
+
     def test_unknown_hamiltonian_label(self):
         params = ModelParams.dimensionless(g_a=0.01, g_b=1.0, F=0.0)
         with pytest.raises(ValueError, match="squeezed"):

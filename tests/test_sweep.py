@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravent import (AxisSpec, InsufficientPoints, InvalidAxis, SweepSpec,
                      TimeRule, UnstableFrame, entanglement_rate, run_sweep,
                      timeseries_figure)
-from gravent.sweep import merge_cell
+from gravent.sweep import _sign_changes, merge_cell
 
 BASE = {"g_a": 1.0 / 48.0, "g_b": 1.0}
 
@@ -110,14 +112,6 @@ class TestRunSweep:
         assert np.array_equal(a.en, b.en)
         assert np.array_equal(a.valid, b.valid)
 
-    def test_threads_change_nothing(self):
-        spec = SweepSpec(axes=(f_axis(), AxisSpec("gamma", 0.0, 0.4, 5)),
-                         fixed=dict(BASE))
-        seq = run_sweep(spec, threads=1)
-        par = run_sweep(spec, threads=4)
-        assert np.array_equal(seq.en, par.en)
-        assert np.array_equal(par.extras["s"], seq.extras["s"])
-
     def test_grid_refinement_keeps_coincident_points(self):
         coarse = run_sweep(SweepSpec(axes=(f_axis(count=5),),
                                      fixed=dict(BASE)))
@@ -211,6 +205,28 @@ class TestEntanglementRate:
                          fixed={"g_a": BASE["g_a"], "F": 0.26})
         with pytest.raises(UnstableFrame):
             entanglement_rate(spec, "g_b")
+
+    def test_touching_zero_is_no_turning_point(self):
+        g = np.arange(5.0)
+        assert _sign_changes(g, np.array([1.0, 0.0, 1.0, 1.0, 1.0])) == []
+        assert _sign_changes(g, np.array([1.0, 0.0, 0.0, 1.0, 1.0])) == []
+
+    def test_run_of_zeros_is_reported_once(self):
+        g = np.arange(5.0)
+        eta = np.array([1.0, 0.0, 0.0, -1.0, -1.0])
+        assert _sign_changes(g, eta) == [1.5]
+        assert _sign_changes(g, np.array([1.0, -1.0, 1.0])) == [0.5, 1.5]
+
+    @given(st.lists(st.one_of(st.just(0.0),
+                              st.floats(-1e3, 1e3, allow_nan=False)),
+                    min_size=2, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_one_zero_per_sign_change(self, values):
+        eta = np.array(values)
+        g = np.linspace(0.0, 1.0, len(eta))
+        signs = np.sign(eta[eta != 0.0])
+        changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
+        assert len(_sign_changes(g, eta)) == changes
 
 
 class TestTimeseriesFigure:
