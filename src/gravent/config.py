@@ -122,6 +122,8 @@ class DynamicsSection:
     def __post_init__(self):
         if self.points < 2:
             raise ConfigError("points", "need at least 2 points")
+        if self.fock_n < 1:
+            raise ConfigError("fock_n", "must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,8 @@ class SweepSection:
     def __post_init__(self):
         if not self.axes:
             raise ConfigError("axes", "expected a non-empty list")
+        if self.fock_n < 1:
+            raise ConfigError("fock_n", "must be at least 1")
 
 
 @dataclass(frozen=True)

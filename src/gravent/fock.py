@@ -16,6 +16,13 @@ parameter s enlarges the initial occupation like e^{2s} (and like e^{4s}
 when mapping squeezed-frame states to the lab mode), so lab-frame checks
 are only sensible for s up to about 1 and the strongly driven regimes
 must be validated in the squeezed frame or in closed form.
+
+Every cutoff is chosen by one bounded search, `search_cutoff`: it starts
+at a given N and doubles it up to a ceiling, 512 for EN curves and 1024
+for overlaps and the partial-transpose matrix.  Past the ceiling it
+raises NoConvergence carrying the history of every N tried and why it
+was rejected; that is the only way the oracle gives up.  One run at a
+fixed N, in the lab or the squeezed frame, is `trajectory`.
 """
 
 from __future__ import annotations
@@ -72,24 +79,31 @@ def squeeze_matrix(xi: complex, n: int) -> np.ndarray:
     return expm(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))
 
 
-def _edge_occupation(vec: np.ndarray, edge: int = 2) -> float:
-    """Occupation of the top Fock levels; the caller decides what to do."""
-    return float(np.sum(np.abs(vec[-edge:]) ** 2))
+def _squeezed_coherent(init: MediatorInit, n: int,
+                       frame: SqueezedFrame | None,
+                       tail_tol: float) -> np.ndarray:
+    """S(xi) |alpha0> on the cutoff, once |alpha0> itself fits."""
+    coh, tail = coherent_vector(complex(init.alpha0), n)
+    if tail > tail_tol:
+        raise CutoffTooSmall(
+            f"coherent amplitude {init.alpha0} does not fit in N = {n}", tail)
+    return squeeze_matrix(init.xi(frame), n) @ coh
+
+
+def _fits(vec: np.ndarray, n: int, tail_tol: float, what: str) -> np.ndarray:
+    """vec, unless its top two Fock levels hold more than tail_tol."""
+    edge = float(np.sum(np.abs(vec[-2:]) ** 2))
+    if edge > tail_tol:
+        raise CutoffTooSmall(f"{what} leaks at N = {n}", edge)
+    return vec
 
 
 def mediator_vector(init: MediatorInit, n: int,
                     frame: SqueezedFrame | None = None,
                     tail_tol: float = 1e-8) -> np.ndarray:
     """Normalized Fock amplitudes of S(xi) |alpha0>."""
-    coh, tail = coherent_vector(complex(init.alpha0), n)
-    if tail > tail_tol:
-        raise CutoffTooSmall(
-            f"coherent amplitude {init.alpha0} does not fit in N = {n}", tail)
-    vec = squeeze_matrix(init.xi(frame), n) @ coh
-    edge = _edge_occupation(vec)
-    if edge > tail_tol:
-        raise CutoffTooSmall(
-            f"squeezed state leaks into the top Fock levels at N = {n}", edge)
+    vec = _fits(_squeezed_coherent(init, n, frame, tail_tol), n, tail_tol,
+                "squeezed state")
     return vec / np.linalg.norm(vec)
 
 
@@ -102,16 +116,9 @@ def lab_mediator_vector(init: MediatorInit, frame: SqueezedFrame, n: int,
     squeeze, so occupations grow like e^{4s} and this is the step that
     rules out lab-frame oracles deep in the driven regime.
     """
-    coh, tail = coherent_vector(complex(init.alpha0), n)
-    if tail > tail_tol:
-        raise CutoffTooSmall(
-            f"coherent amplitude {init.alpha0} does not fit in N = {n}", tail)
-    vec = squeeze_matrix(init.xi(frame), n) @ coh
-    vec = squeeze_matrix(frame.s, n).conj().T @ vec
-    edge = _edge_occupation(vec)
-    if edge > tail_tol:
-        raise CutoffTooSmall(
-            f"lab-mode image of the initial state leaks at N = {n}", edge)
+    vec = _squeezed_coherent(init, n, frame, tail_tol)
+    vec = _fits(squeeze_matrix(frame.s, n).conj().T @ vec, n, tail_tol,
+                "lab-mode image of the initial state")
     return vec / np.linalg.norm(vec)
 
 
@@ -119,15 +126,9 @@ def displaced_squeezed_vector(shift: complex, init: MediatorInit, n: int,
                               frame: SqueezedFrame | None = None,
                               tail_tol: float = 1e-10) -> np.ndarray:
     """D(shift) S(xi) |alpha0> by explicit matrix exponentials."""
-    coh, tail = coherent_vector(complex(init.alpha0), n)
-    if tail > tail_tol:
-        raise CutoffTooSmall(f"alpha0 = {init.alpha0} needs N > {n}", tail)
-    vec = squeeze_matrix(init.xi(frame), n) @ coh
-    vec = displacement_matrix(shift, n) @ vec
-    edge = _edge_occupation(vec)
-    if edge > tail_tol:
-        raise CutoffTooSmall(f"displaced state leaks at N = {n}", edge)
-    return vec
+    vec = _squeezed_coherent(init, n, frame, tail_tol)
+    return _fits(displacement_matrix(shift, n) @ vec, n, tail_tol,
+                 "displaced state")
 
 
 def fock_overlap(a_i: complex, a_j: complex, init: MediatorInit,
@@ -138,16 +139,13 @@ def fock_overlap(a_i: complex, a_j: complex, init: MediatorInit,
 
     The cutoff doubles until both vectors pass the tail criterion.
     """
-    n = n_start
-    while True:
-        try:
-            vi = displaced_squeezed_vector(a_i, init, n, frame, tail_tol)
-            vj = displaced_squeezed_vector(a_j, init, n, frame, tail_tol)
-            return complex(np.vdot(vi, vj))
-        except CutoffTooSmall:
-            if 2 * n > n_max:
-                raise
-            n *= 2
+    def attempt(n: int) -> complex:
+        vi = displaced_squeezed_vector(a_i, init, n, frame, tail_tol)
+        vj = displaced_squeezed_vector(a_j, init, n, frame, tail_tol)
+        return complex(np.vdot(vi, vj))
+
+    overlap, _ = search_cutoff(attempt, n_start, n_max)
+    return overlap
 
 
 def _kron3(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -224,24 +222,20 @@ class ExactPropagator:
         return (phases * c) @ self.v.T
 
 
-def evolve(state: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
-    """Single-shot exact evolution; norm is preserved to 1e-10."""
-    out = ExactPropagator(h).evolve(state, t)
-    drift = abs(np.linalg.norm(out) - np.linalg.norm(state))
-    if drift > 1e-10:
-        raise EigenFailure(f"norm drifted by {drift:.3e} during evolution")
-    return out
-
-
-def tail_occupation(psi: np.ndarray, n: int, edge: int = 1) -> float:
-    """Population of the top Fock level(s), summed over the spins."""
-    t = psi.reshape(2, 2, n)
-    return float(np.sum(np.abs(t[:, :, n - edge:]) ** 2))
+def tail_occupation(psi: np.ndarray, n: int) -> float:
+    """Population of the top Fock level, summed over the spins."""
+    return float(np.sum(np.abs(psi.reshape(4, n)[:, -1]) ** 2))
 
 
 def en_curves(h: np.ndarray, psi0: np.ndarray, t_grid, n: int,
-              cuts: dict[str, tuple] | None = None) -> dict[str, np.ndarray]:
-    """EN along a trajectory for the requested bipartitions."""
+              cuts: dict[str, tuple] | None = None,
+              keep_states: bool = False) -> dict[str, np.ndarray]:
+    """EN along a trajectory for the requested bipartitions.
+
+    The result also holds the top-level occupation under "tail" and,
+    with keep_states, the evolved states, one row per time, under
+    "states".
+    """
     if cuts is None:
         cuts = {"tp_qubit": TP_QUBIT}
     prop = ExactPropagator(h)
@@ -253,85 +247,139 @@ def en_curves(h: np.ndarray, psi0: np.ndarray, t_grid, n: int,
         out["tail"][k] = tail_occupation(psi, n)
         for name, (sa, sb) in cuts.items():
             out[name][k] = en_bipartition(psi, dims, sa, sb)
+    if keep_states:
+        out["states"] = states
     return out
+
+
+def trajectory(params: ModelParams, frame: SqueezedFrame,
+               init: MediatorInit, t_grid, n: int,
+               hamiltonian: str = "squeezed",
+               cuts: dict[str, tuple] | None = None,
+               tail_tol: float = 1e-8,
+               keep_states: bool = False) -> dict[str, np.ndarray]:
+    """One oracle run at cutoff n: the en_curves of the prepared state.
+
+    hamiltonian picks the frame: "squeezed" evolves the squeezed-frame
+    state under the stiff oscillator, "lab" maps the state to the lab
+    mode and evolves it under the full driven Hamiltonian.  Raises
+    CutoffTooSmall when the initial state, or the state at any time of
+    t_grid, holds more than tail_tol in the top Fock level.
+    """
+    if hamiltonian not in ("squeezed", "lab"):
+        raise ValueError("hamiltonian must be 'squeezed' or 'lab'")
+    psi0 = prepare_initial(init, n, frame, tail_tol,
+                           lab_mode=hamiltonian == "lab")
+    if hamiltonian == "lab":
+        h = build_hamiltonian_lab(params, n)
+    else:
+        h = build_hamiltonian_squeezed(frame, params.omega_a,
+                                       params.omega_b, n)
+    curves = en_curves(h, psi0, t_grid, n, cuts, keep_states)
+    tail = float(curves["tail"].max())
+    if tail > tail_tol:
+        raise CutoffTooSmall(f"trajectory leaks at N = {n}", tail)
+    return curves
 
 
 @dataclass
 class ConvergenceReport:
-    """Outcome of the cutoff-doubling search."""
+    """Outcome of a cutoff search: the N accepted and every N tried.
+
+    Each step holds the N tried and, once it is rejected, the reason.
+    """
 
     n: int
     converged: bool
     steps: list[dict] = field(default_factory=list)
-    en_curve: np.ndarray | None = None
+    curves: dict[str, np.ndarray] | None = None
     message: str = ""
+
+    @property
+    def en_curve(self) -> np.ndarray | None:
+        """The TP-qubit EN curve at the accepted N, if curves were run."""
+        return None if self.curves is None else self.curves["tp_qubit"]
 
     def as_dict(self) -> dict:
         return {"n": self.n, "converged": self.converged,
                 "steps": self.steps, "message": self.message}
 
 
+def search_cutoff(attempt, n_start: int, n_max: int, settled=None):
+    """The one bounded cutoff search: N = n_start, 2 n_start, ... <= n_max.
+
+    attempt(N) computes a result at cutoff N and raises CutoffTooSmall
+    when N is too small for it.  Without settled the first N that does
+    not raise is accepted.  With settled(prev, cur), N is accepted only
+    once its result and the one at 2N pass that test, and the result at
+    N is returned.  Returns (result, report) with report.n the accepted
+    N.  Past n_max raises NoConvergence carrying the report; its message
+    names the ceiling and each N tried with the reason it was rejected.
+    """
+    report = ConvergenceReport(n=0, converged=False)
+    prev = None
+    n = n_start
+    while n <= n_max:
+        try:
+            cur = attempt(n)
+        except CutoffTooSmall as exc:
+            report.steps.append({"n": n, "rejected": str(exc)})
+            prev = None
+        else:
+            report.steps.append({"n": n})
+            if settled is None:
+                report.n, report.converged = n, True
+                report.message = f"fits at N = {n}"
+                return cur, report
+            if prev is not None:
+                if settled(prev, cur):
+                    report.n, report.converged = n // 2, True
+                    report.message = (f"converged at N = {n // 2} "
+                                      f"(checked against {n})")
+                    return prev, report
+                report.steps[-2]["rejected"] = f"differs from N = {n}"
+            prev = cur
+        n *= 2
+    tried = "; ".join(
+        f"N = {s['n']}: {s.get('rejected', 'not confirmed at a larger N')}"
+        for s in report.steps)
+    report.message = (f"no cutoff up to the ceiling N = {n_max} passes "
+                      f"({tried or 'no N tried'})")
+    raise NoConvergence(report.message, report)
+
+
 def converge_cutoff(params: ModelParams, init: MediatorInit, t_grid,
                     hamiltonian: str = "squeezed", en_tol: float = 1e-4,
                     tail_tol: float = 1e-8, n_start: int = 2,
-                    n_max: int = 512) -> ConvergenceReport:
+                    n_max: int = 512,
+                    keep_states: bool = False) -> ConvergenceReport:
     """Smallest cutoff in a doubling schedule with a stable EN curve.
 
     Convergence requires the TP-qubit EN curve at N and 2N to agree
     within en_tol everywhere on the grid and the trajectory tail
-    occupation to stay below tail_tol.  Raises NoConvergence past n_max,
-    which is the expected outcome for strongly squeezed frames where the
-    occupation scales like e^{2s}.
+    occupation to stay below tail_tol.  The report carries the
+    trajectory's curves at the accepted N, and its states with
+    keep_states.  Raises NoConvergence past n_max, which is the expected
+    outcome for strongly squeezed frames where the occupation scales
+    like e^{2s}.
     """
-    if hamiltonian not in ("squeezed", "lab"):
-        raise ValueError("hamiltonian must be 'squeezed' or 'lab'")
     frame = derive_squeezed_frame(params)
-    report = ConvergenceReport(n=0, converged=False)
-
-    def run(n: int) -> np.ndarray | None:
-        try:
-            psi0 = prepare_initial(init, n, frame, tail_tol,
-                                   lab_mode=(hamiltonian == "lab"))
-        except CutoffTooSmall as exc:
-            report.steps.append({"n": n, "state_tail": exc.tail_mass})
-            return None
-        if hamiltonian == "lab":
-            h = build_hamiltonian_lab(params, n)
-        else:
-            h = build_hamiltonian_squeezed(frame, params.omega_a,
-                                           params.omega_b, n)
-        curves = en_curves(h, psi0, t_grid, n)
-        tail = float(curves["tail"].max())
-        report.steps.append({"n": n, "trajectory_tail": tail})
-        if tail > tail_tol:
-            return None
-        return curves["tp_qubit"]
-
-    n = n_start
-    prev = run(n)
-    while 2 * n <= n_max:
-        cur = run(2 * n)
-        if prev is not None and cur is not None:
-            dev = float(np.max(np.abs(cur - prev)))
-            report.steps[-1]["en_deviation"] = dev
-            if dev < en_tol:
-                report.n = n
-                report.converged = True
-                report.en_curve = prev
-                report.message = f"converged at N = {n} (checked against {2*n})"
-                return report
-        prev = cur
-        n *= 2
-    raise NoConvergence(
-        f"no stable cutoff up to N = {n_max}; the requested frame or drive "
-        "pushes occupations beyond the oracle's reach", report)
+    curves, report = search_cutoff(
+        lambda n: trajectory(params, frame, init, t_grid, n, hamiltonian,
+                             tail_tol=tail_tol, keep_states=keep_states),
+        n_start, n_max,
+        settled=lambda prev, cur: float(np.max(np.abs(
+            cur["tp_qubit"] - prev["tp_qubit"]))) < en_tol)
+    report.curves = curves
+    return report
 
 
 __all__ = [
     "destroy", "coherent_vector", "displacement_matrix", "squeeze_matrix",
     "mediator_vector", "lab_mediator_vector", "displaced_squeezed_vector",
     "fock_overlap", "build_hamiltonian_lab", "build_hamiltonian_squeezed",
-    "prepare_initial", "ExactPropagator", "evolve", "tail_occupation",
-    "en_curves", "ConvergenceReport", "converge_cutoff", "BIPARTITIONS",
-    "TP_QUBIT", "TP_MEDIATOR", "QUBIT_MEDIATOR", "SIGMA_Z",
+    "prepare_initial", "ExactPropagator", "tail_occupation",
+    "en_curves", "trajectory", "ConvergenceReport", "search_cutoff",
+    "converge_cutoff", "BIPARTITIONS", "TP_QUBIT", "TP_MEDIATOR",
+    "QUBIT_MEDIATOR", "SIGMA_Z",
 ]

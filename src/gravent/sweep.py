@@ -5,7 +5,8 @@ Grids are specified in units of the modified mediator frequency
 so axes may move the drive itself; cells that land at or beyond the
 instability are marked invalid rather than zeroed, and the sweep keeps
 going.  The analytic backend evaluates the closed-form matrix; the Fock
-backend is available for cross-checking small grids.
+backend is available for cross-checking small grids, and a cell whose
+state or trajectory does not fit its cutoff is marked invalid too.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fock
-from .dynamics import MediatorInit, en_timeseries, partial_transpose_matrix
-from .errors import InsufficientPoints, InvalidAxis, UnstableFrame
-from .negativity import log_negativity_from_partial_transpose
+from .dynamics import (MediatorInit, apply_dephasing, en_timeseries,
+                       partial_transpose_matrix)
+from .errors import (CutoffTooSmall, InsufficientPoints, InvalidAxis,
+                     UnstableFrame)
+from .negativity import (log_negativity_from_partial_transpose,
+                         partial_trace, partial_transpose)
 from .params import ModelParams, derive_squeezed_frame
 
 AXIS_NAMES = ("F", "delta", "g_a", "g_b", "gamma", "s", "t", "alpha0")
@@ -171,25 +175,18 @@ def _eval_cell(spec: SweepSpec, overrides: dict) -> dict:
         out["en"] = log_negativity_from_partial_transpose(m)
     if spec.backend in ("fock", "both"):
         n = spec.fock_n
-        h = fock.build_hamiltonian_squeezed(frame, params.omega_a,
-                                            params.omega_b, n)
-        psi0 = fock.prepare_initial(init, n, frame)
-        psi = fock.ExactPropagator(h).evolve(psi0, t)
-        out["en_fock"] = _fock_cell_en(psi, n, t, gamma, gamma_tp)
+        try:
+            psi = fock.trajectory(params, frame, init, [t], n, cuts={},
+                                  keep_states=True)["states"][0]
+        except CutoffTooSmall as exc:
+            return {"valid": False, "note": f"Fock backend: {exc}"}
+        rho = apply_dephasing(partial_trace(psi, (2, 2, n), (0, 1)), t,
+                              gamma, gamma_tp)
+        out["en_fock"] = log_negativity_from_partial_transpose(
+            partial_transpose(rho, (2, 2), 1))
         if spec.backend == "fock":
             out["en"] = out.pop("en_fock")
     return out
-
-
-def _fock_cell_en(psi: np.ndarray, n: int, t: float, gamma: float,
-                  gamma_tp: float) -> float:
-    from .dynamics import apply_dephasing
-    from .negativity import partial_trace, partial_transpose
-
-    rho = partial_trace(psi, (2, 2, n), (0, 1))
-    rho = apply_dephasing(rho, t, gamma, gamma_tp)
-    pt = partial_transpose(rho, (2, 2), 1)
-    return log_negativity_from_partial_transpose(pt)
 
 
 @dataclass
@@ -207,13 +204,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate EN over the grid; deterministic for a fixed spec."""
     axes_vals = tuple(ax.values() for ax in spec.axes)
     shape = tuple(len(v) for v in axes_vals)
-    idx_list = list(np.ndindex(*shape))
-    cells = []
-    for idx in idx_list:
-        overrides = {ax.name: float(axes_vals[k][i])
-                     for k, (ax, i) in enumerate(zip(spec.axes, idx))}
-        cells.append(_eval_cell(spec, overrides))
-
     en = np.full(shape, np.nan)
     valid = np.zeros(shape, bool)
     extra_names = ("s", "omega_s", "g_a_s", "g_b_s", "g_eff", "t_eval")
@@ -221,7 +211,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if spec.backend == "both":
         extras["en_fock"] = np.full(shape, np.nan)
     invalid = []
-    for idx, cell in zip(idx_list, cells):
+    for idx in np.ndindex(*shape):
+        overrides = {ax.name: float(axes_vals[k][i])
+                     for k, (ax, i) in enumerate(zip(spec.axes, idx))}
+        cell = _eval_cell(spec, overrides)
         if not cell["valid"]:
             invalid.append((idx, cell["note"]))
             continue
@@ -326,24 +319,13 @@ def timeseries_figure(spec: SweepSpec, hamiltonian: str = "squeezed",
             curves[f"{label}:tp_qubit:analytic"] = np.array(
                 [v for _, v in en])
         if spec.backend in ("fock", "both"):
-            n = spec.fock_n
-            if hamiltonian == "lab":
-                h = fock.build_hamiltonian_lab(params, n)
-            else:
-                h = fock.build_hamiltonian_squeezed(
-                    frame, params.omega_a, params.omega_b, n)
-            psi0 = fock.prepare_initial(init, n, frame, tail_tol,
-                                        lab_mode=(hamiltonian == "lab"))
             cuts = {name: fock.BIPARTITIONS[name]
                     for name in spec.bipartitions}
-            data = fock.en_curves(h, psi0, ts, n, cuts)
-            if float(data["tail"].max()) > tail_tol:
-                raise fock.CutoffTooSmall(
-                    f"trajectory leaks at N = {n}; raise fock_n",
-                    float(data["tail"].max()))
+            data = fock.trajectory(params, frame, init, ts, spec.fock_n,
+                                   hamiltonian, cuts, tail_tol)
             for name in spec.bipartitions:
                 curves[f"{label}:{name}:fock"] = data[name]
-            meta.setdefault("fock_n", n)
+            meta.setdefault("fock_n", spec.fock_n)
     return TimeseriesResult(t=ts, curves=curves, meta=meta)
 
 

@@ -4,16 +4,20 @@ Seven independent checks, each comparing quantities computed through two
 code paths that share no dynamical formulas: displaced-squeezed overlaps,
 the full 4x4 partial-transpose matrix, EN time series, mediator
 decoupling, the decoupling-time closed form, linear-drive irrelevance,
-and lab-vs-squeezed frame agreement.  Oracle non-convergence is reported
-as a failed check with the doubling history attached, never as a crash;
-checks that need the lab-frame oracle are skipped with a note once the
-squeezing parameter puts lab occupations out of reach.
+and lab-vs-squeezed frame agreement.  Every oracle cutoff comes from the
+one bounded search `fock.search_cutoff`: it starts at a given N and
+doubles it up to a ceiling, 512 for EN curves and 1024 for overlaps and
+the partial-transpose matrix, then raises NoConvergence with the history
+of every N tried.  Each check reports that as a failed check whose note
+is the search's message, never as a crash; checks that need the
+lab-frame oracle are skipped with a note once the squeezing parameter
+puts lab occupations out of reach.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +26,8 @@ from .config import RunConfig, ValidateSection
 from .dynamics import (MediatorInit, displaced_overlap, en_at_decoupling,
                        en_timeseries, partial_transpose_matrix)
 from .errors import NoConvergence
-from .negativity import (log_negativity_from_partial_transpose,
+from .negativity import (en_bipartition,
+                         log_negativity_from_partial_transpose,
                          partial_trace, partial_transpose)
 from .params import ModelParams, derive_squeezed_frame
 
@@ -88,42 +93,15 @@ def check_overlap_closed_form(v: ValidateSection) -> CheckResult:
         init = MediatorInit(alpha0=alpha0, xi_mag=rng.uniform(0.0, 1.0),
                             theta=rng.uniform(0.0, 2.0 * math.pi))
         ana = displaced_overlap(a_i, a_j, init)
-        orc = fock.fock_overlap(a_i, a_j, init, tail_tol=1e-10)
+        try:
+            orc = fock.fock_overlap(a_i, a_j, init, tail_tol=1e-10)
+        except NoConvergence as exc:
+            return CheckResult("overlap_closed_form_vs_fock", False,
+                               note=str(exc))
         worst = max(worst, abs(ana - orc))
     return CheckResult("overlap_closed_form_vs_fock", worst <= v.overlap_tol,
                        max_dev=worst, tol=v.overlap_tol,
                        note=f"{v.overlap_samples} randomized tuples")
-
-
-def _oracle_pt_matrix(params: ModelParams, init: MediatorInit, t: float,
-                      n_start: int, tail_tol: float = 1e-14):
-    """rho^{T_b} of the reduced TP-qubit state from the Fock oracle.
-
-    The entrywise truncation error grows like the square root of the
-    tail occupation, so the tail must sit well below pt_tol squared.
-    """
-    frame = derive_squeezed_frame(params)
-    n = n_start
-    while True:
-        try:
-            psi0 = fock.prepare_initial(init, n, frame, tail_tol)
-        except fock.CutoffTooSmall:
-            if n >= 1024:
-                raise
-            n *= 2
-            continue
-        h = fock.build_hamiltonian_squeezed(frame, params.omega_a,
-                                            params.omega_b, n)
-        psi = fock.ExactPropagator(h).evolve(psi0, t)
-        tail = fock.tail_occupation(psi, n)
-        if tail > tail_tol:
-            if n >= 1024:
-                raise fock.CutoffTooSmall(
-                    f"oracle reduced state leaks at N = {n}", tail)
-            n *= 2
-            continue
-        rho = partial_trace(psi, (2, 2, n), (0, 1))
-        return partial_transpose(rho, (2, 2), 1), n
 
 
 def check_pt_matrix(v: ValidateSection) -> CheckResult:
@@ -140,7 +118,20 @@ def check_pt_matrix(v: ValidateSection) -> CheckResult:
                                            rng.normal(0, 0.7)))
         t = rng.uniform(0.1, 1.9) * frame.t_period
         ana = partial_transpose_matrix(frame, init, t)
-        orc, _ = _oracle_pt_matrix(params, init, t, v.fock_n)
+
+        def oracle(n: int) -> np.ndarray:
+            # the entrywise truncation error grows like the square root of
+            # the tail occupation, so the tail must sit well below pt_tol^2
+            psi = fock.trajectory(params, frame, init, [t], n, cuts={},
+                                  tail_tol=1e-14,
+                                  keep_states=True)["states"][0]
+            rho = partial_trace(psi, (2, 2, n), (0, 1))
+            return partial_transpose(rho, (2, 2), 1)
+
+        try:
+            orc, _ = fock.search_cutoff(oracle, v.fock_n, 1024)
+        except NoConvergence as exc:
+            return CheckResult("pt_matrix_vs_fock", False, note=str(exc))
         worst = max(worst, float(np.max(np.abs(ana - orc))))
     return CheckResult("pt_matrix_vs_fock", worst <= v.pt_tol,
                        max_dev=worst, tol=v.pt_tol,
@@ -173,22 +164,17 @@ def check_decoupling(params: ModelParams, init: MediatorInit,
     frame = derive_squeezed_frame(params)
     t_n = [frame.decoupling_time(1), frame.decoupling_time(2)]
     try:
-        rep = fock.converge_cutoff(params, init, t_n, tail_tol=fock_tail)
+        rep = fock.converge_cutoff(params, init, t_n, tail_tol=fock_tail,
+                                   keep_states=True)
     except NoConvergence as exc:
         return CheckResult("mediator_decoupling_at_tn", False,
                            note=str(exc))
-    n = rep.n
-    h = fock.build_hamiltonian_squeezed(frame, params.omega_a,
-                                        params.omega_b, n)
-    psi0 = fock.prepare_initial(init, n, frame, fock_tail)
-    curves = fock.en_curves(h, psi0, t_n, n,
-                            {"tp_mediator": fock.TP_MEDIATOR,
-                             "qubit_mediator": fock.QUBIT_MEDIATOR})
-    dev = float(max(curves["tp_mediator"].max(),
-                    curves["qubit_mediator"].max()))
+    dev = float(max(en_bipartition(psi, (2, 2, rep.n), *cut)
+                    for psi in rep.curves["states"]
+                    for cut in (fock.TP_MEDIATOR, fock.QUBIT_MEDIATOR)))
     return CheckResult("mediator_decoupling_at_tn", dev <= v.en_tol,
                        max_dev=dev, tol=v.en_tol,
-                       note=f"N = {n}, first two decoupling times")
+                       note=f"N = {rep.n}, first two decoupling times")
 
 
 def check_closed_form_at_tn(params: ModelParams,
@@ -225,34 +211,14 @@ def check_closed_form_at_tn(params: ModelParams,
 
 
 def _stable_curves(params: ModelParams, init: MediatorInit, t_grid,
-                   fock_tail: float, n_start: int, lab: bool,
-                   n_max: int = 512):
-    """Oracle EN(t) with the cutoff doubled until nothing leaks."""
+                   fock_tail: float, n_start: int, hamiltonian: str):
+    """Oracle TP-qubit EN(t) at the first N up to 512 where nothing leaks."""
     frame = derive_squeezed_frame(params)
-    n = n_start
-    while True:
-        try:
-            psi0 = fock.prepare_initial(init, n, frame, fock_tail,
-                                        lab_mode=lab)
-        except fock.CutoffTooSmall:
-            if 2 * n > n_max:
-                raise
-            n *= 2
-            continue
-        if lab:
-            h = fock.build_hamiltonian_lab(params, n)
-        else:
-            h = fock.build_hamiltonian_squeezed(frame, params.omega_a,
-                                                params.omega_b, n)
-        data = fock.en_curves(h, psi0, t_grid, n)
-        tail = float(data["tail"].max())
-        if tail > fock_tail:
-            if 2 * n > n_max:
-                raise fock.CutoffTooSmall(
-                    f"trajectory leaks at N = {n}", tail)
-            n *= 2
-            continue
-        return data, n
+    curves, report = fock.search_cutoff(
+        lambda n: fock.trajectory(params, frame, init, t_grid, n,
+                                  hamiltonian, tail_tol=fock_tail),
+        n_start, 512)
+    return curves["tp_qubit"], report.n
 
 
 def check_epsilon_irrelevance(params: ModelParams, init: MediatorInit,
@@ -270,15 +236,13 @@ def check_epsilon_irrelevance(params: ModelParams, init: MediatorInit,
     curves = []
     n_used = 0
     for eps in (0.0, 0.1 * params.omega_tilde, params.omega_tilde):
-        p = ModelParams(omega_a=params.omega_a, omega_b=params.omega_b,
-                        omega_tilde=params.omega_tilde, F=params.F,
-                        epsilon=eps, g_a=params.g_a, g_b=params.g_b)
         try:
-            data, n_used = _stable_curves(p, init, t_grid, fock_tail,
-                                          max(v.fock_n, 96), lab=True)
-        except fock.CutoffTooSmall as exc:
+            curve, n_used = _stable_curves(replace(params, epsilon=eps),
+                                           init, t_grid, fock_tail,
+                                           max(v.fock_n, 96), "lab")
+        except NoConvergence as exc:
             return CheckResult("epsilon_irrelevance", False, note=str(exc))
-        curves.append(data["tp_qubit"])
+        curves.append(curve)
     dev = float(max(np.max(np.abs(curves[0] - curves[1])),
                     np.max(np.abs(curves[0] - curves[2]))))
     return CheckResult("epsilon_irrelevance", dev <= v.en_tol, max_dev=dev,
@@ -300,12 +264,12 @@ def check_frame_equivalence(params: ModelParams, init: MediatorInit,
     t_grid = np.linspace(0.0, 2.0 * frame.t_period, v.t_points)
     try:
         lab, n_lab = _stable_curves(params, init, t_grid, fock_tail,
-                                    max(v.fock_n, 128), lab=True)
+                                    max(v.fock_n, 128), "lab")
         sq, n_sq = _stable_curves(params, init, t_grid, fock_tail,
-                                  v.fock_n, lab=False)
-    except fock.CutoffTooSmall as exc:
+                                  v.fock_n, "squeezed")
+    except NoConvergence as exc:
         return CheckResult("frame_equivalence", False, note=str(exc))
-    dev = float(np.max(np.abs(lab["tp_qubit"] - sq["tp_qubit"])))
+    dev = float(np.max(np.abs(lab - sq)))
     return CheckResult("frame_equivalence", dev <= v.en_tol, max_dev=dev,
                        tol=v.en_tol, note=f"N = {n_lab} lab, {n_sq} squeezed")
 

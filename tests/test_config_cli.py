@@ -218,8 +218,13 @@ class TestConfigBoundary:
         ("<config>.validate.fock_n", {"validate": {"fock_n": 0}}),
         ("<config>.system.g_a", {"system": {"g_a": 10 ** 400, "g_b": 1.0,
                                             "F": 0.1}}),
+        ("<config>.dynamics.fock_n", {"dynamics": {
+            "t_stop": 1.0, "points": 5, "backend": "fock", "fock_n": 0}}),
+        ("<config>.sweep.fock_n", {"sweep": {
+            "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
+            "backend": "fock", "fock_n": 0}}),
     ], ids=["negative-drive", "seed", "t_points", "fock_n",
-            "float-overflow"])
+            "float-overflow", "dynamics.fock_n", "sweep.fock_n"])
     def test_out_of_domain_values_name_the_field(self, field, edit):
         with pytest.raises(ConfigError) as exc:
             parse_config(cfg_with(**edit))
@@ -462,6 +467,39 @@ class TestCliValidate:
         by_name = {c["name"]: c for c in blob["checks"]}
         assert not by_name["overlap_closed_form_vs_fock"]["passed"]
         assert by_name["pt_matrix_vs_fock"]["passed"]
+
+    def test_oracle_that_finds_no_cutoff_fails_its_checks(self, tmp_path,
+                                                          monkeypatch):
+        """The search gives up inside every oracle check; none crashes."""
+        from gravent import CutoffTooSmall, fock
+
+        def never_fits(n):
+            raise CutoffTooSmall(f"no room at N = {n}", 1.0)
+
+        monkeypatch.setattr(fock, "prepare_initial",
+                            lambda init, n, *a, **k: never_fits(n))
+        monkeypatch.setattr(fock, "displaced_squeezed_vector",
+                            lambda shift, init, n, *a, **k: never_fits(n))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(self._tiny_validate_config()))
+        rc = main(["validate", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 1
+        blob = json.loads((tmp_path / "out"
+                           / "unit_validate.json").read_text())
+        by_name = {c["name"]: c for c in blob["checks"]}
+        ceilings = {"overlap_closed_form_vs_fock": 1024,
+                    "pt_matrix_vs_fock": 1024,
+                    "en_timeseries_analytic_vs_fock": 512,
+                    "mediator_decoupling_at_tn": 512,
+                    "epsilon_irrelevance": 512, "frame_equivalence": 512}
+        for name, ceiling in ceilings.items():
+            check = by_name[name]
+            assert not check["passed"] and not check["skipped"]
+            assert check["note"].startswith(
+                f"no cutoff up to the ceiling N = {ceiling} passes (")
+            assert "no room at N = " in check["note"]
+        assert by_name["closed_form_at_tn"]["passed"]
 
     def test_strong_squeezing_restricts_the_frame(self, capsys):
         """Far past lab reach: oracle checks fail honestly, lab ones skip."""

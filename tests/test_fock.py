@@ -107,8 +107,9 @@ class TestOverlapOracle:
 
     def test_gives_up_past_the_cap(self):
         init = MediatorInit(alpha0=12.0, xi_mag=1.5, theta=0.0)
-        with pytest.raises(CutoffTooSmall):
+        with pytest.raises(NoConvergence) as exc:
             fock.fock_overlap(20.0, -20.0, init, n_start=16, n_max=64)
+        assert [s["n"] for s in exc.value.report.steps] == [16, 32, 64]
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +184,14 @@ class TestConvergeCutoff:
         assert rep.en_curve is not None and len(rep.en_curve) == 9
         assert rep.as_dict()["converged"] is True
 
+    def test_kept_states_belong_to_the_accepted_cutoff(self):
+        params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
+        rep = fock.converge_cutoff(params, MediatorInit(), [0.0, 1.0],
+                                   keep_states=True)
+        assert rep.curves["states"].shape == (2, 4 * rep.n)
+        assert "states" not in fock.converge_cutoff(
+            params, MediatorInit(), [0.0, 1.0]).curves
+
     def test_strong_squeezing_is_out_of_reach(self):
         params = ModelParams.dimensionless(
             g_a=0.01, g_b=1.0, F=0.25 * (1.0 - math.exp(-4.0 * 3.0)))
@@ -193,7 +202,8 @@ class TestConvergeCutoff:
         assert exc.value.report.steps
 
     def test_oracle_pt_matrix_stops_at_the_ceiling(self, monkeypatch):
-        from gravent.validate import _oracle_pt_matrix
+        from gravent.config import ValidateSection
+        from gravent.validate import check_pt_matrix
         tried = []
 
         def never_fits(init, n, *args, **kwargs):
@@ -201,9 +211,10 @@ class TestConvergeCutoff:
             raise CutoffTooSmall(f"no room at N = {n}", 1.0)
 
         monkeypatch.setattr(fock, "prepare_initial", never_fits)
-        params = ModelParams.dimensionless(g_a=0.01, g_b=1.0, F=0.0)
-        with pytest.raises(CutoffTooSmall):
-            _oracle_pt_matrix(params, MediatorInit(), 1.0, 64)
+        result = check_pt_matrix(ValidateSection(pt_samples=3))
+        assert not result.passed and not result.skipped
+        assert "ceiling N = 1024" in result.note
+        # the first sample that finds no cutoff ends the check
         assert tried == [64, 128, 256, 512, 1024]
 
     def test_unknown_hamiltonian_label(self):
@@ -211,3 +222,130 @@ class TestConvergeCutoff:
         with pytest.raises(ValueError, match="squeezed"):
             fock.converge_cutoff(params, MediatorInit(), [0.0],
                                  hamiltonian="exact")
+
+
+class TestSearchCutoff:
+    @staticmethod
+    def fits_from(n_min, tried):
+        def attempt(n):
+            tried.append(n)
+            if n < n_min:
+                raise CutoffTooSmall(f"too small at N = {n}", 0.5)
+            return n
+        return attempt
+
+    def test_first_fit_is_accepted(self):
+        tried = []
+        result, rep = fock.search_cutoff(self.fits_from(20, tried), 4, 512)
+        assert (result, rep.n, rep.converged) == (32, 32, True)
+        assert tried == [4, 8, 16, 32]
+        assert [s["n"] for s in rep.steps] == tried
+        assert "too small at N = 16" in rep.steps[2]["rejected"]
+
+    def test_settled_returns_the_smaller_cutoff(self):
+        tried = []
+        result, rep = fock.search_cutoff(
+            self.fits_from(8, tried), 2, 512,
+            settled=lambda prev, cur: cur >= 32)
+        assert (result, rep.n) == (16, 16)
+        assert tried == [2, 4, 8, 16, 32]
+        assert rep.steps[2]["rejected"] == "differs from N = 16"
+        assert rep.message == "converged at N = 16 (checked against 32)"
+
+    def test_ceiling_is_tried_then_the_search_gives_up(self):
+        tried = []
+        with pytest.raises(NoConvergence) as exc:
+            fock.search_cutoff(self.fits_from(10 ** 6, tried), 64, 1024)
+        assert tried == [64, 128, 256, 512, 1024]
+        msg = str(exc.value)
+        assert msg.startswith("no cutoff up to the ceiling N = 1024 passes")
+        for n in tried:
+            assert f"N = {n}: too small at N = {n} (tail mass" in msg
+        assert exc.value.report.message == msg
+        assert not exc.value.report.converged
+
+    def test_unsettled_ceiling_is_named(self):
+        with pytest.raises(NoConvergence) as exc:
+            fock.search_cutoff(self.fits_from(1, []), 2, 8,
+                               settled=lambda prev, cur: False)
+        assert str(exc.value).endswith(
+            "(N = 2: differs from N = 4; N = 4: differs from N = 8; "
+            "N = 8: not confirmed at a larger N)")
+
+    def test_start_above_the_ceiling_tries_nothing(self):
+        tried = []
+        with pytest.raises(NoConvergence, match="no N tried"):
+            fock.search_cutoff(self.fits_from(1, tried), 1024, 512)
+        assert tried == []
+
+    def test_other_errors_propagate(self):
+        def broken(n):
+            raise ValueError("not a cutoff problem")
+        with pytest.raises(ValueError, match="not a cutoff problem"):
+            fock.search_cutoff(broken, 2, 64)
+
+
+class TestTrajectory:
+    def test_leaking_trajectory_is_rejected(self):
+        params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
+        frame = derive_squeezed_frame(params)
+        vacuum = MediatorInit(alpha0=0.0, xi_mag=0.0)
+        with pytest.raises(CutoffTooSmall, match="trajectory leaks at N = 8"):
+            fock.trajectory(params, frame, vacuum, [0.0, math.pi], 8)
+
+    def test_frames_agree_and_states_are_kept(self):
+        params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.05)
+        frame = derive_squeezed_frame(params)
+        ts = np.linspace(0.0, frame.t_period, 5)
+        init = MediatorInit(alpha0=0.5)
+        sq = fock.trajectory(params, frame, init, ts, 48, keep_states=True)
+        lab = fock.trajectory(params, frame, init, ts, 96, "lab")
+        assert np.max(np.abs(sq["tp_qubit"] - lab["tp_qubit"])) < 1e-6
+        assert sq["states"].shape == (5, 4 * 48)
+        assert "states" not in lab
+
+    def test_unknown_hamiltonian_label(self):
+        params = ModelParams.dimensionless(g_a=0.01, g_b=1.0, F=0.0)
+        with pytest.raises(ValueError, match="squeezed"):
+            fock.trajectory(params, derive_squeezed_frame(params),
+                            MediatorInit(), [0.0], 8, "exact")
+
+
+class TestOracleIndependence:
+    """The oracle must not reuse the closed form it is checked against."""
+
+    CLOSED_FORM = ("branch_state", "partial_transpose_matrix",
+                   "displaced_overlap", "_overlap", "en_timeseries",
+                   "en_at_decoupling", "apply_dephasing")
+
+    @staticmethod
+    def dynamics_imports(source: str) -> set[str]:
+        """Names taken from the dynamics module or the package root."""
+        import ast
+        names = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                if module in (".", ".dynamics", "gravent",
+                              "gravent.dynamics"):
+                    names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names
+                             if alias.name.startswith("gravent"))
+        return names
+
+    def test_fock_imports_only_the_mediator_init(self):
+        from pathlib import Path
+        source = Path(fock.__file__).read_text()
+        assert self.dynamics_imports(source) == {"MediatorInit"}
+
+    @pytest.mark.parametrize("source", [
+        *(f"from .dynamics import MediatorInit, {name}\n"
+          for name in CLOSED_FORM),
+        "from .dynamics import MediatorInit\nfrom . import dynamics\n",
+        "from .dynamics import MediatorInit\nimport gravent.dynamics\n",
+        "from .dynamics import MediatorInit\nfrom gravent import "
+        "en_timeseries\n",
+    ])
+    def test_scan_catches_a_closed_form_import(self, source):
+        assert self.dynamics_imports(source) != {"MediatorInit"}

@@ -168,6 +168,27 @@ class TestRunSweep:
         res = run_sweep(both)
         assert np.max(np.abs(res.extras["en_fock"] - res.en)) < 1e-3
 
+    def test_leaking_fock_trajectory_marks_the_cell_invalid(self):
+        spec = SweepSpec(axes=(AxisSpec("F", 0.0, 0.2, 3),),
+                         fixed=dict(BASE, xi_mag=0.0), backend="both",
+                         fock_n=64)
+        res = run_sweep(spec)
+        assert res.valid.tolist() == [True, True, False]
+        assert np.max(np.abs(res.extras["en_fock"][:2] - res.en[:2])) < 1e-3
+        [(idx, note)] = res.invalid_cells
+        assert idx == (2,)
+        assert "trajectory leaks at N = 64" in note
+        assert "tail mass 2.2" in note
+
+    def test_state_beyond_the_cutoff_marks_the_cell_invalid(self):
+        spec = SweepSpec(axes=(AxisSpec("F", 0.0, 0.24, 3),),
+                         fixed=dict(BASE), backend="both", fock_n=64)
+        res = run_sweep(spec)
+        assert res.valid.tolist() == [True, True, False]
+        [(idx, note)] = res.invalid_cells
+        assert idx == (2,)
+        assert "at N = 64 (tail mass" in note
+
 
 class TestEntanglementRate:
     def test_needs_matching_single_axis(self):
