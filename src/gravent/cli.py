@@ -132,7 +132,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                      fixed=_strip_drive(base_cell(cfg), sw.axes),
                      time_rule=sw.time, backend=sw.backend,
                      fock_n=sw.fock_n)
-    result = run_sweep(spec)
+    result = run_sweep(spec, tail_tol=cfg.tolerances.fock_tail)
     info = io.provenance(cfg, command="sweep", backend=sw.backend)
     paths = io.write_sweep(Path(args.out), f"{cfg.label}_sweep", result,
                            info)

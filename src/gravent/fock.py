@@ -18,11 +18,12 @@ are only sensible for s up to about 1 and the strongly driven regimes
 must be validated in the squeezed frame or in closed form.
 
 Every cutoff is chosen by one bounded search, `search_cutoff`: it starts
-at a given N and doubles it up to a ceiling, 512 for EN curves and 1024
-for overlaps and the partial-transpose matrix.  Past the ceiling it
-raises NoConvergence carrying the history of every N tried and why it
-was rejected; that is the only way the oracle gives up.  One run at a
-fixed N, in the lab or the squeezed frame, is `trajectory`.
+at a given N, which it always tries, and doubles it up to a ceiling, 512
+for EN curves and 1024 for overlaps and the partial-transpose matrix.
+Past the ceiling it raises NoConvergence carrying the history of every
+N tried and why it was rejected; that is the only way the oracle gives
+up.  One run at a fixed N, in the lab or the squeezed frame, is
+`trajectory`.
 """
 
 from __future__ import annotations
@@ -228,13 +229,11 @@ def tail_occupation(psi: np.ndarray, n: int) -> float:
 
 
 def en_curves(h: np.ndarray, psi0: np.ndarray, t_grid, n: int,
-              cuts: dict[str, tuple] | None = None,
-              keep_states: bool = False) -> dict[str, np.ndarray]:
+              cuts: dict[str, tuple] | None = None) -> dict[str, np.ndarray]:
     """EN along a trajectory for the requested bipartitions.
 
-    The result also holds the top-level occupation under "tail" and,
-    with keep_states, the evolved states, one row per time, under
-    "states".
+    The result also holds the top-level occupation under "tail" and the
+    evolved states, one row per time, under "states".
     """
     if cuts is None:
         cuts = {"tp_qubit": TP_QUBIT}
@@ -247,8 +246,7 @@ def en_curves(h: np.ndarray, psi0: np.ndarray, t_grid, n: int,
         out["tail"][k] = tail_occupation(psi, n)
         for name, (sa, sb) in cuts.items():
             out[name][k] = en_bipartition(psi, dims, sa, sb)
-    if keep_states:
-        out["states"] = states
+    out["states"] = states
     return out
 
 
@@ -256,8 +254,7 @@ def trajectory(params: ModelParams, frame: SqueezedFrame,
                init: MediatorInit, t_grid, n: int,
                hamiltonian: str = "squeezed",
                cuts: dict[str, tuple] | None = None,
-               tail_tol: float = 1e-8,
-               keep_states: bool = False) -> dict[str, np.ndarray]:
+               tail_tol: float = 1e-8) -> dict[str, np.ndarray]:
     """One oracle run at cutoff n: the en_curves of the prepared state.
 
     hamiltonian picks the frame: "squeezed" evolves the squeezed-frame
@@ -275,7 +272,7 @@ def trajectory(params: ModelParams, frame: SqueezedFrame,
     else:
         h = build_hamiltonian_squeezed(frame, params.omega_a,
                                        params.omega_b, n)
-    curves = en_curves(h, psi0, t_grid, n, cuts, keep_states)
+    curves = en_curves(h, psi0, t_grid, n, cuts)
     tail = float(curves["tail"].max())
     if tail > tail_tol:
         raise CutoffTooSmall(f"trajectory leaks at N = {n}", tail)
@@ -295,11 +292,6 @@ class ConvergenceReport:
     curves: dict[str, np.ndarray] | None = None
     message: str = ""
 
-    @property
-    def en_curve(self) -> np.ndarray | None:
-        """The TP-qubit EN curve at the accepted N, if curves were run."""
-        return None if self.curves is None else self.curves["tp_qubit"]
-
     def as_dict(self) -> dict:
         return {"n": self.n, "converged": self.converged,
                 "steps": self.steps, "message": self.message}
@@ -308,18 +300,20 @@ class ConvergenceReport:
 def search_cutoff(attempt, n_start: int, n_max: int, settled=None):
     """The one bounded cutoff search: N = n_start, 2 n_start, ... <= n_max.
 
-    attempt(N) computes a result at cutoff N and raises CutoffTooSmall
-    when N is too small for it.  Without settled the first N that does
-    not raise is accepted.  With settled(prev, cur), N is accepted only
-    once its result and the one at 2N pass that test, and the result at
-    N is returned.  Returns (result, report) with report.n the accepted
-    N.  Past n_max raises NoConvergence carrying the report; its message
-    names the ceiling and each N tried with the reason it was rejected.
+    n_start itself is always tried, even above n_max.  attempt(N)
+    computes a result at cutoff N and raises CutoffTooSmall when N is
+    too small for it.  Without settled the first N that does not raise
+    is accepted.  With settled, settled(prev, cur) compares the results
+    at N and 2N: it returns None when they agree, and then N and its
+    result are accepted; otherwise it returns their deviation, which the
+    rejection reason quotes.  Returns (result, report) with report.n the accepted N.  Past n_max
+    raises NoConvergence carrying the report; its message names the
+    ceiling and each N tried with the reason it was rejected.
     """
     report = ConvergenceReport(n=0, converged=False)
     prev = None
     n = n_start
-    while n <= n_max:
+    while n <= max(n_start, n_max):
         try:
             cur = attempt(n)
         except CutoffTooSmall as exc:
@@ -332,12 +326,14 @@ def search_cutoff(attempt, n_start: int, n_max: int, settled=None):
                 report.message = f"fits at N = {n}"
                 return cur, report
             if prev is not None:
-                if settled(prev, cur):
+                dev = settled(prev, cur)
+                if dev is None:
                     report.n, report.converged = n // 2, True
                     report.message = (f"converged at N = {n // 2} "
                                       f"(checked against {n})")
                     return prev, report
-                report.steps[-2]["rejected"] = f"differs from N = {n}"
+                report.steps[-2]["rejected"] = (f"differs from N = {n} "
+                                                f"by {dev:.2e}")
             prev = cur
         n *= 2
     tried = "; ".join(
@@ -351,25 +347,26 @@ def search_cutoff(attempt, n_start: int, n_max: int, settled=None):
 def converge_cutoff(params: ModelParams, init: MediatorInit, t_grid,
                     hamiltonian: str = "squeezed", en_tol: float = 1e-4,
                     tail_tol: float = 1e-8, n_start: int = 2,
-                    n_max: int = 512,
-                    keep_states: bool = False) -> ConvergenceReport:
+                    n_max: int = 512) -> ConvergenceReport:
     """Smallest cutoff in a doubling schedule with a stable EN curve.
 
     Convergence requires the TP-qubit EN curve at N and 2N to agree
     within en_tol everywhere on the grid and the trajectory tail
     occupation to stay below tail_tol.  The report carries the
-    trajectory's curves at the accepted N, and its states with
-    keep_states.  Raises NoConvergence past n_max, which is the expected
-    outcome for strongly squeezed frames where the occupation scales
-    like e^{2s}.
+    trajectory's curves and states at the accepted N.  Raises
+    NoConvergence past n_max, which is the expected outcome for strongly
+    squeezed frames where the occupation scales like e^{2s}.
     """
     frame = derive_squeezed_frame(params)
+
+    def deviation(prev, cur):
+        dev = float(np.max(np.abs(cur["tp_qubit"] - prev["tp_qubit"])))
+        return None if dev < en_tol else dev
+
     curves, report = search_cutoff(
         lambda n: trajectory(params, frame, init, t_grid, n, hamiltonian,
-                             tail_tol=tail_tol, keep_states=keep_states),
-        n_start, n_max,
-        settled=lambda prev, cur: float(np.max(np.abs(
-            cur["tp_qubit"] - prev["tp_qubit"]))) < en_tol)
+                             tail_tol=tail_tol),
+        n_start, n_max, settled=deviation)
     report.curves = curves
     return report
 

@@ -161,7 +161,7 @@ def _resolve_cell(spec: SweepSpec, overrides: dict):
     return params, frame, init, float(p["gamma"]), float(p["gamma_tp"]), t
 
 
-def _eval_cell(spec: SweepSpec, overrides: dict) -> dict:
+def _eval_cell(spec: SweepSpec, overrides: dict, tail_tol: float) -> dict:
     try:
         params, frame, init, gamma, gamma_tp, t = _resolve_cell(spec, overrides)
     except UnstableFrame as exc:
@@ -177,7 +177,7 @@ def _eval_cell(spec: SweepSpec, overrides: dict) -> dict:
         n = spec.fock_n
         try:
             psi = fock.trajectory(params, frame, init, [t], n, cuts={},
-                                  keep_states=True)["states"][0]
+                                  tail_tol=tail_tol)["states"][0]
         except CutoffTooSmall as exc:
             return {"valid": False, "note": f"Fock backend: {exc}"}
         rho = apply_dephasing(partial_trace(psi, (2, 2, n), (0, 1)), t,
@@ -200,8 +200,12 @@ class SweepResult:
     meta: dict = field(default_factory=dict)
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate EN over the grid; deterministic for a fixed spec."""
+def run_sweep(spec: SweepSpec, tail_tol: float = 1e-8) -> SweepResult:
+    """Evaluate EN over the grid; deterministic for a fixed spec.
+
+    A Fock cell is invalid once its state holds more than tail_tol in
+    the top Fock level.
+    """
     axes_vals = tuple(ax.values() for ax in spec.axes)
     shape = tuple(len(v) for v in axes_vals)
     en = np.full(shape, np.nan)
@@ -214,7 +218,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for idx in np.ndindex(*shape):
         overrides = {ax.name: float(axes_vals[k][i])
                      for k, (ax, i) in enumerate(zip(spec.axes, idx))}
-        cell = _eval_cell(spec, overrides)
+        cell = _eval_cell(spec, overrides, tail_tol)
         if not cell["valid"]:
             invalid.append((idx, cell["note"]))
             continue

@@ -5,8 +5,8 @@ code paths that share no dynamical formulas: displaced-squeezed overlaps,
 the full 4x4 partial-transpose matrix, EN time series, mediator
 decoupling, the decoupling-time closed form, linear-drive irrelevance,
 and lab-vs-squeezed frame agreement.  Every oracle cutoff comes from the
-one bounded search `fock.search_cutoff`: it starts at a given N and
-doubles it up to a ceiling, 512 for EN curves and 1024 for overlaps and
+one bounded search `fock.search_cutoff`: it starts at a given N, which
+it always tries, and doubles it up to a ceiling, 512 for EN curves and 1024 for overlaps and
 the partial-transpose matrix, then raises NoConvergence with the history
 of every N tried.  Each check reports that as a failed check whose note
 is the search's message, never as a crash; checks that need the
@@ -123,8 +123,7 @@ def check_pt_matrix(v: ValidateSection) -> CheckResult:
             # the entrywise truncation error grows like the square root of
             # the tail occupation, so the tail must sit well below pt_tol^2
             psi = fock.trajectory(params, frame, init, [t], n, cuts={},
-                                  tail_tol=1e-14,
-                                  keep_states=True)["states"][0]
+                                  tail_tol=1e-14)["states"][0]
             rho = partial_trace(psi, (2, 2, n), (0, 1))
             return partial_transpose(rho, (2, 2), 1)
 
@@ -151,7 +150,7 @@ def check_en_timeseries(params: ModelParams, init: MediatorInit,
         return CheckResult("en_timeseries_analytic_vs_fock", False,
                            note=str(exc))
     ana = np.array([en for _, en in en_timeseries(frame, init, t_grid)])
-    dev = float(np.max(np.abs(ana - rep.en_curve)))
+    dev = float(np.max(np.abs(ana - rep.curves["tp_qubit"])))
     return CheckResult("en_timeseries_analytic_vs_fock", dev <= v.en_tol,
                        max_dev=dev, tol=v.en_tol,
                        note=f"N = {rep.n}, {v.t_points} times over two "
@@ -164,8 +163,7 @@ def check_decoupling(params: ModelParams, init: MediatorInit,
     frame = derive_squeezed_frame(params)
     t_n = [frame.decoupling_time(1), frame.decoupling_time(2)]
     try:
-        rep = fock.converge_cutoff(params, init, t_n, tail_tol=fock_tail,
-                                   keep_states=True)
+        rep = fock.converge_cutoff(params, init, t_n, tail_tol=fock_tail)
     except NoConvergence as exc:
         return CheckResult("mediator_decoupling_at_tn", False,
                            note=str(exc))

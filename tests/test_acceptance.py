@@ -103,7 +103,7 @@ class TestOracleEquivalence:
 
     def test_en_at_decoupling_matches_closed_form(self, undriven_oracle):
         _, frame, _, t_n, rep = undriven_oracle
-        for t, en_fock in zip(t_n, rep.en_curve):
+        for t, en_fock in zip(t_n, rep.curves["tp_qubit"]):
             assert abs(en_fock - en_at_decoupling(frame.g_eff, t)) <= 1e-3
 
     def test_mediator_cuts_vanish_at_decoupling(self, undriven_oracle):

@@ -415,6 +415,25 @@ class TestCliSweep:
                      str(tmp_path / "out")]) == 0
 
 
+    def test_fock_tail_tolerance_reaches_the_cells(self, tmp_path):
+        # at F = 0.2 the N = 64 trajectory leaks 2.2e-4 into its top level
+        valid = {}
+        for tail in (1e-8, 1e-3):
+            cfg_path = tmp_path / "run.json"
+            data = cfg_with(
+                system={"g_a": 1.0 / 48.0, "g_b": 1.0, "F": 0.1},
+                mediator={"xi_mag": 0.0}, tolerances={"fock_tail": tail},
+                sweep={"axes": [{"name": "F", "start": 0.0, "stop": 0.2,
+                                 "count": 3}],
+                       "backend": "both", "fock_n": 64})
+            cfg_path.write_text(json.dumps(data))
+            assert main(["sweep", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "out")]) == 0
+            _, names, rows = read_csv(tmp_path / "out" / "unit_sweep.csv")
+            valid[tail] = [row[names.index("valid")] for row in rows]
+        assert valid == {1e-8: ["1", "1", "0"], 1e-3: ["1", "1", "1"]}
+
+
 class TestCliRate:
     def test_variants_and_outputs(self, tmp_path):
         cfg_path = tmp_path / "run.json"

@@ -168,8 +168,9 @@ class TestEnCurves:
         ts = [0.0, 1.0, 2.0]
         out = fock.en_curves(h, psi0, ts, n, dict(fock.BIPARTITIONS))
         assert set(out) == {"tp_qubit", "tp_mediator", "qubit_mediator",
-                            "tail"}
+                            "tail", "states"}
         assert all(len(v) == 3 for v in out.values())
+        assert out["states"].shape == (3, 4 * n)
         assert out["tp_qubit"][0] == 0.0
 
 
@@ -181,16 +182,20 @@ class TestConvergeCutoff:
         rep = fock.converge_cutoff(params, MediatorInit(), ts)
         assert rep.converged
         assert rep.n <= 64
-        assert rep.en_curve is not None and len(rep.en_curve) == 9
+        assert len(rep.curves["tp_qubit"]) == 9
         assert rep.as_dict()["converged"] is True
 
-    def test_kept_states_belong_to_the_accepted_cutoff(self):
+    def test_states_belong_to_the_accepted_cutoff(self):
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
-        rep = fock.converge_cutoff(params, MediatorInit(), [0.0, 1.0],
-                                   keep_states=True)
+        rep = fock.converge_cutoff(params, MediatorInit(), [0.0, 1.0])
         assert rep.curves["states"].shape == (2, 4 * rep.n)
-        assert "states" not in fock.converge_cutoff(
-            params, MediatorInit(), [0.0, 1.0]).curves
+
+    def test_unsettled_curves_report_their_deviation(self):
+        params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
+        with pytest.raises(NoConvergence) as exc:
+            fock.converge_cutoff(params, MediatorInit(), [0.0, 3.0],
+                                 en_tol=0.0, n_start=48, n_max=96)
+        assert "N = 48: differs from N = 96 by " in str(exc.value)
 
     def test_strong_squeezing_is_out_of_reach(self):
         params = ModelParams.dimensionless(
@@ -216,6 +221,24 @@ class TestConvergeCutoff:
         assert "ceiling N = 1024" in result.note
         # the first sample that finds no cutoff ends the check
         assert tried == [64, 128, 256, 512, 1024]
+
+    def test_curve_checks_try_a_start_above_their_ceiling(self,
+                                                          monkeypatch):
+        from gravent.config import ValidateSection
+        from gravent.validate import check_epsilon_irrelevance
+        tried = []
+
+        def never_fits(params, frame, init, t_grid, n, *args, **kwargs):
+            tried.append(n)
+            raise CutoffTooSmall(f"no room at N = {n}", 1.0)
+
+        monkeypatch.setattr(fock, "trajectory", never_fits)
+        params = ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.1)
+        result = check_epsilon_irrelevance(
+            params, MediatorInit(), ValidateSection(fock_n=600), 1e-8)
+        assert not result.passed and not result.skipped
+        assert "ceiling N = 512 passes (N = 600: no room" in result.note
+        assert tried == [600]
 
     def test_unknown_hamiltonian_label(self):
         params = ModelParams.dimensionless(g_a=0.01, g_b=1.0, F=0.0)
@@ -246,10 +269,10 @@ class TestSearchCutoff:
         tried = []
         result, rep = fock.search_cutoff(
             self.fits_from(8, tried), 2, 512,
-            settled=lambda prev, cur: cur >= 32)
+            settled=lambda prev, cur: None if cur >= 32 else 0.25)
         assert (result, rep.n) == (16, 16)
         assert tried == [2, 4, 8, 16, 32]
-        assert rep.steps[2]["rejected"] == "differs from N = 16"
+        assert rep.steps[2]["rejected"] == "differs from N = 16 by 2.50e-01"
         assert rep.message == "converged at N = 16 (checked against 32)"
 
     def test_ceiling_is_tried_then_the_search_gives_up(self):
@@ -267,16 +290,25 @@ class TestSearchCutoff:
     def test_unsettled_ceiling_is_named(self):
         with pytest.raises(NoConvergence) as exc:
             fock.search_cutoff(self.fits_from(1, []), 2, 8,
-                               settled=lambda prev, cur: False)
+                               settled=lambda prev, cur: 1.0)
         assert str(exc.value).endswith(
-            "(N = 2: differs from N = 4; N = 4: differs from N = 8; "
+            "(N = 2: differs from N = 4 by 1.00e+00; "
+            "N = 4: differs from N = 8 by 1.00e+00; "
             "N = 8: not confirmed at a larger N)")
 
-    def test_start_above_the_ceiling_tries_nothing(self):
+    def test_start_above_the_ceiling_is_tried_once(self):
         tried = []
-        with pytest.raises(NoConvergence, match="no N tried"):
-            fock.search_cutoff(self.fits_from(1, tried), 1024, 512)
-        assert tried == []
+        result, rep = fock.search_cutoff(self.fits_from(1, tried), 600, 512)
+        assert (result, rep.n, tried) == (600, 600, [600])
+        with pytest.raises(NoConvergence, match="ceiling N = 512 passes "
+                                                r"\(N = 600: too small"):
+            fock.search_cutoff(self.fits_from(10 ** 6, []), 600, 512)
+
+    def test_doublings_stop_at_the_ceiling(self):
+        tried = []
+        with pytest.raises(NoConvergence):
+            fock.search_cutoff(self.fits_from(10 ** 6, tried), 96, 1024)
+        assert tried == [96, 192, 384, 768]
 
     def test_other_errors_propagate(self):
         def broken(n):
@@ -293,16 +325,16 @@ class TestTrajectory:
         with pytest.raises(CutoffTooSmall, match="trajectory leaks at N = 8"):
             fock.trajectory(params, frame, vacuum, [0.0, math.pi], 8)
 
-    def test_frames_agree_and_states_are_kept(self):
+    def test_frames_agree_and_states_are_returned(self):
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.05)
         frame = derive_squeezed_frame(params)
         ts = np.linspace(0.0, frame.t_period, 5)
         init = MediatorInit(alpha0=0.5)
-        sq = fock.trajectory(params, frame, init, ts, 48, keep_states=True)
+        sq = fock.trajectory(params, frame, init, ts, 48)
         lab = fock.trajectory(params, frame, init, ts, 96, "lab")
         assert np.max(np.abs(sq["tp_qubit"] - lab["tp_qubit"])) < 1e-6
         assert sq["states"].shape == (5, 4 * 48)
-        assert "states" not in lab
+        assert lab["states"].shape == (5, 4 * 96)
 
     def test_unknown_hamiltonian_label(self):
         params = ModelParams.dimensionless(g_a=0.01, g_b=1.0, F=0.0)

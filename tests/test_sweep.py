@@ -180,6 +180,13 @@ class TestRunSweep:
         assert "trajectory leaks at N = 64" in note
         assert "tail mass 2.2" in note
 
+    def test_tail_tolerance_reaches_the_fock_cell(self):
+        spec = SweepSpec(axes=(AxisSpec("F", 0.0, 0.2, 3),),
+                         fixed=dict(BASE, xi_mag=0.0), backend="both",
+                         fock_n=64)
+        res = run_sweep(spec, tail_tol=1e-3)
+        assert res.valid.all()
+
     def test_state_beyond_the_cutoff_marks_the_cell_invalid(self):
         spec = SweepSpec(axes=(AxisSpec("F", 0.0, 0.24, 3),),
                          fixed=dict(BASE), backend="both", fock_n=64)
