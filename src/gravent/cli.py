@@ -27,13 +27,6 @@ from .sweep import (SweepSpec, AxisSpec, entanglement_rate, merge_cell,
 from .validate import run_validation
 
 
-def _strip_drive(fixed: dict, axes) -> dict:
-    if {ax.name for ax in axes} & {"F", "delta", "s"}:
-        fixed = {k: v for k, v in fixed.items()
-                 if k not in ("F", "delta", "s")}
-    return fixed
-
-
 def cmd_feasibility(cfg: RunConfig, args) -> int:
     setup, params, frame = resolve_si(cfg)
     fz = cfg.feasibility if cfg.feasibility is not None \
@@ -129,7 +122,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                           "this command needs a sweep section")
     sw = cfg.sweep
     spec = SweepSpec(axes=sw.axes,
-                     fixed=_strip_drive(base_cell(cfg), sw.axes),
+                     fixed=merge_cell(base_cell(cfg), {}, sw.axes),
                      time_rule=sw.time, backend=sw.backend,
                      fock_n=sw.fock_n)
     result = run_sweep(spec, tail_tol=cfg.tolerances.fock_tail)
@@ -156,8 +149,9 @@ def cmd_rate(cfg: RunConfig, args) -> int:
     base = base_cell(cfg)
     results = {}
     for label, overrides in (r.variants or (("base", {}),)):
-        fixed = _strip_drive(merge_cell(base, overrides), (r.axis,))
-        spec = SweepSpec(axes=(r.axis,), fixed=fixed, time_rule=r.time)
+        spec = SweepSpec(axes=(r.axis,),
+                         fixed=merge_cell(base, overrides, (r.axis,)),
+                         time_rule=r.time)
         results[label] = entanglement_rate(spec, r.which)
         zeros = ", ".join(f"{z:.6g}" for z in results[label].zero_crossings)
         print(f"{label}: rate sign changes at {r.which} = [{zeros}]")

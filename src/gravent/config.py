@@ -20,21 +20,11 @@ import typing
 from dataclasses import dataclass, field
 
 from . import fock
-from .dynamics import MediatorInit
-from .errors import ConfigError, GraventError
+from .dynamics import DephasingBlock, MediatorInit
+from .errors import ConfigError, GraventError, UnstableFrame
 from .params import (ModelParams, PhysicalSetup, coulomb_distance_for_drive,
-                     derive_model_params, derive_squeezed_frame)
-from .sweep import BACKENDS, AxisSpec, TimeRule
-
-
-@dataclass(frozen=True)
-class DephasingBlock:
-    gamma: float = 0.0
-    gamma_tp: float = 0.0
-
-    def __post_init__(self):
-        if self.gamma < 0 or self.gamma_tp < 0:
-            raise ValueError("dephasing rates must be non-negative")
+                     derive_model_params, derive_squeezed_frame, drive_gap)
+from .sweep import BACKENDS, AxisSpec, TimeRule, merge_cell, resolve_cell
 
 
 @dataclass(frozen=True)
@@ -50,11 +40,7 @@ class DimensionlessSystem:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if (self.F is None) == (self.delta is None):
-            raise ValueError("give exactly one of F, delta")
-        if (self.F if self.F is not None else (1.0 - self.delta) / 4) < 0:
-            raise ValueError("the drive F = (1 - delta) / 4 must be "
-                             "non-negative")
+        ModelParams.dimensionless(**dataclasses.asdict(self))
 
 
 @dataclass(frozen=True)
@@ -198,6 +184,28 @@ class RunConfig:
             raise ConfigError("mode", "dimensionless mode requires the "
                               "'system' block, si mode the 'si_system' "
                               "block, never both")
+        if self.system is not None:
+            _check_cells(self)
+
+
+def _check_cells(cfg: RunConfig) -> None:
+    """Resolve each variant cell and axis endpoint as the commands will;
+    only an axis endpoint past the instability is left to the sweep."""
+    cells = [(f"{name}.variants[{i}]", o, False)
+             for name in ("dynamics", "rate") if getattr(cfg, name)
+             for i, (_, o) in enumerate(getattr(cfg, name).variants)]
+    axes = [(f"sweep.axes[{i}]", ax)
+            for i, ax in enumerate(cfg.sweep.axes if cfg.sweep else ())]
+    axes += [("rate.axis", cfg.rate.axis)] if cfg.rate else []
+    cells += [(path, {ax.name: v}, True)
+              for path, ax in axes for v in (ax.start, ax.stop)]
+    base = base_cell(cfg)
+    for path, overrides, on_axis in cells:
+        try:
+            resolve_cell(merge_cell(base, overrides))
+        except (ValueError, GraventError) as exc:
+            if not (on_axis and isinstance(exc, UnstableFrame)):
+                raise ConfigError(path, str(exc)) from None
 
 
 _hints = functools.cache(typing.get_type_hints)
@@ -341,13 +349,17 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def base_cell(cfg: RunConfig) -> dict:
-    """Fixed-parameter dict for the sweep engine (dimensionless mode)."""
+def _system(cfg: RunConfig) -> DimensionlessSystem:
     if cfg.system is None:
         raise ConfigError(f"{cfg.label}.system",
                           "this command needs a dimensionless system block")
+    return cfg.system
+
+
+def base_cell(cfg: RunConfig) -> dict:
+    """Fixed-parameter dict for the sweep engine (dimensionless mode)."""
     cell = {}
-    for block in (cfg.system, cfg.dephasing, cfg.mediator):
+    for block in (_system(cfg), cfg.dephasing, cfg.mediator):
         cell.update(dataclasses.asdict(block))
     del cell["delta" if cfg.system.F is not None else "F"]
     return cell
@@ -357,41 +369,35 @@ def resolve_si(cfg: RunConfig):
     """SI block -> (PhysicalSetup, ModelParams, SqueezedFrame).
 
     When the drive is given as delta or F, the tip distance is back-solved
-    and the exact requested drive is kept for the frame derivation.  Inputs
-    the physical setup rejects (masses, charges, distances) are reported
-    as ConfigError against the SI block.
+    and the gap delta = omega_tilde - 4F is kept exact for the frame
+    derivation.  Inputs the physical setup rejects (masses, charges,
+    distances) are reported as ConfigError against the SI block.
     """
     if cfg.si_system is None:
         raise ConfigError(f"{cfg.label}.si_system",
                           "this command needs an SI system block")
     s = cfg.si_system
-    F_exact, r0, charges = None, s.r0, {}
+    delta, r0, charges = None, s.r0, {}
     try:
         if s.delta is not None or s.F is not None:
             probe = derive_model_params(s.setup(r0=None, Q1=0.0, Q2=0.0))
-            F_exact = s.F if s.F is not None \
-                else (probe.omega_tilde - s.delta) / 4.0
-            if F_exact < 0:
-                raise ConfigError(f"{cfg.label}.si_system.delta",
-                                  "detuning exceeds omega_tilde")
-            if F_exact == 0.0:
-                charges = {"Q1": 0.0, "Q2": 0.0}
-                F_exact, r0 = None, None
+            drive = dataclasses.replace(
+                probe, delta=drive_gap(probe.omega_tilde, s.F, s.delta))
+            delta = drive.delta
+            if drive.F == 0.0:
+                charges, r0 = {"Q1": 0.0, "Q2": 0.0}, None
             else:
                 r0 = coulomb_distance_for_drive(s.m_c, s.omega_c, s.Q1,
-                                                s.Q2, F_exact)
+                                                s.Q2, drive.F)
         setup = s.setup(r0=r0, **charges)
-        params = derive_model_params(setup, F_override=F_exact)
+        params = derive_model_params(setup, delta=delta)
     except ValueError as exc:
         raise ConfigError(f"{cfg.label}.si_system", str(exc)) from None
     return setup, params, derive_squeezed_frame(params)
 
 
 def resolve_dimensionless(cfg: RunConfig) -> ModelParams:
-    if cfg.system is None:
-        raise ConfigError(f"{cfg.label}.system",
-                          "this command needs a dimensionless system block")
-    return ModelParams.dimensionless(**dataclasses.asdict(cfg.system))
+    return ModelParams.dimensionless(**dataclasses.asdict(_system(cfg)))
 
 
 __all__ = [

@@ -73,6 +73,16 @@ class MediatorInit:
 
 
 @dataclass(frozen=True)
+class DephasingBlock:
+    gamma: float = 0.0
+    gamma_tp: float = 0.0
+
+    def __post_init__(self):
+        if self.gamma < 0 or self.gamma_tp < 0:
+            raise ValueError("dephasing rates must be non-negative")
+
+
+@dataclass(frozen=True)
 class BranchState:
     """Per-configuration mediator data at one instant.
 
@@ -248,7 +258,7 @@ def en_timeseries(frame: SqueezedFrame, init: MediatorInit,
 
 
 __all__ = [
-    "MediatorInit", "BranchState", "branch_state", "displaced_overlap",
-    "partial_transpose_matrix", "apply_dephasing", "en_at_decoupling",
-    "en_timeseries", "SLOT_LABELS",
+    "MediatorInit", "DephasingBlock", "BranchState", "branch_state",
+    "displaced_overlap", "partial_transpose_matrix", "apply_dephasing",
+    "en_at_decoupling", "en_timeseries", "SLOT_LABELS",
 ]

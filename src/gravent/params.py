@@ -139,14 +139,35 @@ class PhysicalSetup:
         return self.gamma_e * self.B_grad
 
 
+DRIVE_KEYS = ("F", "delta", "s")  # the coordinates a drive is given in
+
+
+def drive_gap(omega_tilde: float, F: float | None = None,
+              delta: float | None = None, s: float | None = None) -> float:
+    """Gap delta = omega_tilde - 4F from exactly one of F, delta, s.
+
+    delta is kept as given and s maps to omega_tilde e^{-4s}, so neither
+    loses digits to the cancellation in omega_tilde - 4F.
+    """
+    if (F is None) + (delta is None) + (s is None) != 2:
+        raise ValueError("give exactly one of F, delta, s")
+    if F is not None:
+        return omega_tilde - 4.0 * F
+    if s is None:
+        return delta
+    if s < 0:
+        raise ValueError("s must be non-negative")
+    return omega_tilde * math.exp(-4.0 * s)
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Lab-frame Hamiltonian coefficients (angular frequencies)."""
+    """Lab-frame Hamiltonian coefficients, the drive as its gap delta."""
 
     omega_a: float
     omega_b: float
     omega_tilde: float
-    F: float
+    delta: float
     epsilon: float
     g_a: float
     g_b: float
@@ -154,30 +175,27 @@ class ModelParams:
     def __post_init__(self):
         if self.omega_tilde <= 0:
             raise ValueError("omega_tilde must be positive")
-        if self.F < 0:
-            raise ValueError("F must be non-negative")
+        if self.delta > self.omega_tilde:
+            raise ValueError("F must be non-negative (delta <= omega_tilde)")
         if self.delta <= 0:
             raise UnstableFrame(
                 f"omega_tilde - 4F = {self.delta:.6g} <= 0: the driven "
                 "potential is inverted and no stable squeezed frame exists")
 
     @property
-    def delta(self) -> float:
-        """Gap to the instability, omega_tilde - 4F."""
-        return self.omega_tilde - 4.0 * self.F
+    def F(self) -> float:
+        """Two-phonon drive strength, (omega_tilde - delta) / 4."""
+        return (self.omega_tilde - self.delta) / 4.0
 
     @classmethod
     def dimensionless(cls, g_a: float, g_b: float, *, F: float | None = None,
-                      delta: float | None = None, omega_a: float = 0.0,
-                      omega_b: float = 0.0,
+                      delta: float | None = None, s: float | None = None,
+                      omega_a: float = 0.0, omega_b: float = 0.0,
                       epsilon: float = 0.0) -> "ModelParams":
-        """Constructor with omega_tilde = 1; supply exactly one of F, delta."""
-        if (F is None) == (delta is None):
-            raise ValueError("give exactly one of F, delta")
-        if F is None:
-            F = (1.0 - delta) / 4.0
-        return cls(omega_a=omega_a, omega_b=omega_b, omega_tilde=1.0, F=F,
-                   epsilon=epsilon, g_a=g_a, g_b=g_b)
+        """Constructor with omega_tilde = 1 and one of F, delta, s."""
+        return cls(omega_a=omega_a, omega_b=omega_b, omega_tilde=1.0,
+                   delta=drive_gap(1.0, F, delta, s), epsilon=epsilon,
+                   g_a=g_a, g_b=g_b)
 
 
 @dataclass(frozen=True)
@@ -198,12 +216,12 @@ class SqueezedFrame:
 
 
 def derive_model_params(setup: PhysicalSetup,
-                        F_override: float | None = None) -> ModelParams:
+                        delta: float | None = None) -> ModelParams:
     """Hamiltonian coefficients from raw experimental inputs.
 
-    F_override keeps an exact requested drive strength instead of the one
+    delta keeps an exact requested gap omega_tilde - 4F instead of the one
     recomputed from the (rounded) back-solved tip distance; it matters
-    when the target detuning is many orders below omega_tilde.
+    when the target gap is many orders below omega_tilde.
 
     Raises NegativeSquaredFrequency if gravitational softening overwhelms
     the trap, UnstableFrame if the Coulomb drive exceeds the inversion
@@ -218,14 +236,11 @@ def derive_model_params(setup: PhysicalSetup,
     omega_a = setup.omega_a0 + G * setup.m_a * setup.m_c * setup.d0 / (
         2.0 * HBAR * setup.d ** 2)
 
-    coulomb = K_E * abs(setup.Q1 * setup.Q2) if setup.coulomb_active else 0.0
-    F = 0.0
-    eps_coulomb = 0.0
+    F = eps_coulomb = 0.0
     if setup.coulomb_active:
+        coulomb = K_E * abs(setup.Q1 * setup.Q2)
         F = coulomb / (2.0 * setup.m_c * setup.omega_c * setup.r0 ** 3)
         eps_coulomb = coulomb / setup.r0 ** 2
-    if F_override is not None:
-        F = F_override
     epsilon = (G * setup.m_a * setup.m_c / setup.d ** 2 + eps_coulomb) \
         * math.sqrt(1.0 / (2.0 * HBAR * setup.m_c * setup.omega_c))
 
@@ -233,8 +248,10 @@ def derive_model_params(setup: PhysicalSetup,
         * math.sqrt(setup.m_c / (2.0 * omega_tilde * HBAR))
     g_b = setup.chi_value * math.sqrt(HBAR / (2.0 * setup.m_c * setup.omega_c))
 
+    if delta is None:
+        delta = drive_gap(omega_tilde, F=F)
     return ModelParams(omega_a=omega_a, omega_b=setup.omega_b,
-                       omega_tilde=omega_tilde, F=F, epsilon=epsilon,
+                       omega_tilde=omega_tilde, delta=delta, epsilon=epsilon,
                        g_a=g_a, g_b=g_b)
 
 
@@ -251,14 +268,11 @@ def coulomb_distance_for_drive(setup_mass: float, omega_c: float, Q1: float,
 def derive_squeezed_frame(params: ModelParams) -> SqueezedFrame:
     """Bogoliubov frame of the driven mediator.
 
-    s grows logarithmically as the drive approaches the instability;
-    omega_s = (omega_tilde - 4F) e^{2s} shrinks like e^{-2s}.
+    s grows logarithmically as the gap delta = omega_tilde - 4F closes;
+    omega_s = delta e^{2s} shrinks like e^{-2s}.
     """
     delta = params.delta
-    if delta <= 0:
-        raise UnstableFrame(
-            f"omega_tilde - 4F = {delta:.6g} <= 0; no squeezed frame")
-    if params.F == 0.0:
+    if delta == params.omega_tilde:
         # identity transformation, kept exact
         s, boost, omega_s = 0.0, 1.0, params.omega_tilde
     else:
@@ -352,7 +366,8 @@ def regime_report(setup: PhysicalSetup, frame: SqueezedFrame,
 
 
 __all__ = [
-    "PhysicalSetup", "ModelParams", "SqueezedFrame", "RegimeCheck",
-    "RegimeReport", "derive_model_params", "derive_squeezed_frame",
-    "regime_report", "coulomb_distance_for_drive", "CASIMIR_THRESHOLD",
+    "DRIVE_KEYS", "PhysicalSetup", "ModelParams", "SqueezedFrame",
+    "RegimeCheck", "RegimeReport", "drive_gap", "derive_model_params",
+    "derive_squeezed_frame", "regime_report", "coulomb_distance_for_drive",
+    "CASIMIR_THRESHOLD",
 ]

@@ -12,25 +12,25 @@ state or trajectory does not fit its cutoff is marked invalid too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fock
-from .dynamics import (MediatorInit, apply_dephasing, en_timeseries,
-                       partial_transpose_matrix)
+from .dynamics import (DephasingBlock, MediatorInit, apply_dephasing,
+                       en_timeseries, partial_transpose_matrix)
 from .errors import (CutoffTooSmall, InsufficientPoints, InvalidAxis,
                      UnstableFrame)
 from .negativity import (log_negativity_from_partial_transpose,
                          partial_trace, partial_transpose)
-from .params import ModelParams, derive_squeezed_frame
+from .params import DRIVE_KEYS, ModelParams, derive_squeezed_frame
 
 AXIS_NAMES = ("F", "delta", "g_a", "g_b", "gamma", "s", "t", "alpha0")
 BACKENDS = ("analytic", "fock", "both")
 
 # cell parameters understood by the fixed dict / variant overrides
 _CELL_DEFAULTS = {
-    "g_a": None, "g_b": None, "F": None, "delta": None, "s": None,
+    "g_a": None, "g_b": None, **dict.fromkeys(DRIVE_KEYS),
     "gamma": 0.0, "gamma_tp": 0.0, "alpha0": 1.0 + 0.0j, "xi_mag": None,
     "theta": math.pi, "epsilon": 0.0, "omega_a": 0.0, "omega_b": 0.0,
     "t": None,
@@ -101,10 +101,8 @@ class SweepSpec:
             raise InvalidAxis(f"duplicate axis {names}")
         if self.backend not in BACKENDS:
             raise InvalidAxis(f"backend {self.backend!r} unknown")
-        for key in self.fixed:
-            if key not in _CELL_DEFAULTS:
-                raise InvalidAxis(f"fixed parameter {key!r} unknown")
-        sources = [k for k in ("F", "delta", "s")
+        _known(self.fixed)
+        sources = [k for k in DRIVE_KEYS
                    if self.fixed.get(k) is not None or k in names]
         if len(sources) != 1:
             raise InvalidAxis(
@@ -115,55 +113,59 @@ class SweepSpec:
                 raise InvalidAxis(f"bipartition {name!r} unknown")
 
 
-def merge_cell(base: dict, overrides: dict) -> dict:
+def _known(cell: dict) -> dict:
+    for key in cell:
+        if key not in _CELL_DEFAULTS:
+            raise InvalidAxis(f"cell parameter {key!r} unknown")
+    return cell
+
+
+def merge_cell(base: dict, overrides: dict, axes=()) -> dict:
     """Overlay variant overrides on a fixed-parameter dict.
 
-    An override that names any drive source (F, delta, s) evicts the
-    others first, so a variant can switch e.g. from an F-specified base
-    to a delta-specified cell without tripping the one-source rule.
+    An override or axis that names a drive key (F, delta, s) first evicts
+    the base's drive, so a variant or an axis may give the drive another
+    way without tripping the one-source rule.
     """
     cell = dict(base)
-    if any(k in overrides for k in ("F", "delta", "s")):
-        for k in ("F", "delta", "s"):
+    if set(DRIVE_KEYS) & ({ax.name for ax in axes} | set(overrides)):
+        for k in DRIVE_KEYS:
             cell.pop(k, None)
     cell.update(overrides)
     return cell
 
 
-def _resolve_cell(spec: SweepSpec, overrides: dict):
-    """Fixed dict + axis values -> (params, init, gamma, gamma_tp, t)."""
+def resolve_cell(cell: dict, time_rule: TimeRule = TimeRule()):
+    """Cell dict -> (params, frame, init, gamma, gamma_tp, t).
+
+    Null values take the defaults.  A value outside the model's domain
+    raises ValueError, a drive at or past the instability UnstableFrame.
+    """
     p = dict(_CELL_DEFAULTS)
-    p.update(spec.fixed)
-    p.update(overrides)
+    p.update((k, v) for k, v in _known(cell).items() if v is not None)
     if p["g_a"] is None or p["g_b"] is None:
         raise InvalidAxis("g_a and g_b must be set by fixed dict or axes")
-
-    if p["s"] is not None:
-        F = 0.25 * (1.0 - math.exp(-4.0 * p["s"]))
-    elif p["delta"] is not None:
-        F = 0.25 * (1.0 - p["delta"])
-    else:
-        F = p["F"]
-
-    params = ModelParams(omega_a=p["omega_a"], omega_b=p["omega_b"],
-                         omega_tilde=1.0, F=F, epsilon=p["epsilon"],
-                         g_a=p["g_a"], g_b=p["g_b"])
-    frame = derive_squeezed_frame(params)
+    deph = DephasingBlock(float(p["gamma"]), float(p["gamma_tp"]))
     init = MediatorInit(alpha0=complex(p["alpha0"]), xi_mag=p["xi_mag"],
                         theta=p["theta"])
+    params = ModelParams.dimensionless(
+        p["g_a"], p["g_b"], **{k: p[k] for k in DRIVE_KEYS},
+        omega_a=p["omega_a"], omega_b=p["omega_b"], epsilon=p["epsilon"])
+    frame = derive_squeezed_frame(params)
 
     if p["t"] is not None:
         t = float(p["t"])
-    elif spec.time_rule.kind == "fixed":
-        t = float(spec.time_rule.t)
+    elif time_rule.kind == "fixed":
+        t = float(time_rule.t)
     else:
-        t = spec.time_rule.cycles * 2.0 * math.pi / frame.omega_s
-    return params, frame, init, float(p["gamma"]), float(p["gamma_tp"]), t
+        t = time_rule.cycles * 2.0 * math.pi / frame.omega_s
+    return params, frame, init, deph.gamma, deph.gamma_tp, t
 
 
 def _eval_cell(spec: SweepSpec, overrides: dict, tail_tol: float) -> dict:
     try:
-        params, frame, init, gamma, gamma_tp, t = _resolve_cell(spec, overrides)
+        params, frame, init, gamma, gamma_tp, t = resolve_cell(
+            {**spec.fixed, **overrides}, spec.time_rule)
     except UnstableFrame as exc:
         return {"valid": False, "note": str(exc)}
 
@@ -312,10 +314,8 @@ def timeseries_figure(spec: SweepSpec, hamiltonian: str = "squeezed",
     meta: dict = {"hamiltonian": hamiltonian, "variants": []}
 
     for label, overrides in variants:
-        cell_spec = replace(spec, fixed=merge_cell(spec.fixed, overrides),
-                            time_rule=TimeRule("fixed", t=0.0))
-        params, frame, init, gamma, gamma_tp, _ = _resolve_cell(
-            cell_spec, {"t": 0.0})
+        params, frame, init, gamma, gamma_tp, _ = resolve_cell(
+            merge_cell(spec.fixed, overrides))
         meta["variants"].append({"label": label, "s": frame.s,
                                  "omega_s": frame.omega_s})
         if spec.backend in ("analytic", "both"):
@@ -336,5 +336,5 @@ def timeseries_figure(spec: SweepSpec, hamiltonian: str = "squeezed",
 __all__ = [
     "AXIS_NAMES", "BACKENDS", "AxisSpec", "TimeRule", "SweepSpec",
     "SweepResult", "RateResult", "TimeseriesResult", "merge_cell",
-    "run_sweep", "entanglement_rate", "timeseries_figure",
+    "resolve_cell", "run_sweep", "entanglement_rate", "timeseries_figure",
 ]

@@ -17,7 +17,7 @@ puts lab occupations out of reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -77,9 +77,7 @@ def _base_params(cfg: RunConfig) -> ModelParams:
         return resolve_dimensionless(cfg)
     _, p, _ = resolve_si(cfg)
     w = p.omega_tilde
-    return ModelParams(omega_a=p.omega_a / w, omega_b=p.omega_b / w,
-                       omega_tilde=1.0, F=p.F / w, epsilon=p.epsilon / w,
-                       g_a=p.g_a / w, g_b=p.g_b / w)
+    return ModelParams(**{k: v / w for k, v in asdict(p).items()})
 
 
 def check_overlap_closed_form(v: ValidateSection) -> CheckResult:
@@ -111,8 +109,7 @@ def check_pt_matrix(v: ValidateSection) -> CheckResult:
     for _ in range(v.pt_samples):
         s = rng.uniform(0.0, 0.5)
         params = ModelParams.dimensionless(
-            g_a=rng.uniform(0.005, 0.05), g_b=rng.uniform(0.3, 1.2),
-            F=0.25 * (1.0 - math.exp(-4.0 * s)))
+            g_a=rng.uniform(0.005, 0.05), g_b=rng.uniform(0.3, 1.2), s=s)
         frame = derive_squeezed_frame(params)
         init = MediatorInit(alpha0=complex(rng.normal(0, 0.7),
                                            rng.normal(0, 0.7)))

@@ -191,6 +191,8 @@ class TestConfigBoundary:
          lambda d: d["sweep"]["axes"][0].update(name="Q")),
         ("dynamics.bipartitions",
          lambda d: d["dynamics"].update(bipartitions="tp_qubit")),
+        ("dynamics.variants[0]",
+         lambda d: d["dynamics"].update(variants=[["v", {"bogus": 1.0}]])),
     ]
 
     @pytest.mark.parametrize("command", ["dynamics", "sweep"])
@@ -223,12 +225,46 @@ class TestConfigBoundary:
         ("<config>.sweep.fock_n", {"sweep": {
             "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
             "backend": "fock", "fock_n": 0}}),
+        ("<config>.dynamics.variants[0]", {"dynamics": {
+            "t_stop": 1.0, "points": 5,
+            "variants": [["v", {"xi_mag": -1.0}]]}}),
+        ("<config>.dynamics.variants[1]", {"dynamics": {
+            "t_stop": 1.0, "points": 5,
+            "variants": [["ok", {}], ["v", {"delta": 2.0}]]}}),
+        ("<config>.dynamics.variants[0]", {"dynamics": {
+            "t_stop": 1.0, "points": 5,
+            "variants": [["v", {"bogus": 1.0}]]}}),
+        ("<config>.dynamics.variants[0]", {"dynamics": {
+            "t_stop": 1.0, "points": 5,
+            "variants": [["v", {"delta": -0.5}]]}}),
+        ("<config>.sweep.axes[0]", {"sweep": {
+            "axes": [{"name": "F", "start": -0.1, "stop": 0.1, "count": 3}]}}),
+        ("<config>.sweep.axes[1]", {"sweep": {
+            "axes": [{"name": "F", "start": 0.0, "stop": 0.1, "count": 3},
+                     {"name": "gamma", "start": -0.5, "stop": 0.0,
+                      "count": 3}]}}),
+        ("<config>.rate.variants[0]", {"rate": {
+            "which": "g_b",
+            "axis": {"name": "g_b", "start": 0.1, "stop": 1.0, "count": 5},
+            "variants": [["v", {"gamma_tp": -0.1}]]}}),
+        ("<config>.rate.axis", {"rate": {
+            "which": "g_b",
+            "axis": {"name": "gamma", "start": -1.0, "stop": 1.0,
+                     "count": 5}}}),
     ], ids=["negative-drive", "seed", "t_points", "fock_n",
-            "float-overflow", "dynamics.fock_n", "sweep.fock_n"])
+            "float-overflow", "dynamics.fock_n", "sweep.fock_n",
+            "variant-xi_mag", "variant-delta", "variant-unknown-key",
+            "variant-unstable", "sweep-axis-F", "sweep-axis-gamma",
+            "rate-variant-gamma_tp", "rate-axis-gamma"])
     def test_out_of_domain_values_name_the_field(self, field, edit):
         with pytest.raises(ConfigError) as exc:
             parse_config(cfg_with(**edit))
         assert exc.value.path == field
+
+    def test_axis_past_the_instability_parses(self):
+        cfg = parse_config(cfg_with(sweep={"axes": [
+            {"name": "delta", "start": -0.5, "stop": 0.5, "count": 3}]}))
+        assert cfg.sweep.axes[0].start == -0.5
 
     def test_si_inputs_the_setup_rejects_are_config_errors(self,
                                                             sec5_config):
@@ -298,7 +334,7 @@ class TestResolvers:
     def test_si_detuning_is_kept_exact(self, sec5_config):
         setup, params, frame = resolve_si(sec5_config)
         requested = sec5_config.si_system.delta
-        assert abs(params.delta - requested) <= 1e-12 * params.omega_tilde
+        assert params.delta == requested
         assert setup.r0 is not None and setup.r0 > 0
         # the back-solved tip distance reproduces the same drive
         from gravent import derive_model_params

@@ -11,6 +11,8 @@ from gravent import (ModelParams, PhysicalSetup, UnstableFrame,
                      coulomb_distance_for_drive, derive_model_params,
                      derive_squeezed_frame, regime_report)
 from gravent.errors import NegativeSquaredFrequency
+from gravent.params import drive_gap
+from gravent.sweep import resolve_cell
 
 
 def make_setup(**overrides):
@@ -88,6 +90,48 @@ class TestModelParams:
             ModelParams.dimensionless(g_a=0.01, g_b=1.0, F=-0.1)
 
 
+class TestDriveGap:
+    def test_each_coordinate(self):
+        assert drive_gap(2.0, F=0.25) == 1.0
+        assert drive_gap(2.0, delta=0.5) == 0.5
+        assert drive_gap(2.0, s=0.25) == pytest.approx(2.0 / math.e,
+                                                       rel=1e-15)
+
+    def test_exactly_one_coordinate(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            drive_gap(1.0)
+        with pytest.raises(ValueError, match="exactly one"):
+            drive_gap(1.0, F=0.1, s=0.2)
+
+    def test_negative_squeezing_rejected_without_overflow(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            drive_gap(1.0, s=-1000.0)
+
+    @pytest.mark.parametrize("drive", [{"F": 0.0}, {"delta": 1.0},
+                                       {"s": 0.0}])
+    def test_undriven_is_exact(self, drive):
+        p = ModelParams.dimensionless(g_a=0.01, g_b=1.0, **drive)
+        assert p.F == 0.0 and p.delta == 1.0
+        assert derive_squeezed_frame(p).s == 0.0
+
+    @given(st.floats(min_value=1e-300, max_value=1.0, exclude_min=True))
+    @settings(max_examples=300, deadline=None)
+    def test_gap_is_stored_exactly(self, d):
+        assert ModelParams.dimensionless(g_a=0.01, g_b=1.0, delta=d).delta \
+            == d
+
+    @given(st.floats(min_value=0.0, max_value=12.0))
+    @settings(max_examples=300, deadline=None)
+    def test_cell_squeezing_survives_the_frame(self, s):
+        """1e-12 relative, above the float64 resolution of delta near 1.
+
+        delta = e^{-4s} rounds to within one part in 2^53, which moves s
+        by about 2^-55; that floor only matters for s below 1e-4.
+        """
+        _, frame, *_ = resolve_cell({"g_a": 0.02, "g_b": 1.0, "s": s})
+        assert abs(frame.s - s) <= 1e-12 * s + 2.0 ** -52
+
+
 class TestSqueezedFrame:
     def test_undriven_frame_is_identity(self):
         p = ModelParams.dimensionless(g_a=0.01, g_b=1.0, F=0.0)
@@ -102,9 +146,9 @@ class TestSqueezedFrame:
     @settings(max_examples=200, deadline=None)
     def test_frequency_round_trip(self, delta_frac, omega_tilde):
         """sqrt(wt * delta) and delta * e^{2s} agree to 1e-12 relative."""
-        F = omega_tilde * (1.0 - delta_frac) / 4.0
         p = ModelParams(omega_a=0.0, omega_b=0.0, omega_tilde=omega_tilde,
-                        F=F, epsilon=0.0, g_a=0.01, g_b=1.0)
+                        delta=delta_frac * omega_tilde, epsilon=0.0,
+                        g_a=0.01, g_b=1.0)
         f = derive_squeezed_frame(p)
         alt = p.delta * math.exp(2.0 * f.s)
         assert abs(f.omega_s - alt) <= 1e-12 * abs(f.omega_s)
@@ -150,8 +194,8 @@ class TestDeriveModelParams:
 
     def test_drive_override_takes_precedence(self):
         s = make_setup(Q1=1e-15, Q2=-1e-9, r0=5e-3)
-        p = derive_model_params(s, F_override=123.456)
-        assert p.F == 123.456
+        p = derive_model_params(s, delta=123.456)
+        assert p.delta == 123.456
 
     def test_tip_distance_back_solve_round_trip(self):
         s = make_setup()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gravent import (AxisSpec, InsufficientPoints, InvalidAxis, SweepSpec,
                      TimeRule, UnstableFrame, entanglement_rate, run_sweep,
                      timeseries_figure)
-from gravent.sweep import _sign_changes, merge_cell
+from gravent.sweep import _sign_changes, merge_cell, resolve_cell
 
 BASE = {"g_a": 1.0 / 48.0, "g_b": 1.0}
 
@@ -104,6 +104,18 @@ class TestMergeCell:
         merge_cell(base, {"s": 0.2})
         assert base == {"g_a": 1, "F": 0.1}
 
+    def test_drive_axis_evicts_the_base_drive(self):
+        base = {"g_a": 1, "F": 0.1}
+        assert merge_cell(base, {}, (AxisSpec("s", 0, 1, 2),)) == {"g_a": 1}
+        assert merge_cell(base, {"gamma": 2}, (AxisSpec("g_b", 0, 1, 2),)) \
+            == {"g_a": 1, "F": 0.1, "gamma": 2}
+
+
+class TestResolveCell:
+    def test_null_takes_the_default(self):
+        *_, gamma, gamma_tp, _ = resolve_cell(dict(BASE, F=0.1, gamma=None))
+        assert gamma == 0.0 and gamma_tp == 0.0
+
 
 class TestRunSweep:
     def test_deterministic(self):
@@ -156,6 +168,23 @@ class TestRunSweep:
                 axes=(AxisSpec("gamma", 0.0, 0.1, 2),),
                 fixed=dict(BASE, s=s)))
             assert res_s.en[0] == pytest.approx(res_f.en[k], abs=1e-12)
+
+    @pytest.mark.parametrize("axis,fixed", [
+        (AxisSpec("gamma", -0.5, 0.0, 3), {}),
+        (AxisSpec("g_b", 0.5, 1.0, 3), {"gamma_tp": -0.1}),
+    ], ids=["gamma-axis", "gamma_tp"])
+    def test_negative_dephasing_is_rejected(self, axis, fixed):
+        spec = SweepSpec(axes=(axis,), fixed=dict(BASE, F=0.1, **fixed))
+        with pytest.raises(ValueError, match="dephasing rates must be "
+                                             "non-negative"):
+            run_sweep(spec)
+
+    def test_squeezing_axis_is_exact_deep_in_the_squeezed_regime(self):
+        res = run_sweep(SweepSpec(axes=(AxisSpec("s", 8.0, 12.0, 5),),
+                                  fixed=dict(BASE)))
+        assert res.valid.all()
+        s = res.axis_values[0]
+        assert np.all(np.abs(res.extras["s"] - s) <= 1e-12 * s)
 
     def test_missing_couplings(self):
         spec = SweepSpec(axes=(f_axis(),), fixed={})
