@@ -11,16 +11,16 @@ Fock-space oracle, SI feasibility arithmetic, parameter sweeps, and a CLI.
 from .config import RunConfig, load_config, parse_config, serialize_config, \
     config_hash
 from .dynamics import (MediatorInit, BranchState, branch_state,
-                       displaced_overlap, partial_transpose_matrix,
-                       apply_dephasing, en_at_decoupling, en_timeseries)
+                       dephasing_mask, displaced_overlap,
+                       partial_transpose_matrix, en_at_decoupling,
+                       en_timeseries)
 from .errors import (GraventError, ConfigError, NegativeSquaredFrequency,
                      UnstableFrame, DimensionMismatch, NonHermitianInput,
                      CutoffTooSmall, EigenFailure, NoConvergence,
                      InvalidAxis, InsufficientPoints)
 from .negativity import (partial_transpose, partial_trace, log_negativity,
                          log_negativity_from_partial_transpose,
-                         en_bipartition, trace_norm_hermitian,
-                         validate_density_matrix, DensityMatrix)
+                         en_bipartition, trace_norm_hermitian)
 from .params import (PhysicalSetup, ModelParams, SqueezedFrame,
                      RegimeReport, derive_model_params,
                      derive_squeezed_frame, regime_report,
@@ -37,7 +37,7 @@ __all__ = [
     "RunConfig", "load_config", "parse_config", "serialize_config",
     "config_hash",
     "MediatorInit", "BranchState", "branch_state", "displaced_overlap",
-    "partial_transpose_matrix", "apply_dephasing", "en_at_decoupling",
+    "partial_transpose_matrix", "dephasing_mask", "en_at_decoupling",
     "en_timeseries",
     "GraventError", "ConfigError", "NegativeSquaredFrequency",
     "UnstableFrame", "DimensionMismatch", "NonHermitianInput",
@@ -45,7 +45,7 @@ __all__ = [
     "InsufficientPoints",
     "partial_transpose", "partial_trace", "log_negativity",
     "log_negativity_from_partial_transpose", "en_bipartition",
-    "trace_norm_hermitian", "validate_density_matrix", "DensityMatrix",
+    "trace_norm_hermitian",
     "PhysicalSetup", "ModelParams", "SqueezedFrame", "RegimeReport",
     "derive_model_params", "derive_squeezed_frame", "regime_report",
     "coulomb_distance_for_drive",

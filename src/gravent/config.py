@@ -24,7 +24,8 @@ from .dynamics import DephasingBlock, MediatorInit
 from .errors import ConfigError, GraventError, UnstableFrame
 from .params import (ModelParams, PhysicalSetup, coulomb_distance_for_drive,
                      derive_model_params, derive_squeezed_frame, drive_gap)
-from .sweep import BACKENDS, AxisSpec, TimeRule, merge_cell, resolve_cell
+from .sweep import (BACKENDS, AxisSpec, SweepSpec, TimeRule,
+                    check_rate_axes, merge_cell, resolve_cell)
 
 
 @dataclass(frozen=True)
@@ -189,8 +190,19 @@ class RunConfig:
 
 
 def _check_cells(cfg: RunConfig) -> None:
-    """Resolve each variant cell and axis endpoint as the commands will;
-    only an axis endpoint past the instability is left to the sweep."""
+    """Build the sweep and rate specs and resolve each variant cell and
+    axis endpoint as the commands will; only an axis endpoint past the
+    instability is left to the sweep."""
+    base = base_cell(cfg)
+    try:
+        path = "sweep.axes"
+        if cfg.sweep:
+            SweepSpec(cfg.sweep.axes, merge_cell(base, {}, cfg.sweep.axes))
+        path = "rate.axis"
+        if cfg.rate:
+            check_rate_axes((cfg.rate.axis,), cfg.rate.which)
+    except GraventError as exc:
+        raise ConfigError(path, str(exc)) from None
     cells = [(f"{name}.variants[{i}]", o, False)
              for name in ("dynamics", "rate") if getattr(cfg, name)
              for i, (_, o) in enumerate(getattr(cfg, name).variants)]
@@ -199,7 +211,6 @@ def _check_cells(cfg: RunConfig) -> None:
     axes += [("rate.axis", cfg.rate.axis)] if cfg.rate else []
     cells += [(path, {ax.name: v}, True)
               for path, ax in axes for v in (ax.start, ax.stop)]
-    base = base_cell(cfg)
     for path, overrides, on_axis in cells:
         try:
             resolve_cell(merge_cell(base, overrides))

@@ -25,24 +25,39 @@ gamma_tp acts the same way on the |R>,|L> coherences.
 
 Everything here is unit-agnostic: times and rates only enter through
 products, so the same code serves SI frames and dimensionless ones.
+Times may come in any array shape; the kernel broadcasts over them, so
+one time point and a whole grid run the same code.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .negativity import log_negativity_from_partial_transpose
 from .params import SqueezedFrame
 
-# Spin signs per basis slot. Slot order |R,0>, |R,1>, |L,0>, |L,1>;
-# sigma_a^z = |L><L| - |R><R|, sigma_b^z = |1><1| - |0><0|.
+# Slot order |R,0>, |R,1>, |L,0>, |L,1>: TP and qubit index per slot, and
+# spin signs with sigma_a^z = |L><L| - |R><R|, sigma_b^z = |1><1| - |0><0|.
 SLOT_LABELS = ("R0", "R1", "L0", "L1")
-_SIGMA_A = (-1.0, -1.0, +1.0, +1.0)
-_SIGMA_B = (-1.0, +1.0, -1.0, +1.0)
+_TP = np.array([0, 0, 1, 1])
+_QUBIT = np.array([0, 1, 0, 1])
+_SIGMA_A = 2.0 * _TP - 1.0
+_SIGMA_B = 2.0 * _QUBIT - 1.0
+_SIGMA_AB = _SIGMA_A * _SIGMA_B
+# 1 on the entries that dephasing damps: coherences between different
+# qubit (TP) states.
+_QUBIT_COHERENCE = (_QUBIT[:, None] != _QUBIT).astype(float)
+_TP_COHERENCE = (_TP[:, None] != _TP).astype(float)
+# Upper entries (i, j) of the qubit-transposed matrix.  Transposing the
+# qubit swaps its indices, so entry ((A1, B1), (A2, B2)) holds the
+# coherence between ket slot (A1, B2) and bra slot (A2, B1).
+_I, _J = np.triu_indices(4, 1)
+_KET = 2 * _TP[_I] + _QUBIT[_J]
+_BRA = 2 * _TP[_J] + _QUBIT[_I]
 
 
 @dataclass(frozen=True)
@@ -84,81 +99,48 @@ class DephasingBlock:
 
 @dataclass(frozen=True)
 class BranchState:
-    """Per-configuration mediator data at one instant.
+    """Per-configuration mediator data at times t.
 
-    Branch order follows the evolved-state listing (R,0), (L,1), (R,1),
-    (L,0): the first pair shares the aligned conditional phase +phi, the
-    second pair the anti-aligned phase -phi.
+    alpha_t and phi have the shape of t; displacements add a last axis
+    over the four slots, in SLOT_LABELS order.
     """
 
-    t: float
-    alpha_t: complex
-    phi: float
-    Phi: np.ndarray          # residual drive phases, zero for real couplings
-    alpha_k: np.ndarray      # branch displacements, order as above
-    frame: SqueezedFrame = field(repr=False)
-    init: MediatorInit = field(repr=False)
-
-    _SLOT_TO_BRANCH = (0, 2, 3, 1)   # slot (R0,R1,L0,L1) -> branch index
-
-    def slot_displacements(self) -> np.ndarray:
-        return self.alpha_k[list(self._SLOT_TO_BRANCH)]
-
-    def slot_coefficients(self) -> np.ndarray:
-        """Branch phase factors per slot, e^{i(phi sigma_a sigma_b + Phi)}."""
-        phase = np.empty(4, complex)
-        for slot in range(4):
-            k = self._SLOT_TO_BRANCH[slot]
-            ss = _SIGMA_A[slot] * _SIGMA_B[slot]
-            phase[slot] = cmath.exp(1j * (self.phi * ss + self.Phi[k]))
-        return phase
+    t: np.ndarray
+    alpha_t: np.ndarray
+    phi: np.ndarray
+    displacements: np.ndarray
 
 
-def branch_state(frame: SqueezedFrame, init: MediatorInit,
-                 t: float) -> BranchState:
+def branch_state(frame: SqueezedFrame, t) -> BranchState:
     """Conditional displacements and phases after evolving for time t."""
+    t = np.asarray(t, float)
     ws = frame.omega_s
     wt = ws * t
-    alpha_t = (cmath.exp(-1j * wt) - 1.0) / ws
-    phi = (2.0 * frame.g_a_s * frame.g_b_s / ws) * (t - math.sin(wt) / ws)
-
-    ca = frame.g_a_s * np.conj(alpha_t)
-    cb = frame.g_b_s * np.conj(alpha_t)
-    # identically zero for real couplings; kept for structural fidelity
-    Phi = np.array([np.imag(ca * np.conj(cb)), np.imag(ca * np.conj(cb)),
-                    np.imag(-ca * np.conj(cb)), np.imag(-ca * np.conj(cb))])
-
-    # displacement is -lambda conj(alpha_t) with lambda = -(ga+gb), +(ga+gb),
-    # -(ga-gb), +(ga-gb) for the branches (R,0), (L,1), (R,1), (L,0)
-    plus = (frame.g_a_s + frame.g_b_s) * np.conj(alpha_t)
-    minus = (frame.g_a_s - frame.g_b_s) * np.conj(alpha_t)
-    alpha_k = np.array([plus, -plus, minus, -minus])
-
-    return BranchState(t=t, alpha_t=alpha_t, phi=phi, Phi=Phi,
-                       alpha_k=alpha_k, frame=frame, init=init)
+    alpha_t = (np.exp(-1j * wt) - 1.0) / ws
+    phi = (2.0 * frame.g_a_s * frame.g_b_s / ws) * (t - np.sin(wt) / ws)
+    # displacement -lambda conj(alpha_t), lambda = sigma_a g_a_s + sigma_b g_b_s
+    lam = frame.g_a_s * _SIGMA_A + frame.g_b_s * _SIGMA_B
+    return BranchState(t, alpha_t, phi, -lam * np.conj(alpha_t)[..., None])
 
 
-def _overlap(a_i: complex, a_j: complex, alpha0: complex,
-             xi: complex) -> complex:
+def _overlap(a_i, a_j, alpha0: complex, xi: complex):
     """<a_i, zeta | a_j, zeta> with |a, zeta> = D(a) S(xi) |alpha0>.
 
     Composing the displacements gives a Weyl phase e^{i Im(conj(a_i) a_j)}
     and a net displacement beta = a_j - a_i; pulling beta through the
     squeeze maps it to beta' = beta cosh|xi| + conj(beta) e^{i arg xi}
-    sinh|xi|, and the coherent-state expectation of D(beta') closes the
-    formula.
+    sinh|xi|, and the coherent-state expectation of D(beta'),
+    e^{-|beta'|^2/2 + 2i Im(beta' conj(alpha0))}, closes the formula.
+    Broadcasts over a_i and a_j.
     """
-    phase = cmath.exp(1j * (np.conj(a_i) * a_j).imag)
     beta = a_j - a_i
     mag = abs(xi)
-    if mag == 0.0:
-        bp = beta
-    else:
-        th = cmath.phase(xi)
-        bp = beta * math.cosh(mag) \
-            + np.conj(beta) * cmath.exp(1j * th) * math.sinh(mag)
-    expo = -0.5 * abs(bp) ** 2 + bp * np.conj(alpha0) - np.conj(bp) * alpha0
-    return phase * cmath.exp(expo)
+    if mag:
+        beta = beta * math.cosh(mag) \
+            + np.conj(beta) * (xi / mag * math.sinh(mag))
+    phase = (np.conj(a_i) * a_j).imag \
+        + 2.0 * (beta * alpha0.conjugate()).imag
+    return np.exp(-0.5 * np.abs(beta) ** 2 + 1j * phase)
 
 
 def displaced_overlap(a_i: complex, a_j: complex, init: MediatorInit,
@@ -167,78 +149,46 @@ def displaced_overlap(a_i: complex, a_j: complex, init: MediatorInit,
 
     |result| <= 1 with equality iff a_i == a_j.
     """
-    return _overlap(complex(a_i), complex(a_j), complex(init.alpha0),
-                    init.xi(frame))
+    return complex(_overlap(complex(a_i), complex(a_j), complex(init.alpha0),
+                            init.xi(frame)))
+
+
+def dephasing_mask(t, gamma: float, gamma_tp: float = 0.0) -> np.ndarray:
+    """Decay factors of the 4x4 slot-basis entries, shape t.shape + (4, 4).
+
+    Phase damping in the energy basis multiplies each coherence between
+    different qubit states by e^{-gamma t} and each one between different
+    TP states by e^{-gamma_tp t}.  The pattern is symmetric in the qubit
+    indices, so it damps a matrix and its qubit partial transpose alike.
+    """
+    t = np.asarray(t, float)[..., None, None]
+    return np.exp((gamma * _QUBIT_COHERENCE + gamma_tp * _TP_COHERENCE) * -t)
 
 
 def partial_transpose_matrix(frame: SqueezedFrame, init: MediatorInit,
-                             t: float, gamma: float = 0.0,
-                             gamma_tp: float = 0.0,
-                             local_rotation: tuple[float, float] | None = None
-                             ) -> np.ndarray:
-    """Qubit-transposed TP-qubit density matrix at time t.
+                             t, gamma: float = 0.0,
+                             gamma_tp: float = 0.0) -> np.ndarray:
+    """Qubit-transposed TP-qubit density matrix at each time of t.
 
-    Basis order |R,0>, |R,1>, |L,0>, |L,1>.  Hermitian, unit trace, and
-    all diagonal entries exactly 1/4 (the spins start in balanced
-    superpositions).  gamma damps qubit coherences, gamma_tp damps TP
-    coherences.  local_rotation = (omega_a, omega_b) applies the free
-    spin phases e^{-i omega sigma^z t}; entanglement is invariant under
-    it, which `en_timeseries` relies on by never applying it.
+    Shape t.shape + (4, 4), basis order |R,0>, |R,1>, |L,0>, |L,1>.  Each
+    matrix is exactly Hermitian with unit trace and every diagonal entry
+    exactly 1/4 (the spins start in balanced superpositions).  gamma
+    damps qubit coherences, gamma_tp damps TP coherences.  The free spin
+    phases e^{-i omega sigma^z t} are left out: they act as a local
+    unitary and cannot change EN.
     """
-    bs = branch_state(frame, init, t)
-    disp = bs.slot_displacements()
-    coef = bs.slot_coefficients()
-    if local_rotation is not None:
-        wa, wb = local_rotation
-        extra = np.array([
-            cmath.exp(-1j * (wa * _SIGMA_A[s] + wb * _SIGMA_B[s]) * t)
-            for s in range(4)])
-        coef = coef * extra
-
-    alpha0 = complex(init.alpha0)
-    xi = init.xi(frame)
-    decay_b = math.exp(-gamma * t) if gamma else 1.0
-    decay_a = math.exp(-gamma_tp * t) if gamma_tp else 1.0
-
-    m = np.empty((4, 4), complex)
-    for i in range(4):
-        m[i, i] = 0.25
-        for j in range(i + 1, 4):
-            A1, B1 = divmod(i, 2)
-            A2, B2 = divmod(j, 2)
-            ket = 2 * A1 + B2    # transposing the qubit swaps its indices
-            bra = 2 * A2 + B1
-            entry = 0.25 * coef[ket] * np.conj(coef[bra]) \
-                * _overlap(disp[bra], disp[ket], alpha0, xi)
-            if B1 != B2:
-                entry *= decay_b
-            if A1 != A2:
-                entry *= decay_a
-            m[i, j] = entry
-            m[j, i] = np.conj(entry)
+    bs = branch_state(frame, t)
+    d = bs.displacements
+    coef = np.exp(1j * (bs.phi[..., None] * _SIGMA_AB))
+    upper = 0.25 * coef[..., _KET] * np.conj(coef[..., _BRA]) \
+        * _overlap(d[..., _BRA], d[..., _KET], complex(init.alpha0),
+                   init.xi(frame))
+    m = np.full(bs.t.shape + (4, 4), 0.25, complex)
+    m[..., _I, _J] = upper
+    m[..., _J, _I] = np.conj(upper)
+    # the mask is real, symmetric and 1 on the diagonal
+    m *= dephasing_mask(bs.t, gamma, gamma_tp)
     return m
-
-
-def apply_dephasing(rho: np.ndarray, t: float, gamma: float,
-                    gamma_tp: float = 0.0) -> np.ndarray:
-    """Damp spin coherences of a 4x4 TP-qubit matrix (slot basis).
-
-    The model is phase damping in the energy basis, so it commutes with
-    partial transposition of the qubit and may be applied before or after
-    it.
-    """
-    out = np.array(rho, dtype=complex, copy=True)
-    fb = math.exp(-gamma * t)
-    fa = math.exp(-gamma_tp * t)
-    for i in range(4):
-        for j in range(4):
-            A1, B1 = divmod(i, 2)
-            A2, B2 = divmod(j, 2)
-            if B1 != B2:
-                out[i, j] *= fb
-            if A1 != A2:
-                out[i, j] *= fa
-    return out
 
 
 def en_at_decoupling(g_eff: float, t_n: float) -> float:
@@ -248,17 +198,14 @@ def en_at_decoupling(g_eff: float, t_n: float) -> float:
 
 def en_timeseries(frame: SqueezedFrame, init: MediatorInit,
                   t_grid, gamma: float = 0.0,
-                  gamma_tp: float = 0.0) -> list[tuple[float, float]]:
-    """TP-qubit EN along a time grid from the closed-form matrix."""
-    out = []
-    for t in np.asarray(t_grid, dtype=float):
-        m = partial_transpose_matrix(frame, init, float(t), gamma, gamma_tp)
-        out.append((float(t), log_negativity_from_partial_transpose(m)))
-    return out
+                  gamma_tp: float = 0.0) -> np.ndarray:
+    """TP-qubit EN at each time of t_grid from the closed-form matrix."""
+    return log_negativity_from_partial_transpose(partial_transpose_matrix(
+        frame, init, np.asarray(t_grid, float), gamma, gamma_tp))
 
 
 __all__ = [
     "MediatorInit", "DephasingBlock", "BranchState", "branch_state",
-    "displaced_overlap", "partial_transpose_matrix", "apply_dephasing",
+    "displaced_overlap", "partial_transpose_matrix", "dephasing_mask",
     "en_at_decoupling", "en_timeseries", "SLOT_LABELS",
 ]

@@ -211,10 +211,6 @@ class ExactPropagator:
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(str(exc)) from exc
 
-    def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        c = self.v.conj().T @ np.asarray(psi0, complex)
-        return self.v @ (np.exp(-1j * self.w * t) * c)
-
     def evolve_grid(self, psi0: np.ndarray, t_grid) -> np.ndarray:
         """Stack of evolved states, one row per time."""
         c = self.v.conj().T @ np.asarray(psi0, complex)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock
-from .dynamics import (DephasingBlock, MediatorInit, apply_dephasing,
+from .dynamics import (DephasingBlock, MediatorInit, dephasing_mask,
                        en_timeseries, partial_transpose_matrix)
 from .errors import (CutoffTooSmall, InsufficientPoints, InvalidAxis,
                      UnstableFrame)
@@ -182,8 +182,8 @@ def _eval_cell(spec: SweepSpec, overrides: dict, tail_tol: float) -> dict:
                                   tail_tol=tail_tol)["states"][0]
         except CutoffTooSmall as exc:
             return {"valid": False, "note": f"Fock backend: {exc}"}
-        rho = apply_dephasing(partial_trace(psi, (2, 2, n), (0, 1)), t,
-                              gamma, gamma_tp)
+        rho = partial_trace(psi, (2, 2, n), (0, 1)) \
+            * dephasing_mask(t, gamma, gamma_tp)
         out["en_fock"] = log_negativity_from_partial_transpose(
             partial_transpose(rho, (2, 2), 1))
         if spec.backend == "fock":
@@ -244,6 +244,16 @@ class RateResult:
     meta: dict = field(default_factory=dict)
 
 
+def check_rate_axes(axes: tuple[AxisSpec, ...], which: str) -> None:
+    """A rate needs the single coupling axis `which`, with >= 3 points."""
+    names = [ax.name for ax in axes]
+    if which not in ("g_a", "g_b") or names != [which]:
+        raise InvalidAxis(f"a rate needs the single axis g_a or g_b, got "
+                          f"{names} for {which!r}")
+    if axes[0].count < 3:
+        raise InsufficientPoints("rate extraction needs >= 3 points")
+
+
 def entanglement_rate(spec: SweepSpec, which: str) -> RateResult:
     """eta = dEN/dg along a coupling axis, central differences.
 
@@ -251,13 +261,7 @@ def entanglement_rate(spec: SweepSpec, which: str) -> RateResult:
     Sign changes of eta are bracketed and reported as linear-interpolation
     zeros; they mark the turning points of EN against the coupling.
     """
-    if which not in ("g_a", "g_b"):
-        raise InvalidAxis(f"rate axis must be g_a or g_b, got {which!r}")
-    if len(spec.axes) != 1 or spec.axes[0].name != which:
-        raise InvalidAxis(f"spec must have the single axis {which!r}")
-    if spec.axes[0].count < 3:
-        raise InsufficientPoints("rate extraction needs >= 3 points")
-
+    check_rate_axes(spec.axes, which)
     res = run_sweep(spec)
     g = res.axis_values[0]
     en = res.en
@@ -319,9 +323,8 @@ def timeseries_figure(spec: SweepSpec, hamiltonian: str = "squeezed",
         meta["variants"].append({"label": label, "s": frame.s,
                                  "omega_s": frame.omega_s})
         if spec.backend in ("analytic", "both"):
-            en = en_timeseries(frame, init, ts, gamma, gamma_tp)
-            curves[f"{label}:tp_qubit:analytic"] = np.array(
-                [v for _, v in en])
+            curves[f"{label}:tp_qubit:analytic"] = en_timeseries(
+                frame, init, ts, gamma, gamma_tp)
         if spec.backend in ("fock", "both"):
             cuts = {name: fock.BIPARTITIONS[name]
                     for name in spec.bipartitions}
@@ -336,5 +339,6 @@ def timeseries_figure(spec: SweepSpec, hamiltonian: str = "squeezed",
 __all__ = [
     "AXIS_NAMES", "BACKENDS", "AxisSpec", "TimeRule", "SweepSpec",
     "SweepResult", "RateResult", "TimeseriesResult", "merge_cell",
-    "resolve_cell", "run_sweep", "entanglement_rate", "timeseries_figure",
+    "resolve_cell", "run_sweep", "check_rate_axes", "entanglement_rate",
+    "timeseries_figure",
 ]

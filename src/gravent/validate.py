@@ -146,7 +146,7 @@ def check_en_timeseries(params: ModelParams, init: MediatorInit,
     except NoConvergence as exc:
         return CheckResult("en_timeseries_analytic_vs_fock", False,
                            note=str(exc))
-    ana = np.array([en for _, en in en_timeseries(frame, init, t_grid)])
+    ana = en_timeseries(frame, init, t_grid)
     dev = float(np.max(np.abs(ana - rep.curves["tp_qubit"])))
     return CheckResult("en_timeseries_analytic_vs_fock", dev <= v.en_tol,
                        max_dev=dev, tol=v.en_tol,
@@ -183,20 +183,13 @@ def check_closed_form_at_tn(params: ModelParams,
     point alone can move.
     """
     frame = derive_squeezed_frame(params)
-    worst = 0.0
-    floor = 0.0
-    for k in (1, 2, 3):
-        t_n = frame.decoupling_time(k)
-
-        def en_at(t):
-            m = partial_transpose_matrix(frame, init, t)
-            return log_negativity_from_partial_transpose(m)
-
-        en = en_at(t_n)
-        worst = max(worst, abs(en - en_at_decoupling(frame.g_eff, t_n)))
-        ulp = np.spacing(t_n)
-        floor = max(floor, abs(en_at(t_n + 4 * ulp) - en),
-                    abs(en_at(t_n - 4 * ulp) - en))
+    t_n = np.array([frame.decoupling_time(k) for k in (1, 2, 3)])
+    ulps = 4 * np.spacing(t_n)
+    en = log_negativity_from_partial_transpose(partial_transpose_matrix(
+        frame, init, np.stack([t_n, t_n + ulps, t_n - ulps])))
+    worst = max(abs(float(e) - en_at_decoupling(frame.g_eff, t))
+                for e, t in zip(en[0], t_n))
+    floor = float(np.max(np.abs(en[1:] - en[0])))
     tol = max(1e-10, 8.0 * floor)
     note = "first three decoupling times"
     if tol > 1e-10:

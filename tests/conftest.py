@@ -1,9 +1,21 @@
 """Shared fixtures: reference parameter sets used across the suite."""
 
+import numpy as np
 import pytest
 
 from gravent import MediatorInit, ModelParams, derive_squeezed_frame, \
-    load_preset
+    load_preset, partial_transpose
+
+
+def local_rotation(m, t, omega_a, omega_b):
+    """Apply the free spin phases e^{-i (omega_a sigma_a + omega_b sigma_b) t}
+    to a qubit-transposed TP-qubit matrix (slots R0, R1, L0, L1): undo the
+    transposition, rotate the state, transpose back."""
+    sigma_a = np.array([-1.0, -1.0, 1.0, 1.0])
+    sigma_b = np.array([-1.0, 1.0, -1.0, 1.0])
+    u = np.exp(-1j * (omega_a * sigma_a + omega_b * sigma_b) * t)
+    rho = partial_transpose(m, (2, 2), 1)
+    return partial_transpose(u[:, None] * rho * u.conj(), (2, 2), 1)
 
 
 @pytest.fixture(scope="session")

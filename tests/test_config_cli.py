@@ -251,11 +251,27 @@ class TestConfigBoundary:
             "which": "g_b",
             "axis": {"name": "gamma", "start": -1.0, "stop": 1.0,
                      "count": 5}}}),
+        ("<config>.rate.axis", {"rate": {
+            "which": "g_b",
+            "axis": {"name": "g_a", "start": 0.0, "stop": 0.1,
+                     "count": 5}}}),
+        ("<config>.rate.axis", {"rate": {
+            "which": "g_b",
+            "axis": {"name": "g_b", "start": 0.0, "stop": 2.0,
+                     "count": 2}}}),
+        ("<config>.sweep.axes", {"sweep": {"axes": [
+            {"name": "F", "start": 0.0, "stop": 0.1, "count": 3},
+            {"name": "g_b", "start": 0.0, "stop": 2.0, "count": 3},
+            {"name": "gamma", "start": 0.0, "stop": 0.1, "count": 3}]}}),
+        ("<config>.sweep.axes", {"sweep": {"axes": [
+            {"name": "F", "start": 0.0, "stop": 0.1, "count": 3},
+            {"name": "s", "start": 0.0, "stop": 0.5, "count": 3}]}}),
     ], ids=["negative-drive", "seed", "t_points", "fock_n",
             "float-overflow", "dynamics.fock_n", "sweep.fock_n",
             "variant-xi_mag", "variant-delta", "variant-unknown-key",
             "variant-unstable", "sweep-axis-F", "sweep-axis-gamma",
-            "rate-variant-gamma_tp", "rate-axis-gamma"])
+            "rate-variant-gamma_tp", "rate-axis-gamma", "rate-axis-name",
+            "rate-axis-count", "sweep-three-axes", "sweep-two-drives"])
     def test_out_of_domain_values_name_the_field(self, field, edit):
         with pytest.raises(ConfigError) as exc:
             parse_config(cfg_with(**edit))

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravent import (DensityMatrix, DimensionMismatch, NonHermitianInput,
-                     en_bipartition, log_negativity,
-                     log_negativity_from_partial_transpose, partial_trace,
-                     partial_transpose, trace_norm_hermitian,
-                     validate_density_matrix)
+from gravent import (DimensionMismatch, NonHermitianInput, en_bipartition,
+                     log_negativity, log_negativity_from_partial_transpose,
+                     partial_trace, partial_transpose, trace_norm_hermitian)
 from gravent.negativity import EN_CLAMP, hermitize
 
 RNG = np.random.default_rng(7)
@@ -108,11 +106,35 @@ class TestHermitize:
         with pytest.raises(NonHermitianInput):
             hermitize(m)
 
+    def test_one_skew_matrix_fails_the_stack(self):
+        stack = np.stack([random_density(4) for _ in range(5)])
+        hermitize(stack)
+        stack[3, 0, 1] += 1e-3
+        with pytest.raises(NonHermitianInput):
+            log_negativity_from_partial_transpose(stack)
+
+    def test_scale_is_per_matrix(self):
+        # a large neighbour must not hide a small matrix's asymmetry
+        small = np.array([[0.0, 1e-6], [0.0, 0.0]])
+        with pytest.raises(NonHermitianInput):
+            hermitize(np.stack([1e8 * np.eye(2), small]))
+
 
 class TestLogNegativity:
     def test_bell_state_is_one_ebit(self):
         assert log_negativity(bell_density(), (2, 2), 1) == pytest.approx(
             1.0, abs=1e-12)
+
+    def test_stack_matches_single_matrices(self):
+        states = [bell_density(), np.eye(4) / 4.0]
+        states += [random_density(4, rank=r) for r in (1, 1, 2, 4)]
+        pts = np.stack([partial_transpose(rho, (2, 2), 1) for rho in states])
+        singles = [log_negativity_from_partial_transpose(m) for m in pts]
+        assert all(type(en) is float for en in singles)
+        stack = log_negativity_from_partial_transpose(pts.reshape(2, 3, 4, 4))
+        assert stack.shape == (2, 3)
+        assert np.max(np.abs(stack.ravel() - singles)) <= 1e-15
+        assert stack[0, 1] == 0.0 < stack[0, 0]
 
     def test_product_state_is_zero(self):
         rho = np.kron(random_density(2, rank=1), random_density(2, rank=1))
@@ -197,18 +219,3 @@ class TestEnBipartition:
             en_bipartition(psi, (2, 2, 2), (0,), (0, 1))
         with pytest.raises(DimensionMismatch):
             en_bipartition(psi, (2, 2, 2), (0, 1, 2))
-
-
-class TestDensityMatrixValidation:
-    def test_valid_state_passes(self):
-        validate_density_matrix(random_density(4), (2, 2))
-        DensityMatrix(bell_density(), (2, 2)).validate()
-
-    def test_trace_violation(self):
-        with pytest.raises(ValueError, match="trace"):
-            validate_density_matrix(2.0 * random_density(4), (2, 2))
-
-    def test_negativity_violation(self):
-        rho = np.diag([0.7, 0.5, -0.1, -0.1])
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            validate_density_matrix(rho, (2, 2))
