@@ -15,14 +15,14 @@ import sys
 from pathlib import Path
 
 from . import io
-from .config import (FeasibilitySection, RunConfig, base_cell, load_config,
-                     resolve_si)
+from .config import (FeasibilitySection, RunConfig, base_cell,
+                     dynamics_spec, load_config, resolve_si)
 from .dynamics import partial_transpose_matrix
 from .errors import ConfigError, GraventError
 from .negativity import log_negativity_from_partial_transpose
 from .params import regime_report
 from .presets import PRESET_NAMES, SEC5_GOLDEN, golden_check, load_preset
-from .sweep import (SweepSpec, AxisSpec, entanglement_rate, merge_cell,
+from .sweep import (SweepSpec, entanglement_rate, merge_cell,
                     run_sweep, timeseries_figure)
 from .validate import run_validation
 
@@ -100,11 +100,7 @@ def cmd_dynamics(cfg: RunConfig, args) -> int:
         raise ConfigError(f"{cfg.label}.dynamics",
                           "this command needs a dynamics section")
     d = cfg.dynamics
-    spec = SweepSpec(
-        axes=(AxisSpec("t", d.t_start, d.t_stop, d.points),),
-        fixed=base_cell(cfg), backend=d.backend, fock_n=d.fock_n,
-        variants=d.variants, bipartitions=d.bipartitions)
-    result = timeseries_figure(spec, hamiltonian=d.hamiltonian,
+    result = timeseries_figure(dynamics_spec(cfg), hamiltonian=d.hamiltonian,
                                tail_tol=cfg.tolerances.fock_tail)
     info = io.provenance(cfg, command="dynamics", hamiltonian=d.hamiltonian,
                          backend=d.backend)

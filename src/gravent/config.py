@@ -190,19 +190,10 @@ class RunConfig:
 
 
 def _check_cells(cfg: RunConfig) -> None:
-    """Build the sweep and rate specs and resolve each variant cell and
-    axis endpoint as the commands will; only an axis endpoint past the
-    instability is left to the sweep."""
+    """Resolve each variant cell and axis endpoint and build the dynamics,
+    sweep and rate specs as the commands will; only an axis endpoint past
+    the instability is left to the sweep."""
     base = base_cell(cfg)
-    try:
-        path = "sweep.axes"
-        if cfg.sweep:
-            SweepSpec(cfg.sweep.axes, merge_cell(base, {}, cfg.sweep.axes))
-        path = "rate.axis"
-        if cfg.rate:
-            check_rate_axes((cfg.rate.axis,), cfg.rate.which)
-    except GraventError as exc:
-        raise ConfigError(path, str(exc)) from None
     cells = [(f"{name}.variants[{i}]", o, False)
              for name in ("dynamics", "rate") if getattr(cfg, name)
              for i, (_, o) in enumerate(getattr(cfg, name).variants)]
@@ -217,6 +208,18 @@ def _check_cells(cfg: RunConfig) -> None:
         except (ValueError, GraventError) as exc:
             if not (on_axis and isinstance(exc, UnstableFrame)):
                 raise ConfigError(path, str(exc)) from None
+    try:
+        path = "sweep.axes"
+        if cfg.sweep:
+            SweepSpec(cfg.sweep.axes, merge_cell(base, {}, cfg.sweep.axes))
+        path = "rate.axis"
+        if cfg.rate:
+            check_rate_axes((cfg.rate.axis,), cfg.rate.which)
+        path = "dynamics.bipartitions"
+        if cfg.dynamics:
+            dynamics_spec(cfg)
+    except GraventError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 _hints = functools.cache(typing.get_type_hints)
@@ -376,6 +379,15 @@ def base_cell(cfg: RunConfig) -> dict:
     return cell
 
 
+def dynamics_spec(cfg: RunConfig) -> SweepSpec:
+    """The time-series spec of the dynamics section."""
+    d = cfg.dynamics
+    return SweepSpec(
+        axes=(AxisSpec("t", d.t_start, d.t_stop, d.points),),
+        fixed=base_cell(cfg), backend=d.backend, fock_n=d.fock_n,
+        variants=d.variants, bipartitions=d.bipartitions)
+
+
 def resolve_si(cfg: RunConfig):
     """SI block -> (PhysicalSetup, ModelParams, SqueezedFrame).
 
@@ -416,5 +428,5 @@ __all__ = [
     "DynamicsSection", "SweepSection", "RateSection", "FeasibilitySection",
     "ValidateSection", "ToleranceBlock", "RunConfig", "parse_config",
     "load_config", "serialize_config", "config_hash", "base_cell",
-    "resolve_si", "resolve_dimensionless",
+    "dynamics_spec", "resolve_si", "resolve_dimensionless",
 ]

@@ -1,10 +1,17 @@
-"""Dense Fock-space oracle for the TP-qubit-mediator system.
+"""Fock-space oracle for the TP-qubit-mediator system.
 
 Brute-force reference implementation on the truncated 2 x 2 x N product
-space: build the full Hamiltonian matrix, diagonalize once, evolve along
+space: build the truncated Hamiltonian, diagonalize it once, evolve along
 any time grid, reduce to any bipartition.  Nothing here reuses the
 closed-form branch solution, so agreement with the analytic module is a
 genuine cross-check rather than a tautology.
+
+Both Hamiltonians are diagonal in sigma_a^z x sigma_b^z, so they are
+built as the four mediator blocks, one per spin configuration, in real
+band storage (4N, 3): h[j, k] = H[j + k, j] within a block, tridiagonal
+in the squeezed frame and pentadiagonal in the lab frame.  D(alpha) and
+S(xi) are applied by `ladder_exp`; both exponentiate the same truncated
+matrices a dense `expm` would.
 
 Basis ordering: index = tp * (2 * N) + qubit * N + n with tp in {0: |R>,
 1: |L>}, qubit in {0: |0>, 1: |1>}, n the Fock level.  This makes the
@@ -17,22 +24,19 @@ when mapping squeezed-frame states to the lab mode), so lab-frame checks
 are only sensible for s up to about 1 and the strongly driven regimes
 must be validated in the squeezed frame or in closed form.
 
-Every cutoff is chosen by one bounded search, `search_cutoff`: it starts
-at a given N, which it always tries, and doubles it up to a ceiling, 512
-for EN curves and 1024 for overlaps and the partial-transpose matrix.
-Past the ceiling it raises NoConvergence carrying the history of every
-N tried and why it was rejected; that is the only way the oracle gives
-up.  One run at a fixed N, in the lab or the squeezed frame, is
-`trajectory`.
+Every cutoff is chosen by one bounded search, `search_cutoff`, whose
+NoConvergence is the only way the oracle gives up.  One run at a fixed
+N, in the lab or the squeezed frame, is `trajectory`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eig_banded, expm
 
 from .dynamics import MediatorInit
 from .errors import CutoffTooSmall, DimensionMismatch, EigenFailure, \
@@ -42,6 +46,8 @@ from .params import ModelParams, SqueezedFrame, derive_squeezed_frame
 
 # sigma_a^z = |L><L| - |R><R| in basis [R, L]; sigma_b^z likewise in [0, 1]
 SIGMA_Z = np.diag([-1.0, 1.0])
+# sigma_a^z and sigma_b^z on the spin blocks |R,0>, |R,1>, |L,0>, |L,1>
+_SZ_A, _SZ_B = np.repeat(np.diag(SIGMA_Z), 2), np.tile(np.diag(SIGMA_Z), 2)
 
 TP_QUBIT = ((0,), (1,))
 TP_MEDIATOR = ((0,), (2,))
@@ -80,6 +86,32 @@ def squeeze_matrix(xi: complex, n: int) -> np.ndarray:
     return expm(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))
 
 
+@functools.lru_cache(maxsize=16)
+def _ladder_modes(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs (w, U) of the real symmetric N x N band matrix
+    B with B[m + k, m] = sqrt((m+1)...(m+k))."""
+    band = np.zeros((k + 1, n))
+    m = np.arange(1.0, n - k + 1)
+    band[k, :m.size] = np.sqrt(math.prod(m + i for i in range(k)))
+    w, u = eig_banded(band, lower=True)
+    w.flags.writeable = u.flags.writeable = False
+    return w, u
+
+
+def ladder_exp(z: complex, k: int, vec: np.ndarray) -> np.ndarray:
+    """exp(z a^dag^k - z* a^k) @ vec on the cutoff N = len(vec): D(z) for
+    k = 1, S(-2z) for k = 2.  With E = diag((-i z/|z|)^(m // k)) the
+    generator is E (i|z| B) E^dag, B = U diag(w) U^T of `_ladder_modes`."""
+    vec = np.asarray(vec, complex)
+    if z == 0:
+        return vec.copy()
+    w, u = _ladder_modes(len(vec), k)
+    e = (-1j * z / abs(z)) ** (np.arange(len(vec)) // k)
+    x = e.conj() * vec
+    x = np.exp(1j * abs(z) * w) * (u.T @ x.real + 1j * (u.T @ x.imag))
+    return e * (u @ x.real + 1j * (u @ x.imag))
+
+
 def _squeezed_coherent(init: MediatorInit, n: int,
                        frame: SqueezedFrame | None,
                        tail_tol: float) -> np.ndarray:
@@ -88,7 +120,7 @@ def _squeezed_coherent(init: MediatorInit, n: int,
     if tail > tail_tol:
         raise CutoffTooSmall(
             f"coherent amplitude {init.alpha0} does not fit in N = {n}", tail)
-    return squeeze_matrix(init.xi(frame), n) @ coh
+    return ladder_exp(-0.5 * init.xi(frame), 2, coh)
 
 
 def _fits(vec: np.ndarray, n: int, tail_tol: float, what: str) -> np.ndarray:
@@ -112,13 +144,11 @@ def lab_mediator_vector(init: MediatorInit, frame: SqueezedFrame, n: int,
                         tail_tol: float = 1e-8) -> np.ndarray:
     """The same physical state expressed in the lab mode.
 
-    The squeezed-frame mode relates to the lab mode through a Bogoliubov
-    rotation generated by S(s); mapping the state back costs one more
-    squeeze, so occupations grow like e^{4s} and this is the step that
-    rules out lab-frame oracles deep in the driven regime.
-    """
+    Mapping it back through the Bogoliubov rotation S(s) between the two
+    modes costs one more squeeze, so occupations grow like e^{4s}: this
+    step rules out lab-frame oracles deep in the driven regime."""
     vec = _squeezed_coherent(init, n, frame, tail_tol)
-    vec = _fits(squeeze_matrix(frame.s, n).conj().T @ vec, n, tail_tol,
+    vec = _fits(ladder_exp(0.5 * frame.s, 2, vec), n, tail_tol,
                 "lab-mode image of the initial state")
     return vec / np.linalg.norm(vec)
 
@@ -126,20 +156,17 @@ def lab_mediator_vector(init: MediatorInit, frame: SqueezedFrame, n: int,
 def displaced_squeezed_vector(shift: complex, init: MediatorInit, n: int,
                               frame: SqueezedFrame | None = None,
                               tail_tol: float = 1e-10) -> np.ndarray:
-    """D(shift) S(xi) |alpha0> by explicit matrix exponentials."""
+    """D(shift) S(xi) |alpha0> by ladder exponentials on the cutoff."""
     vec = _squeezed_coherent(init, n, frame, tail_tol)
-    return _fits(displacement_matrix(shift, n) @ vec, n, tail_tol,
-                 "displaced state")
+    return _fits(ladder_exp(shift, 1, vec), n, tail_tol, "displaced state")
 
 
 def fock_overlap(a_i: complex, a_j: complex, init: MediatorInit,
                  frame: SqueezedFrame | None = None,
                  tail_tol: float = 1e-10, n_start: int = 64,
                  n_max: int = 1024) -> complex:
-    """Inner product <a_i, zeta | a_j, zeta> by brute truncation.
-
-    The cutoff doubles until both vectors pass the tail criterion.
-    """
+    """Inner product <a_i, zeta | a_j, zeta> by brute truncation, the
+    cutoff doubling until both vectors pass the tail criterion."""
     def attempt(n: int) -> complex:
         vi = displaced_squeezed_vector(a_i, init, n, frame, tail_tol)
         vj = displaced_squeezed_vector(a_j, init, n, frame, tail_tol)
@@ -149,39 +176,32 @@ def fock_overlap(a_i: complex, a_j: complex, init: MediatorInit,
     return overlap
 
 
-def _kron3(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.kron(np.kron(u, v), w)
+def _spin_blocks(n: int, spin_energy: np.ndarray, level: float,
+                 coupling: np.ndarray, pair: float = 0.0) -> np.ndarray:
+    """Band storage (4N, 3) of the sigma^z blocks spin_energy + level
+    a^dag a + coupling (a + a^dag) + pair (a^2 + a^dag^2), with one
+    spin_energy and coupling per block."""
+    m = np.arange(n, dtype=float)
+    h = np.zeros((4, n, 3))
+    h[:, :, 0] = spin_energy[:, None] + level * m
+    h[:, :-1, 1] = coupling[:, None] * np.sqrt(m[1:])
+    h[:, :-2, 2] = pair * np.sqrt(m[1:-1] * m[2:])
+    return h.reshape(4 * n, 3)
 
 
 def build_hamiltonian_lab(params: ModelParams, n: int) -> np.ndarray:
-    """Full lab-frame Hamiltonian on 2 x 2 x N, including the linear drive."""
-    a = destroy(n)
-    ad = a.conj().T
-    x = a + ad
-    i2 = np.eye(2)
-    inn = np.eye(n)
-    h = params.omega_a * _kron3(SIGMA_Z, i2, inn) \
-        + params.omega_b * _kron3(i2, SIGMA_Z, inn) \
-        + (params.omega_tilde - 2.0 * params.F) * _kron3(i2, i2, ad @ a) \
-        - params.F * _kron3(i2, i2, a @ a + ad @ ad) \
-        + params.epsilon * _kron3(i2, i2, x) \
-        + params.g_a * _kron3(SIGMA_Z, i2, x) \
-        + params.g_b * _kron3(i2, SIGMA_Z, x)
-    return h
+    """Lab-frame Hamiltonian on 2 x 2 x N, including the linear drive."""
+    return _spin_blocks(
+        n, params.omega_a * _SZ_A + params.omega_b * _SZ_B,
+        params.omega_tilde - 2.0 * params.F,
+        params.epsilon + params.g_a * _SZ_A + params.g_b * _SZ_B, -params.F)
 
 
 def build_hamiltonian_squeezed(frame: SqueezedFrame, omega_a: float,
                                omega_b: float, n: int) -> np.ndarray:
     """Squeezed-frame Hamiltonian: stiff oscillator, boosted couplings."""
-    a = destroy(n)
-    x = a + a.conj().T
-    i2 = np.eye(2)
-    inn = np.eye(n)
-    return omega_a * _kron3(SIGMA_Z, i2, inn) \
-        + omega_b * _kron3(i2, SIGMA_Z, inn) \
-        + frame.omega_s * _kron3(i2, i2, a.conj().T @ a) \
-        + frame.g_a_s * _kron3(SIGMA_Z, i2, x) \
-        + frame.g_b_s * _kron3(i2, SIGMA_Z, x)
+    return _spin_blocks(n, omega_a * _SZ_A + omega_b * _SZ_B, frame.omega_s,
+                        frame.g_a_s * _SZ_A + frame.g_b_s * _SZ_B)
 
 
 def prepare_initial(init: MediatorInit, n: int,
@@ -189,61 +209,64 @@ def prepare_initial(init: MediatorInit, n: int,
                     tail_tol: float = 1e-8,
                     lab_mode: bool = False) -> np.ndarray:
     """(|L> + |R>)/sqrt2 x (|0> + |1>)/sqrt2 x mediator, as a 4N vector."""
-    spin = np.array([1.0, 1.0]) / math.sqrt(2.0)
     if lab_mode:
         if frame is None:
             raise ValueError("lab_mode requires the frame")
         med = lab_mediator_vector(init, frame, n, tail_tol)
     else:
         med = mediator_vector(init, n, frame, tail_tol)
-    return _kron3(spin, spin, med)
+    return np.tile(0.5 * med, 4)
 
 
 class ExactPropagator:
-    """One eigendecomposition, reused across a whole time grid."""
+    """Eigenpairs of each sigma^z block of the band storage h, reused
+    across a time grid: w of shape (4, N), v of shape (4, N, N)."""
 
     def __init__(self, h: np.ndarray):
         h = np.asarray(h)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise DimensionMismatch("Hamiltonian must be square")
+        if h.ndim != 2 or h.shape[1] != 3 or h.shape[0] % 4 or not len(h):
+            raise DimensionMismatch(
+                f"Hamiltonian band storage must be (4N, 3), got {h.shape}")
+        width = 3 if h[:, 2].any() else 2  # tridiagonal blocks solve faster
         try:
-            self.w, self.v = np.linalg.eigh(h)
+            pairs = [eig_banded(block.T[:width], lower=True)
+                     for block in h.reshape(4, -1, 3)]
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(str(exc)) from exc
+        self.w, self.v = (np.stack(x) for x in zip(*pairs))
 
     def evolve_grid(self, psi0: np.ndarray, t_grid) -> np.ndarray:
         """Stack of evolved states, one row per time."""
-        c = self.v.conj().T @ np.asarray(psi0, complex)
-        ts = np.asarray(t_grid, float)
-        phases = np.exp(-1j * np.outer(ts, self.w))
-        return (phases * c) @ self.v.T
-
-
-def tail_occupation(psi: np.ndarray, n: int) -> float:
-    """Population of the top Fock level, summed over the spins."""
-    return float(np.sum(np.abs(psi.reshape(4, n)[:, -1]) ** 2))
+        n = self.w.shape[1]
+        c = np.asarray(psi0, complex).reshape(4, 1, n) @ self.v
+        ts = np.asarray(t_grid, float).reshape(-1)
+        phases = np.exp(-1j * ts[:, None] * self.w[:, None, :])
+        states = (phases * c) @ self.v.transpose(0, 2, 1)
+        return states.transpose(1, 0, 2).reshape(ts.size, 4 * n)
 
 
 def en_curves(h: np.ndarray, psi0: np.ndarray, t_grid, n: int,
               cuts: dict[str, tuple] | None = None) -> dict[str, np.ndarray]:
-    """EN along a trajectory for the requested bipartitions.
-
-    The result also holds the top-level occupation under "tail" and the
-    evolved states, one row per time, under "states".
-    """
+    """EN along a trajectory for the requested bipartitions, plus the
+    top-level occupation summed over the spins under "tail" and the
+    evolved states, one row per time, under "states"."""
     if cuts is None:
         cuts = {"tp_qubit": TP_QUBIT}
-    prop = ExactPropagator(h)
-    states = prop.evolve_grid(psi0, t_grid)
-    dims = (2, 2, n)
-    out = {name: np.empty(len(states)) for name in cuts}
-    out["tail"] = np.empty(len(states))
-    for k, psi in enumerate(states):
-        out["tail"][k] = tail_occupation(psi, n)
-        for name, (sa, sb) in cuts.items():
-            out[name][k] = en_bipartition(psi, dims, sa, sb)
+    states = ExactPropagator(h).evolve_grid(psi0, t_grid)
+    out = {name: np.array([en_bipartition(psi, (2, 2, n), sa, sb)
+                           for psi in states])
+           for name, (sa, sb) in cuts.items()}
+    out["tail"] = np.sum(np.abs(states.reshape(-1, 4, n)[:, :, -1]) ** 2, 1)
     out["states"] = states
     return out
+
+
+def tp_qubit_pt(states: np.ndarray, n: int) -> np.ndarray:
+    """Qubit-transposed TP-qubit matrices of 4N-vector states, one per row,
+    as a (T, 4, 4) stack: rho[(a, b), (a', b')] -> rho[(a, b'), (a', b)]."""
+    blocks = states.reshape(len(states), 4, n)
+    rho = blocks @ blocks.conj().swapaxes(1, 2)
+    return rho.reshape(-1, 2, 2, 2, 2).swapaxes(2, 4).reshape(-1, 4, 4)
 
 
 def trajectory(params: ModelParams, frame: SqueezedFrame,
@@ -277,10 +300,8 @@ def trajectory(params: ModelParams, frame: SqueezedFrame,
 
 @dataclass
 class ConvergenceReport:
-    """Outcome of a cutoff search: the N accepted and every N tried.
-
-    Each step holds the N tried and, once it is rejected, the reason.
-    """
+    """Outcome of a cutoff search: the N accepted and every N tried, each
+    step with the reason it was rejected, if it was."""
 
     n: int
     converged: bool
@@ -302,9 +323,10 @@ def search_cutoff(attempt, n_start: int, n_max: int, settled=None):
     is accepted.  With settled, settled(prev, cur) compares the results
     at N and 2N: it returns None when they agree, and then N and its
     result are accepted; otherwise it returns their deviation, which the
-    rejection reason quotes.  Returns (result, report) with report.n the accepted N.  Past n_max
-    raises NoConvergence carrying the report; its message names the
-    ceiling and each N tried with the reason it was rejected.
+    rejection reason quotes.  Returns (result, report) with report.n the
+    accepted N.  Past n_max raises NoConvergence carrying the report; its
+    message names the ceiling and each N tried with the reason it was
+    rejected.
     """
     report = ConvergenceReport(n=0, converged=False)
     prev = None
@@ -341,17 +363,18 @@ def search_cutoff(attempt, n_start: int, n_max: int, settled=None):
 
 
 def converge_cutoff(params: ModelParams, init: MediatorInit, t_grid,
-                    hamiltonian: str = "squeezed", en_tol: float = 1e-4,
+                    hamiltonian: str = "squeezed",
+                    en_tol: float | None = 1e-4,
                     tail_tol: float = 1e-8, n_start: int = 2,
                     n_max: int = 512) -> ConvergenceReport:
     """Smallest cutoff in a doubling schedule with a stable EN curve.
 
-    Convergence requires the TP-qubit EN curve at N and 2N to agree
-    within en_tol everywhere on the grid and the trajectory tail
-    occupation to stay below tail_tol.  The report carries the
-    trajectory's curves and states at the accepted N.  Raises
-    NoConvergence past n_max, which is the expected outcome for strongly
-    squeezed frames where the occupation scales like e^{2s}.
+    The TP-qubit EN curves at N and 2N must agree within en_tol on the
+    whole grid (with en_tol None the first N that fits is accepted) and
+    the trajectory tail stay below tail_tol.  The report carries the
+    curves and states at the accepted N.  Past n_max raises
+    NoConvergence, the expected outcome for strongly squeezed frames
+    where the occupation scales like e^{2s}.
     """
     frame = derive_squeezed_frame(params)
 
@@ -362,17 +385,17 @@ def converge_cutoff(params: ModelParams, init: MediatorInit, t_grid,
     curves, report = search_cutoff(
         lambda n: trajectory(params, frame, init, t_grid, n, hamiltonian,
                              tail_tol=tail_tol),
-        n_start, n_max, settled=deviation)
+        n_start, n_max, settled=None if en_tol is None else deviation)
     report.curves = curves
     return report
 
 
 __all__ = [
     "destroy", "coherent_vector", "displacement_matrix", "squeeze_matrix",
-    "mediator_vector", "lab_mediator_vector", "displaced_squeezed_vector",
-    "fock_overlap", "build_hamiltonian_lab", "build_hamiltonian_squeezed",
-    "prepare_initial", "ExactPropagator", "tail_occupation",
-    "en_curves", "trajectory", "ConvergenceReport", "search_cutoff",
-    "converge_cutoff", "BIPARTITIONS", "TP_QUBIT", "TP_MEDIATOR",
-    "QUBIT_MEDIATOR", "SIGMA_Z",
+    "ladder_exp", "mediator_vector", "lab_mediator_vector",
+    "displaced_squeezed_vector", "fock_overlap", "build_hamiltonian_lab",
+    "build_hamiltonian_squeezed", "prepare_initial", "ExactPropagator",
+    "en_curves", "tp_qubit_pt", "trajectory", "ConvergenceReport",
+    "search_cutoff", "converge_cutoff", "BIPARTITIONS", "TP_QUBIT",
+    "TP_MEDIATOR", "QUBIT_MEDIATOR", "SIGMA_Z",
 ]

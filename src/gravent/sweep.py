@@ -21,8 +21,7 @@ from .dynamics import (DephasingBlock, MediatorInit, dephasing_mask,
                        en_timeseries, partial_transpose_matrix)
 from .errors import (CutoffTooSmall, InsufficientPoints, InvalidAxis,
                      UnstableFrame)
-from .negativity import (log_negativity_from_partial_transpose,
-                         partial_trace, partial_transpose)
+from .negativity import log_negativity_from_partial_transpose
 from .params import DRIVE_KEYS, ModelParams, derive_squeezed_frame
 
 AXIS_NAMES = ("F", "delta", "g_a", "g_b", "gamma", "s", "t", "alpha0")
@@ -111,6 +110,13 @@ class SweepSpec:
         for name in self.bipartitions:
             if name not in fock.BIPARTITIONS:
                 raise InvalidAxis(f"bipartition {name!r} unknown")
+        mediator_cuts = set(self.bipartitions) - {"tp_qubit"}
+        for label, overrides in self.variants or (("base", {}),):
+            cell = merge_cell(self.fixed, overrides)
+            if self.backend != "analytic" and mediator_cuts and (
+                    cell.get("gamma") or cell.get("gamma_tp")):
+                raise InvalidAxis(
+                    f"Fock mediator cuts ignore the dephasing of {label!r}")
 
 
 def _known(cell: dict) -> dict:
@@ -162,6 +168,13 @@ def resolve_cell(cell: dict, time_rule: TimeRule = TimeRule()):
     return params, frame, init, deph.gamma, deph.gamma_tp, t
 
 
+def _fock_tp_qubit_en(states: np.ndarray, n: int, ts, gamma: float,
+                      gamma_tp: float) -> np.ndarray:
+    """Dephased TP-qubit EN of Fock states, one row per time of ts."""
+    return log_negativity_from_partial_transpose(
+        fock.tp_qubit_pt(states, n) * dephasing_mask(ts, gamma, gamma_tp))
+
+
 def _eval_cell(spec: SweepSpec, overrides: dict, tail_tol: float) -> dict:
     try:
         params, frame, init, gamma, gamma_tp, t = resolve_cell(
@@ -178,14 +191,11 @@ def _eval_cell(spec: SweepSpec, overrides: dict, tail_tol: float) -> dict:
     if spec.backend in ("fock", "both"):
         n = spec.fock_n
         try:
-            psi = fock.trajectory(params, frame, init, [t], n, cuts={},
-                                  tail_tol=tail_tol)["states"][0]
+            states = fock.trajectory(params, frame, init, [t], n, cuts={},
+                                     tail_tol=tail_tol)["states"]
         except CutoffTooSmall as exc:
             return {"valid": False, "note": f"Fock backend: {exc}"}
-        rho = partial_trace(psi, (2, 2, n), (0, 1)) \
-            * dephasing_mask(t, gamma, gamma_tp)
-        out["en_fock"] = log_negativity_from_partial_transpose(
-            partial_transpose(rho, (2, 2), 1))
+        out["en_fock"] = _fock_tp_qubit_en(states, n, [t], gamma, gamma_tp)[0]
         if spec.backend == "fock":
             out["en"] = out.pop("en_fock")
     return out
@@ -307,8 +317,8 @@ def timeseries_figure(spec: SweepSpec, hamiltonian: str = "squeezed",
 
     Spec must carry a single time axis.  The analytic backend contributes
     a TP-qubit column per variant; the Fock backend adds the requested
-    bipartitions (mediator cuts are only available here).  Column naming:
-    "<label>:<bipartition>:<backend>".
+    bipartitions (mediator cuts only here, for undamped variants); both
+    TP-qubit columns are dephased.  Columns: "<label>:<bipartition>:<backend>".
     """
     if len(spec.axes) != 1 or spec.axes[0].name != "t":
         raise InvalidAxis("timeseries needs the single axis 't'")
@@ -327,9 +337,11 @@ def timeseries_figure(spec: SweepSpec, hamiltonian: str = "squeezed",
                 frame, init, ts, gamma, gamma_tp)
         if spec.backend in ("fock", "both"):
             cuts = {name: fock.BIPARTITIONS[name]
-                    for name in spec.bipartitions}
+                    for name in spec.bipartitions if name != "tp_qubit"}
             data = fock.trajectory(params, frame, init, ts, spec.fock_n,
                                    hamiltonian, cuts, tail_tol)
+            data["tp_qubit"] = _fock_tp_qubit_en(
+                data["states"], spec.fock_n, ts, gamma, gamma_tp)
             for name in spec.bipartitions:
                 curves[f"{label}:{name}:fock"] = data[name]
             meta.setdefault("fock_n", spec.fock_n)

@@ -26,9 +26,7 @@ from .config import RunConfig, ValidateSection
 from .dynamics import (MediatorInit, displaced_overlap, en_at_decoupling,
                        en_timeseries, partial_transpose_matrix)
 from .errors import NoConvergence
-from .negativity import (en_bipartition,
-                         log_negativity_from_partial_transpose,
-                         partial_trace, partial_transpose)
+from .negativity import en_bipartition, log_negativity_from_partial_transpose
 from .params import ModelParams, derive_squeezed_frame
 
 # Lab-frame state preparation costs an extra squeeze on top of the frame
@@ -119,10 +117,9 @@ def check_pt_matrix(v: ValidateSection) -> CheckResult:
         def oracle(n: int) -> np.ndarray:
             # the entrywise truncation error grows like the square root of
             # the tail occupation, so the tail must sit well below pt_tol^2
-            psi = fock.trajectory(params, frame, init, [t], n, cuts={},
-                                  tail_tol=1e-14)["states"][0]
-            rho = partial_trace(psi, (2, 2, n), (0, 1))
-            return partial_transpose(rho, (2, 2), 1)
+            states = fock.trajectory(params, frame, init, [t], n, cuts={},
+                                     tail_tol=1e-14)["states"]
+            return fock.tp_qubit_pt(states, n)[0]
 
         try:
             orc, _ = fock.search_cutoff(oracle, v.fock_n, 1024)
@@ -141,8 +138,7 @@ def check_en_timeseries(params: ModelParams, init: MediatorInit,
     t_grid = np.linspace(0.0, 2.0 * frame.t_period, v.t_points)
     try:
         rep = fock.converge_cutoff(params, init, t_grid,
-                                   en_tol=en_convergence,
-                                   tail_tol=fock_tail)
+                                   en_tol=en_convergence, tail_tol=fock_tail)
     except NoConvergence as exc:
         return CheckResult("en_timeseries_analytic_vs_fock", False,
                            note=str(exc))
@@ -162,8 +158,7 @@ def check_decoupling(params: ModelParams, init: MediatorInit,
     try:
         rep = fock.converge_cutoff(params, init, t_n, tail_tol=fock_tail)
     except NoConvergence as exc:
-        return CheckResult("mediator_decoupling_at_tn", False,
-                           note=str(exc))
+        return CheckResult("mediator_decoupling_at_tn", False, note=str(exc))
     dev = float(max(en_bipartition(psi, (2, 2, rep.n), *cut)
                     for psi in rep.curves["states"]
                     for cut in (fock.TP_MEDIATOR, fock.QUBIT_MEDIATOR)))
@@ -198,17 +193,6 @@ def check_closed_form_at_tn(params: ModelParams,
                        tol=tol, note=note)
 
 
-def _stable_curves(params: ModelParams, init: MediatorInit, t_grid,
-                   fock_tail: float, n_start: int, hamiltonian: str):
-    """Oracle TP-qubit EN(t) at the first N up to 512 where nothing leaks."""
-    frame = derive_squeezed_frame(params)
-    curves, report = fock.search_cutoff(
-        lambda n: fock.trajectory(params, frame, init, t_grid, n,
-                                  hamiltonian, tail_tol=fock_tail),
-        n_start, 512)
-    return curves["tp_qubit"], report.n
-
-
 def check_epsilon_irrelevance(params: ModelParams, init: MediatorInit,
                               v: ValidateSection,
                               fock_tail: float) -> CheckResult:
@@ -222,20 +206,18 @@ def check_epsilon_irrelevance(params: ModelParams, init: MediatorInit,
     t_grid = np.linspace(0.0, 2.0 * 2.0 * math.pi / params.omega_tilde,
                          v.t_points)
     curves = []
-    n_used = 0
     for eps in (0.0, 0.1 * params.omega_tilde, params.omega_tilde):
         try:
-            curve, n_used = _stable_curves(replace(params, epsilon=eps),
-                                           init, t_grid, fock_tail,
-                                           max(v.fock_n, 96), "lab")
+            rep = fock.converge_cutoff(replace(params, epsilon=eps), init,
+                                       t_grid, "lab", None, fock_tail,
+                                       max(v.fock_n, 96))
         except NoConvergence as exc:
             return CheckResult("epsilon_irrelevance", False, note=str(exc))
-        curves.append(curve)
-    dev = float(max(np.max(np.abs(curves[0] - curves[1])),
-                    np.max(np.abs(curves[0] - curves[2]))))
+        curves.append(rep.curves["tp_qubit"])
+    dev = float(np.max(np.abs(np.array(curves[1:]) - curves[0])))
     return CheckResult("epsilon_irrelevance", dev <= v.en_tol, max_dev=dev,
                        tol=v.en_tol,
-                       note=f"N = {n_used}, lab-frame drive 0, 0.1, 1 in "
+                       note=f"N = {rep.n}, lab-frame drive 0, 0.1, 1 in "
                             "mediator units")
 
 
@@ -251,15 +233,16 @@ def check_frame_equivalence(params: ModelParams, init: MediatorInit,
                                 "(frame restriction)")
     t_grid = np.linspace(0.0, 2.0 * frame.t_period, v.t_points)
     try:
-        lab, n_lab = _stable_curves(params, init, t_grid, fock_tail,
-                                    max(v.fock_n, 128), "lab")
-        sq, n_sq = _stable_curves(params, init, t_grid, fock_tail,
-                                  v.fock_n, "squeezed")
+        lab = fock.converge_cutoff(params, init, t_grid, "lab", None,
+                                   fock_tail, max(v.fock_n, 128))
+        sq = fock.converge_cutoff(params, init, t_grid, "squeezed", None,
+                                  fock_tail, v.fock_n)
     except NoConvergence as exc:
         return CheckResult("frame_equivalence", False, note=str(exc))
-    dev = float(np.max(np.abs(lab - sq)))
+    dev = float(np.max(np.abs(lab.curves["tp_qubit"]
+                              - sq.curves["tp_qubit"])))
     return CheckResult("frame_equivalence", dev <= v.en_tol, max_dev=dev,
-                       tol=v.en_tol, note=f"N = {n_lab} lab, {n_sq} squeezed")
+                       tol=v.en_tol, note=f"N = {lab.n} lab, {sq.n} squeezed")
 
 
 def run_validation(cfg: RunConfig) -> ValidationReport:

@@ -5,6 +5,7 @@ import pytest
 
 from gravent import MediatorInit, ModelParams, derive_squeezed_frame, \
     load_preset, partial_transpose
+from gravent.fock import SIGMA_Z, destroy
 
 
 def local_rotation(m, t, omega_a, omega_b):
@@ -16,6 +17,52 @@ def local_rotation(m, t, omega_a, omega_b):
     u = np.exp(-1j * (omega_a * sigma_a + omega_b * sigma_b) * t)
     rho = partial_transpose(m, (2, 2), 1)
     return partial_transpose(u[:, None] * rho * u.conj(), (2, 2), 1)
+
+
+def _kron3(u, v, w):
+    return np.kron(np.kron(u, v), w)
+
+
+def kron_hamiltonian_lab(params, n):
+    """Dense lab-frame Hamiltonian on 2 x 2 x N, built term by term from
+    Kronecker products: the reference for the oracle's band storage."""
+    a = destroy(n)
+    ad = a.conj().T
+    x = a + ad
+    i2, inn = np.eye(2), np.eye(n)
+    return params.omega_a * _kron3(SIGMA_Z, i2, inn) \
+        + params.omega_b * _kron3(i2, SIGMA_Z, inn) \
+        + (params.omega_tilde - 2.0 * params.F) * _kron3(i2, i2, ad @ a) \
+        - params.F * _kron3(i2, i2, a @ a + ad @ ad) \
+        + params.epsilon * _kron3(i2, i2, x) \
+        + params.g_a * _kron3(SIGMA_Z, i2, x) \
+        + params.g_b * _kron3(i2, SIGMA_Z, x)
+
+
+def kron_hamiltonian_squeezed(frame, omega_a, omega_b, n):
+    """Dense squeezed-frame Hamiltonian from Kronecker products."""
+    a = destroy(n)
+    x = a + a.conj().T
+    i2, inn = np.eye(2), np.eye(n)
+    return omega_a * _kron3(SIGMA_Z, i2, inn) \
+        + omega_b * _kron3(i2, SIGMA_Z, inn) \
+        + frame.omega_s * _kron3(i2, i2, a.conj().T @ a) \
+        + frame.g_a_s * _kron3(SIGMA_Z, i2, x) \
+        + frame.g_b_s * _kron3(i2, SIGMA_Z, x)
+
+
+def band_to_dense(h):
+    """The dense 4N x 4N matrix of the oracle's (4N, 3) band storage:
+    four symmetric blocks on the diagonal, h[j, k] = H[j + k, j]."""
+    blocks = h.reshape(4, -1, 3)
+    n = blocks.shape[1]
+    dense = np.zeros((4 * n, 4 * n))
+    for b, block in enumerate(blocks):
+        for k in range(3):
+            for j in range(n - k):
+                dense[b * n + j + k, b * n + j] = block[j, k]
+                dense[b * n + j, b * n + j + k] = block[j, k]
+    return dense
 
 
 @pytest.fixture(scope="session")

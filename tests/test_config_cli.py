@@ -266,16 +266,36 @@ class TestConfigBoundary:
         ("<config>.sweep.axes", {"sweep": {"axes": [
             {"name": "F", "start": 0.0, "stop": 0.1, "count": 3},
             {"name": "s", "start": 0.0, "stop": 0.5, "count": 3}]}}),
+        ("<config>.dynamics.bipartitions", {
+            "dephasing": {"gamma": 0.1},
+            "dynamics": {"t_stop": 1.0, "points": 5, "backend": "fock",
+                         "bipartitions": ["tp_qubit", "tp_mediator"]}}),
+        ("<config>.dynamics.bipartitions", {"dynamics": {
+            "t_stop": 1.0, "points": 5, "backend": "both",
+            "bipartitions": ["qubit_mediator"],
+            "variants": [["ok", {}], ["v", {"gamma_tp": 0.2}]]}}),
     ], ids=["negative-drive", "seed", "t_points", "fock_n",
             "float-overflow", "dynamics.fock_n", "sweep.fock_n",
             "variant-xi_mag", "variant-delta", "variant-unknown-key",
             "variant-unstable", "sweep-axis-F", "sweep-axis-gamma",
             "rate-variant-gamma_tp", "rate-axis-gamma", "rate-axis-name",
-            "rate-axis-count", "sweep-three-axes", "sweep-two-drives"])
+            "rate-axis-count", "sweep-three-axes", "sweep-two-drives",
+            "dephased-mediator-cut", "variant-dephased-mediator-cut"])
     def test_out_of_domain_values_name_the_field(self, field, edit):
         with pytest.raises(ConfigError) as exc:
             parse_config(cfg_with(**edit))
         assert exc.value.path == field
+
+    @pytest.mark.parametrize("dynamics", [
+        {"t_stop": 1.0, "points": 5, "backend": "fock"},
+        {"t_stop": 1.0, "points": 5, "backend": "analytic",
+         "bipartitions": ["tp_qubit", "tp_mediator"]},
+        {"t_stop": 1.0, "points": 5, "backend": "both",
+         "bipartitions": ["tp_qubit", "tp_mediator"],
+         "variants": [["undamped", {"gamma": 0.0, "gamma_tp": 0.0}]]},
+    ], ids=["tp_qubit-only", "analytic-backend", "undamped-variant"])
+    def test_dephasing_without_a_fock_mediator_cut_parses(self, dynamics):
+        parse_config(cfg_with(dephasing={"gamma": 0.1}, dynamics=dynamics))
 
     def test_axis_past_the_instability_parses(self):
         cfg = parse_config(cfg_with(sweep={"axes": [

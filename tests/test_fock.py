@@ -1,14 +1,18 @@
-"""Dense Fock-space oracle: operators, state prep, evolution, convergence."""
+"""Fock-space oracle: operators, state prep, evolution, convergence."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import (band_to_dense, kron_hamiltonian_lab,
+                      kron_hamiltonian_squeezed)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gravent import (CutoffTooSmall, DimensionMismatch, MediatorInit,
                      ModelParams, NoConvergence, derive_squeezed_frame,
-                     displaced_overlap)
+                     displaced_overlap, partial_trace, partial_transpose)
 from gravent import fock
 
 
@@ -44,6 +48,46 @@ class TestOperators:
         got = fock.displacement_matrix(alpha, 40) @ vac
         want, _ = fock.coherent_vector(alpha, 40)
         assert np.allclose(got, want, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.sampled_from([1, 2]), n=st.integers(1, 40),
+           z=st.one_of(st.just(0j),
+                       st.complex_numbers(max_magnitude=2.0,
+                                          allow_nan=False,
+                                          allow_infinity=False)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(k=1, n=1, z=0.7 - 0.2j, seed=0)
+    @example(k=2, n=2, z=-1.1j, seed=1)
+    @example(k=2, n=1, z=0j, seed=2)
+    def test_ladder_exp_equals_dense_expm(self, k, n, z, seed):
+        rng = np.random.default_rng(seed)
+        vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+        vec /= np.linalg.norm(vec)
+        ak = np.linalg.matrix_power(fock.destroy(n), k)
+        want = scipy.linalg.expm(z * ak.conj().T - np.conj(z) * ak) @ vec
+        got = fock.ladder_exp(z, k, vec)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_ladder_exp_is_the_dense_displacement_and_squeeze(self):
+        rng = np.random.default_rng(3)
+        vec = rng.normal(size=30) + 1j * rng.normal(size=30)
+        alpha, xi = 0.4 - 0.7j, 0.5 * np.exp(1.2j)
+        assert np.allclose(fock.ladder_exp(alpha, 1, vec),
+                           fock.displacement_matrix(alpha, 30) @ vec,
+                           atol=1e-12)
+        assert np.allclose(fock.ladder_exp(-0.5 * xi, 2, vec),
+                           fock.squeeze_matrix(xi, 30) @ vec, atol=1e-12)
+
+    def test_oracle_prepares_states_without_expm(self, monkeypatch):
+        def no_expm(*args, **kwargs):
+            raise AssertionError("dense expm called")
+
+        monkeypatch.setattr(fock, "expm", no_expm)
+        params = ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.05)
+        frame = derive_squeezed_frame(params)
+        init = MediatorInit(alpha0=0.5 + 0.2j, xi_mag=0.3, theta=1.0)
+        fock.fock_overlap(0.3, -0.4j, init)
+        fock.trajectory(params, frame, init, [0.0, 1.0], 64, "lab")
 
 
 class TestStatePrep:
@@ -115,6 +159,8 @@ class TestOverlapOracle:
 
 @pytest.fixture(scope="module")
 def trajectory():
+    """A squeezed-frame run at N = 48, with the dense kron-built reference
+    Hamiltonian alongside the band storage the oracle evolves under."""
     params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.1)
     frame = derive_squeezed_frame(params)
     n = 48
@@ -122,7 +168,44 @@ def trajectory():
     psi0 = fock.prepare_initial(MediatorInit(), n, frame)
     ts = np.linspace(0.0, 2.0 * frame.t_period, 25)
     states = fock.ExactPropagator(h).evolve_grid(psi0, ts)
-    return h, psi0, ts, states
+    dense = kron_hamiltonian_squeezed(frame, 0.0, 0.0, n)
+    return dense, psi0, ts, states
+
+
+def _band_cases():
+    params = ModelParams.dimensionless(g_a=0.02, g_b=0.8, F=0.12,
+                                       epsilon=0.3, omega_a=0.1,
+                                       omega_b=0.2)
+    frame = derive_squeezed_frame(params)
+    for n in (1, 2, 3, 20):
+        yield (f"lab-{n}", fock.build_hamiltonian_lab(params, n),
+               kron_hamiltonian_lab(params, n))
+        yield (f"squeezed-{n}",
+               fock.build_hamiltonian_squeezed(frame, 0.1, 0.2, n),
+               kron_hamiltonian_squeezed(frame, 0.1, 0.2, n))
+
+
+class TestBandHamiltonians:
+    @pytest.mark.parametrize("band,ref", [
+        pytest.param(band, ref, id=label)
+        for label, band, ref in _band_cases()])
+    def test_band_equals_the_kron_reference(self, band, ref):
+        n = ref.shape[0] // 4
+        assert band.shape == (4 * n, 3)
+        dense = band_to_dense(band)
+        # same terms summed in another order: equal up to float64 rounding
+        assert np.array_equal(dense != 0, ref != 0)
+        np.testing.assert_allclose(dense, ref.real, rtol=1e-15, atol=0)
+        assert not np.any(ref.imag)
+
+    def test_squeezed_blocks_are_tridiagonal(self):
+        frame = derive_squeezed_frame(
+            ModelParams.dimensionless(g_a=0.02, g_b=0.8, F=0.12))
+        h = fock.build_hamiltonian_squeezed(frame, 0.1, 0.2, 16)
+        assert not np.any(h[:, 2])
+        lab = fock.build_hamiltonian_lab(
+            ModelParams.dimensionless(g_a=0.02, g_b=0.8, F=0.12), 16)
+        assert np.all(lab.reshape(4, 16, 3)[:, :-2, 2] < 0.0)
 
 
 class TestEvolution:
@@ -144,21 +227,74 @@ class TestEvolution:
             single = scipy.linalg.expm(-1j * h * ts[k]) @ psi0
             assert np.allclose(single, states[k], atol=1e-12)
 
-    def test_evolve_guard_checks_shape(self):
+    @pytest.mark.parametrize("frame_name", ["lab", "squeezed"])
+    def test_evolve_grid_matches_expm_of_the_reference(self, frame_name):
+        params = ModelParams.dimensionless(g_a=0.05, g_b=0.7, F=0.08,
+                                           epsilon=0.2, omega_a=0.3,
+                                           omega_b=0.1)
+        frame = derive_squeezed_frame(params)
+        n = 24
+        if frame_name == "lab":
+            band = fock.build_hamiltonian_lab(params, n)
+            ref = kron_hamiltonian_lab(params, n)
+        else:
+            band = fock.build_hamiltonian_squeezed(frame, 0.3, 0.1, n)
+            ref = kron_hamiltonian_squeezed(frame, 0.3, 0.1, n)
+        rng = np.random.default_rng(7)
+        psi0 = rng.normal(size=4 * n) + 1j * rng.normal(size=4 * n)
+        psi0 /= np.linalg.norm(psi0)
+        ts = np.array([0.0, 0.4, 3.0, 11.0])
+        states = fock.ExactPropagator(band).evolve_grid(psi0, ts)
+        assert states.shape == (4, 4 * n)
+        for t, psi in zip(ts, states):
+            want = scipy.linalg.expm(-1j * ref * t) @ psi0
+            assert np.max(np.abs(psi - want)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(3, 4), (8, 8), (8, 2), (6, 3),
+                                       (0, 3), (12,)])
+    def test_evolve_guard_checks_shape(self, shape):
         with pytest.raises(DimensionMismatch):
-            fock.ExactPropagator(np.zeros((3, 4)))
+            fock.ExactPropagator(np.zeros(shape))
+
+    def test_block_spectra_and_vectors(self):
+        params = ModelParams.dimensionless(g_a=0.02, g_b=0.8, F=0.12)
+        band = fock.build_hamiltonian_lab(params, 10)
+        prop = fock.ExactPropagator(band)
+        assert prop.w.shape == (4, 10)
+        assert prop.v.shape == (4, 10, 10)
+        want = np.linalg.eigvalsh(kron_hamiltonian_lab(params, 10))
+        np.testing.assert_allclose(np.sort(prop.w.ravel()), want,
+                                   atol=1e-12)
 
     def test_hamiltonians_are_hermitian(self):
+        """The band holds the lower triangle of each block; the reference's
+        upper triangle must mirror it."""
         params = ModelParams.dimensionless(g_a=0.02, g_b=0.8, F=0.12,
                                            epsilon=0.3, omega_a=0.1,
                                            omega_b=0.2)
         frame = derive_squeezed_frame(params)
-        for h in (fock.build_hamiltonian_lab(params, 20),
-                  fock.build_hamiltonian_squeezed(frame, 0.1, 0.2, 20)):
-            assert np.allclose(h, h.conj().T, atol=1e-12)
+        for band, ref in ((fock.build_hamiltonian_lab(params, 20),
+                           kron_hamiltonian_lab(params, 20)),
+                          (fock.build_hamiltonian_squeezed(frame, 0.1, 0.2,
+                                                           20),
+                           kron_hamiltonian_squeezed(frame, 0.1, 0.2, 20))):
+            assert np.isrealobj(band)
+            assert np.allclose(ref, ref.conj().T, atol=1e-12)
+            lower = np.tril(band_to_dense(band))
+            np.testing.assert_allclose(lower.T, np.triu(ref).real,
+                                       rtol=1e-15, atol=0)
 
 
 class TestEnCurves:
+    def test_tp_qubit_pt_is_the_reduced_partial_transpose(self):
+        rng = np.random.default_rng(11)
+        n = 6
+        states = rng.normal(size=(3, 4 * n)) + 1j * rng.normal(size=(3, 4 * n))
+        for psi, got in zip(states, fock.tp_qubit_pt(states, n)):
+            rho = partial_trace(psi, (2, 2, n), (0, 1))
+            want = partial_transpose(rho, (2, 2), 1)
+            assert np.allclose(got, want, rtol=0, atol=1e-13)
+
     def test_requested_cuts_plus_tail(self):
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
         frame = derive_squeezed_frame(params)

@@ -88,6 +88,17 @@ class TestSweepSpec:
                       bipartitions=("tp_tp",))
 
 
+    @pytest.mark.parametrize("fixed,variants", [
+        (dict(BASE, F=0.0, gamma=0.1), ()),
+        (dict(BASE, F=0.0), (("a", {}), ("b", {"gamma_tp": 0.05}))),
+    ])
+    def test_fock_mediator_cuts_refuse_dephasing(self, fixed, variants):
+        with pytest.raises(InvalidAxis, match="dephasing"):
+            SweepSpec(axes=(AxisSpec("t", 0.0, 1.0, 3),), fixed=fixed,
+                      backend="fock", variants=variants,
+                      bipartitions=("tp_qubit", "tp_mediator"))
+
+
 class TestMergeCell:
     def test_plain_overlay(self):
         assert merge_cell({"g_a": 1, "gamma": 0}, {"gamma": 2}) == \
@@ -304,6 +315,32 @@ class TestTimeseriesFigure:
         dev = np.max(np.abs(res.curves["base:tp_qubit:analytic"]
                             - res.curves["base:tp_qubit:fock"]))
         assert dev < 1e-3
+
+    def test_fock_columns_carry_the_dephasing(self):
+        """g_a = 0.3, g_b = 1, F = 0.1, gamma = 0.2: at t_1 and 2 t_1 the
+        Fock column follows the damped analytic EN, not its undamped
+        values 0.5779 and 0.8933."""
+        fixed = dict(BASE, g_a=0.3, F=0.1, gamma=0.2)
+        t_1 = resolve_cell(fixed)[1].decoupling_time(1)
+        spec = SweepSpec(axes=(AxisSpec("t", 0.0, 2.0 * t_1, 3),),
+                         fixed=fixed, backend="both", fock_n=64)
+        res = timeseries_figure(spec)
+        ana = res.curves["base:tp_qubit:analytic"][1:]
+        assert ana == pytest.approx([0.0784, 0.0412], abs=1e-4)
+        dev = np.abs(res.curves["base:tp_qubit:fock"][1:] - ana)
+        assert np.max(dev) <= 1e-3
+
+    def test_fock_sweep_cell_and_column_share_the_damping(self):
+        fixed = dict(BASE, g_a=0.3, F=0.1, gamma=0.2, gamma_tp=0.05)
+        t_1 = resolve_cell(fixed)[1].decoupling_time(1)
+        column = timeseries_figure(SweepSpec(
+            axes=(AxisSpec("t", 0.0, t_1, 2),), fixed=fixed,
+            backend="fock", fock_n=64)).curves["base:tp_qubit:fock"][1]
+        cells = run_sweep(SweepSpec(
+            axes=(AxisSpec("gamma", 0.0, 0.2, 2),), fixed=fixed,
+            time_rule=TimeRule("fixed", t=t_1), backend="fock", fock_n=64))
+        assert cells.en[1] == pytest.approx(column, abs=1e-12)
+        assert cells.en[0] > column
 
     def test_variants_can_switch_drive_source(self):
         spec = SweepSpec(axes=(AxisSpec("t", 0.0, 6.0, 7),),
