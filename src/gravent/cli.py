@@ -96,9 +96,6 @@ def cmd_feasibility(cfg: RunConfig, args) -> int:
 
 
 def cmd_dynamics(cfg: RunConfig, args) -> int:
-    if cfg.dynamics is None:
-        raise ConfigError(f"{cfg.label}.dynamics",
-                          "this command needs a dynamics section")
     d = cfg.dynamics
     result = timeseries_figure(dynamics_spec(cfg), hamiltonian=d.hamiltonian,
                                tail_tol=cfg.tolerances.fock_tail)
@@ -113,9 +110,6 @@ def cmd_dynamics(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    if cfg.sweep is None:
-        raise ConfigError(f"{cfg.label}.sweep",
-                          "this command needs a sweep section")
     sw = cfg.sweep
     spec = SweepSpec(axes=sw.axes,
                      fixed=merge_cell(base_cell(cfg), {}, sw.axes),
@@ -138,9 +132,6 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_rate(cfg: RunConfig, args) -> int:
-    if cfg.rate is None:
-        raise ConfigError(f"{cfg.label}.rate",
-                          "this command needs a rate section")
     r = cfg.rate
     base = base_cell(cfg)
     results = {}
@@ -173,13 +164,15 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     return 0 if report.all_pass else 1
 
 
+# each command with its help text and the config section it needs, if any
 _COMMANDS = {
     "feasibility": (cmd_feasibility,
-                    "derive SI rates, regime checks, EN window"),
-    "dynamics": (cmd_dynamics, "EN time series per bipartition"),
-    "sweep": (cmd_sweep, "EN over a 1D/2D parameter grid"),
-    "rate": (cmd_rate, "entanglement generation rate dEN/dg"),
-    "validate": (cmd_validate, "closed form vs Fock oracle cross-checks"),
+                    "derive SI rates, regime checks, EN window", None),
+    "dynamics": (cmd_dynamics, "EN time series per bipartition", "dynamics"),
+    "sweep": (cmd_sweep, "EN over a 1D/2D parameter grid", "sweep"),
+    "rate": (cmd_rate, "entanglement generation rate dEN/dg", "rate"),
+    "validate": (cmd_validate, "closed form vs Fock oracle cross-checks",
+                 None),
 }
 
 
@@ -189,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement between a two-level test particle and a "
                     "qubit mediated by a squeezed mechanical oscillator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", type=Path,
                         help="path to a JSON run configuration")
@@ -211,7 +204,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config \
             else load_preset(args.preset)
-        return _COMMANDS[args.command][0](cfg, args)
+        command, _, section = _COMMANDS[args.command]
+        if section and getattr(cfg, section) is None:
+            raise ConfigError(f"{cfg.label}.{section}",
+                              f"this command needs a {section} section")
+        return command(cfg, args)
     except GraventError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,12 @@ S(xi) are applied by `ladder_exp`; both exponentiate the same truncated
 matrices a dense `expm` would.
 
 Basis ordering: index = tp * (2 * N) + qubit * N + n with tp in {0: |R>,
-1: |L>}, qubit in {0: |0>, 1: |1>}, n the Fock level.  This makes the
-reduced TP-qubit matrix come out directly in the |R,0>, |R,1>, |L,0>,
-|L,1> order used by the analytic module.
+1: |L>}, qubit in {0: |0>, 1: |1>}, n the Fock level.  `cut_pt` reduces
+a stack of states to any bipartition at once: the TP-qubit matrix is the
+4 x 4 Gram matrix of the four spin blocks, in the |R,0>, |R,1>, |L,0>,
+|L,1> order of the analytic module; the mediator cuts first map the
+mediator onto the span of those blocks by a batched QR, a local isometry
+that leaves EN unchanged, so no cut is larger than 8 x 8.
 
 The truncation budget is what limits this oracle: a frame squeezing
 parameter s enlarges the initial occupation like e^{2s} (and like e^{4s}
@@ -41,7 +44,7 @@ from scipy.linalg import eig_banded, expm
 from .dynamics import MediatorInit
 from .errors import CutoffTooSmall, DimensionMismatch, EigenFailure, \
     NoConvergence
-from .negativity import en_bipartition
+from .negativity import log_negativity_from_partial_transpose
 from .params import ModelParams, SqueezedFrame, derive_squeezed_frame
 
 # sigma_a^z = |L><L| - |R><R| in basis [R, L]; sigma_b^z likewise in [0, 1]
@@ -49,12 +52,10 @@ SIGMA_Z = np.diag([-1.0, 1.0])
 # sigma_a^z and sigma_b^z on the spin blocks |R,0>, |R,1>, |L,0>, |L,1>
 _SZ_A, _SZ_B = np.repeat(np.diag(SIGMA_Z), 2), np.tile(np.diag(SIGMA_Z), 2)
 
-TP_QUBIT = ((0,), (1,))
-TP_MEDIATOR = ((0,), (2,))
-QUBIT_MEDIATOR = ((1,), (2,))
-
-BIPARTITIONS = {"tp_qubit": TP_QUBIT, "tp_mediator": TP_MEDIATOR,
-                "qubit_mediator": QUBIT_MEDIATOR}
+# each cut as axes of a (T, tp, qubit, mediator) stack of states: the side
+# kept, the side transposed and the subsystem traced out
+BIPARTITIONS = {"tp_qubit": (1, 2, 3), "tp_mediator": (1, 3, 2),
+                "qubit_mediator": (2, 3, 1)}
 
 
 def destroy(n: int) -> np.ndarray:
@@ -103,7 +104,7 @@ def ladder_exp(z: complex, k: int, vec: np.ndarray) -> np.ndarray:
     k = 1, S(-2z) for k = 2.  With E = diag((-i z/|z|)^(m // k)) the
     generator is E (i|z| B) E^dag, B = U diag(w) U^T of `_ladder_modes`."""
     vec = np.asarray(vec, complex)
-    if z == 0:
+    if abs(z) < np.finfo(float).tiny:  # z / |z| is no phase for subnormals
         return vec.copy()
     w, u = _ladder_modes(len(vec), k)
     e = (-1j * z / abs(z)) ** (np.arange(len(vec)) // k)
@@ -123,9 +124,14 @@ def _squeezed_coherent(init: MediatorInit, n: int,
     return ladder_exp(-0.5 * init.xi(frame), 2, coh)
 
 
+def _edge(blocks: np.ndarray) -> np.ndarray:
+    """Occupation of the top two Fock levels of (..., N) mediator blocks."""
+    return np.sum(np.abs(blocks[..., -2:]) ** 2, axis=-1)
+
+
 def _fits(vec: np.ndarray, n: int, tail_tol: float, what: str) -> np.ndarray:
     """vec, unless its top two Fock levels hold more than tail_tol."""
-    edge = float(np.sum(np.abs(vec[-2:]) ** 2))
+    edge = float(_edge(vec))
     if edge > tail_tol:
         raise CutoffTooSmall(f"{what} leaks at N = {n}", edge)
     return vec
@@ -153,12 +159,13 @@ def lab_mediator_vector(init: MediatorInit, frame: SqueezedFrame, n: int,
     return vec / np.linalg.norm(vec)
 
 
-def displaced_squeezed_vector(shift: complex, init: MediatorInit, n: int,
+def displaced_squeezed_vector(shifts, init: MediatorInit, n: int,
                               frame: SqueezedFrame | None = None,
-                              tail_tol: float = 1e-10) -> np.ndarray:
-    """D(shift) S(xi) |alpha0> by ladder exponentials on the cutoff."""
+                              tail_tol: float = 1e-10) -> list[np.ndarray]:
+    """D(shift) S(xi) |alpha0> on the cutoff for each of shifts."""
     vec = _squeezed_coherent(init, n, frame, tail_tol)
-    return _fits(ladder_exp(shift, 1, vec), n, tail_tol, "displaced state")
+    return [_fits(ladder_exp(shift, 1, vec), n, tail_tol, "displaced state")
+            for shift in shifts]
 
 
 def fock_overlap(a_i: complex, a_j: complex, init: MediatorInit,
@@ -168,8 +175,8 @@ def fock_overlap(a_i: complex, a_j: complex, init: MediatorInit,
     """Inner product <a_i, zeta | a_j, zeta> by brute truncation, the
     cutoff doubling until both vectors pass the tail criterion."""
     def attempt(n: int) -> complex:
-        vi = displaced_squeezed_vector(a_i, init, n, frame, tail_tol)
-        vj = displaced_squeezed_vector(a_j, init, n, frame, tail_tol)
+        vi, vj = displaced_squeezed_vector((a_i, a_j), init, n, frame,
+                                           tail_tol)
         return complex(np.vdot(vi, vj))
 
     overlap, _ = search_cutoff(attempt, n_start, n_max)
@@ -245,34 +252,35 @@ class ExactPropagator:
         return states.transpose(1, 0, 2).reshape(ts.size, 4 * n)
 
 
+def cut_pt(states: np.ndarray, n: int, cut: str) -> np.ndarray:
+    """(T, d, d) stack of the reduced matrices of 4N-vector states, one per
+    row, across a cut of BIPARTITIONS, its second side transposed."""
+    x = states.reshape(len(states), 4, n)
+    if cut != "tp_qubit":  # mediator coordinates on its support: R of QR
+        x = np.linalg.qr(x.swapaxes(1, 2), mode="r").swapaxes(1, 2)
+    psi = x.reshape(len(x), 2, 2, x.shape[2]).transpose(0, *BIPARTITIONS[cut])
+    d = psi.shape[2]
+    m = psi.reshape(len(x), 2 * d, psi.shape[3])
+    rho = (m @ m.conj().swapaxes(1, 2)).reshape(-1, 2, d, 2, d)
+    return rho.swapaxes(2, 4).reshape(len(x), 2 * d, 2 * d)
+
+
 def en_curves(h: np.ndarray, psi0: np.ndarray, t_grid, n: int,
-              cuts: dict[str, tuple] | None = None) -> dict[str, np.ndarray]:
-    """EN along a trajectory for the requested bipartitions, plus the
-    top-level occupation summed over the spins under "tail" and the
-    evolved states, one row per time, under "states"."""
-    if cuts is None:
-        cuts = {"tp_qubit": TP_QUBIT}
+              cuts: tuple[str, ...] = ("tp_qubit",)) -> dict[str, np.ndarray]:
+    """EN along a trajectory for each of cuts, plus the states under
+    "states" and their top-two-level occupation under "tail", per time."""
     states = ExactPropagator(h).evolve_grid(psi0, t_grid)
-    out = {name: np.array([en_bipartition(psi, (2, 2, n), sa, sb)
-                           for psi in states])
-           for name, (sa, sb) in cuts.items()}
-    out["tail"] = np.sum(np.abs(states.reshape(-1, 4, n)[:, :, -1]) ** 2, 1)
+    out = {cut: log_negativity_from_partial_transpose(cut_pt(states, n, cut))
+           for cut in cuts}
+    out["tail"] = _edge(states.reshape(-1, 4, n)).sum(1)
     out["states"] = states
     return out
-
-
-def tp_qubit_pt(states: np.ndarray, n: int) -> np.ndarray:
-    """Qubit-transposed TP-qubit matrices of 4N-vector states, one per row,
-    as a (T, 4, 4) stack: rho[(a, b), (a', b')] -> rho[(a, b'), (a', b)]."""
-    blocks = states.reshape(len(states), 4, n)
-    rho = blocks @ blocks.conj().swapaxes(1, 2)
-    return rho.reshape(-1, 2, 2, 2, 2).swapaxes(2, 4).reshape(-1, 4, 4)
 
 
 def trajectory(params: ModelParams, frame: SqueezedFrame,
                init: MediatorInit, t_grid, n: int,
                hamiltonian: str = "squeezed",
-               cuts: dict[str, tuple] | None = None,
+               cuts: tuple[str, ...] = ("tp_qubit",),
                tail_tol: float = 1e-8) -> dict[str, np.ndarray]:
     """One oracle run at cutoff n: the en_curves of the prepared state.
 
@@ -280,7 +288,7 @@ def trajectory(params: ModelParams, frame: SqueezedFrame,
     state under the stiff oscillator, "lab" maps the state to the lab
     mode and evolves it under the full driven Hamiltonian.  Raises
     CutoffTooSmall when the initial state, or the state at any time of
-    t_grid, holds more than tail_tol in the top Fock level.
+    t_grid, holds more than tail_tol in the top two Fock levels.
     """
     if hamiltonian not in ("squeezed", "lab"):
         raise ValueError("hamiltonian must be 'squeezed' or 'lab'")
@@ -395,7 +403,6 @@ __all__ = [
     "ladder_exp", "mediator_vector", "lab_mediator_vector",
     "displaced_squeezed_vector", "fock_overlap", "build_hamiltonian_lab",
     "build_hamiltonian_squeezed", "prepare_initial", "ExactPropagator",
-    "en_curves", "tp_qubit_pt", "trajectory", "ConvergenceReport",
-    "search_cutoff", "converge_cutoff", "BIPARTITIONS", "TP_QUBIT",
-    "TP_MEDIATOR", "QUBIT_MEDIATOR", "SIGMA_Z",
+    "cut_pt", "en_curves", "trajectory", "ConvergenceReport",
+    "search_cutoff", "converge_cutoff", "BIPARTITIONS", "SIGMA_Z",
 ]

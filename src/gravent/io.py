@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, config_hash
 
 
@@ -67,7 +69,6 @@ def write_json(path: Path, info: dict, payload: dict) -> Path:
 
 
 def _json_default(obj):
-    import numpy as np
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -102,8 +103,6 @@ def write_timeseries(outdir: Path, stem: str, result, info: dict):
 
 def write_sweep(outdir: Path, stem: str, result, info: dict):
     """One CSV row per grid cell plus a JSON dump of the full result."""
-    import numpy as np
-
     outdir = Path(outdir)
     axis_names = [ax.name for ax in result.spec.axes]
     extra_names = list(result.extras)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .constants import G, HBAR, K_E
 from .errors import NegativeSquaredFrequency, UnstableFrame
@@ -297,9 +297,7 @@ class RegimeCheck:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "value": self.value,
-                "limit": self.limit, "margin": self.margin,
-                "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

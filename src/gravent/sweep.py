@@ -172,7 +172,8 @@ def _fock_tp_qubit_en(states: np.ndarray, n: int, ts, gamma: float,
                       gamma_tp: float) -> np.ndarray:
     """Dephased TP-qubit EN of Fock states, one row per time of ts."""
     return log_negativity_from_partial_transpose(
-        fock.tp_qubit_pt(states, n) * dephasing_mask(ts, gamma, gamma_tp))
+        fock.cut_pt(states, n, "tp_qubit")
+        * dephasing_mask(ts, gamma, gamma_tp))
 
 
 def _eval_cell(spec: SweepSpec, overrides: dict, tail_tol: float) -> dict:
@@ -191,7 +192,7 @@ def _eval_cell(spec: SweepSpec, overrides: dict, tail_tol: float) -> dict:
     if spec.backend in ("fock", "both"):
         n = spec.fock_n
         try:
-            states = fock.trajectory(params, frame, init, [t], n, cuts={},
+            states = fock.trajectory(params, frame, init, [t], n, cuts=(),
                                      tail_tol=tail_tol)["states"]
         except CutoffTooSmall as exc:
             return {"valid": False, "note": f"Fock backend: {exc}"}
@@ -216,7 +217,7 @@ def run_sweep(spec: SweepSpec, tail_tol: float = 1e-8) -> SweepResult:
     """Evaluate EN over the grid; deterministic for a fixed spec.
 
     A Fock cell is invalid once its state holds more than tail_tol in
-    the top Fock level.
+    the top two Fock levels.
     """
     axes_vals = tuple(ax.values() for ax in spec.axes)
     shape = tuple(len(v) for v in axes_vals)
@@ -336,8 +337,8 @@ def timeseries_figure(spec: SweepSpec, hamiltonian: str = "squeezed",
             curves[f"{label}:tp_qubit:analytic"] = en_timeseries(
                 frame, init, ts, gamma, gamma_tp)
         if spec.backend in ("fock", "both"):
-            cuts = {name: fock.BIPARTITIONS[name]
-                    for name in spec.bipartitions if name != "tp_qubit"}
+            cuts = tuple(name for name in spec.bipartitions
+                         if name != "tp_qubit")
             data = fock.trajectory(params, frame, init, ts, spec.fock_n,
                                    hamiltonian, cuts, tail_tol)
             data["tp_qubit"] = _fock_tp_qubit_en(

@@ -26,7 +26,7 @@ from .config import RunConfig, ValidateSection
 from .dynamics import (MediatorInit, displaced_overlap, en_at_decoupling,
                        en_timeseries, partial_transpose_matrix)
 from .errors import NoConvergence
-from .negativity import en_bipartition, log_negativity_from_partial_transpose
+from .negativity import log_negativity_from_partial_transpose
 from .params import ModelParams, derive_squeezed_frame
 
 # Lab-frame state preparation costs an extra squeeze on top of the frame
@@ -45,9 +45,7 @@ class CheckResult:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "skipped": self.skipped, "max_dev": self.max_dev,
-                "tol": self.tol, "note": self.note}
+        return asdict(self)
 
 
 @dataclass
@@ -117,9 +115,9 @@ def check_pt_matrix(v: ValidateSection) -> CheckResult:
         def oracle(n: int) -> np.ndarray:
             # the entrywise truncation error grows like the square root of
             # the tail occupation, so the tail must sit well below pt_tol^2
-            states = fock.trajectory(params, frame, init, [t], n, cuts={},
+            states = fock.trajectory(params, frame, init, [t], n, cuts=(),
                                      tail_tol=1e-14)["states"]
-            return fock.tp_qubit_pt(states, n)[0]
+            return fock.cut_pt(states, n, "tp_qubit")[0]
 
         try:
             orc, _ = fock.search_cutoff(oracle, v.fock_n, 1024)
@@ -159,9 +157,9 @@ def check_decoupling(params: ModelParams, init: MediatorInit,
         rep = fock.converge_cutoff(params, init, t_n, tail_tol=fock_tail)
     except NoConvergence as exc:
         return CheckResult("mediator_decoupling_at_tn", False, note=str(exc))
-    dev = float(max(en_bipartition(psi, (2, 2, rep.n), *cut)
-                    for psi in rep.curves["states"]
-                    for cut in (fock.TP_MEDIATOR, fock.QUBIT_MEDIATOR)))
+    dev = max(float(np.max(log_negativity_from_partial_transpose(
+        fock.cut_pt(rep.curves["states"], rep.n, cut))))
+        for cut in ("tp_mediator", "qubit_mediator"))
     return CheckResult("mediator_decoupling_at_tn", dev <= v.en_tol,
                        max_dev=dev, tol=v.en_tol,
                        note=f"N = {rep.n}, first two decoupling times")

@@ -113,8 +113,7 @@ class TestOracleEquivalence:
         h = fock.build_hamiltonian_squeezed(frame, 0.0, 0.0, n)
         psi0 = fock.prepare_initial(init, n, frame)
         curves = fock.en_curves(h, psi0, t_n, n,
-                                {"tp_mediator": fock.TP_MEDIATOR,
-                                 "qubit_mediator": fock.QUBIT_MEDIATOR})
+                                ("tp_mediator", "qubit_mediator"))
         assert curves["tp_mediator"].max() < 1e-3
         assert curves["qubit_mediator"].max() < 1e-3
 

@@ -459,6 +459,24 @@ class TestCliDynamics:
                    str(tmp_path / "out")])
         assert rc == 2
 
+    def test_even_level_leak_fails_the_run(self, tmp_path, capsys):
+        """Without couplings the squeezed vacuum evolves under a
+        parity-conserving lab Hamiltonian and never fills the odd top
+        level N - 1 = 23; the even level 22 holds the leak."""
+        data = serialize_config(load_preset("fig6"))
+        data["system"].update(g_a=0.0, g_b=0.0,
+                              F=(1.0 - math.exp(-2.0)) / 4.0)
+        data["mediator"].update(alpha0=0.0, xi_mag=1.0, theta=0.0)
+        data["dynamics"].update(fock_n=24,
+                                variants=[["eps=0", {"epsilon": 0.0}]])
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        rc = main(["dynamics", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 2
+        assert "trajectory leaks at N = 24 (tail mass 3.6" in \
+            capsys.readouterr().err
+
 
 class TestCliSweep:
     def test_grid_outputs(self, tmp_path):
@@ -488,7 +506,8 @@ class TestCliSweep:
 
 
     def test_fock_tail_tolerance_reaches_the_cells(self, tmp_path):
-        # at F = 0.2 the N = 64 trajectory leaks 2.2e-4 into its top level
+        # at F = 0.2 the N = 64 trajectory leaks 7.6e-4 into its top two
+        # levels
         valid = {}
         for tail in (1e-8, 1e-3):
             cfg_path = tmp_path / "run.json"
@@ -591,6 +610,32 @@ class TestCliValidate:
                 f"no cutoff up to the ceiling N = {ceiling} passes (")
             assert "no room at N = " in check["note"]
         assert by_name["closed_form_at_tn"]["passed"]
+
+    def test_sec5_feasibility_outcomes_are_pinned(self, tmp_path):
+        """At s = 6.965 the Fock oracle fails where it cannot reach and
+        the lab-frame checks skip; turning a failure into a skip must be
+        a deliberate edit of this test."""
+        rc = main(["validate", "--preset", "sec5-feasibility", "--out",
+                   str(tmp_path / "out")])
+        assert rc == 1
+        blob = json.loads((tmp_path / "out"
+                           / "sec5-feasibility_validate.json").read_text())
+        outcome = {c["name"]: ("skip" if c["skipped"] else
+                               "pass" if c["passed"] else "fail")
+                   for c in blob["checks"]}
+        assert outcome == {
+            "overlap_closed_form_vs_fock": "pass",
+            "pt_matrix_vs_fock": "pass",
+            "en_timeseries_analytic_vs_fock": "fail",
+            "mediator_decoupling_at_tn": "fail",
+            "closed_form_at_tn": "pass",
+            "epsilon_irrelevance": "skip",
+            "frame_equivalence": "skip"}
+        for check in blob["checks"]:
+            if outcome[check["name"]] == "fail":
+                assert check["note"].startswith(
+                    "no cutoff up to the ceiling N = 512 passes (")
+                assert "N = 512: squeezed state leaks" in check["note"]
 
     def test_strong_squeezing_restricts_the_frame(self, capsys):
         """Far past lab reach: oracle checks fail honestly, lab ones skip."""

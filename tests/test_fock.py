@@ -10,9 +10,11 @@ from conftest import (band_to_dense, kron_hamiltonian_lab,
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gravent import (CutoffTooSmall, DimensionMismatch, MediatorInit,
-                     ModelParams, NoConvergence, derive_squeezed_frame,
-                     displaced_overlap, partial_trace, partial_transpose)
+from gravent import (AxisSpec, CutoffTooSmall, DimensionMismatch,
+                     MediatorInit, ModelParams, NoConvergence, SweepSpec,
+                     derive_squeezed_frame, displaced_overlap, en_bipartition,
+                     log_negativity_from_partial_transpose, partial_trace,
+                     partial_transpose, timeseries_figure)
 from gravent import fock
 
 
@@ -59,6 +61,7 @@ class TestOperators:
     @example(k=1, n=1, z=0.7 - 0.2j, seed=0)
     @example(k=2, n=2, z=-1.1j, seed=1)
     @example(k=2, n=1, z=0j, seed=2)
+    @example(k=1, n=2, z=5e-324 + 5e-324j, seed=0)
     def test_ladder_exp_equals_dense_expm(self, k, n, z, seed):
         rng = np.random.default_rng(seed)
         vec = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -286,14 +289,56 @@ class TestEvolution:
 
 
 class TestEnCurves:
-    def test_tp_qubit_pt_is_the_reduced_partial_transpose(self):
-        rng = np.random.default_rng(11)
-        n = 6
-        states = rng.normal(size=(3, 4 * n)) + 1j * rng.normal(size=(3, 4 * n))
-        for psi, got in zip(states, fock.tp_qubit_pt(states, n)):
+    # the reference sides of each cut, as en_bipartition takes them
+    SIDES = {"tp_qubit": ((0,), (1,)), "tp_mediator": ((0,), (2,)),
+             "qubit_mediator": ((1,), (2,))}
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1, seed=0)
+    @example(n=4, seed=1)
+    def test_cut_pt_matches_the_per_state_reference(self, n, seed):
+        rng = np.random.default_rng(seed)
+        states = rng.normal(size=(4, 4 * n)) + 1j * rng.normal(size=(4, 4 * n))
+        tp, qubit, med = (rng.normal(size=k) + 1j * rng.normal(size=k)
+                          for k in (2, 2, n))
+        states[0] = np.kron(np.kron(tp, qubit), med)
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        assert set(fock.BIPARTITIONS) == set(self.SIDES)
+        for cut, sides in self.SIDES.items():
+            got = log_negativity_from_partial_transpose(
+                fock.cut_pt(states, n, cut))
+            want = [en_bipartition(psi, (2, 2, n), *sides) for psi in states]
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert got[0] == 0.0
+            assert len(fock.cut_pt(states[:0], n, cut)) == 0
+        for psi, got in zip(states, fock.cut_pt(states, n, "tp_qubit")):
             rho = partial_trace(psi, (2, 2, n), (0, 1))
             want = partial_transpose(rho, (2, 2), 1)
             assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_oracle_reduces_states_without_the_reference(self, monkeypatch):
+        import sys
+
+        from gravent.config import ValidateSection
+        from gravent.validate import check_decoupling
+
+        def no_reference(*args, **kwargs):
+            raise AssertionError("per-state en_bipartition called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gravent") and hasattr(module,
+                                                      "en_bipartition"):
+                monkeypatch.setattr(module, "en_bipartition", no_reference)
+        fixed = {"g_a": 1.0 / 48.0, "g_b": 1.0, "F": 0.05}
+        res = timeseries_figure(SweepSpec(
+            axes=(AxisSpec("t", 0.0, 4.0, 5),), fixed=fixed, backend="fock",
+            fock_n=64, bipartitions=tuple(fock.BIPARTITIONS)))
+        assert len(res.curves) == 3
+        params = ModelParams.dimensionless(**fixed)
+        check = check_decoupling(params, MediatorInit(), ValidateSection(),
+                                 1e-8)
+        assert check.passed and check.max_dev < 1e-6
 
     def test_requested_cuts_plus_tail(self):
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
@@ -302,7 +347,7 @@ class TestEnCurves:
         h = fock.build_hamiltonian_squeezed(frame, 0.0, 0.0, n)
         psi0 = fock.prepare_initial(MediatorInit(), n, frame)
         ts = [0.0, 1.0, 2.0]
-        out = fock.en_curves(h, psi0, ts, n, dict(fock.BIPARTITIONS))
+        out = fock.en_curves(h, psi0, ts, n, tuple(fock.BIPARTITIONS))
         assert set(out) == {"tp_qubit", "tp_mediator", "qubit_mediator",
                             "tail", "states"}
         assert all(len(v) == 3 for v in out.values())

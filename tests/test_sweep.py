@@ -218,7 +218,7 @@ class TestRunSweep:
         [(idx, note)] = res.invalid_cells
         assert idx == (2,)
         assert "trajectory leaks at N = 64" in note
-        assert "tail mass 2.2" in note
+        assert "tail mass 7.646e-04" in note
 
     def test_tail_tolerance_reaches_the_fock_cell(self):
         spec = SweepSpec(axes=(AxisSpec("F", 0.0, 0.2, 3),),
@@ -305,13 +305,13 @@ class TestTimeseriesFigure:
 
     def test_column_naming_and_backends(self):
         spec = SweepSpec(axes=(AxisSpec("t", 0.0, 4.0, 9),),
-                         fixed=dict(BASE, F=0.0), backend="both", fock_n=32,
+                         fixed=dict(BASE, F=0.0), backend="both", fock_n=64,
                          bipartitions=("tp_qubit", "tp_mediator"))
         res = timeseries_figure(spec)
         assert set(res.curves) == {"base:tp_qubit:analytic",
                                    "base:tp_qubit:fock",
                                    "base:tp_mediator:fock"}
-        assert res.meta["fock_n"] == 32
+        assert res.meta["fock_n"] == 64
         dev = np.max(np.abs(res.curves["base:tp_qubit:analytic"]
                             - res.curves["base:tp_qubit:fock"]))
         assert dev < 1e-3
