@@ -11,6 +11,7 @@ exits 0 only on full success.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -176,6 +177,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: each leaves reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gravent",

@@ -123,23 +123,21 @@ def branch_state(frame: SqueezedFrame, t) -> BranchState:
     return BranchState(t, alpha_t, phi, -lam * np.conj(alpha_t)[..., None])
 
 
-def _overlap(a_i, a_j, alpha0: complex, xi: complex):
+def _overlap(beta, alpha0: complex, xi: complex, weyl=0.0):
     """<a_i, zeta | a_j, zeta> with |a, zeta> = D(a) S(xi) |alpha0>.
 
-    Composing the displacements gives a Weyl phase e^{i Im(conj(a_i) a_j)}
-    and a net displacement beta = a_j - a_i; pulling beta through the
-    squeeze maps it to beta' = beta cosh|xi| + conj(beta) e^{i arg xi}
-    sinh|xi|, and the coherent-state expectation of D(beta'),
+    Composing the displacements gives the Weyl phase e^{i weyl}, weyl =
+    Im(conj(a_i) a_j), and the net displacement beta = a_j - a_i; pulling
+    beta through the squeeze maps it to beta' = beta cosh|xi| + conj(beta)
+    e^{i arg xi} sinh|xi|, and the coherent-state expectation of D(beta'),
     e^{-|beta'|^2/2 + 2i Im(beta' conj(alpha0))}, closes the formula.
-    Broadcasts over a_i and a_j.
+    Broadcasts over beta and weyl.
     """
-    beta = a_j - a_i
     mag = abs(xi)
     if mag:
         beta = beta * math.cosh(mag) \
             + np.conj(beta) * (xi / mag * math.sinh(mag))
-    phase = (np.conj(a_i) * a_j).imag \
-        + 2.0 * (beta * alpha0.conjugate()).imag
+    phase = weyl + 2.0 * (beta * alpha0.conjugate()).imag
     return np.exp(-0.5 * np.abs(beta) ** 2 + 1j * phase)
 
 
@@ -149,8 +147,9 @@ def displaced_overlap(a_i: complex, a_j: complex, init: MediatorInit,
 
     |result| <= 1 with equality iff a_i == a_j.
     """
-    return complex(_overlap(complex(a_i), complex(a_j), complex(init.alpha0),
-                            init.xi(frame)))
+    a_i, a_j = complex(a_i), complex(a_j)
+    return complex(_overlap(a_j - a_i, complex(init.alpha0), init.xi(frame),
+                            (a_i.conjugate() * a_j).imag))
 
 
 def dephasing_mask(t, gamma: float, gamma_tp: float = 0.0) -> np.ndarray:
@@ -178,11 +177,12 @@ def partial_transpose_matrix(frame: SqueezedFrame, init: MediatorInit,
     unitary and cannot change EN.
     """
     bs = branch_state(frame, t)
-    d = bs.displacements
     coef = np.exp(1j * (bs.phi[..., None] * _SIGMA_AB))
+    # displacements -lambda conj(alpha_t) have a Weyl phase of exactly 0
+    lam = frame.g_a_s * _SIGMA_A + frame.g_b_s * _SIGMA_B
+    beta = (lam[_BRA] - lam[_KET]) * np.conj(bs.alpha_t)[..., None]
     upper = 0.25 * coef[..., _KET] * np.conj(coef[..., _BRA]) \
-        * _overlap(d[..., _BRA], d[..., _KET], complex(init.alpha0),
-                   init.xi(frame))
+        * _overlap(beta, complex(init.alpha0), init.xi(frame))
     m = np.full(bs.t.shape + (4, 4), 0.25, complex)
     m[..., _I, _J] = upper
     m[..., _J, _I] = np.conj(upper)

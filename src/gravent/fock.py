@@ -29,7 +29,8 @@ must be validated in the squeezed frame or in closed form.
 
 Every cutoff is chosen by one bounded search, `search_cutoff`, whose
 NoConvergence is the only way the oracle gives up.  One run at a fixed
-N, in the lab or the squeezed frame, is `trajectory`.
+N, in the lab or the squeezed frame, is `trajectory`.  scipy, needed by
+this oracle alone, loads on the first `expm` or `eig_banded` call.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig_banded, expm
 
 from .dynamics import MediatorInit
 from .errors import CutoffTooSmall, DimensionMismatch, EigenFailure, \
@@ -56,6 +56,16 @@ _SZ_A, _SZ_B = np.repeat(np.diag(SIGMA_Z), 2), np.tile(np.diag(SIGMA_Z), 2)
 # kept, the side transposed and the subsystem traced out
 BIPARTITIONS = {"tp_qubit": (1, 2, 3), "tp_mediator": (1, 3, 2),
                 "qubit_mediator": (2, 3, 1)}
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
+
+
+def eig_banded(band: np.ndarray, lower: bool = False):
+    from scipy.linalg import eig_banded as scipy_eig_banded
+    return scipy_eig_banded(band, lower=lower)
 
 
 def destroy(n: int) -> np.ndarray:

@@ -1,13 +1,19 @@
 """Configuration schema, presets, output files, and the command line."""
 
+import argparse
+import gc
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gravent
 from gravent import (ConfigError, config_hash, load_config, load_preset,
                      parse_config, serialize_config)
 from gravent.cli import main
@@ -658,16 +664,27 @@ class TestCliValidate:
 
 
 class TestCliTopLevel:
-    def test_requires_exactly_one_source(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["dynamics", "--out", str(tmp_path)])
-        with pytest.raises(SystemExit):
-            main(["dynamics", "--config", "x.json", "--preset", "fig3a",
-                  "--out", str(tmp_path)])
+    def test_requires_exactly_one_source(self, tmp_path, capsys):
+        for argv in (["dynamics"],
+                     ["dynamics", "--config", "x.json", "--preset", "fig3a"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert "give exactly one of --config or --preset" in \
+                capsys.readouterr().err
 
-    def test_unknown_preset_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit):
+    def test_unknown_preset_rejected_by_parser(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["dynamics", "--preset", "fig9", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --preset: invalid choice: 'fig9'" in \
+            capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gravent")
 
     def test_feasibility_preset_exits_zero(self, tmp_path, capsys):
         rc = main(["feasibility", "--preset", "sec5-feasibility", "--out",
@@ -682,3 +699,50 @@ class TestCliTopLevel:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_repeated_calls_build_no_parsers(self, tmp_path, capsys):
+        """Parsers live in reference cycles; with gc off, every parser a
+        call built would stay in gc.get_objects()."""
+        argv = ["feasibility", "--preset", "sec5-feasibility", "--out",
+                str(tmp_path)]
+
+        def parsers():
+            return sum(isinstance(o, argparse.ArgumentParser)
+                       for o in gc.get_objects())
+
+        gc.disable()
+        try:
+            for _ in range(3):
+                assert main(argv) == 0
+            before = parsers()
+            for _ in range(3):
+                assert main(argv) == 0
+            assert parsers() == before
+        finally:
+            gc.enable()
+
+
+CLOSED_FORM_ONLY = """
+import sys
+from gravent.cli import main
+out = sys.argv[1]
+for args in ("sweep --preset fig2", "dynamics --preset fig3b",
+             "rate --preset fig5",
+             "feasibility --preset sec5-feasibility --golden"):
+    assert main([*args.split(), "--out", out]) == 0, args
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert main(["dynamics", "--preset", "fig3a", "--out", out]) == 0
+print(loaded, "scipy.linalg" in sys.modules)
+"""
+
+
+def test_closed_form_commands_never_load_scipy(tmp_path):
+    """A fresh interpreter runs every closed-form command without scipy;
+    the Fock backend of fig3a then loads it on first use."""
+    src = str(Path(gravent.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", CLOSED_FORM_ONLY,
+                           str(tmp_path)], capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[] True"

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from conftest import local_rotation
 from gravent import (MediatorInit, ModelParams, dephasing_mask,
                      derive_squeezed_frame, displaced_overlap,
-                     en_at_decoupling, en_timeseries,
+                     en_at_decoupling, en_timeseries, load_preset,
                      log_negativity_from_partial_transpose,
                      partial_transpose, partial_transpose_matrix)
+from gravent.config import resolve_si
 from gravent.dynamics import branch_state
 
 complex_amp = st.complex_numbers(max_magnitude=2.5, allow_nan=False,
@@ -173,6 +174,19 @@ class TestPartialTransposeMatrix:
             assert np.max(np.abs(m - one)) <= 1e-15
             ref = looped_pt_matrix(f, init, float(t), gamma, gamma_tp)
             assert np.max(np.abs(m - ref)) <= ref_tol
+
+    def test_no_weyl_rounding_at_the_si_point(self):
+        # Displacements reach 1.3e8 at s = 6.965; their Weyl phase is 0
+        # exactly, and a rounded one moved these entries by 0.1 per ulp.
+        cfg = load_preset("sec5-feasibility")
+        _, _, frame = resolve_si(cfg)
+        t = 0.3 * frame.t_period
+        m = partial_transpose_matrix(frame, cfg.mediator, t)
+        ulp = partial_transpose_matrix(frame, cfg.mediator,
+                                       np.nextafter(t, 2 * t))
+        assert np.max(np.abs(m - ulp)) <= 1e-12
+        # the R0-L0 coherence of a 40-digit mpmath branch reference
+        assert abs(m[0, 2] - (0.249437 - 0.016768j)) <= 1e-6
 
     def test_no_entanglement_at_start(self):
         f = frame_for()
