@@ -4,7 +4,7 @@ a squeezed mechanical oscillator.
 The mediator couples to the test particle gravitationally and to the
 qubit magnetically; a Coulomb-driven two-phonon term squeezes it, which
 boosts both couplings exponentially.  The package provides the closed-form
-branch dynamics with phenomenological dephasing, an independent dense
+branch dynamics with phenomenological dephasing, an independent banded
 Fock-space oracle, SI feasibility arithmetic, parameter sweeps, and a CLI.
 """
 
@@ -26,8 +26,9 @@ from .params import (PhysicalSetup, ModelParams, SqueezedFrame,
                      derive_squeezed_frame, regime_report,
                      coulomb_distance_for_drive)
 from .presets import PRESET_NAMES, SEC5_GOLDEN, load_preset
-from .sweep import (AxisSpec, TimeRule, SweepSpec, SweepResult, run_sweep,
-                    entanglement_rate, timeseries_figure)
+from .sweep import (AxisSpec, TimeRule, DynamicsSection, SweepSection,
+                    RateSection, SweepResult, run_sweep, entanglement_rate,
+                    timeseries_figure)
 from .validate import run_validation, ValidationReport
 
 __version__ = "0.1.0"
@@ -50,7 +51,8 @@ __all__ = [
     "derive_model_params", "derive_squeezed_frame", "regime_report",
     "coulomb_distance_for_drive",
     "PRESET_NAMES", "SEC5_GOLDEN", "load_preset",
-    "AxisSpec", "TimeRule", "SweepSpec", "SweepResult", "run_sweep",
-    "entanglement_rate", "timeseries_figure",
+    "AxisSpec", "TimeRule", "DynamicsSection", "SweepSection",
+    "RateSection", "SweepResult", "run_sweep", "entanglement_rate",
+    "timeseries_figure",
     "run_validation", "ValidationReport",
 ]

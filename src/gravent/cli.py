@@ -16,15 +16,15 @@ import sys
 from pathlib import Path
 
 from . import io
-from .config import (FeasibilitySection, RunConfig, base_cell,
-                     dynamics_spec, load_config, resolve_si)
+from .config import (FeasibilitySection, RunConfig, base_cell, load_config,
+                     resolve_si)
 from .dynamics import partial_transpose_matrix
 from .errors import ConfigError, GraventError
 from .negativity import log_negativity_from_partial_transpose
 from .params import regime_report
 from .presets import PRESET_NAMES, SEC5_GOLDEN, golden_check, load_preset
-from .sweep import (SweepSpec, entanglement_rate, merge_cell,
-                    run_sweep, timeseries_figure)
+from .sweep import (entanglement_rate, merge_cell, run_sweep,
+                    timeseries_figure)
 from .validate import run_validation
 
 
@@ -98,8 +98,7 @@ def cmd_feasibility(cfg: RunConfig, args) -> int:
 
 def cmd_dynamics(cfg: RunConfig, args) -> int:
     d = cfg.dynamics
-    result = timeseries_figure(dynamics_spec(cfg), hamiltonian=d.hamiltonian,
-                               tail_tol=cfg.tolerances.fock_tail)
+    result = timeseries_figure(d, base_cell(cfg), cfg.tolerances.fock_tail)
     info = io.provenance(cfg, command="dynamics", hamiltonian=d.hamiltonian,
                          backend=d.backend)
     paths = io.write_timeseries(Path(args.out), f"{cfg.label}_dynamics",
@@ -112,11 +111,7 @@ def cmd_dynamics(cfg: RunConfig, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     sw = cfg.sweep
-    spec = SweepSpec(axes=sw.axes,
-                     fixed=merge_cell(base_cell(cfg), {}, sw.axes),
-                     time_rule=sw.time, backend=sw.backend,
-                     fock_n=sw.fock_n)
-    result = run_sweep(spec, tail_tol=cfg.tolerances.fock_tail)
+    result = run_sweep(sw, base_cell(cfg), cfg.tolerances.fock_tail)
     info = io.provenance(cfg, command="sweep", backend=sw.backend)
     paths = io.write_sweep(Path(args.out), f"{cfg.label}_sweep", result,
                            info)
@@ -137,10 +132,7 @@ def cmd_rate(cfg: RunConfig, args) -> int:
     base = base_cell(cfg)
     results = {}
     for label, overrides in (r.variants or (("base", {}),)):
-        spec = SweepSpec(axes=(r.axis,),
-                         fixed=merge_cell(base, overrides, (r.axis,)),
-                         time_rule=r.time)
-        results[label] = entanglement_rate(spec, r.which)
+        results[label] = entanglement_rate(r, merge_cell(base, overrides))
         zeros = ", ".join(f"{z:.6g}" for z in results[label].zero_crossings)
         print(f"{label}: rate sign changes at {r.which} = [{zeros}]")
     info = io.provenance(cfg, command="rate", axis=r.which)

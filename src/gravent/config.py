@@ -19,13 +19,12 @@ import sys
 import typing
 from dataclasses import dataclass, field
 
-from . import fock
 from .dynamics import DephasingBlock, MediatorInit
-from .errors import ConfigError, GraventError, UnstableFrame
+from .errors import ConfigError, GraventError, InvalidAxis, UnstableFrame
 from .params import (ModelParams, PhysicalSetup, coulomb_distance_for_drive,
                      derive_model_params, derive_squeezed_frame, drive_gap)
-from .sweep import (BACKENDS, AxisSpec, SweepSpec, TimeRule,
-                    check_rate_axes, merge_cell, resolve_cell)
+from .sweep import (DynamicsSection, RateSection, SweepSection,
+                    check_fock_cuts, merge_cell, resolve_cell)
 
 
 @dataclass(frozen=True)
@@ -89,56 +88,14 @@ class SISystem:
                                 for f in dataclasses.fields(PhysicalSetup)})
 
 
-Variants = tuple[tuple[str, dict[str, float | None]], ...]
-
-
-@dataclass(frozen=True)
-class DynamicsSection:
-    t_stop: float
-    points: int
-    t_start: float = 0.0
-    backend: str = field(default="analytic", metadata={"choices": BACKENDS})
-    hamiltonian: str = field(default="squeezed",
-                             metadata={"choices": ("squeezed", "lab")})
-    fock_n: int = 64
-    bipartitions: tuple[str, ...] = field(
-        default=("tp_qubit",),
-        metadata={"choices": tuple(fock.BIPARTITIONS)})
-    variants: Variants = ()
-
-    def __post_init__(self):
-        if self.points < 2:
-            raise ConfigError("points", "need at least 2 points")
-        if self.fock_n < 1:
-            raise ConfigError("fock_n", "must be at least 1")
-
-
-@dataclass(frozen=True)
-class SweepSection:
-    axes: tuple[AxisSpec, ...]
-    time: TimeRule = TimeRule()
-    backend: str = field(default="analytic", metadata={"choices": BACKENDS})
-    fock_n: int = 64
-
-    def __post_init__(self):
-        if not self.axes:
-            raise ConfigError("axes", "expected a non-empty list")
-        if self.fock_n < 1:
-            raise ConfigError("fock_n", "must be at least 1")
-
-
-@dataclass(frozen=True)
-class RateSection:
-    which: str = field(metadata={"choices": ("g_a", "g_b")})
-    axis: AxisSpec
-    time: TimeRule = TimeRule()
-    variants: Variants = ()
-
-
 @dataclass(frozen=True)
 class FeasibilitySection:
     gamma_window: tuple[float, float] = (0.0, 0.0)
     cycles: float = 1.0
+
+    def __post_init__(self):
+        if self.cycles < 0.0:
+            raise ConfigError("cycles", "must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -190,9 +147,9 @@ class RunConfig:
 
 
 def _check_cells(cfg: RunConfig) -> None:
-    """Resolve each variant cell and axis endpoint and build the dynamics,
-    sweep and rate specs as the commands will; only an axis endpoint past
-    the instability is left to the sweep."""
+    """Resolve each variant cell and axis endpoint as the commands will,
+    and check the Fock cuts against the dephasing; only an axis endpoint
+    past the instability is left to the sweep."""
     base = base_cell(cfg)
     cells = [(f"{name}.variants[{i}]", o, False)
              for name in ("dynamics", "rate") if getattr(cfg, name)
@@ -208,18 +165,11 @@ def _check_cells(cfg: RunConfig) -> None:
         except (ValueError, GraventError) as exc:
             if not (on_axis and isinstance(exc, UnstableFrame)):
                 raise ConfigError(path, str(exc)) from None
-    try:
-        path = "sweep.axes"
-        if cfg.sweep:
-            SweepSpec(cfg.sweep.axes, merge_cell(base, {}, cfg.sweep.axes))
-        path = "rate.axis"
-        if cfg.rate:
-            check_rate_axes((cfg.rate.axis,), cfg.rate.which)
-        path = "dynamics.bipartitions"
-        if cfg.dynamics:
-            dynamics_spec(cfg)
-    except GraventError as exc:
-        raise ConfigError(path, str(exc)) from None
+    if cfg.dynamics:
+        try:
+            check_fock_cuts(cfg.dynamics, base)
+        except InvalidAxis as exc:
+            raise ConfigError("dynamics.bipartitions", str(exc)) from None
 
 
 _hints = functools.cache(typing.get_type_hints)
@@ -379,15 +329,6 @@ def base_cell(cfg: RunConfig) -> dict:
     return cell
 
 
-def dynamics_spec(cfg: RunConfig) -> SweepSpec:
-    """The time-series spec of the dynamics section."""
-    d = cfg.dynamics
-    return SweepSpec(
-        axes=(AxisSpec("t", d.t_start, d.t_stop, d.points),),
-        fixed=base_cell(cfg), backend=d.backend, fock_n=d.fock_n,
-        variants=d.variants, bipartitions=d.bipartitions)
-
-
 def resolve_si(cfg: RunConfig):
     """SI block -> (PhysicalSetup, ModelParams, SqueezedFrame).
 
@@ -428,5 +369,5 @@ __all__ = [
     "DynamicsSection", "SweepSection", "RateSection", "FeasibilitySection",
     "ValidateSection", "ToleranceBlock", "RunConfig", "parse_config",
     "load_config", "serialize_config", "config_hash", "base_cell",
-    "dynamics_spec", "resolve_si", "resolve_dimensionless",
+    "resolve_si", "resolve_dimensionless",
 ]

@@ -41,7 +41,7 @@ class CutoffTooSmall(GraventError):
 
 
 class EigenFailure(GraventError):
-    """Dense eigendecomposition did not converge."""
+    """A banded Fock-block or Hermitian eigensolve did not converge."""
 
 
 class NoConvergence(GraventError):

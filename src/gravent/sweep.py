@@ -19,8 +19,8 @@ import numpy as np
 from . import fock
 from .dynamics import (DephasingBlock, MediatorInit, dephasing_mask,
                        en_timeseries, partial_transpose_matrix)
-from .errors import (CutoffTooSmall, InsufficientPoints, InvalidAxis,
-                     UnstableFrame)
+from .errors import (ConfigError, CutoffTooSmall, InsufficientPoints,
+                     InvalidAxis, UnstableFrame)
 from .negativity import log_negativity_from_partial_transpose
 from .params import DRIVE_KEYS, ModelParams, derive_squeezed_frame
 
@@ -80,43 +80,72 @@ class TimeRule:
             raise InvalidAxis(f"time rule {self.kind!r} not phase/fixed")
         if self.kind == "fixed" and self.t is None:
             raise InvalidAxis("fixed time rule needs t")
+        for name in ("cycles", "t"):
+            if (getattr(self, name) or 0.0) < 0.0:
+                raise ConfigError(name, "must be non-negative")
+
+
+Variants = tuple[tuple[str, dict[str, float | None]], ...]
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    axes: tuple[AxisSpec, ...]
-    fixed: dict = field(default_factory=dict)
-    time_rule: TimeRule = TimeRule()
-    backend: str = "analytic"
+class DynamicsSection:
+    t_stop: float
+    points: int
+    t_start: float = 0.0
+    backend: str = field(default="analytic", metadata={"choices": BACKENDS})
+    hamiltonian: str = field(default="squeezed",
+                             metadata={"choices": ("squeezed", "lab")})
     fock_n: int = 64
-    variants: tuple[tuple[str, dict], ...] = ()
-    bipartitions: tuple[str, ...] = ("tp_qubit",)
+    bipartitions: tuple[str, ...] = field(
+        default=("tp_qubit",),
+        metadata={"choices": tuple(fock.BIPARTITIONS)})
+    variants: Variants = ()
 
     def __post_init__(self):
-        if not 1 <= len(self.axes) <= 2:
-            raise InvalidAxis("sweeps support one or two axes")
+        if self.points < 2:
+            raise ConfigError("points", "need at least 2 points")
+        if self.fock_n < 1:
+            raise ConfigError("fock_n", "must be at least 1")
+        for name in ("t_start", "t_stop"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(name, "must be non-negative")
+
+
+@dataclass(frozen=True)
+class SweepSection:
+    axes: tuple[AxisSpec, ...]
+    time: TimeRule = TimeRule()
+    backend: str = field(default="analytic", metadata={"choices": BACKENDS})
+    fock_n: int = 64
+
+    def __post_init__(self):
         names = [ax.name for ax in self.axes]
-        if len(set(names)) != len(names):
-            raise InvalidAxis(f"duplicate axis {names}")
-        if self.backend not in BACKENDS:
-            raise InvalidAxis(f"backend {self.backend!r} unknown")
-        _known(self.fixed)
-        sources = [k for k in DRIVE_KEYS
-                   if self.fixed.get(k) is not None or k in names]
-        if len(sources) != 1:
-            raise InvalidAxis(
-                f"exactly one drive source among F/delta/s required, "
-                f"got {sources or 'none'}")
-        for name in self.bipartitions:
-            if name not in fock.BIPARTITIONS:
-                raise InvalidAxis(f"bipartition {name!r} unknown")
-        mediator_cuts = set(self.bipartitions) - {"tp_qubit"}
-        for label, overrides in self.variants or (("base", {}),):
-            cell = merge_cell(self.fixed, overrides)
-            if self.backend != "analytic" and mediator_cuts and (
-                    cell.get("gamma") or cell.get("gamma_tp")):
-                raise InvalidAxis(
-                    f"Fock mediator cuts ignore the dephasing of {label!r}")
+        if not 1 <= len(set(names)) == len(names) <= 2:
+            raise ConfigError("axes", "expected a non-empty list of one or "
+                              f"two distinct axes, got {names}")
+        if len(set(names) & set(DRIVE_KEYS)) > 1:
+            raise ConfigError("axes", "at most one drive axis among "
+                              f"F/delta/s, got {names}")
+        if self.fock_n < 1:
+            raise ConfigError("fock_n", "must be at least 1")
+
+
+@dataclass(frozen=True)
+class RateSection:
+    """dEN/d<which> along the coupling axis of the same name."""
+
+    which: str = field(metadata={"choices": ("g_a", "g_b")})
+    axis: AxisSpec
+    time: TimeRule = TimeRule()
+    variants: Variants = ()
+
+    def __post_init__(self):
+        if self.axis.name != self.which:
+            raise ConfigError("axis", f"a rate along {self.which} needs the "
+                              f"axis {self.which}, got {self.axis.name!r}")
+        if self.axis.count < 3:
+            raise ConfigError("axis", "rate extraction needs >= 3 points")
 
 
 def _known(cell: dict) -> dict:
@@ -126,19 +155,30 @@ def _known(cell: dict) -> dict:
     return cell
 
 
-def merge_cell(base: dict, overrides: dict, axes=()) -> dict:
-    """Overlay variant overrides on a fixed-parameter dict.
+def merge_cell(base: dict, overrides: dict) -> dict:
+    """Overlay variant or axis overrides on a fixed-parameter dict.
 
-    An override or axis that names a drive key (F, delta, s) first evicts
-    the base's drive, so a variant or an axis may give the drive another
-    way without tripping the one-source rule.
+    An override that names a drive key (F, delta, s) first evicts the
+    base's drive, so a variant or an axis may give the drive another way.
     """
     cell = dict(base)
-    if set(DRIVE_KEYS) & ({ax.name for ax in axes} | set(overrides)):
+    if not set(DRIVE_KEYS).isdisjoint(overrides):
         for k in DRIVE_KEYS:
             cell.pop(k, None)
     cell.update(overrides)
     return cell
+
+
+def check_fock_cuts(spec: DynamicsSection, fixed: dict) -> None:
+    """The Fock mediator cuts are of the undamped pure state, so they
+    refuse a variant with gamma or gamma_tp set."""
+    if spec.backend == "analytic" or set(spec.bipartitions) <= {"tp_qubit"}:
+        return
+    for label, overrides in spec.variants or (("base", {}),):
+        cell = merge_cell(fixed, overrides)
+        if cell.get("gamma") or cell.get("gamma_tp"):
+            raise InvalidAxis(
+                f"Fock mediator cuts ignore the dephasing of {label!r}")
 
 
 def resolve_cell(cell: dict, time_rule: TimeRule = TimeRule()):
@@ -165,6 +205,8 @@ def resolve_cell(cell: dict, time_rule: TimeRule = TimeRule()):
         t = float(time_rule.t)
     else:
         t = time_rule.cycles * 2.0 * math.pi / frame.omega_s
+    if t < 0.0:
+        raise ValueError(f"evaluation time t must be non-negative, got {t}")
     return params, frame, init, deph.gamma, deph.gamma_tp, t
 
 
@@ -176,10 +218,10 @@ def _fock_tp_qubit_en(states: np.ndarray, n: int, ts, gamma: float,
         * dephasing_mask(ts, gamma, gamma_tp))
 
 
-def _eval_cell(spec: SweepSpec, overrides: dict, tail_tol: float) -> dict:
+def _eval_cell(spec: SweepSection, cell: dict, tail_tol: float) -> dict:
     try:
         params, frame, init, gamma, gamma_tp, t = resolve_cell(
-            {**spec.fixed, **overrides}, spec.time_rule)
+            cell, spec.time)
     except UnstableFrame as exc:
         return {"valid": False, "note": str(exc)}
 
@@ -204,7 +246,7 @@ def _eval_cell(spec: SweepSpec, overrides: dict, tail_tol: float) -> dict:
 
 @dataclass
 class SweepResult:
-    spec: SweepSpec
+    spec: SweepSection
     axis_values: tuple[np.ndarray, ...]
     en: np.ndarray
     valid: np.ndarray
@@ -213,11 +255,13 @@ class SweepResult:
     meta: dict = field(default_factory=dict)
 
 
-def run_sweep(spec: SweepSpec, tail_tol: float = 1e-8) -> SweepResult:
-    """Evaluate EN over the grid; deterministic for a fixed spec.
+def run_sweep(spec: SweepSection, fixed: dict,
+              tail_tol: float = 1e-8) -> SweepResult:
+    """Evaluate EN over the grid; deterministic for fixed inputs.
 
-    A Fock cell is invalid once its state holds more than tail_tol in
-    the top two Fock levels.
+    fixed holds the cell parameters the axes do not set; a drive axis
+    evicts its drive.  A Fock cell is invalid once its state holds more
+    than tail_tol in the top two Fock levels.
     """
     axes_vals = tuple(ax.values() for ax in spec.axes)
     shape = tuple(len(v) for v in axes_vals)
@@ -231,7 +275,7 @@ def run_sweep(spec: SweepSpec, tail_tol: float = 1e-8) -> SweepResult:
     for idx in np.ndindex(*shape):
         overrides = {ax.name: float(axes_vals[k][i])
                      for k, (ax, i) in enumerate(zip(spec.axes, idx))}
-        cell = _eval_cell(spec, overrides, tail_tol)
+        cell = _eval_cell(spec, merge_cell(fixed, overrides), tail_tol)
         if not cell["valid"]:
             invalid.append((idx, cell["note"]))
             continue
@@ -255,25 +299,14 @@ class RateResult:
     meta: dict = field(default_factory=dict)
 
 
-def check_rate_axes(axes: tuple[AxisSpec, ...], which: str) -> None:
-    """A rate needs the single coupling axis `which`, with >= 3 points."""
-    names = [ax.name for ax in axes]
-    if which not in ("g_a", "g_b") or names != [which]:
-        raise InvalidAxis(f"a rate needs the single axis g_a or g_b, got "
-                          f"{names} for {which!r}")
-    if axes[0].count < 3:
-        raise InsufficientPoints("rate extraction needs >= 3 points")
-
-
-def entanglement_rate(spec: SweepSpec, which: str) -> RateResult:
+def entanglement_rate(spec: RateSection, fixed: dict) -> RateResult:
     """eta = dEN/dg along a coupling axis, central differences.
 
     Interior points are O(h^2) central stencils, endpoints one-sided.
     Sign changes of eta are bracketed and reported as linear-interpolation
     zeros; they mark the turning points of EN against the coupling.
     """
-    check_rate_axes(spec.axes, which)
-    res = run_sweep(spec)
+    res = run_sweep(SweepSection((spec.axis,), spec.time), fixed)
     g = res.axis_values[0]
     en = res.en
     if not res.valid.all():
@@ -282,7 +315,7 @@ def entanglement_rate(spec: SweepSpec, which: str) -> RateResult:
     eta = np.gradient(en, g)
     return RateResult(g_values=g, en=en, eta=eta,
                       zero_crossings=_sign_changes(g, eta),
-                      meta={"axis": which})
+                      meta={"axis": spec.which})
 
 
 def _sign_changes(g: np.ndarray, eta: np.ndarray) -> list[float]:
@@ -312,25 +345,23 @@ class TimeseriesResult:
     meta: dict = field(default_factory=dict)
 
 
-def timeseries_figure(spec: SweepSpec, hamiltonian: str = "squeezed",
+def timeseries_figure(spec: DynamicsSection, fixed: dict,
                       tail_tol: float = 1e-8) -> TimeseriesResult:
-    """EN(t) table for one or more parameter variants.
+    """EN(t) table for one or more parameter variants of fixed.
 
-    Spec must carry a single time axis.  The analytic backend contributes
-    a TP-qubit column per variant; the Fock backend adds the requested
-    bipartitions (mediator cuts only here, for undamped variants); both
-    TP-qubit columns are dephased.  Columns: "<label>:<bipartition>:<backend>".
+    The analytic backend contributes a TP-qubit column per variant; the
+    Fock backend adds the requested bipartitions (mediator cuts only
+    here, for undamped variants); both TP-qubit columns are dephased.
+    Columns: "<label>:<bipartition>:<backend>".
     """
-    if len(spec.axes) != 1 or spec.axes[0].name != "t":
-        raise InvalidAxis("timeseries needs the single axis 't'")
-    ts = spec.axes[0].values()
-    variants = spec.variants or (("base", {}),)
+    check_fock_cuts(spec, fixed)
+    ts = np.linspace(spec.t_start, spec.t_stop, spec.points)
     curves: dict[str, np.ndarray] = {}
-    meta: dict = {"hamiltonian": hamiltonian, "variants": []}
+    meta: dict = {"hamiltonian": spec.hamiltonian, "variants": []}
 
-    for label, overrides in variants:
+    for label, overrides in spec.variants or (("base", {}),):
         params, frame, init, gamma, gamma_tp, _ = resolve_cell(
-            merge_cell(spec.fixed, overrides))
+            merge_cell(fixed, overrides))
         meta["variants"].append({"label": label, "s": frame.s,
                                  "omega_s": frame.omega_s})
         if spec.backend in ("analytic", "both"):
@@ -340,7 +371,7 @@ def timeseries_figure(spec: SweepSpec, hamiltonian: str = "squeezed",
             cuts = tuple(name for name in spec.bipartitions
                          if name != "tp_qubit")
             data = fock.trajectory(params, frame, init, ts, spec.fock_n,
-                                   hamiltonian, cuts, tail_tol)
+                                   spec.hamiltonian, cuts, tail_tol)
             data["tp_qubit"] = _fock_tp_qubit_en(
                 data["states"], spec.fock_n, ts, gamma, gamma_tp)
             for name in spec.bipartitions:
@@ -350,8 +381,8 @@ def timeseries_figure(spec: SweepSpec, hamiltonian: str = "squeezed",
 
 
 __all__ = [
-    "AXIS_NAMES", "BACKENDS", "AxisSpec", "TimeRule", "SweepSpec",
-    "SweepResult", "RateResult", "TimeseriesResult", "merge_cell",
-    "resolve_cell", "run_sweep", "check_rate_axes", "entanglement_rate",
-    "timeseries_figure",
+    "AXIS_NAMES", "BACKENDS", "AxisSpec", "TimeRule", "DynamicsSection",
+    "SweepSection", "RateSection", "SweepResult", "RateResult",
+    "TimeseriesResult", "merge_cell", "check_fock_cuts", "resolve_cell",
+    "run_sweep", "entanglement_rate", "timeseries_figure",
 ]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import local_rotation
-from gravent import (AxisSpec, MediatorInit, ModelParams, SweepSpec,
+from gravent import (AxisSpec, MediatorInit, ModelParams, SweepSection,
                      TimeRule, derive_squeezed_frame, en_at_decoupling,
                      en_timeseries, load_preset,
                      log_negativity_from_partial_transpose,
@@ -225,11 +225,10 @@ class TestPropertySuite:
 
     def test_drive_response_is_not_monotone(self):
         """EN against the drive at zero dephasing has an interior turn."""
-        spec = SweepSpec(
-            axes=(AxisSpec("F", 0.0, 0.24, 49),),
-            fixed={"g_a": 0.020833333333333332, "g_b": 1.0, "gamma": 0.0},
-            time_rule=TimeRule("phase", cycles=1.0))
-        res = run_sweep(spec)
+        spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.24, 49),),
+                            time=TimeRule("phase", cycles=1.0))
+        res = run_sweep(spec, {"g_a": 0.020833333333333332, "g_b": 1.0,
+                               "gamma": 0.0})
         assert res.valid.all()
         d = np.diff(res.en)
         assert np.any(d > 0.0) and np.any(d < 0.0)
@@ -239,12 +238,10 @@ class TestPropertySuite:
 
     def test_dephased_grid_decays_along_gamma(self):
         """Shape of the drive-dephasing map: each row falls with gamma."""
-        spec = SweepSpec(
-            axes=(AxisSpec("F", 0.0, 0.24, 13),
-                  AxisSpec("gamma", 0.0, 0.4, 11)),
-            fixed={"g_a": 0.020833333333333332, "g_b": 1.0},
-            time_rule=TimeRule("phase", cycles=1.0))
-        res = run_sweep(spec)
+        spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.24, 13),
+                                  AxisSpec("gamma", 0.0, 0.4, 11)),
+                            time=TimeRule("phase", cycles=1.0))
+        res = run_sweep(spec, {"g_a": 0.020833333333333332, "g_b": 1.0})
         assert res.valid.all()
         rows = res.en
         assert np.all(np.diff(rows, axis=1) <= 1e-12)

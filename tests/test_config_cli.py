@@ -280,17 +280,69 @@ class TestConfigBoundary:
             "t_stop": 1.0, "points": 5, "backend": "both",
             "bipartitions": ["qubit_mediator"],
             "variants": [["ok", {}], ["v", {"gamma_tp": 0.2}]]}}),
+        ("<config>.sweep.backend", {"sweep": {
+            "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
+            "backend": "magic"}}),
+        ("<config>.dynamics.backend", {"dynamics": {
+            "t_stop": 1.0, "points": 5, "backend": "magic"}}),
+        ("<config>.dynamics.hamiltonian", {"dynamics": {
+            "t_stop": 1.0, "points": 5, "hamiltonian": "rotating"}}),
     ], ids=["negative-drive", "seed", "t_points", "fock_n",
             "float-overflow", "dynamics.fock_n", "sweep.fock_n",
             "variant-xi_mag", "variant-delta", "variant-unknown-key",
             "variant-unstable", "sweep-axis-F", "sweep-axis-gamma",
             "rate-variant-gamma_tp", "rate-axis-gamma", "rate-axis-name",
             "rate-axis-count", "sweep-three-axes", "sweep-two-drives",
-            "dephased-mediator-cut", "variant-dephased-mediator-cut"])
+            "dephased-mediator-cut", "variant-dephased-mediator-cut",
+            "sweep-backend", "dynamics-backend", "dynamics-hamiltonian"])
     def test_out_of_domain_values_name_the_field(self, field, edit):
         with pytest.raises(ConfigError) as exc:
             parse_config(cfg_with(**edit))
         assert exc.value.path == field
+
+    NEGATIVE_TIMES = [
+        ("dynamics.t_start", {"dynamics": {
+            "t_start": -20.0, "t_stop": 0.0, "points": 5}}),
+        ("dynamics.t_stop", {"dynamics": {"t_stop": -1.0, "points": 5}}),
+        ("dynamics.variants[0]", {"dynamics": {
+            "t_stop": 1.0, "points": 5, "variants": [["v", {"t": -1.0}]]}}),
+        ("sweep.time.t", {"sweep": {
+            "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
+            "time": {"kind": "fixed", "t": -20.0}}}),
+        ("sweep.time.cycles", {"sweep": {
+            "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
+            "time": {"cycles": -1.0}}}),
+        ("sweep.axes[0]", {"sweep": {
+            "axes": [{"name": "t", "start": -1.0, "stop": 1.0, "count": 3}]}}),
+        ("rate.time.t", {"rate": {
+            "which": "g_b",
+            "axis": {"name": "g_b", "start": 0.1, "stop": 1.0, "count": 5},
+            "time": {"kind": "fixed", "t": -1.0}}}),
+        ("rate.variants[0]", {"rate": {
+            "which": "g_b",
+            "axis": {"name": "g_b", "start": 0.1, "stop": 1.0, "count": 5},
+            "variants": [["v", {"t": -1.0}]]}}),
+        ("feasibility.cycles", {"feasibility": {"cycles": -1.0}}),
+    ]
+
+    @pytest.mark.parametrize("field,edit", NEGATIVE_TIMES,
+                             ids=[f for f, _ in NEGATIVE_TIMES])
+    def test_negative_times_are_rejected(self, tmp_path, capsys, field,
+                                         edit):
+        """With gamma > 0 the mask e^{-gamma t} exceeds 1 at t < 0, and the
+        two-qubit EN, at most 1, came out as 2.636 at t = -15."""
+        data = cfg_with(system={"g_a": 0.3, "g_b": 1.0, "F": 0.1},
+                        dephasing={"gamma": 0.3}, **edit)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        assert exc.value.path == f"<config>.{field}"
+        cfg_path = tmp_path / "neg.json"
+        cfg_path.write_text(json.dumps(data))
+        command = next(iter(edit))
+        rc = main([command, "--config", str(cfg_path), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {cfg_path}.{field}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("dynamics", [
         {"t_stop": 1.0, "points": 5, "backend": "fock"},

@@ -10,8 +10,8 @@ from conftest import (band_to_dense, kron_hamiltonian_lab,
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gravent import (AxisSpec, CutoffTooSmall, DimensionMismatch,
-                     MediatorInit, ModelParams, NoConvergence, SweepSpec,
+from gravent import (CutoffTooSmall, DimensionMismatch, DynamicsSection,
+                     MediatorInit, ModelParams, NoConvergence,
                      derive_squeezed_frame, displaced_overlap, en_bipartition,
                      log_negativity_from_partial_transpose, partial_trace,
                      partial_transpose, timeseries_figure)
@@ -331,9 +331,9 @@ class TestEnCurves:
                                                       "en_bipartition"):
                 monkeypatch.setattr(module, "en_bipartition", no_reference)
         fixed = {"g_a": 1.0 / 48.0, "g_b": 1.0, "F": 0.05}
-        res = timeseries_figure(SweepSpec(
-            axes=(AxisSpec("t", 0.0, 4.0, 5),), fixed=fixed, backend="fock",
-            fock_n=64, bipartitions=tuple(fock.BIPARTITIONS)))
+        res = timeseries_figure(DynamicsSection(
+            4.0, 5, backend="fock", fock_n=64,
+            bipartitions=tuple(fock.BIPARTITIONS)), fixed)
         assert len(res.curves) == 3
         params = ModelParams.dimensionless(**fixed)
         check = check_decoupling(params, MediatorInit(), ValidateSection(),

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravent import (AxisSpec, InsufficientPoints, InvalidAxis, SweepSpec,
-                     TimeRule, UnstableFrame, entanglement_rate, run_sweep,
-                     timeseries_figure)
+from gravent import (AxisSpec, ConfigError, DynamicsSection,
+                     InsufficientPoints, InvalidAxis, RateSection,
+                     SweepSection, TimeRule, UnstableFrame,
+                     entanglement_rate, run_sweep, timeseries_figure)
 from gravent.sweep import _sign_changes, merge_cell, resolve_cell
 
 BASE = {"g_a": 1.0 / 48.0, "g_b": 1.0}
@@ -55,48 +56,57 @@ class TestTimeRule:
             TimeRule("cycles")
 
 
-class TestSweepSpec:
+class TestSections:
     def test_axis_count_limits(self):
-        with pytest.raises(InvalidAxis):
-            SweepSpec(axes=(), fixed=dict(BASE, F=0.1))
-        with pytest.raises(InvalidAxis):
-            SweepSpec(axes=(f_axis(), AxisSpec("gamma", 0, 1, 3),
-                            AxisSpec("g_b", 0.1, 1, 3)), fixed=dict(BASE))
+        with pytest.raises(ConfigError) as exc:
+            SweepSection(axes=())
+        assert exc.value.path == "axes"
+        with pytest.raises(ConfigError):
+            SweepSection(axes=(f_axis(), AxisSpec("gamma", 0, 1, 3),
+                               AxisSpec("g_b", 0.1, 1, 3)))
 
     def test_duplicate_axes(self):
-        with pytest.raises(InvalidAxis):
-            SweepSpec(axes=(f_axis(), f_axis()), fixed=dict(BASE))
+        with pytest.raises(ConfigError, match="distinct"):
+            SweepSection(axes=(f_axis(), f_axis()))
 
-    def test_exactly_one_drive_source(self):
-        with pytest.raises(InvalidAxis, match="drive source"):
-            SweepSpec(axes=(AxisSpec("gamma", 0, 1, 3),), fixed=dict(BASE))
-        with pytest.raises(InvalidAxis, match="drive source"):
-            SweepSpec(axes=(f_axis(),), fixed=dict(BASE, s=0.2))
-        with pytest.raises(InvalidAxis, match="drive source"):
-            SweepSpec(axes=(AxisSpec("gamma", 0, 1, 3),),
-                      fixed=dict(BASE, F=0.1, delta=0.5))
+    def test_at_most_one_drive_axis(self):
+        with pytest.raises(ConfigError, match="drive axis") as exc:
+            SweepSection(axes=(f_axis(), AxisSpec("s", 0, 1, 3)))
+        assert exc.value.path == "axes"
+
+    @pytest.mark.parametrize("fixed", [dict(BASE), dict(BASE, F=0.1,
+                                                          delta=0.5)],
+                             ids=["none", "two"])
+    def test_exactly_one_drive_at_run_time(self, fixed):
+        with pytest.raises(ValueError, match="exactly one"):
+            run_sweep(SweepSection(axes=(AxisSpec("gamma", 0, 1, 3),)),
+                      fixed)
 
     def test_unknown_fixed_key(self):
         with pytest.raises(InvalidAxis):
-            SweepSpec(axes=(f_axis(),), fixed=dict(BASE, power=3))
+            run_sweep(SweepSection(axes=(f_axis(),)), dict(BASE, power=3))
 
-    def test_unknown_backend_and_bipartition(self):
-        with pytest.raises(InvalidAxis):
-            SweepSpec(axes=(f_axis(),), fixed=dict(BASE), backend="magic")
-        with pytest.raises(InvalidAxis):
-            SweepSpec(axes=(f_axis(),), fixed=dict(BASE),
-                      bipartitions=("tp_tp",))
-
+    def test_section_rules_name_their_field(self):
+        for make, path in (
+                (lambda: SweepSection((f_axis(),), fock_n=0), "fock_n"),
+                (lambda: DynamicsSection(1.0, 1), "points"),
+                (lambda: DynamicsSection(1.0, 5, fock_n=0), "fock_n"),
+                (lambda: DynamicsSection(1.0, 5, t_start=-1.0), "t_start"),
+                (lambda: TimeRule("fixed", t=-1.0), "t"),
+                (lambda: TimeRule(cycles=-1.0), "cycles")):
+            with pytest.raises(ConfigError) as exc:
+                make()
+            assert exc.value.path == path
 
     @pytest.mark.parametrize("fixed,variants", [
         (dict(BASE, F=0.0, gamma=0.1), ()),
         (dict(BASE, F=0.0), (("a", {}), ("b", {"gamma_tp": 0.05}))),
     ])
     def test_fock_mediator_cuts_refuse_dephasing(self, fixed, variants):
+        spec = DynamicsSection(1.0, 3, backend="fock", variants=variants,
+                               bipartitions=("tp_qubit", "tp_mediator"))
         with pytest.raises(InvalidAxis, match="dephasing"):
-            SweepSpec(axes=(AxisSpec("t", 0.0, 1.0, 3),), fixed=fixed,
-                      backend="fock", variants=variants,
-                      bipartitions=("tp_qubit", "tp_mediator"))
+            timeseries_figure(spec, fixed)
 
 
 class TestMergeCell:
@@ -116,10 +126,11 @@ class TestMergeCell:
         assert base == {"g_a": 1, "F": 0.1}
 
     def test_drive_axis_evicts_the_base_drive(self):
-        base = {"g_a": 1, "F": 0.1}
-        assert merge_cell(base, {}, (AxisSpec("s", 0, 1, 2),)) == {"g_a": 1}
-        assert merge_cell(base, {"gamma": 2}, (AxisSpec("g_b", 0, 1, 2),)) \
-            == {"g_a": 1, "F": 0.1, "gamma": 2}
+        spec = SweepSection(axes=(AxisSpec("s", 0.1, 0.5, 3),))
+        evicted = run_sweep(spec, dict(BASE, F=0.1))
+        assert evicted.valid.all()
+        assert np.array_equal(evicted.en, run_sweep(spec, BASE).en)
+        assert np.allclose(evicted.extras["s"], spec.axes[0].values())
 
 
 class TestResolveCell:
@@ -130,23 +141,20 @@ class TestResolveCell:
 
 class TestRunSweep:
     def test_deterministic(self):
-        spec = SweepSpec(axes=(f_axis(),), fixed=dict(BASE))
-        a, b = run_sweep(spec), run_sweep(spec)
+        spec = SweepSection(axes=(f_axis(),))
+        a, b = run_sweep(spec, BASE), run_sweep(spec, BASE)
         assert np.array_equal(a.en, b.en)
         assert np.array_equal(a.valid, b.valid)
 
     def test_grid_refinement_keeps_coincident_points(self):
-        coarse = run_sweep(SweepSpec(axes=(f_axis(count=5),),
-                                     fixed=dict(BASE)))
-        fine = run_sweep(SweepSpec(axes=(f_axis(count=9),),
-                                   fixed=dict(BASE)))
+        coarse = run_sweep(SweepSection(axes=(f_axis(count=5),)), BASE)
+        fine = run_sweep(SweepSection(axes=(f_axis(count=9),)), BASE)
         assert np.array_equal(coarse.axis_values[0], fine.axis_values[0][::2])
         assert np.array_equal(coarse.en, fine.en[::2])
 
     def test_instability_marks_cells_invalid(self):
-        spec = SweepSpec(axes=(AxisSpec("F", 0.2, 0.3, 5),),
-                         fixed=dict(BASE))
-        res = run_sweep(spec)
+        res = run_sweep(SweepSection(axes=(AxisSpec("F", 0.2, 0.3, 5),)),
+                        BASE)
         assert res.valid[0]
         assert not res.valid[-1]
         assert np.isnan(res.en[-1])
@@ -154,30 +162,29 @@ class TestRunSweep:
         assert "inverted" in res.invalid_cells[0][1]
 
     def test_phase_rule_tracks_the_frame(self):
-        spec = SweepSpec(axes=(f_axis(count=5),), fixed=dict(BASE),
-                         time_rule=TimeRule("phase", cycles=1.0))
-        res = run_sweep(spec)
+        spec = SweepSection(axes=(f_axis(count=5),),
+                            time=TimeRule("phase", cycles=1.0))
+        res = run_sweep(spec, BASE)
         want = 2.0 * math.pi / res.extras["omega_s"]
         assert np.allclose(res.extras["t_eval"], want, rtol=1e-12)
         # softer frames decouple later
         assert np.all(np.diff(res.extras["t_eval"]) > 0)
 
     def test_fixed_rule_is_flat(self):
-        spec = SweepSpec(axes=(f_axis(count=5),), fixed=dict(BASE),
-                         time_rule=TimeRule("fixed", t=3.0))
-        res = run_sweep(spec)
+        spec = SweepSection(axes=(f_axis(count=5),),
+                            time=TimeRule("fixed", t=3.0))
+        res = run_sweep(spec, BASE)
         assert np.all(res.extras["t_eval"] == 3.0)
 
     def test_drive_axes_are_equivalent(self):
         """F, delta and s axes hitting the same frames give the same EN."""
         F_vals = np.linspace(0.05, 0.2, 4)
-        res_f = run_sweep(SweepSpec(axes=(AxisSpec("F", 0.05, 0.2, 4),),
-                                    fixed=dict(BASE)))
+        res_f = run_sweep(SweepSection(axes=(AxisSpec("F", 0.05, 0.2, 4),)),
+                          BASE)
         for k, F in enumerate(F_vals):
             s = 0.25 * math.log(1.0 / (1.0 - 4.0 * F))
-            res_s = run_sweep(SweepSpec(
-                axes=(AxisSpec("gamma", 0.0, 0.1, 2),),
-                fixed=dict(BASE, s=s)))
+            res_s = run_sweep(SweepSection(
+                axes=(AxisSpec("gamma", 0.0, 0.1, 2),)), dict(BASE, s=s))
             assert res_s.en[0] == pytest.approx(res_f.en[k], abs=1e-12)
 
     @pytest.mark.parametrize("axis,fixed", [
@@ -185,34 +192,31 @@ class TestRunSweep:
         (AxisSpec("g_b", 0.5, 1.0, 3), {"gamma_tp": -0.1}),
     ], ids=["gamma-axis", "gamma_tp"])
     def test_negative_dephasing_is_rejected(self, axis, fixed):
-        spec = SweepSpec(axes=(axis,), fixed=dict(BASE, F=0.1, **fixed))
         with pytest.raises(ValueError, match="dephasing rates must be "
                                              "non-negative"):
-            run_sweep(spec)
+            run_sweep(SweepSection(axes=(axis,)), dict(BASE, F=0.1, **fixed))
 
     def test_squeezing_axis_is_exact_deep_in_the_squeezed_regime(self):
-        res = run_sweep(SweepSpec(axes=(AxisSpec("s", 8.0, 12.0, 5),),
-                                  fixed=dict(BASE)))
+        res = run_sweep(SweepSection(axes=(AxisSpec("s", 8.0, 12.0, 5),)),
+                        BASE)
         assert res.valid.all()
         s = res.axis_values[0]
         assert np.all(np.abs(res.extras["s"] - s) <= 1e-12 * s)
 
     def test_missing_couplings(self):
-        spec = SweepSpec(axes=(f_axis(),), fixed={})
         with pytest.raises(InvalidAxis, match="g_a and g_b"):
-            run_sweep(spec)
+            run_sweep(SweepSection(axes=(f_axis(),)), {})
 
     def test_fock_backend_agrees_on_small_grid(self):
-        both = SweepSpec(axes=(AxisSpec("F", 0.0, 0.1, 3),),
-                         fixed=dict(BASE), backend="both", fock_n=48)
-        res = run_sweep(both)
+        both = SweepSection(axes=(AxisSpec("F", 0.0, 0.1, 3),),
+                            backend="both", fock_n=48)
+        res = run_sweep(both, BASE)
         assert np.max(np.abs(res.extras["en_fock"] - res.en)) < 1e-3
 
     def test_leaking_fock_trajectory_marks_the_cell_invalid(self):
-        spec = SweepSpec(axes=(AxisSpec("F", 0.0, 0.2, 3),),
-                         fixed=dict(BASE, xi_mag=0.0), backend="both",
-                         fock_n=64)
-        res = run_sweep(spec)
+        spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.2, 3),),
+                            backend="both", fock_n=64)
+        res = run_sweep(spec, dict(BASE, xi_mag=0.0))
         assert res.valid.tolist() == [True, True, False]
         assert np.max(np.abs(res.extras["en_fock"][:2] - res.en[:2])) < 1e-3
         [(idx, note)] = res.invalid_cells
@@ -221,16 +225,15 @@ class TestRunSweep:
         assert "tail mass 7.646e-04" in note
 
     def test_tail_tolerance_reaches_the_fock_cell(self):
-        spec = SweepSpec(axes=(AxisSpec("F", 0.0, 0.2, 3),),
-                         fixed=dict(BASE, xi_mag=0.0), backend="both",
-                         fock_n=64)
-        res = run_sweep(spec, tail_tol=1e-3)
+        spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.2, 3),),
+                            backend="both", fock_n=64)
+        res = run_sweep(spec, dict(BASE, xi_mag=0.0), tail_tol=1e-3)
         assert res.valid.all()
 
     def test_state_beyond_the_cutoff_marks_the_cell_invalid(self):
-        spec = SweepSpec(axes=(AxisSpec("F", 0.0, 0.24, 3),),
-                         fixed=dict(BASE), backend="both", fock_n=64)
-        res = run_sweep(spec)
+        spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.24, 3),),
+                            backend="both", fock_n=64)
+        res = run_sweep(spec, BASE)
         assert res.valid.tolist() == [True, True, False]
         [(idx, note)] = res.invalid_cells
         assert idx == (2,)
@@ -239,40 +242,35 @@ class TestRunSweep:
 
 class TestEntanglementRate:
     def test_needs_matching_single_axis(self):
-        spec = SweepSpec(axes=(AxisSpec("g_b", 0.1, 1.5, 7),),
-                         fixed={"g_a": BASE["g_a"], "F": 0.1})
-        with pytest.raises(InvalidAxis):
-            entanglement_rate(spec, "gamma")
-        with pytest.raises(InvalidAxis):
-            entanglement_rate(spec, "g_a")
+        axis = AxisSpec("g_b", 0.1, 1.5, 7)
+        for which in ("gamma", "g_a"):
+            with pytest.raises(ConfigError, match="needs the axis") as exc:
+                RateSection(which, axis)
+            assert exc.value.path == "axis"
 
     def test_needs_three_points(self):
-        spec = SweepSpec(axes=(AxisSpec("g_b", 0.1, 1.5, 2),),
-                         fixed={"g_a": BASE["g_a"], "F": 0.1})
-        with pytest.raises(InsufficientPoints):
-            entanglement_rate(spec, "g_b")
+        with pytest.raises(ConfigError, match="3 points") as exc:
+            RateSection("g_b", AxisSpec("g_b", 0.1, 1.5, 2))
+        assert exc.value.path == "axis"
 
     def test_crossing_sits_at_the_peak(self):
-        spec = SweepSpec(axes=(AxisSpec("g_b", 0.2, 2.0, 121),),
-                         fixed={"g_a": BASE["g_a"], "s": 0.1733})
-        res = entanglement_rate(spec, "g_b")
+        spec = RateSection("g_b", AxisSpec("g_b", 0.2, 2.0, 121))
+        res = entanglement_rate(spec, {"g_a": BASE["g_a"], "s": 0.1733})
         assert len(res.zero_crossings) >= 1
         peak = res.g_values[np.argmax(res.en)]
         step = res.g_values[1] - res.g_values[0]
         assert min(abs(z - peak) for z in res.zero_crossings) <= step
 
     def test_monotone_region_has_no_crossings(self):
-        spec = SweepSpec(axes=(AxisSpec("g_b", 0.05, 0.3, 31),),
-                         fixed={"g_a": BASE["g_a"], "F": 0.0})
-        res = entanglement_rate(spec, "g_b")
+        spec = RateSection("g_b", AxisSpec("g_b", 0.05, 0.3, 31))
+        res = entanglement_rate(spec, {"g_a": BASE["g_a"], "F": 0.0})
         assert res.zero_crossings == []
         assert np.all(res.eta > 0.0)
 
     def test_refuses_unstable_cells(self):
-        spec = SweepSpec(axes=(AxisSpec("g_b", 0.1, 1.0, 5),),
-                         fixed={"g_a": BASE["g_a"], "F": 0.26})
+        spec = RateSection("g_b", AxisSpec("g_b", 0.1, 1.0, 5))
         with pytest.raises(UnstableFrame):
-            entanglement_rate(spec, "g_b")
+            entanglement_rate(spec, {"g_a": BASE["g_a"], "F": 0.26})
 
     def test_touching_zero_is_no_turning_point(self):
         g = np.arange(5.0)
@@ -298,16 +296,10 @@ class TestEntanglementRate:
 
 
 class TestTimeseriesFigure:
-    def test_needs_a_time_axis(self):
-        spec = SweepSpec(axes=(f_axis(),), fixed=dict(BASE))
-        with pytest.raises(InvalidAxis):
-            timeseries_figure(spec)
-
     def test_column_naming_and_backends(self):
-        spec = SweepSpec(axes=(AxisSpec("t", 0.0, 4.0, 9),),
-                         fixed=dict(BASE, F=0.0), backend="both", fock_n=64,
-                         bipartitions=("tp_qubit", "tp_mediator"))
-        res = timeseries_figure(spec)
+        spec = DynamicsSection(4.0, 9, backend="both", fock_n=64,
+                               bipartitions=("tp_qubit", "tp_mediator"))
+        res = timeseries_figure(spec, dict(BASE, F=0.0))
         assert set(res.curves) == {"base:tp_qubit:analytic",
                                    "base:tp_qubit:fock",
                                    "base:tp_mediator:fock"}
@@ -322,9 +314,8 @@ class TestTimeseriesFigure:
         values 0.5779 and 0.8933."""
         fixed = dict(BASE, g_a=0.3, F=0.1, gamma=0.2)
         t_1 = resolve_cell(fixed)[1].decoupling_time(1)
-        spec = SweepSpec(axes=(AxisSpec("t", 0.0, 2.0 * t_1, 3),),
-                         fixed=fixed, backend="both", fock_n=64)
-        res = timeseries_figure(spec)
+        spec = DynamicsSection(2.0 * t_1, 3, backend="both", fock_n=64)
+        res = timeseries_figure(spec, fixed)
         ana = res.curves["base:tp_qubit:analytic"][1:]
         assert ana == pytest.approx([0.0784, 0.0412], abs=1e-4)
         dev = np.abs(res.curves["base:tp_qubit:fock"][1:] - ana)
@@ -333,21 +324,19 @@ class TestTimeseriesFigure:
     def test_fock_sweep_cell_and_column_share_the_damping(self):
         fixed = dict(BASE, g_a=0.3, F=0.1, gamma=0.2, gamma_tp=0.05)
         t_1 = resolve_cell(fixed)[1].decoupling_time(1)
-        column = timeseries_figure(SweepSpec(
-            axes=(AxisSpec("t", 0.0, t_1, 2),), fixed=fixed,
-            backend="fock", fock_n=64)).curves["base:tp_qubit:fock"][1]
-        cells = run_sweep(SweepSpec(
-            axes=(AxisSpec("gamma", 0.0, 0.2, 2),), fixed=fixed,
-            time_rule=TimeRule("fixed", t=t_1), backend="fock", fock_n=64))
+        column = timeseries_figure(
+            DynamicsSection(t_1, 2, backend="fock", fock_n=64),
+            fixed).curves["base:tp_qubit:fock"][1]
+        cells = run_sweep(SweepSection(
+            axes=(AxisSpec("gamma", 0.0, 0.2, 2),),
+            time=TimeRule("fixed", t=t_1), backend="fock", fock_n=64), fixed)
         assert cells.en[1] == pytest.approx(column, abs=1e-12)
         assert cells.en[0] > column
 
     def test_variants_can_switch_drive_source(self):
-        spec = SweepSpec(axes=(AxisSpec("t", 0.0, 6.0, 7),),
-                         fixed=dict(BASE, F=0.05),
-                         variants=(("a", {"delta": 1.0}),
-                                   ("b", {"delta": 0.5})))
-        res = timeseries_figure(spec)
+        spec = DynamicsSection(6.0, 7, variants=(("a", {"delta": 1.0}),
+                                                 ("b", {"delta": 0.5})))
+        res = timeseries_figure(spec, dict(BASE, F=0.05))
         assert set(res.curves) == {"a:tp_qubit:analytic",
                                    "b:tp_qubit:analytic"}
         labels = {v["label"]: v for v in res.meta["variants"]}
@@ -355,8 +344,8 @@ class TestTimeseriesFigure:
         assert labels["b"]["s"] == pytest.approx(0.25 * math.log(2.0))
 
     def test_lab_hamiltonian_with_drive_term(self):
-        spec = SweepSpec(axes=(AxisSpec("t", 0.0, 2.0, 5),),
-                         fixed=dict(BASE, F=0.0, epsilon=0.5, xi_mag=0.0),
-                         backend="fock", fock_n=48)
-        res = timeseries_figure(spec, hamiltonian="lab")
+        spec = DynamicsSection(2.0, 5, backend="fock", hamiltonian="lab",
+                               fock_n=48)
+        res = timeseries_figure(spec, dict(BASE, F=0.0, epsilon=0.5,
+                                           xi_mag=0.0))
         assert "base:tp_qubit:fock" in res.curves
