@@ -24,7 +24,7 @@ from .errors import ConfigError, GraventError, InvalidAxis, UnstableFrame
 from .params import (ModelParams, PhysicalSetup, coulomb_distance_for_drive,
                      derive_model_params, derive_squeezed_frame, drive_gap)
 from .sweep import (DynamicsSection, RateSection, SweepSection,
-                    check_fock_cuts, merge_cell, resolve_cell)
+                    check_choices, check_fock_cuts, merge_cell, resolve_cell)
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,7 @@ class RunConfig:
     validate: ValidateSection | None = None
 
     def __post_init__(self):
+        check_choices(self)
         if (self.mode == "dimensionless") != (self.system is not None) or \
                 (self.mode == "si") != (self.si_system is not None):
             raise ConfigError("mode", "dimensionless mode requires the "
@@ -203,7 +204,7 @@ def _leaf(hint, v, path: str):
     return v
 
 
-def _value(hint, v, path: str, meta):
+def _value(hint, v, path: str):
     """One JSON value -> the Python value its annotation asks for."""
     args = typing.get_args(hint)
     if type(None) in args:
@@ -223,26 +224,23 @@ def _value(hint, v, path: str, meta):
             args = args[:1] * len(v)
         elif len(v) != len(args):
             raise ConfigError(path, f"expected a list of {len(args)} items")
-        return tuple(_value(a, x, f"{path}[{i}]", meta)
+        return tuple(_value(a, x, f"{path}[{i}]")
                      for i, (a, x) in enumerate(zip(args, v)))
     if origin is dict:
         if not isinstance(v, dict):
             raise ConfigError(path, f"expected an object, got {v!r}")
-        return {k: _value(args[1], x, f"{path}.{k}", meta)
+        return {k: _value(args[1], x, f"{path}.{k}")
                 for k, x in v.items()}
-    v = _leaf(hint, v, path)
-    if "choices" in meta and v not in meta["choices"]:
-        raise ConfigError(path, f"must be one of {meta['choices']}")
-    return v
+    return _leaf(hint, v, path)
 
 
 def _build(cls, raw, path: str):
     """Build dataclass cls from a JSON object, field by field.
 
     Missing optional keys take the dataclass defaults.  The block's own
-    rules run in its __post_init__: a ConfigError raised there names a
-    field relative to the block, any other ValueError or GraventError is
-    reported against the block itself.
+    rules, its fields' "choices" among them, run in its __post_init__: a
+    ConfigError raised there names a field relative to the block, any
+    other ValueError or GraventError is reported against the block.
     """
     if not isinstance(raw, dict):
         raise ConfigError(path, f"expected an object, got "
@@ -255,8 +253,7 @@ def _build(cls, raw, path: str):
     kwargs = {}
     for name, f in fields.items():
         if name in raw:
-            kwargs[name] = _value(hints[name], raw[name], f"{path}.{name}",
-                                  f.metadata)
+            kwargs[name] = _value(hints[name], raw[name], f"{path}.{name}")
         elif (f.default is dataclasses.MISSING
               and f.default_factory is dataclasses.MISSING):
             raise ConfigError(f"{path}.{name}", "missing required key")

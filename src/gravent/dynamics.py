@@ -25,8 +25,8 @@ gamma_tp acts the same way on the |R>,|L> coherences.
 
 Everything here is unit-agnostic: times and rates only enter through
 products, so the same code serves SI frames and dimensionless ones.
-Times may come in any array shape; the kernel broadcasts over them, so
-one time point and a whole grid run the same code.
+Times, frame couplings and dephasing rates may be broadcastable arrays,
+so one cell, a time grid and a grid of cells run the same code.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class DephasingBlock:
     gamma_tp: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0 or self.gamma_tp < 0:
+        if np.less(self.gamma, 0).any() or np.less(self.gamma_tp, 0).any():
             raise ValueError("dephasing rates must be non-negative")
 
 
@@ -101,8 +101,8 @@ class DephasingBlock:
 class BranchState:
     """Per-configuration mediator data at times t.
 
-    alpha_t and phi have the shape of t; displacements add a last axis
-    over the four slots, in SLOT_LABELS order.
+    alpha_t has the shape of t, phi that of t broadcast with the couplings;
+    displacements add a last axis over the four slots, in SLOT_LABELS order.
     """
 
     t: np.ndarray
@@ -119,7 +119,8 @@ def branch_state(frame: SqueezedFrame, t) -> BranchState:
     alpha_t = (np.exp(-1j * wt) - 1.0) / ws
     phi = (2.0 * frame.g_a_s * frame.g_b_s / ws) * (t - np.sin(wt) / ws)
     # displacement -lambda conj(alpha_t), lambda = sigma_a g_a_s + sigma_b g_b_s
-    lam = frame.g_a_s * _SIGMA_A + frame.g_b_s * _SIGMA_B
+    lam = np.multiply.outer(frame.g_a_s, _SIGMA_A) \
+        + np.multiply.outer(frame.g_b_s, _SIGMA_B)
     return BranchState(t, alpha_t, phi, -lam * np.conj(alpha_t)[..., None])
 
 
@@ -152,24 +153,26 @@ def displaced_overlap(a_i: complex, a_j: complex, init: MediatorInit,
                             (a_i.conjugate() * a_j).imag))
 
 
-def dephasing_mask(t, gamma: float, gamma_tp: float = 0.0) -> np.ndarray:
-    """Decay factors of the 4x4 slot-basis entries, shape t.shape + (4, 4).
+def dephasing_mask(t, gamma, gamma_tp=0.0) -> np.ndarray:
+    """Decay factors of the 4x4 slot-basis entries, shape (..., 4, 4)
+    for t, gamma and gamma_tp broadcast together.
 
     Phase damping in the energy basis multiplies each coherence between
     different qubit states by e^{-gamma t} and each one between different
     TP states by e^{-gamma_tp t}.  The pattern is symmetric in the qubit
     indices, so it damps a matrix and its qubit partial transpose alike.
     """
-    t = np.asarray(t, float)[..., None, None]
+    t, gamma, gamma_tp = (np.asarray(x, float)[..., None, None]
+                          for x in (t, gamma, gamma_tp))
     return np.exp((gamma * _QUBIT_COHERENCE + gamma_tp * _TP_COHERENCE) * -t)
 
 
 def partial_transpose_matrix(frame: SqueezedFrame, init: MediatorInit,
-                             t, gamma: float = 0.0,
-                             gamma_tp: float = 0.0) -> np.ndarray:
+                             t, gamma=0.0, gamma_tp=0.0) -> np.ndarray:
     """Qubit-transposed TP-qubit density matrix at each time of t.
 
-    Shape t.shape + (4, 4), basis order |R,0>, |R,1>, |L,0>, |L,1>.  Each
+    t, the frame couplings and the rates broadcast together; the shape
+    is theirs + (4, 4), basis order |R,0>, |R,1>, |L,0>, |L,1>.  Each
     matrix is exactly Hermitian with unit trace and every diagonal entry
     exactly 1/4 (the spins start in balanced superpositions).  gamma
     damps qubit coherences, gamma_tp damps TP coherences.  The free spin
@@ -179,16 +182,16 @@ def partial_transpose_matrix(frame: SqueezedFrame, init: MediatorInit,
     bs = branch_state(frame, t)
     coef = np.exp(1j * (bs.phi[..., None] * _SIGMA_AB))
     # displacements -lambda conj(alpha_t) have a Weyl phase of exactly 0
-    lam = frame.g_a_s * _SIGMA_A + frame.g_b_s * _SIGMA_B
-    beta = (lam[_BRA] - lam[_KET]) * np.conj(bs.alpha_t)[..., None]
+    lam = np.multiply.outer(frame.g_a_s, _SIGMA_A) \
+        + np.multiply.outer(frame.g_b_s, _SIGMA_B)
+    beta = (lam[..., _BRA] - lam[..., _KET]) * np.conj(bs.alpha_t)[..., None]
     upper = 0.25 * coef[..., _KET] * np.conj(coef[..., _BRA]) \
         * _overlap(beta, complex(init.alpha0), init.xi(frame))
-    m = np.full(bs.t.shape + (4, 4), 0.25, complex)
+    m = np.full(upper.shape[:-1] + (4, 4), 0.25, complex)
     m[..., _I, _J] = upper
     m[..., _J, _I] = np.conj(upper)
     # the mask is real, symmetric and 1 on the diagonal
-    m *= dephasing_mask(bs.t, gamma, gamma_tp)
-    return m
+    return m * dephasing_mask(bs.t, gamma, gamma_tp)
 
 
 def en_at_decoupling(g_eff: float, t_n: float) -> float:

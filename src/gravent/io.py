@@ -17,16 +17,6 @@ import numpy as np
 from .config import RunConfig, config_hash
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int,)):
-        return str(x)
-    return f"{float(x):.17g}"
-
-
 def provenance(cfg: RunConfig, **extra) -> dict:
     from . import __version__
     info = {"label": cfg.label, "config_hash": config_hash(cfg),
@@ -41,20 +31,23 @@ def _comment_block(info: dict) -> list[str]:
     lines = []
     for key, val in info.items():
         if isinstance(val, dict):
-            val = ", ".join(f"{k}={_fmt(v)}" for k, v in val.items())
+            val = ", ".join(f"{k}={v:.17g}" for k, v in val.items())
         lines.append(f"# {key}: {val}")
     return lines
 
 
-def write_csv(path: Path, info: dict, names: list[str], rows) -> Path:
+def write_csv(path: Path, info: dict, names: list[str], columns) -> Path:
+    """One CSV column per name from equal-size arrays, read in C order;
+    booleans are written as 1/0."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    row = ",".join(["{:.17g}"] * len(names)) + "\n"
+    columns = [np.ravel(c).tolist() for c in columns]
     with open(path, "w") as fh:
         for line in _comment_block(info):
             fh.write(line + "\n")
         fh.write(",".join(names) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row.format(*cells) for cells in zip(*columns))
     return path
 
 
@@ -83,13 +76,12 @@ def write_timeseries(outdir: Path, stem: str, result, info: dict):
     .gp script that plots them all."""
     outdir = Path(outdir)
     names = ["t"] + list(result.curves)
-    rows = zip(result.t, *(result.curves[c] for c in result.curves))
-    paths = [write_csv(outdir / f"{stem}.csv", info, names, rows)]
+    paths = [write_csv(outdir / f"{stem}.csv", info, names,
+                       [result.t, *result.curves.values()])]
     for curve, values in result.curves.items():
         safe = curve.replace(":", "_")
         dat = outdir / f"{stem}_{safe}.dat"
-        paths.append(write_csv(dat, info, ["t", curve],
-                               zip(result.t, values)))
+        paths.append(write_csv(dat, info, ["t", curve], [result.t, values]))
     gp = [f"# gnuplot script for {stem}", "set xlabel 't'",
           "set ylabel 'EN'", "set key outside", "plot \\"]
     parts = [f"  '{stem}_{c.replace(':', '_')}.dat' using 1:2 "
@@ -102,18 +94,13 @@ def write_timeseries(outdir: Path, stem: str, result, info: dict):
 
 
 def write_sweep(outdir: Path, stem: str, result, info: dict):
-    """One CSV row per grid cell plus a JSON dump of the full result."""
+    """One CSV row per grid cell, in C order, plus a JSON dump."""
     outdir = Path(outdir)
-    axis_names = [ax.name for ax in result.spec.axes]
-    extra_names = list(result.extras)
-    names = axis_names + ["en", "valid"] + extra_names
-    rows = []
-    shape = result.en.shape
-    for idx in np.ndindex(*shape):
-        coords = [result.axis_values[k][i] for k, i in enumerate(idx)]
-        rows.append(coords + [result.en[idx], bool(result.valid[idx])]
-                    + [result.extras[e][idx] for e in extra_names])
-    csv_path = write_csv(outdir / f"{stem}.csv", info, names, rows)
+    names = [ax.name for ax in result.spec.axes] + ["en", "valid"] \
+        + list(result.extras)
+    columns = [*np.meshgrid(*result.axis_values, indexing="ij"), result.en,
+               result.valid, *result.extras.values()]
+    csv_path = write_csv(outdir / f"{stem}.csv", info, names, columns)
     payload = {
         "axes": [{"name": ax.name, "values": result.axis_values[k]}
                  for k, ax in enumerate(result.spec.axes)],
@@ -135,7 +122,7 @@ def write_rate(outdir: Path, stem: str, results: dict, info: dict):
     for label in labels:
         names += [f"en_{label}", f"eta_{label}"]
         cols += [results[label].en, results[label].eta]
-    csv_path = write_csv(outdir / f"{stem}.csv", info, names, zip(*cols))
+    csv_path = write_csv(outdir / f"{stem}.csv", info, names, cols)
     payload = {"zero_crossings": {l: results[l].zero_crossings
                                   for l in labels},
                "meta": {l: results[l].meta for l in labels}}

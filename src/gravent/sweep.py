@@ -1,18 +1,18 @@
 """Parameter sweeps, entanglement-rate extraction, and time-series tables.
 
 Grids are specified in units of the modified mediator frequency
-(omega_tilde = 1).  Every cell independently rebuilds the squeezed frame,
-so axes may move the drive itself; cells that land at or beyond the
-instability are marked invalid rather than zeroed, and the sweep keeps
-going.  The analytic backend evaluates the closed-form matrix; the Fock
-backend is available for cross-checking small grids, and a cell whose
-state or trajectory does not fit its cutoff is marked invalid too.
+(omega_tilde = 1).  Axes may move the drive itself; cells that land at or
+beyond the instability are marked invalid rather than zeroed, and the
+sweep keeps going.  Cells that share the drive and the initial state are
+evaluated together, in one closed-form kernel call; the Fock backend is
+available for cross-checking small grids, and a cell whose state or
+trajectory does not fit its cutoff is marked invalid too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .negativity import log_negativity_from_partial_transpose
 from .params import DRIVE_KEYS, ModelParams, derive_squeezed_frame
 
 AXIS_NAMES = ("F", "delta", "g_a", "g_b", "gamma", "s", "t", "alpha0")
+# axes that leave s, omega_s and xi alone: the kernel broadcasts over them
+BROADCAST_AXES = ("g_a", "g_b", "gamma", "t")
 BACKENDS = ("analytic", "fock", "both")
 
 # cell parameters understood by the fixed dict / variant overrides
@@ -110,6 +112,7 @@ class DynamicsSection:
         for name in ("t_start", "t_stop"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(name, "must be non-negative")
+        check_choices(self)
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,7 @@ class SweepSection:
                               f"F/delta/s, got {names}")
         if self.fock_n < 1:
             raise ConfigError("fock_n", "must be at least 1")
+        check_choices(self)
 
 
 @dataclass(frozen=True)
@@ -146,13 +150,19 @@ class RateSection:
                               f"axis {self.which}, got {self.axis.name!r}")
         if self.axis.count < 3:
             raise ConfigError("axis", "rate extraction needs >= 3 points")
+        check_choices(self)
 
 
-def _known(cell: dict) -> dict:
-    for key in cell:
-        if key not in _CELL_DEFAULTS:
-            raise InvalidAxis(f"cell parameter {key!r} unknown")
-    return cell
+def check_choices(block) -> None:
+    """ConfigError naming the first field of dataclass block, or item of a
+    tuple field, whose value is not among its metadata's "choices"."""
+    for f in (f for f in fields(block) if "choices" in f.metadata):
+        value, choices = getattr(block, f.name), f.metadata["choices"]
+        many = isinstance(value, tuple)
+        for i, v in enumerate(value if many else (value,)):
+            if v not in choices:
+                raise ConfigError(f"{f.name}[{i}]" if many else f.name,
+                                  f"must be one of {choices}")
 
 
 def merge_cell(base: dict, overrides: dict) -> dict:
@@ -184,14 +194,19 @@ def check_fock_cuts(spec: DynamicsSection, fixed: dict) -> None:
 def resolve_cell(cell: dict, time_rule: TimeRule = TimeRule()):
     """Cell dict -> (params, frame, init, gamma, gamma_tp, t).
 
-    Null values take the defaults.  A value outside the model's domain
-    raises ValueError, a drive at or past the instability UnstableFrame.
+    Null values take the defaults.  g_a, g_b, gamma, gamma_tp and t may be
+    arrays that broadcast together, for cells sharing s, omega_s and xi.
+    A value outside the model's domain, in any cell, raises ValueError, a
+    drive at or past the instability UnstableFrame.
     """
+    unknown = [key for key in cell if key not in _CELL_DEFAULTS]
+    if unknown:
+        raise InvalidAxis(f"cell parameter {unknown[0]!r} unknown")
     p = dict(_CELL_DEFAULTS)
-    p.update((k, v) for k, v in _known(cell).items() if v is not None)
+    p.update((k, v) for k, v in cell.items() if v is not None)
     if p["g_a"] is None or p["g_b"] is None:
         raise InvalidAxis("g_a and g_b must be set by fixed dict or axes")
-    deph = DephasingBlock(float(p["gamma"]), float(p["gamma_tp"]))
+    deph = DephasingBlock(p["gamma"], p["gamma_tp"])
     init = MediatorInit(alpha0=complex(p["alpha0"]), xi_mag=p["xi_mag"],
                         theta=p["theta"])
     params = ModelParams.dimensionless(
@@ -200,13 +215,14 @@ def resolve_cell(cell: dict, time_rule: TimeRule = TimeRule()):
     frame = derive_squeezed_frame(params)
 
     if p["t"] is not None:
-        t = float(p["t"])
-    elif time_rule.kind == "fixed":
+        t = p["t"]
+        if np.less(t, 0.0).any():
+            raise ValueError("evaluation time t must be non-negative, got "
+                             f"{np.min(t)}")
+    elif time_rule.kind == "fixed":  # TimeRule keeps its t and cycles >= 0
         t = float(time_rule.t)
     else:
         t = time_rule.cycles * 2.0 * math.pi / frame.omega_s
-    if t < 0.0:
-        raise ValueError(f"evaluation time t must be non-negative, got {t}")
     return params, frame, init, deph.gamma, deph.gamma_tp, t
 
 
@@ -216,32 +232,6 @@ def _fock_tp_qubit_en(states: np.ndarray, n: int, ts, gamma: float,
     return log_negativity_from_partial_transpose(
         fock.cut_pt(states, n, "tp_qubit")
         * dephasing_mask(ts, gamma, gamma_tp))
-
-
-def _eval_cell(spec: SweepSection, cell: dict, tail_tol: float) -> dict:
-    try:
-        params, frame, init, gamma, gamma_tp, t = resolve_cell(
-            cell, spec.time)
-    except UnstableFrame as exc:
-        return {"valid": False, "note": str(exc)}
-
-    out = {"valid": True, "note": "", "s": frame.s, "omega_s": frame.omega_s,
-           "g_a_s": frame.g_a_s, "g_b_s": frame.g_b_s, "g_eff": frame.g_eff,
-           "t_eval": t}
-    if spec.backend in ("analytic", "both"):
-        m = partial_transpose_matrix(frame, init, t, gamma, gamma_tp)
-        out["en"] = log_negativity_from_partial_transpose(m)
-    if spec.backend in ("fock", "both"):
-        n = spec.fock_n
-        try:
-            states = fock.trajectory(params, frame, init, [t], n, cuts=(),
-                                     tail_tol=tail_tol)["states"]
-        except CutoffTooSmall as exc:
-            return {"valid": False, "note": f"Fock backend: {exc}"}
-        out["en_fock"] = _fock_tp_qubit_en(states, n, [t], gamma, gamma_tp)[0]
-        if spec.backend == "fock":
-            out["en"] = out.pop("en_fock")
-    return out
 
 
 @dataclass
@@ -255,35 +245,70 @@ class SweepResult:
     meta: dict = field(default_factory=dict)
 
 
+def _groups(axes: tuple[AxisSpec, ...], axes_vals, broadcast=()):
+    """(index, overrides) per group of cells that differ only along the
+    axes named in broadcast: their overrides are open grids, the other
+    axes' overrides one value each."""
+    wide = [ax.name in broadcast for ax in axes]
+    keep = tuple(slice(None) if w else 0 for w in wide)
+    grids = [g[keep] for g in np.meshgrid(*axes_vals, indexing="ij",
+                                          sparse=True)]
+    for idx in np.ndindex(*(1 if w else len(v)
+                            for w, v in zip(wide, axes_vals))):
+        sel = tuple(slice(None) if w else i for w, i in zip(wide, idx))
+        yield sel, {ax.name: grids[k] if w else float(axes_vals[k][i])
+                    for k, (ax, w, i) in enumerate(zip(axes, wide, sel))}
+
+
 def run_sweep(spec: SweepSection, fixed: dict,
               tail_tol: float = 1e-8) -> SweepResult:
     """Evaluate EN over the grid; deterministic for fixed inputs.
 
     fixed holds the cell parameters the axes do not set; a drive axis
-    evicts its drive.  A Fock cell is invalid once its state holds more
-    than tail_tol in the top two Fock levels.
+    evicts its drive.  One resolve and one kernel call per group of cells
+    that differ only along BROADCAST_AXES give EN and the frame extras;
+    the Fock backend then runs its valid cells one by one, and marks a
+    cell invalid once its state holds more than tail_tol in the top two
+    Fock levels.
     """
     axes_vals = tuple(ax.values() for ax in spec.axes)
     shape = tuple(len(v) for v in axes_vals)
     en = np.full(shape, np.nan)
-    valid = np.zeros(shape, bool)
+    notes = np.full(shape, "", object)
     extra_names = ("s", "omega_s", "g_a_s", "g_b_s", "g_eff", "t_eval")
     extras = {name: np.full(shape, np.nan) for name in extra_names}
     if spec.backend == "both":
         extras["en_fock"] = np.full(shape, np.nan)
-    invalid = []
-    for idx in np.ndindex(*shape):
-        overrides = {ax.name: float(axes_vals[k][i])
-                     for k, (ax, i) in enumerate(zip(spec.axes, idx))}
-        cell = _eval_cell(spec, merge_cell(fixed, overrides), tail_tol)
-        if not cell["valid"]:
-            invalid.append((idx, cell["note"]))
+    for sel, overrides in _groups(spec.axes, axes_vals, BROADCAST_AXES):
+        try:
+            _, frame, init, gamma, gamma_tp, t = resolve_cell(
+                merge_cell(fixed, overrides), spec.time)
+        except UnstableFrame as exc:
+            notes[sel] = str(exc)
             continue
-        valid[idx] = True
-        en[idx] = cell["en"]
-        for name in extras:
-            if name in cell:
-                extras[name][idx] = cell[name]
+        for name in extra_names:
+            extras[name][sel] = t if name == "t_eval" else getattr(frame, name)
+        if spec.backend != "fock":
+            en[sel] = log_negativity_from_partial_transpose(
+                partial_transpose_matrix(frame, init, t, gamma, gamma_tp))
+    for idx, overrides in _groups(spec.axes, axes_vals) \
+            if spec.backend != "analytic" else ():
+        if notes[idx]:
+            continue
+        params, frame, init, gamma, gamma_tp, t = resolve_cell(
+            merge_cell(fixed, overrides), spec.time)
+        try:
+            states = fock.trajectory(params, frame, init, [t], spec.fock_n,
+                                     cuts=(), tail_tol=tail_tol)["states"]
+        except CutoffTooSmall as exc:
+            notes[idx] = f"Fock backend: {exc}"
+            continue
+        extras.get("en_fock", en)[idx] = _fock_tp_qubit_en(
+            states, spec.fock_n, [t], gamma, gamma_tp)[0]
+    valid = notes == ""
+    for values in (en, *extras.values()):
+        values[~valid] = np.nan
+    invalid = [(idx, notes[idx]) for idx in np.ndindex(*shape) if notes[idx]]
     return SweepResult(spec=spec, axis_values=axes_vals, en=en, valid=valid,
                        extras=extras, invalid_cells=invalid,
                        meta={"backend": spec.backend,
@@ -381,8 +406,8 @@ def timeseries_figure(spec: DynamicsSection, fixed: dict,
 
 
 __all__ = [
-    "AXIS_NAMES", "BACKENDS", "AxisSpec", "TimeRule", "DynamicsSection",
-    "SweepSection", "RateSection", "SweepResult", "RateResult",
-    "TimeseriesResult", "merge_cell", "check_fock_cuts", "resolve_cell",
-    "run_sweep", "entanglement_rate", "timeseries_figure",
-]
+    "AXIS_NAMES", "BACKENDS", "BROADCAST_AXES", "AxisSpec", "TimeRule",
+    "DynamicsSection", "SweepSection", "RateSection", "SweepResult",
+    "RateResult", "TimeseriesResult", "merge_cell", "check_choices",
+    "check_fock_cuts", "resolve_cell", "run_sweep", "entanglement_rate",
+    "timeseries_figure"]

@@ -553,6 +553,29 @@ class TestCliSweep:
         assert blob["provenance"]["label"] == "unit"
         assert np.array(blob["en"]).shape == (5, 3)
 
+    def test_rows_follow_the_cells_in_c_order(self, tmp_path):
+        """Each CSV row is one cell in np.ndindex order: axis values, en,
+        valid as 1/0, then the extras, every number at 17 significant
+        digits and an invalid cell's numbers as nan."""
+        from gravent import AxisSpec, SweepSection, io, run_sweep
+        res = run_sweep(SweepSection((AxisSpec("gamma", 0.0, 0.4, 3),
+                                      AxisSpec("F", 0.2, 0.3, 3))),
+                        {"g_a": 1.0 / 48.0, "g_b": 1.0})
+        assert res.valid.tolist() == [[True, False, False]] * 3
+        io.write_sweep(tmp_path, "cells", res, {"label": "cells"})
+        _, names, rows = read_csv(tmp_path / "cells.csv")
+        assert names == ["gamma", "F", "en", "valid", *res.extras]
+        want = []
+        for idx in np.ndindex(3, 3):
+            cells = [res.axis_values[0][idx[0]], res.axis_values[1][idx[1]],
+                     res.en[idx]]
+            cells += [res.extras[name][idx] for name in res.extras]
+            text = [f"{float(v):.17g}" for v in cells]
+            want.append(text[:3] + ["1" if res.valid[idx] else "0"]
+                        + text[3:])
+        assert rows == want
+        assert "nan" in rows[1]
+
     def test_axis_overrides_fixed_drive(self, tmp_path):
         # the system block pins F; the sweep axis takes it over
         cfg_path = tmp_path / "run.json"

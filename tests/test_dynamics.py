@@ -175,6 +175,25 @@ class TestPartialTransposeMatrix:
             ref = looped_pt_matrix(f, init, float(t), gamma, gamma_tp)
             assert np.max(np.abs(m - ref)) <= ref_tol
 
+    def test_broadcasts_over_couplings_and_rates(self):
+        """Couplings and rates of shape (3, 1) with times of shape (1, 4)
+        give a (3, 4) stack; each matrix is its scalar cell's, exactly."""
+        g_a = np.array([[0.01], [0.1], [0.3]])
+        gamma = np.array([[0.0], [0.2], [0.5]])
+        ts = np.array([[0.0, 1.3, 6.0, 17.0]])
+        frame = derive_squeezed_frame(
+            ModelParams.dimensionless(g_a=g_a, g_b=1.0, F=0.1))
+        assert frame.g_eff.shape == (3, 1)
+        init = MediatorInit(0.4 - 0.3j)
+        stack = partial_transpose_matrix(frame, init, ts, gamma, 0.05)
+        assert stack.shape == (3, 4, 4, 4)
+        for i, j in np.ndindex(3, 4):
+            one = partial_transpose_matrix(frame_for(g_a=g_a[i, 0], F=0.1),
+                                           init, ts[0, j], gamma[i, 0], 0.05)
+            assert np.array_equal(stack[i, j], one)
+        assert np.array_equal(dephasing_mask(ts, gamma, 0.05)[2, 1],
+                              dephasing_mask(ts[0, 1], 0.5, 0.05))
+
     def test_no_weyl_rounding_at_the_si_point(self):
         # Displacements reach 1.3e8 at s = 6.965; their Weyl phase is 0
         # exactly, and a rounded one moved these entries by 0.1 per ulp.

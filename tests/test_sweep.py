@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravent import (AxisSpec, ConfigError, DynamicsSection,
+import gravent.sweep
+from gravent import (AxisSpec, ConfigError, CutoffTooSmall, DynamicsSection,
                      InsufficientPoints, InvalidAxis, RateSection,
                      SweepSection, TimeRule, UnstableFrame,
-                     entanglement_rate, run_sweep, timeseries_figure)
+                     entanglement_rate, fock, load_preset,
+                     log_negativity_from_partial_transpose,
+                     partial_transpose_matrix, run_sweep, timeseries_figure)
+from gravent.config import RunConfig, base_cell
+from gravent.dynamics import dephasing_mask
 from gravent.sweep import _sign_changes, merge_cell, resolve_cell
 
 BASE = {"g_a": 1.0 / 48.0, "g_b": 1.0}
@@ -107,6 +112,32 @@ class TestSections:
                                bipartitions=("tp_qubit", "tp_mediator"))
         with pytest.raises(InvalidAxis, match="dephasing"):
             timeseries_figure(spec, fixed)
+
+
+    @pytest.mark.parametrize("make,path", [
+        (lambda: SweepSection((f_axis(),), backend="magic"), "backend"),
+        (lambda: DynamicsSection(1.0, 5, backend="magic"), "backend"),
+        (lambda: DynamicsSection(1.0, 5, hamiltonian="rotating"),
+         "hamiltonian"),
+        (lambda: DynamicsSection(1.0, 5, bipartitions=("tp_qubit", "tp_tp")),
+         "bipartitions[1]"),
+        (lambda: RateSection("gamma", AxisSpec("gamma", 0.0, 1.0, 3)),
+         "which"),
+        (lambda: RunConfig("x", mode="lab"), "mode"),
+    ], ids=["sweep-backend", "dynamics-backend", "hamiltonian",
+            "bipartition", "rate-which", "mode"])
+    def test_choices_name_their_field(self, make, path):
+        """A value outside a field's choices is a ConfigError from Python
+        too, not only from the config walker."""
+        with pytest.raises(ConfigError, match="must be one of") as exc:
+            make()
+        assert exc.value.path == path
+
+    def test_unknown_backend_never_reaches_the_sweep(self):
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(SweepSection((AxisSpec("F", 0.0, 0.1, 2),),
+                                   backend="magic"), BASE)
+        assert exc.value.path == "backend"
 
 
 class TestMergeCell:
@@ -238,6 +269,135 @@ class TestRunSweep:
         [(idx, note)] = res.invalid_cells
         assert idx == (2,)
         assert "at N = 64 (tail mass" in note
+
+
+EXTRA_NAMES = ("s", "omega_s", "g_a_s", "g_b_s", "g_eff", "t_eval")
+
+
+def per_cell_sweep(spec, fixed, tail_tol=1e-8):
+    """The grid one cell at a time through resolve_cell, the kernel and
+    EN, with the Fock column of the "both" backend: the reference that the
+    grouped run_sweep must equal bit for bit."""
+    shape = tuple(ax.count for ax in spec.axes)
+    en = np.full(shape, np.nan)
+    extras = {name: np.full(shape, np.nan) for name in EXTRA_NAMES}
+    if spec.backend == "both":
+        extras["en_fock"] = np.full(shape, np.nan)
+    invalid = []
+    for idx in np.ndindex(*shape):
+        cell = merge_cell(fixed, {ax.name: float(ax.values()[i])
+                                  for ax, i in zip(spec.axes, idx)})
+        try:
+            params, frame, init, gamma, gamma_tp, t = resolve_cell(
+                cell, spec.time)
+            if spec.backend == "both":
+                states = fock.trajectory(params, frame, init, [t],
+                                         spec.fock_n, cuts=(),
+                                         tail_tol=tail_tol)["states"]
+                extras["en_fock"][idx] = log_negativity_from_partial_transpose(
+                    fock.cut_pt(states, spec.fock_n, "tp_qubit")
+                    * dephasing_mask([t], gamma, gamma_tp))[0]
+        except UnstableFrame as exc:
+            invalid.append((idx, str(exc)))
+            continue
+        except CutoffTooSmall as exc:
+            invalid.append((idx, f"Fock backend: {exc}"))
+            continue
+        en[idx] = log_negativity_from_partial_transpose(
+            partial_transpose_matrix(frame, init, t, gamma, gamma_tp))
+        for name in EXTRA_NAMES:
+            extras[name][idx] = t if name == "t_eval" else getattr(frame,
+                                                                     name)
+    return en, extras, invalid
+
+
+def assert_same_sweep(res, en, extras, invalid):
+    assert np.array_equal(res.en, en, equal_nan=True)
+    assert np.array_equal(res.valid, ~np.isnan(en))
+    assert res.extras.keys() == extras.keys()
+    for name in extras:
+        assert np.array_equal(res.extras[name], extras[name],
+                              equal_nan=True), name
+    assert res.invalid_cells == invalid
+
+
+F_ACROSS = AxisSpec("F", 0.1, 0.3, 5)   # 0.25 is stable no more
+
+
+class TestGroupedSweep:
+    """Cells that share a frame are evaluated in one kernel call; the
+    result is that of a per-cell loop, bit for bit."""
+
+    @pytest.mark.parametrize("axes,fixed", [
+        ((F_ACROSS, AxisSpec("gamma", 0.0, 0.4, 4)), {}),
+        ((AxisSpec("gamma", 0.0, 0.4, 4), F_ACROSS), {"gamma_tp": 0.05}),
+        ((F_ACROSS, AxisSpec("g_a", 0.01, 0.3, 4)), {}),
+        ((AxisSpec("g_b", 0.0, 2.0, 4), F_ACROSS), {"gamma": 0.1}),
+        ((F_ACROSS, AxisSpec("t", 0.0, 20.0, 6)), {"gamma": 0.2}),
+        ((AxisSpec("g_a", 0.01, 0.3, 3), AxisSpec("g_b", 0.1, 2.0, 4)),
+         {"F": 0.2, "gamma": 0.1}),
+        ((AxisSpec("t", 0.5, 9.0, 4), AxisSpec("gamma", 0.0, 0.3, 3)),
+         {"s": 0.3}),
+        ((AxisSpec("alpha0", 0.0, 2.0, 3), AxisSpec("g_b", 0.1, 2.0, 4)),
+         {"F": 0.1}),
+        ((AxisSpec("g_b", 0.1, 2.0, 7),), {"delta": 0.5}),
+        ((AxisSpec("s", 0.0, 3.0, 5),), {"gamma": 0.1}),
+    ], ids=["F-gamma", "gamma-F", "F-g_a", "g_b-F", "F-t", "g_a-g_b",
+            "t-gamma", "alpha0-g_b", "g_b", "s"])
+    def test_equals_the_per_cell_loop(self, axes, fixed):
+        spec = SweepSection(axes=axes, time=TimeRule("phase", cycles=1.3))
+        fixed = dict(BASE, **fixed)
+        res = run_sweep(spec, fixed)
+        assert_same_sweep(res, *per_cell_sweep(spec, fixed))
+        if F_ACROSS in axes:
+            assert res.invalid_cells and not res.valid.all()
+
+    @pytest.mark.parametrize("axes", [
+        (AxisSpec("F", 0.0, 0.26, 3), AxisSpec("gamma", 0.0, 0.2, 2)),
+        (AxisSpec("gamma", 0.0, 0.2, 2), AxisSpec("F", 0.0, 0.26, 3)),
+    ], ids=["F-gamma", "gamma-F"])
+    def test_both_backend_equals_the_per_cell_loop(self, axes):
+        """At N = 32 the middle drive leaks and the last one is unstable;
+        a Fock-invalid cell keeps NaN extras."""
+        spec = SweepSection(axes=axes, backend="both", fock_n=32)
+        fixed = dict(BASE, xi_mag=0.0)
+        res = run_sweep(spec, fixed)
+        assert_same_sweep(res, *per_cell_sweep(spec, fixed))
+        leaks = [idx for idx, note in res.invalid_cells
+                 if note.startswith("Fock backend: trajectory leaks")]
+        assert len(leaks) == 2 and len(res.invalid_cells) == 4
+        for idx in leaks:
+            assert np.isnan(res.en[idx])
+            assert all(np.isnan(v[idx]) for v in res.extras.values())
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The argument tuples of every kernel call run_sweep makes."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return partial_transpose_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(gravent.sweep, "partial_transpose_matrix",
+                            counting)
+        return calls
+
+    @pytest.mark.parametrize("preset,calls", [("fig4", 49), ("fig5", 35),
+                                              ("fig2", 200)])
+    def test_one_kernel_call_per_drive_value(self, kernel_calls, preset,
+                                             calls):
+        cfg = load_preset(preset)
+        res = run_sweep(cfg.sweep, base_cell(cfg))
+        assert res.valid.all()
+        assert len(kernel_calls) == calls == cfg.sweep.axes[0].count
+
+    def test_one_kernel_call_per_rate_variant(self, kernel_calls):
+        cfg = load_preset("fig5")
+        for _, overrides in cfg.rate.variants:
+            entanglement_rate(cfg.rate, merge_cell(base_cell(cfg), overrides))
+            assert len(kernel_calls) == 1
+            kernel_calls.clear()
 
 
 class TestEntanglementRate:
