@@ -16,8 +16,7 @@ from .dynamics import (MediatorInit, BranchState, branch_state,
                        en_timeseries)
 from .errors import (GraventError, ConfigError, NegativeSquaredFrequency,
                      UnstableFrame, DimensionMismatch, NonHermitianInput,
-                     CutoffTooSmall, EigenFailure, NoConvergence,
-                     InvalidAxis, InsufficientPoints)
+                     CutoffTooSmall, EigenFailure, NoConvergence)
 from .negativity import (partial_transpose, partial_trace, log_negativity,
                          log_negativity_from_partial_transpose,
                          en_bipartition, trace_norm_hermitian)
@@ -42,8 +41,7 @@ __all__ = [
     "en_timeseries",
     "GraventError", "ConfigError", "NegativeSquaredFrequency",
     "UnstableFrame", "DimensionMismatch", "NonHermitianInput",
-    "CutoffTooSmall", "EigenFailure", "NoConvergence", "InvalidAxis",
-    "InsufficientPoints",
+    "CutoffTooSmall", "EigenFailure", "NoConvergence",
     "partial_transpose", "partial_trace", "log_negativity",
     "log_negativity_from_partial_transpose", "en_bipartition",
     "trace_norm_hermitian",

@@ -184,9 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="name of a shipped configuration")
         sp.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (default: ./out)")
-        sp.add_argument("--golden", action="store_true",
-                        help="compare derived values against published "
-                             "references")
+        if name == "feasibility":
+            sp.add_argument("--golden", action="store_true",
+                            help="compare derived values against "
+                                 "published references")
     return parser
 
 

@@ -20,11 +20,11 @@ import typing
 from dataclasses import dataclass, field
 
 from .dynamics import DephasingBlock, MediatorInit
-from .errors import ConfigError, GraventError, InvalidAxis, UnstableFrame
+from .errors import ConfigError, GraventError, UnstableFrame
 from .params import (ModelParams, PhysicalSetup, coulomb_distance_for_drive,
                      derive_model_params, derive_squeezed_frame, drive_gap)
 from .sweep import (DynamicsSection, RateSection, SweepSection,
-                    check_choices, check_fock_cuts, merge_cell, resolve_cell)
+                    check_fields, check_fock_cuts, merge_cell, resolve_cell)
 
 
 @dataclass(frozen=True)
@@ -90,35 +90,37 @@ class SISystem:
 
 @dataclass(frozen=True)
 class FeasibilitySection:
-    gamma_window: tuple[float, float] = (0.0, 0.0)
-    cycles: float = 1.0
+    gamma_window: tuple[float, float] = field(default=(0.0, 0.0),
+                                              metadata={"min": 0.0})
+    cycles: float = field(default=1.0, metadata={"min": 0.0})
 
-    def __post_init__(self):
-        if self.cycles < 0.0:
-            raise ConfigError("cycles", "must be non-negative")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class ValidateSection:
-    seed: int = 20240811
-    overlap_samples: int = 200
-    pt_samples: int = 20
-    fock_n: int = 64
-    t_points: int = 25
+    seed: int = field(default=20240811, metadata={"min": 0})
+    overlap_samples: int = field(default=200, metadata={"min": 1})
+    pt_samples: int = field(default=20, metadata={"min": 1})
+    fock_n: int = field(default=64, metadata={"min": 1})
+    t_points: int = field(default=25, metadata={"min": 2})
     overlap_tol: float = 1e-8
     pt_tol: float = 1e-6
     en_tol: float = 1e-3
 
-    def __post_init__(self):
-        for name, least in (("seed", 0), ("fock_n", 1), ("t_points", 2)):
-            if getattr(self, name) < least:
-                raise ConfigError(name, f"must be at least {least}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class ToleranceBlock:
     fock_tail: float = 1e-8
     en_convergence: float = 1e-4
+
+    def __post_init__(self):
+        if not 0.0 < self.fock_tail < 1.0:
+            raise ConfigError("fock_tail", "must lie strictly between 0 and 1")
+        if self.en_convergence <= 0.0:
+            raise ConfigError("en_convergence", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ class RunConfig:
     validate: ValidateSection | None = None
 
     def __post_init__(self):
-        check_choices(self)
+        check_fields(self)
         if (self.mode == "dimensionless") != (self.system is not None) or \
                 (self.mode == "si") != (self.si_system is not None):
             raise ConfigError("mode", "dimensionless mode requires the "
@@ -169,8 +171,8 @@ def _check_cells(cfg: RunConfig) -> None:
     if cfg.dynamics:
         try:
             check_fock_cuts(cfg.dynamics, base)
-        except InvalidAxis as exc:
-            raise ConfigError("dynamics.bipartitions", str(exc)) from None
+        except ConfigError as exc:
+            raise ConfigError(f"dynamics.{exc.path}", exc.message) from None
 
 
 _hints = functools.cache(typing.get_type_hints)
@@ -237,10 +239,9 @@ def _value(hint, v, path: str):
 def _build(cls, raw, path: str):
     """Build dataclass cls from a JSON object, field by field.
 
-    Missing optional keys take the dataclass defaults.  The block's own
-    rules, its fields' "choices" among them, run in its __post_init__: a
-    ConfigError raised there names a field relative to the block, any
-    other ValueError or GraventError is reported against the block.
+    Missing optional keys take the dataclass defaults.  A ConfigError
+    from the block's __post_init__ names a field relative to the block,
+    any other ValueError or GraventError is reported against the block.
     """
     if not isinstance(raw, dict):
         raise ConfigError(path, f"expected an object, got "

@@ -52,14 +52,6 @@ class NoConvergence(GraventError):
         super().__init__(message)
 
 
-class InvalidAxis(GraventError):
-    """Sweep axis name outside the supported set, or ill-formed."""
-
-
-class InsufficientPoints(GraventError):
-    """Too few grid points for the requested operation."""
-
-
 __all__ = [
     "GraventError",
     "ConfigError",
@@ -70,6 +62,4 @@ __all__ = [
     "CutoffTooSmall",
     "EigenFailure",
     "NoConvergence",
-    "InvalidAxis",
-    "InsufficientPoints",
 ]

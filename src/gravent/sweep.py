@@ -19,8 +19,7 @@ import numpy as np
 from . import fock
 from .dynamics import (DephasingBlock, MediatorInit, dephasing_mask,
                        en_timeseries, partial_transpose_matrix)
-from .errors import (ConfigError, CutoffTooSmall, InsufficientPoints,
-                     InvalidAxis, UnstableFrame)
+from .errors import ConfigError, CutoffTooSmall, UnstableFrame
 from .negativity import log_negativity_from_partial_transpose
 from .params import DRIVE_KEYS, ModelParams, derive_squeezed_frame
 
@@ -38,25 +37,37 @@ _CELL_DEFAULTS = {
 }
 
 
+def check_fields(block) -> None:
+    """ConfigError naming the first field of dataclass block, or item of a
+    tuple field, that breaks a rule of its metadata: "choices", the values
+    it may take, or "min", its least value.  None breaks no rule."""
+    for f in (f for f in fields(block) if f.metadata):
+        rule, value = f.metadata, getattr(block, f.name)
+        many = isinstance(value, tuple)
+        for i, v in enumerate(value if many else (value,)):
+            where = f"{f.name}[{i}]" if many else f.name
+            if v is None:
+                continue
+            if "choices" in rule and v not in rule["choices"]:
+                raise ConfigError(where, f"must be one of {rule['choices']}")
+            if "min" in rule and v < rule["min"]:
+                raise ConfigError(where, f"must be at least {rule['min']}")
+
+
 @dataclass(frozen=True)
 class AxisSpec:
-    name: str
+    name: str = field(metadata={"choices": AXIS_NAMES})
     start: float
     stop: float
-    count: int
-    scale: str = "linear"
+    count: int = field(metadata={"min": 2})
+    scale: str = field(default="linear",
+                       metadata={"choices": ("linear", "log")})
 
     def __post_init__(self):
-        if self.name not in AXIS_NAMES:
-            raise InvalidAxis(
-                f"axis {self.name!r} not in supported set {AXIS_NAMES}")
-        if self.count < 2:
-            raise InsufficientPoints(
-                f"axis {self.name!r} needs >= 2 points, got {self.count}")
-        if self.scale not in ("linear", "log"):
-            raise InvalidAxis(f"scale {self.scale!r} not linear/log")
-        if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
-            raise InvalidAxis("log axis endpoints must be positive")
+        check_fields(self)
+        for name in ("start", "stop"):
+            if self.scale == "log" and getattr(self, name) <= 0:
+                raise ConfigError(name, "must be positive on a log axis")
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -73,18 +84,15 @@ class TimeRule:
     kind = "fixed": absolute time t.
     """
 
-    kind: str = "phase"
-    cycles: float = 1.0
-    t: float | None = None
+    kind: str = field(default="phase",
+                      metadata={"choices": ("phase", "fixed")})
+    cycles: float = field(default=1.0, metadata={"min": 0.0})
+    t: float | None = field(default=None, metadata={"min": 0.0})
 
     def __post_init__(self):
-        if self.kind not in ("phase", "fixed"):
-            raise InvalidAxis(f"time rule {self.kind!r} not phase/fixed")
-        if self.kind == "fixed" and self.t is None:
-            raise InvalidAxis("fixed time rule needs t")
-        for name in ("cycles", "t"):
-            if (getattr(self, name) or 0.0) < 0.0:
-                raise ConfigError(name, "must be non-negative")
+        check_fields(self)
+        if (self.kind == "fixed") != (self.t is not None):
+            raise ConfigError("t", "only a fixed rule takes t, and needs it")
 
 
 Variants = tuple[tuple[str, dict[str, float | None]], ...]
@@ -92,27 +100,23 @@ Variants = tuple[tuple[str, dict[str, float | None]], ...]
 
 @dataclass(frozen=True)
 class DynamicsSection:
-    t_stop: float
-    points: int
-    t_start: float = 0.0
+    t_stop: float = field(metadata={"min": 0.0})
+    points: int = field(metadata={"min": 2})
+    t_start: float = field(default=0.0, metadata={"min": 0.0})
     backend: str = field(default="analytic", metadata={"choices": BACKENDS})
     hamiltonian: str = field(default="squeezed",
                              metadata={"choices": ("squeezed", "lab")})
-    fock_n: int = 64
+    fock_n: int = field(default=64, metadata={"min": 1})
     bipartitions: tuple[str, ...] = field(
         default=("tp_qubit",),
         metadata={"choices": tuple(fock.BIPARTITIONS)})
     variants: Variants = ()
 
     def __post_init__(self):
-        if self.points < 2:
-            raise ConfigError("points", "need at least 2 points")
-        if self.fock_n < 1:
-            raise ConfigError("fock_n", "must be at least 1")
-        for name in ("t_start", "t_stop"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(name, "must be non-negative")
-        check_choices(self)
+        check_fields(self)
+        for i, (_, overrides) in enumerate(self.variants):
+            if "t" in overrides:
+                raise ConfigError(f"variants[{i}]", "the time grid sets t")
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,10 @@ class SweepSection:
     axes: tuple[AxisSpec, ...]
     time: TimeRule = TimeRule()
     backend: str = field(default="analytic", metadata={"choices": BACKENDS})
-    fock_n: int = 64
+    fock_n: int = field(default=64, metadata={"min": 1})
 
     def __post_init__(self):
+        check_fields(self)
         names = [ax.name for ax in self.axes]
         if not 1 <= len(set(names)) == len(names) <= 2:
             raise ConfigError("axes", "expected a non-empty list of one or "
@@ -130,9 +135,6 @@ class SweepSection:
         if len(set(names) & set(DRIVE_KEYS)) > 1:
             raise ConfigError("axes", "at most one drive axis among "
                               f"F/delta/s, got {names}")
-        if self.fock_n < 1:
-            raise ConfigError("fock_n", "must be at least 1")
-        check_choices(self)
 
 
 @dataclass(frozen=True)
@@ -145,24 +147,12 @@ class RateSection:
     variants: Variants = ()
 
     def __post_init__(self):
+        check_fields(self)
         if self.axis.name != self.which:
             raise ConfigError("axis", f"a rate along {self.which} needs the "
                               f"axis {self.which}, got {self.axis.name!r}")
         if self.axis.count < 3:
             raise ConfigError("axis", "rate extraction needs >= 3 points")
-        check_choices(self)
-
-
-def check_choices(block) -> None:
-    """ConfigError naming the first field of dataclass block, or item of a
-    tuple field, whose value is not among its metadata's "choices"."""
-    for f in (f for f in fields(block) if "choices" in f.metadata):
-        value, choices = getattr(block, f.name), f.metadata["choices"]
-        many = isinstance(value, tuple)
-        for i, v in enumerate(value if many else (value,)):
-            if v not in choices:
-                raise ConfigError(f"{f.name}[{i}]" if many else f.name,
-                                  f"must be one of {choices}")
 
 
 def merge_cell(base: dict, overrides: dict) -> dict:
@@ -187,8 +177,8 @@ def check_fock_cuts(spec: DynamicsSection, fixed: dict) -> None:
     for label, overrides in spec.variants or (("base", {}),):
         cell = merge_cell(fixed, overrides)
         if cell.get("gamma") or cell.get("gamma_tp"):
-            raise InvalidAxis(
-                f"Fock mediator cuts ignore the dephasing of {label!r}")
+            raise ConfigError("bipartitions", "Fock mediator cuts ignore "
+                              f"the dephasing of {label!r}")
 
 
 def resolve_cell(cell: dict, time_rule: TimeRule = TimeRule()):
@@ -196,16 +186,19 @@ def resolve_cell(cell: dict, time_rule: TimeRule = TimeRule()):
 
     Null values take the defaults.  g_a, g_b, gamma, gamma_tp and t may be
     arrays that broadcast together, for cells sharing s, omega_s and xi.
-    A value outside the model's domain, in any cell, raises ValueError, a
-    drive at or past the instability UnstableFrame.
+    An unknown key, a missing coupling or a negative t raises ConfigError
+    naming the key; another value outside the model's domain, in any cell,
+    ValueError, a drive at or past the instability UnstableFrame.
     """
-    unknown = [key for key in cell if key not in _CELL_DEFAULTS]
-    if unknown:
-        raise InvalidAxis(f"cell parameter {unknown[0]!r} unknown")
+    for key in cell:
+        if key not in _CELL_DEFAULTS:
+            raise ConfigError(key, "unknown cell parameter")
     p = dict(_CELL_DEFAULTS)
     p.update((k, v) for k, v in cell.items() if v is not None)
-    if p["g_a"] is None or p["g_b"] is None:
-        raise InvalidAxis("g_a and g_b must be set by fixed dict or axes")
+    for key in ("g_a", "g_b"):
+        if p[key] is None:
+            raise ConfigError(key, "g_a and g_b must be set by the fixed "
+                              "dict or an axis")
     deph = DephasingBlock(p["gamma"], p["gamma_tp"])
     init = MediatorInit(alpha0=complex(p["alpha0"]), xi_mag=p["xi_mag"],
                         theta=p["theta"])
@@ -217,8 +210,7 @@ def resolve_cell(cell: dict, time_rule: TimeRule = TimeRule()):
     if p["t"] is not None:
         t = p["t"]
         if np.less(t, 0.0).any():
-            raise ValueError("evaluation time t must be non-negative, got "
-                             f"{np.min(t)}")
+            raise ConfigError("t", f"must be non-negative, got {np.min(t)}")
     elif time_rule.kind == "fixed":  # TimeRule keeps its t and cycles >= 0
         t = float(time_rule.t)
     else:
@@ -408,6 +400,6 @@ def timeseries_figure(spec: DynamicsSection, fixed: dict,
 __all__ = [
     "AXIS_NAMES", "BACKENDS", "BROADCAST_AXES", "AxisSpec", "TimeRule",
     "DynamicsSection", "SweepSection", "RateSection", "SweepResult",
-    "RateResult", "TimeseriesResult", "merge_cell", "check_choices",
+    "RateResult", "TimeseriesResult", "merge_cell", "check_fields",
     "check_fock_cuts", "resolve_cell", "run_sweep", "entanglement_rate",
     "timeseries_figure"]

@@ -1,6 +1,7 @@
 """Configuration schema, presets, output files, and the command line."""
 
 import argparse
+import dataclasses
 import gc
 import json
 import math
@@ -14,10 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gravent
-from gravent import (ConfigError, config_hash, load_config, load_preset,
-                     parse_config, serialize_config)
+import gravent.config
+import gravent.sweep
+from gravent import (AxisSpec, ConfigError, DynamicsSection, RateSection,
+                     SweepSection, TimeRule, config_hash, load_config,
+                     load_preset, parse_config, serialize_config)
 from gravent.cli import main
-from gravent.config import base_cell, resolve_dimensionless, resolve_si
+from gravent.config import (FeasibilitySection, ValidateSection, base_cell,
+                            resolve_dimensionless, resolve_si)
 from gravent.presets import PRESET_NAMES, SEC5_GOLDEN, golden_check
 
 MINIMAL = {
@@ -100,8 +105,9 @@ class TestParsing:
             parse_config(cfg_with(dephasing={"gamma": -0.1}))
 
     def test_dynamics_section_validation(self):
-        with pytest.raises(ConfigError, match="2 points"):
+        with pytest.raises(ConfigError) as exc:
             parse_config(cfg_with(dynamics={"t_stop": 1.0, "points": 1}))
+        assert exc.value.path == "<config>.dynamics.points"
         with pytest.raises(ConfigError, match="bipartitions"):
             parse_config(cfg_with(dynamics={"t_stop": 1.0, "points": 5,
                                             "bipartitions": ["tp_tp"]}))
@@ -193,8 +199,16 @@ class TestConfigBoundary:
          lambda d: d["system"].update(F=math.nan)),
         ("mediator",
          lambda d: d.update(mediator={"xi_mag": -0.5})),
-        ("sweep.axes[0]",
+        ("sweep.axes[0].name",
          lambda d: d["sweep"]["axes"][0].update(name="Q")),
+        ("sweep.axes[0].count",
+         lambda d: d["sweep"]["axes"][0].update(count=1)),
+        ("sweep.axes[0].scale",
+         lambda d: d["sweep"]["axes"][0].update(scale="sqrt")),
+        ("sweep.time.kind",
+         lambda d: d["sweep"].update(time={"kind": "cycles"})),
+        ("sweep.time.t",
+         lambda d: d["sweep"].update(time={"kind": "fixed"})),
         ("dynamics.bipartitions",
          lambda d: d["dynamics"].update(bipartitions="tp_qubit")),
         ("dynamics.variants[0]",
@@ -287,6 +301,17 @@ class TestConfigBoundary:
             "t_stop": 1.0, "points": 5, "backend": "magic"}}),
         ("<config>.dynamics.hamiltonian", {"dynamics": {
             "t_stop": 1.0, "points": 5, "hamiltonian": "rotating"}}),
+        ("<config>.validate.overlap_samples",
+         {"validate": {"overlap_samples": 0}}),
+        ("<config>.validate.pt_samples", {"validate": {"pt_samples": 0}}),
+        ("<config>.tolerances.fock_tail", {"tolerances": {"fock_tail": 0.0}}),
+        ("<config>.tolerances.en_convergence",
+         {"tolerances": {"en_convergence": 0.0}}),
+        ("<config>.feasibility.gamma_window[0]",
+         {"feasibility": {"gamma_window": [-5.0, 0.0]}}),
+        ("<config>.sweep.time.t", {"sweep": {
+            "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
+            "time": {"kind": "phase", "t": 5.0}}}),
     ], ids=["negative-drive", "seed", "t_points", "fock_n",
             "float-overflow", "dynamics.fock_n", "sweep.fock_n",
             "variant-xi_mag", "variant-delta", "variant-unknown-key",
@@ -294,7 +319,9 @@ class TestConfigBoundary:
             "rate-variant-gamma_tp", "rate-axis-gamma", "rate-axis-name",
             "rate-axis-count", "sweep-three-axes", "sweep-two-drives",
             "dephased-mediator-cut", "variant-dephased-mediator-cut",
-            "sweep-backend", "dynamics-backend", "dynamics-hamiltonian"])
+            "sweep-backend", "dynamics-backend", "dynamics-hamiltonian",
+            "overlap_samples", "pt_samples", "fock_tail", "en_convergence",
+            "gamma_window", "phase-rule-with-t"])
     def test_out_of_domain_values_name_the_field(self, field, edit):
         with pytest.raises(ConfigError) as exc:
             parse_config(cfg_with(**edit))
@@ -375,6 +402,70 @@ class TestConfigBoundary:
                                    "variants": [["v", {"gamma": math.nan}]]}}):
             with pytest.raises(ConfigError, match="finite"):
                 parse_config(cfg_with(**edit))
+
+    def test_dynamics_variant_may_not_set_t(self, tmp_path, capsys):
+        """A time series evaluates every variant on its own time grid: a
+        variant's t was dropped, and its column copied the base's."""
+        data = cfg_with(dynamics={"t_stop": 6.0, "points": 5, "variants": [
+            ["a", {"t": 100.0}], ["b", {}]]})
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        rc = main(["dynamics", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {cfg_path}.dynamics.variants[0]: " in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # a rate variant and a sweep axis still set the evaluation time
+        cfg = parse_config(cfg_with(
+            rate={"which": "g_b", "axis": {"name": "g_b", "start": 0.1,
+                                           "stop": 1.0, "count": 5},
+                  "variants": [["v", {"t": 3.0}]]},
+            sweep={"axes": [{"name": "t", "start": 1.0, "stop": 6.0,
+                             "count": 3}]}))
+        assert cfg.rate.variants[0][1] == {"t": 3.0}
+
+
+# one valid instance of each block whose fields carry rules
+RULED_BLOCKS = {
+    AxisSpec: AxisSpec("F", 0.0, 0.2, 3),
+    TimeRule: TimeRule("fixed", t=1.0),
+    DynamicsSection: DynamicsSection(1.0, 5),
+    SweepSection: SweepSection((AxisSpec("F", 0.0, 0.2, 3),)),
+    RateSection: RateSection("g_b", AxisSpec("g_b", 0.1, 1.0, 5)),
+    FeasibilitySection: FeasibilitySection(),
+    ValidateSection: ValidateSection(),
+    gravent.config.RunConfig: parse_config(MINIMAL),
+}
+
+
+def _ruled_fields():
+    blocks = {obj for module in (gravent.sweep, gravent.config)
+              for obj in vars(module).values()
+              if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+    return [(cls, f) for cls in sorted(blocks, key=lambda c: c.__name__)
+            for f in dataclasses.fields(cls)
+            if "choices" in f.metadata or "min" in f.metadata]
+
+
+@pytest.mark.parametrize("cls,f", _ruled_fields(),
+                         ids=lambda x: getattr(x, "__name__", None)
+                         or getattr(x, "name", None))
+def test_value_just_outside_a_field_rule_names_the_field(cls, f):
+    """Every "choices" or "min" rule of every section is checked when the
+    block is built, and names its field; a "min" value itself passes."""
+    valid = RULED_BLOCKS[cls]
+    many = isinstance(getattr(valid, f.name), tuple)
+    if "choices" in f.metadata:
+        bad = "not-a-choice"
+    else:
+        least = f.metadata["min"]
+        dataclasses.replace(valid, **{f.name: (least,) if many else least})
+        bad = least - 1 if isinstance(least, int) \
+            else math.nextafter(least, -math.inf)
+    with pytest.raises(ConfigError) as exc:
+        dataclasses.replace(valid, **{f.name: (bad,) if many else bad})
+    assert exc.value.path == (f"{f.name}[0]" if many else f.name)
 
 
 class TestRoundTrip:
@@ -533,6 +624,22 @@ class TestCliDynamics:
                    str(tmp_path / "out")])
         assert rc == 2
         assert "trajectory leaks at N = 24 (tail mass 3.6" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("fock_tail", [1.0, -1.0])
+    def test_fock_tail_outside_0_1_exits_2(self, tmp_path, capsys,
+                                           fock_tail):
+        """fock_tail = 1 accepted every N = 2 trajectory, whose Fock column
+        read 0 beside an analytic 0.4615 at t = 6; fock_tail = -1 failed
+        as a coherent amplitude that did not fit."""
+        data = cfg_with(tolerances={"fock_tail": fock_tail}, dynamics={
+            "t_stop": 6.0, "points": 3, "backend": "both", "fock_n": 2})
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        rc = main(["dynamics", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {cfg_path}.tolerances.fock_tail: " in \
             capsys.readouterr().err
 
 
@@ -768,6 +875,15 @@ class TestCliTopLevel:
         text = capsys.readouterr().out
         assert "regime checks" in text
         assert "FAIL" not in text
+
+    def test_golden_belongs_to_feasibility_only(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "fig2", "--golden", "--out",
+                  str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --golden" in capsys.readouterr().err
+        assert main(["feasibility", "--preset", "sec5-feasibility",
+                     "--golden", "--out", str(tmp_path)]) == 0
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["dynamics", "--config", str(tmp_path / "nope.json"),

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import gravent.sweep
 from gravent import (AxisSpec, ConfigError, CutoffTooSmall, DynamicsSection,
-                     InsufficientPoints, InvalidAxis, RateSection,
-                     SweepSection, TimeRule, UnstableFrame,
+                     RateSection, SweepSection, TimeRule, UnstableFrame,
                      entanglement_rate, fock, load_preset,
                      log_negativity_from_partial_transpose,
                      partial_transpose_matrix, run_sweep, timeseries_figure)
@@ -35,30 +34,43 @@ class TestAxisSpec:
         assert np.allclose(ax.values(), [0.01, 0.1, 1.0])
 
     def test_unknown_name(self):
-        with pytest.raises(InvalidAxis):
+        with pytest.raises(ConfigError) as exc:
             AxisSpec("mass", 0.0, 1.0, 5)
+        assert exc.value.path == "name"
 
     def test_too_few_points(self):
-        with pytest.raises(InsufficientPoints):
+        with pytest.raises(ConfigError) as exc:
             AxisSpec("F", 0.0, 1.0, 1)
+        assert exc.value.path == "count"
 
     def test_log_needs_positive_endpoints(self):
-        with pytest.raises(InvalidAxis):
+        with pytest.raises(ConfigError) as exc:
             AxisSpec("F", 0.0, 1.0, 5, scale="log")
+        assert exc.value.path == "start"
 
     def test_unknown_scale(self):
-        with pytest.raises(InvalidAxis):
+        with pytest.raises(ConfigError) as exc:
             AxisSpec("F", 0.0, 1.0, 5, scale="sqrt")
+        assert exc.value.path == "scale"
 
 
 class TestTimeRule:
     def test_fixed_needs_a_time(self):
-        with pytest.raises(InvalidAxis):
+        with pytest.raises(ConfigError) as exc:
             TimeRule("fixed")
+        assert exc.value.path == "t"
+
+    def test_phase_rule_takes_no_t(self):
+        """A phase rule evaluates at cycles periods: a t beside it was
+        dropped, and the sweep wrote the rows it writes without one."""
+        with pytest.raises(ConfigError) as exc:
+            TimeRule("phase", t=5.0)
+        assert exc.value.path == "t"
 
     def test_unknown_kind(self):
-        with pytest.raises(InvalidAxis):
+        with pytest.raises(ConfigError) as exc:
             TimeRule("cycles")
+        assert exc.value.path == "kind"
 
 
 class TestSections:
@@ -88,8 +100,9 @@ class TestSections:
                       fixed)
 
     def test_unknown_fixed_key(self):
-        with pytest.raises(InvalidAxis):
+        with pytest.raises(ConfigError) as exc:
             run_sweep(SweepSection(axes=(f_axis(),)), dict(BASE, power=3))
+        assert exc.value.path == "power"
 
     def test_section_rules_name_their_field(self):
         for make, path in (
@@ -110,8 +123,9 @@ class TestSections:
     def test_fock_mediator_cuts_refuse_dephasing(self, fixed, variants):
         spec = DynamicsSection(1.0, 3, backend="fock", variants=variants,
                                bipartitions=("tp_qubit", "tp_mediator"))
-        with pytest.raises(InvalidAxis, match="dephasing"):
+        with pytest.raises(ConfigError, match="dephasing") as exc:
             timeseries_figure(spec, fixed)
+        assert exc.value.path == "bipartitions"
 
 
     @pytest.mark.parametrize("make,path", [
@@ -235,8 +249,9 @@ class TestRunSweep:
         assert np.all(np.abs(res.extras["s"] - s) <= 1e-12 * s)
 
     def test_missing_couplings(self):
-        with pytest.raises(InvalidAxis, match="g_a and g_b"):
+        with pytest.raises(ConfigError, match="g_a and g_b") as exc:
             run_sweep(SweepSection(axes=(f_axis(),)), {})
+        assert exc.value.path == "g_a"
 
     def test_fock_backend_agrees_on_small_grid(self):
         both = SweepSection(axes=(AxisSpec("F", 0.0, 0.1, 3),),
@@ -402,11 +417,13 @@ class TestGroupedSweep:
 
 class TestEntanglementRate:
     def test_needs_matching_single_axis(self):
+        """A field's own rule is checked before the rules across fields."""
         axis = AxisSpec("g_b", 0.1, 1.5, 7)
-        for which in ("gamma", "g_a"):
-            with pytest.raises(ConfigError, match="needs the axis") as exc:
+        for which, path, message in (("gamma", "which", "must be one of"),
+                                     ("g_a", "axis", "needs the axis")):
+            with pytest.raises(ConfigError, match=message) as exc:
                 RateSection(which, axis)
-            assert exc.value.path == "axis"
+            assert exc.value.path == path
 
     def test_needs_three_points(self):
         with pytest.raises(ConfigError, match="3 points") as exc:
