@@ -97,6 +97,10 @@ class FeasibilitySection:
     __post_init__ = check_fields
 
 
+# a tolerance strictly between 0 and 1
+_FRACTION = {"above": 0.0, "below": 1.0}
+
+
 @dataclass(frozen=True)
 class ValidateSection:
     seed: int = field(default=20240811, metadata={"min": 0})
@@ -104,23 +108,19 @@ class ValidateSection:
     pt_samples: int = field(default=20, metadata={"min": 1})
     fock_n: int = field(default=64, metadata={"min": 1})
     t_points: int = field(default=25, metadata={"min": 2})
-    overlap_tol: float = 1e-8
-    pt_tol: float = 1e-6
-    en_tol: float = 1e-3
+    overlap_tol: float = field(default=1e-8, metadata=_FRACTION)
+    pt_tol: float = field(default=1e-6, metadata=_FRACTION)
+    en_tol: float = field(default=1e-3, metadata=_FRACTION)
 
     __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class ToleranceBlock:
-    fock_tail: float = 1e-8
-    en_convergence: float = 1e-4
+    fock_tail: float = field(default=1e-8, metadata=_FRACTION)
+    en_convergence: float = field(default=1e-4, metadata={"above": 0.0})
 
-    def __post_init__(self):
-        if not 0.0 < self.fock_tail < 1.0:
-            raise ConfigError("fock_tail", "must lie strictly between 0 and 1")
-        if self.en_convergence <= 0.0:
-            raise ConfigError("en_convergence", "must be positive")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

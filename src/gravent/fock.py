@@ -9,9 +9,12 @@ genuine cross-check rather than a tautology.
 Both Hamiltonians are diagonal in sigma_a^z x sigma_b^z, so they are
 built as the four mediator blocks, one per spin configuration, in real
 band storage (4N, 3): h[j, k] = H[j + k, j] within a block, tridiagonal
-in the squeezed frame and pentadiagonal in the lab frame.  D(alpha) and
-S(xi) are applied by `ladder_exp`; both exponentiate the same truncated
-matrices a dense `expm` would.
+in the squeezed frame and pentadiagonal in the lab frame.  The parity P =
+(-1)^(a^dag a) keeps a^dag a and a^2 and negates a + a^dag, so blocks with
+opposite couplings share eigenvalues, up to their energy offset, and
+eigenvectors, up to P: `ExactPropagator` solves one of each such pair.
+D(alpha) and S(xi) are applied by `ladder_exp`; both exponentiate the
+same truncated matrices a dense `expm` would.
 
 Basis ordering: index = tp * (2 * N) + qubit * N + n with tp in {0: |R>,
 1: |L>}, qubit in {0: |0>, 1: |1>}, n the Fock level.  `cut_pt` reduces
@@ -77,24 +80,12 @@ def destroy(n: int) -> np.ndarray:
 
 def coherent_vector(alpha: complex, n: int) -> tuple[np.ndarray, float]:
     """Truncated coherent amplitudes and the probability mass cut off."""
-    v = np.zeros(n, complex)
-    v[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for k in range(1, n):
-        v[k] = v[k - 1] * alpha / math.sqrt(k)
+    steps = np.empty(n, complex)  # v[k] = v[k - 1] * alpha / sqrt(k)
+    steps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    steps[1:] = alpha / np.sqrt(np.arange(1.0, n))
+    v = np.multiply.accumulate(steps)
     tail = max(0.0, 1.0 - float(np.vdot(v, v).real))
     return v, tail
-
-
-def displacement_matrix(alpha: complex, n: int) -> np.ndarray:
-    a = destroy(n)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
-
-
-def squeeze_matrix(xi: complex, n: int) -> np.ndarray:
-    """exp[(conj(xi) a^2 - xi a^dag^2) / 2], exactly unitary on the cutoff."""
-    a = destroy(n)
-    ad = a.conj().T
-    return expm(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -237,7 +228,10 @@ def prepare_initial(init: MediatorInit, n: int,
 
 class ExactPropagator:
     """Eigenpairs of each sigma^z block of the band storage h, reused
-    across a time grid: w of shape (4, N), v of shape (4, N, N)."""
+    across a time grid: w of shape (4, N), v of shape (4, N, N).  The
+    parity P = diag((-1)^m) negates a block's subdiagonal, so a block equal
+    to a solved one up to that sign and a constant on the diagonal takes
+    the solved w plus that constant and v, or P v, with no eigensolve."""
 
     def __init__(self, h: np.ndarray):
         h = np.asarray(h)
@@ -245,12 +239,25 @@ class ExactPropagator:
             raise DimensionMismatch(
                 f"Hamiltonian band storage must be (4N, 3), got {h.shape}")
         width = 3 if h[:, 2].any() else 2  # tridiagonal blocks solve faster
-        try:
-            pairs = [eig_banded(block.T[:width], lower=True)
-                     for block in h.reshape(4, -1, 3)]
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailure(str(exc)) from exc
-        self.w, self.v = (np.stack(x) for x in zip(*pairs))
+        blocks = h.reshape(4, -1, 3).transpose(0, 2, 1)
+        # a constant added to a diagonal is exact only to its rounding
+        tol = 4.0 * np.finfo(float).eps * np.max(np.abs(blocks[:, 0]))
+        parity = (-1.0) ** np.arange(blocks.shape[2])[:, None]
+        eig, w, v = {}, [], []
+        for j, (diag, sub, pair) in enumerate(blocks):
+            i = next((i for i in eig if np.ptp(diag - blocks[i, 0]) <= tol
+                      and np.array_equal(pair, blocks[i, 2])
+                      and (np.array_equal(sub, blocks[i, 1])
+                           or np.array_equal(sub, -blocks[i, 1]))), j)
+            if i == j:
+                try:
+                    eig[j] = eig_banded(blocks[j, :width], lower=True)
+                except np.linalg.LinAlgError as exc:
+                    raise EigenFailure(str(exc)) from exc
+            w.append(eig[i][0] + (diag[0] - blocks[i, 0, 0]))
+            flip = not np.array_equal(sub, blocks[i, 1])
+            v.append(parity * eig[i][1] if flip else eig[i][1])
+        self.w, self.v = np.stack(w), np.stack(v)
 
     def evolve_grid(self, psi0: np.ndarray, t_grid) -> np.ndarray:
         """Stack of evolved states, one row per time."""
@@ -409,10 +416,10 @@ def converge_cutoff(params: ModelParams, init: MediatorInit, t_grid,
 
 
 __all__ = [
-    "destroy", "coherent_vector", "displacement_matrix", "squeeze_matrix",
-    "ladder_exp", "mediator_vector", "lab_mediator_vector",
-    "displaced_squeezed_vector", "fock_overlap", "build_hamiltonian_lab",
-    "build_hamiltonian_squeezed", "prepare_initial", "ExactPropagator",
-    "cut_pt", "en_curves", "trajectory", "ConvergenceReport",
-    "search_cutoff", "converge_cutoff", "BIPARTITIONS", "SIGMA_Z",
+    "destroy", "coherent_vector", "ladder_exp", "mediator_vector",
+    "lab_mediator_vector", "displaced_squeezed_vector", "fock_overlap",
+    "build_hamiltonian_lab", "build_hamiltonian_squeezed", "prepare_initial",
+    "ExactPropagator", "cut_pt", "en_curves", "trajectory",
+    "ConvergenceReport", "search_cutoff", "converge_cutoff", "BIPARTITIONS",
+    "SIGMA_Z",
 ]

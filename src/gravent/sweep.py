@@ -40,9 +40,11 @@ _CELL_DEFAULTS = {
 def check_fields(block) -> None:
     """ConfigError naming the first field of dataclass block, or item of a
     tuple field, that breaks a rule of its metadata: "choices", the values
-    it may take, or "min", its least value.  None breaks no rule."""
+    it may take, "min", its least value, or the exclusive bounds "above"
+    and "below".  None breaks no rule; NaN breaks every bound."""
     for f in (f for f in fields(block) if f.metadata):
         rule, value = f.metadata, getattr(block, f.name)
+        lo, hi = rule.get("above", -math.inf), rule.get("below", math.inf)
         many = isinstance(value, tuple)
         for i, v in enumerate(value if many else (value,)):
             where = f"{f.name}[{i}]" if many else f.name
@@ -50,8 +52,12 @@ def check_fields(block) -> None:
                 continue
             if "choices" in rule and v not in rule["choices"]:
                 raise ConfigError(where, f"must be one of {rule['choices']}")
-            if "min" in rule and v < rule["min"]:
+            if "min" in rule and not v >= rule["min"]:
                 raise ConfigError(where, f"must be at least {rule['min']}")
+            if ("above" in rule or "below" in rule) and not lo < v < hi:
+                raise ConfigError(where, "must be positive" if (lo, hi) == (
+                    0, math.inf) else f"must lie strictly between {lo:g} "
+                    f"and {hi:g}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import pytest
 
 from gravent import MediatorInit, ModelParams, derive_squeezed_frame, \
     load_preset, partial_transpose
-from gravent.fock import SIGMA_Z, destroy
+from gravent.fock import SIGMA_Z, destroy, expm
 
 
 def local_rotation(m, t, omega_a, omega_b):
@@ -17,6 +17,19 @@ def local_rotation(m, t, omega_a, omega_b):
     u = np.exp(-1j * (omega_a * sigma_a + omega_b * sigma_b) * t)
     rho = partial_transpose(m, (2, 2), 1)
     return partial_transpose(u[:, None] * rho * u.conj(), (2, 2), 1)
+
+
+def displacement_matrix(alpha, n):
+    """Dense D(alpha) on the cutoff: the reference for `ladder_exp`."""
+    a = destroy(n)
+    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+def squeeze_matrix(xi, n):
+    """Dense exp[(conj(xi) a^2 - xi a^dag^2) / 2], unitary on the cutoff."""
+    a = destroy(n)
+    ad = a.conj().T
+    return expm(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))
 
 
 def _kron3(u, v, w):

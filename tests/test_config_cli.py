@@ -21,7 +21,8 @@ from gravent import (AxisSpec, ConfigError, DynamicsSection, RateSection,
                      SweepSection, TimeRule, config_hash, load_config,
                      load_preset, parse_config, serialize_config)
 from gravent.cli import main
-from gravent.config import (FeasibilitySection, ValidateSection, base_cell,
+from gravent.config import (FeasibilitySection, ToleranceBlock,
+                            ValidateSection, base_cell,
                             resolve_dimensionless, resolve_si)
 from gravent.presets import PRESET_NAMES, SEC5_GOLDEN, golden_check
 
@@ -435,6 +436,7 @@ RULED_BLOCKS = {
     RateSection: RateSection("g_b", AxisSpec("g_b", 0.1, 1.0, 5)),
     FeasibilitySection: FeasibilitySection(),
     ValidateSection: ValidateSection(),
+    ToleranceBlock: ToleranceBlock(),
     gravent.config.RunConfig: parse_config(MINIMAL),
 }
 
@@ -445,27 +447,41 @@ def _ruled_fields():
               if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
     return [(cls, f) for cls in sorted(blocks, key=lambda c: c.__name__)
             for f in dataclasses.fields(cls)
-            if "choices" in f.metadata or "min" in f.metadata]
+            if {"choices", "min", "above", "below"} & set(f.metadata)]
 
 
 @pytest.mark.parametrize("cls,f", _ruled_fields(),
                          ids=lambda x: getattr(x, "__name__", None)
                          or getattr(x, "name", None))
 def test_value_just_outside_a_field_rule_names_the_field(cls, f):
-    """Every "choices" or "min" rule of every section is checked when the
-    block is built, and names its field; a "min" value itself passes."""
-    valid = RULED_BLOCKS[cls]
+    """Every "choices", "min", "above" or "below" rule of every section is
+    checked when the block is built, and names its field; a "min" value
+    itself passes, an "above" or "below" bound itself fails, NaN fails
+    every bound."""
+    valid, rule = RULED_BLOCKS[cls], f.metadata
     many = isinstance(getattr(valid, f.name), tuple)
-    if "choices" in f.metadata:
-        bad = "not-a-choice"
+
+    def build(value):
+        return dataclasses.replace(valid,
+                                   **{f.name: (value,) if many else value})
+
+    if "choices" in rule:
+        bads = ["not-a-choice"]
+    elif "min" in rule:
+        least = rule["min"]
+        build(least)
+        bads = [least - 1 if isinstance(least, int)
+                else math.nextafter(least, -math.inf), math.nan]
     else:
-        least = f.metadata["min"]
-        dataclasses.replace(valid, **{f.name: (least,) if many else least})
-        bad = least - 1 if isinstance(least, int) \
-            else math.nextafter(least, -math.inf)
-    with pytest.raises(ConfigError) as exc:
-        dataclasses.replace(valid, **{f.name: (bad,) if many else bad})
-    assert exc.value.path == (f"{f.name}[0]" if many else f.name)
+        bads = [math.nan]
+        for key, inward in (("above", math.inf), ("below", -math.inf)):
+            if key in rule:
+                build(math.nextafter(rule[key], inward))
+                bads.append(rule[key])
+    for bad in bads:
+        with pytest.raises(ConfigError) as exc:
+            build(bad)
+        assert exc.value.path == (f"{f.name}[0]" if many else f.name)
 
 
 class TestRoundTrip:
@@ -798,6 +814,23 @@ class TestCliValidate:
                 f"no cutoff up to the ceiling N = {ceiling} passes (")
             assert "no room at N = " in check["note"]
         assert by_name["closed_form_at_tn"]["passed"]
+
+    @pytest.mark.parametrize("tol", [1e9, 0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("name", ["overlap_tol", "pt_tol", "en_tol"])
+    def test_tolerance_outside_0_1_exits_2(self, tmp_path, capsys, name,
+                                           tol):
+        """At 1e9 all seven checks passed vacuously and the run exited 0;
+        at -1 four checks failed and it exited 1."""
+        data = self._tiny_validate_config()
+        data["validate"][name] = tol
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        rc = main(["validate", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {cfg_path}.validate.{name}: " in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sec5_feasibility_outcomes_are_pinned(self, tmp_path):
         """At s = 6.965 the Fock oracle fails where it cannot reach and

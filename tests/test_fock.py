@@ -1,12 +1,14 @@
 """Fock-space oracle: operators, state prep, evolution, convergence."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import (band_to_dense, kron_hamiltonian_lab,
-                      kron_hamiltonian_squeezed)
+from conftest import (band_to_dense, displacement_matrix,
+                      kron_hamiltonian_lab, kron_hamiltonian_squeezed,
+                      squeeze_matrix)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,18 +38,18 @@ class TestOperators:
             fock.destroy(0)
 
     def test_displacement_is_unitary(self):
-        d = fock.displacement_matrix(0.4 - 0.7j, 24)
+        d = displacement_matrix(0.4 - 0.7j, 24)
         assert np.allclose(d @ d.conj().T, np.eye(24), atol=1e-12)
 
     def test_squeeze_is_unitary(self):
-        s = fock.squeeze_matrix(0.5 * np.exp(1.2j), 24)
+        s = squeeze_matrix(0.5 * np.exp(1.2j), 24)
         assert np.allclose(s @ s.conj().T, np.eye(24), atol=1e-12)
 
     def test_displacement_moves_vacuum_to_coherent(self):
         alpha = 0.6 + 0.3j
         vac = np.zeros(40, complex)
         vac[0] = 1.0
-        got = fock.displacement_matrix(alpha, 40) @ vac
+        got = displacement_matrix(alpha, 40) @ vac
         want, _ = fock.coherent_vector(alpha, 40)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -76,10 +78,10 @@ class TestOperators:
         vec = rng.normal(size=30) + 1j * rng.normal(size=30)
         alpha, xi = 0.4 - 0.7j, 0.5 * np.exp(1.2j)
         assert np.allclose(fock.ladder_exp(alpha, 1, vec),
-                           fock.displacement_matrix(alpha, 30) @ vec,
+                           displacement_matrix(alpha, 30) @ vec,
                            atol=1e-12)
         assert np.allclose(fock.ladder_exp(-0.5 * xi, 2, vec),
-                           fock.squeeze_matrix(xi, 30) @ vec, atol=1e-12)
+                           squeeze_matrix(xi, 30) @ vec, atol=1e-12)
 
     def test_oracle_prepares_states_without_expm(self, monkeypatch):
         def no_expm(*args, **kwargs):
@@ -102,6 +104,26 @@ class TestStatePrep:
             want = norm * alpha ** k / math.sqrt(math.factorial(k))
             assert v[k] == pytest.approx(want, abs=1e-14)
         assert tail < 1e-14
+
+    @pytest.mark.parametrize("alpha", [3.0, -3.0j, 3.0 * np.exp(0.7j),
+                                       2.1 + 2.1j, 1.0, 0.5 - 0.1j, 0.01])
+    def test_coherent_amplitudes_match_a_40_digit_loop(self, alpha):
+        """alpha^k e^{-|alpha|^2/2} / sqrt(k!) at N = 1024 by the recurrence
+        in mpmath; entries below the float range underflow, so those are
+        held to the largest amplitude."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a = mpmath.mpc(alpha.real, alpha.imag)
+            x, ref = mpmath.exp(-abs(a) ** 2 / 2), []
+            for k in range(1024):
+                x = x * a / mpmath.sqrt(k) if k else x
+                ref.append(complex(x))
+        ref = np.array(ref)
+        v, _ = fock.coherent_vector(alpha, 1024)
+        normal = np.abs(ref) >= np.finfo(float).tiny
+        np.testing.assert_allclose(v[normal], ref[normal], rtol=1e-14,
+                                   atol=0)
+        assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_small_cutoff_reports_lost_mass(self):
         _, tail = fock.coherent_vector(3.0, 4)
@@ -286,6 +308,99 @@ class TestEvolution:
             lower = np.tril(band_to_dense(band))
             np.testing.assert_allclose(lower.T, np.triu(ref).real,
                                        rtol=1e-15, atol=0)
+
+
+PROPAGATOR_INIT = fock.ExactPropagator.__init__.__code__
+
+
+def _count_eig_banded(monkeypatch):
+    """Record the band shape of each eig_banded call of a propagator."""
+    calls, solve = [], fock.eig_banded
+
+    def counting(band, lower=False):
+        frame = sys._getframe(1)
+        while frame and frame.f_code is not PROPAGATOR_INIT:
+            frame = frame.f_back
+        if frame:
+            calls.append(band.shape)
+        return solve(band, lower=lower)
+
+    monkeypatch.setattr(fock, "eig_banded", counting)
+    return calls
+
+
+def _pairing_cases():
+    params = ModelParams.dimensionless(g_a=0.02, g_b=0.8, F=0.12)
+    frame = derive_squeezed_frame(params)
+    yield "squeezed", fock.build_hamiltonian_squeezed(frame, 0.0, 0.0, 24), 2
+    yield ("squeezed-omega", fock.build_hamiltonian_squeezed(
+        frame, 0.3, 0.1, 24), 2)
+    yield ("squeezed-g_a=0", fock.build_hamiltonian_squeezed(
+        derive_squeezed_frame(ModelParams.dimensionless(
+            g_a=0.0, g_b=0.8, F=0.12)), 0.3, 0.1, 24), 1)
+    # lab bands are pentadiagonal: the pair term -F (a^2 + a^dag^2)
+    yield "lab-eps=0", fock.build_hamiltonian_lab(params, 24), 2
+    yield ("lab-eps=0-omega", fock.build_hamiltonian_lab(
+        ModelParams.dimensionless(g_a=0.02, g_b=0.8, F=0.12, omega_a=0.3,
+                                  omega_b=0.1), 24), 2)
+    yield ("lab-eps=0.3", fock.build_hamiltonian_lab(
+        ModelParams.dimensionless(g_a=0.02, g_b=0.8, F=0.12, epsilon=0.3),
+        24), 4)
+    # by hand: a shifted, sign-flipped copy pairs; a copy with half its
+    # subdiagonal negated or one diagonal entry moved does not
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(8, 3))
+    block[-1, 1:] = block[-2, 2] = 0.0
+    flipped, half, bent = block.copy(), block.copy(), block.copy()
+    flipped[:, 0] += 0.75
+    flipped[:, 1] *= -1.0
+    half[:4, 1] *= -1.0
+    bent[3, 0] += 0.5
+    yield "by-hand", np.concatenate([block, flipped, half, bent]), 3
+    other_pair = block.copy()
+    other_pair[:, 2] *= 2.0
+    yield ("by-hand-pair",
+           np.concatenate([block, other_pair, flipped, block]), 2)
+
+
+class TestParityPairing:
+    CASES = list(_pairing_cases())
+
+    @pytest.mark.parametrize("band,solves", [
+        pytest.param(band, solves, id=label)
+        for label, band, solves in CASES])
+    def test_partners_share_one_eigensolve(self, monkeypatch, band, solves):
+        calls = _count_eig_banded(monkeypatch)
+        fock.ExactPropagator(band)
+        assert len(calls) == solves
+
+    @pytest.mark.parametrize("band", [pytest.param(band, id=label)
+                                      for label, band, _ in CASES])
+    def test_each_block_equals_its_own_eigensolve(self, band):
+        """w to rounding, v column by column up to its sign."""
+        prop = fock.ExactPropagator(band)
+        width = 3 if band[:, 2].any() else 2
+        for j, block in enumerate(band.reshape(4, -1, 3)):
+            w, v = scipy.linalg.eig_banded(block.T[:width], lower=True)
+            scale = max(1.0, np.max(np.abs(w)))
+            np.testing.assert_allclose(prop.w[j], w, rtol=0,
+                                       atol=1e-13 * scale)
+            signs = np.sign(np.sum(prop.v[j] * v, axis=0))
+            np.testing.assert_allclose(prop.v[j] * signs, v, rtol=0,
+                                       atol=1e-10)
+
+    def test_validate_fig3a_makes_100_eigensolves(self, tmp_path,
+                                                  monkeypatch):
+        """48 propagators: 192 eigensolves before partners were paired."""
+        from gravent.cli import main
+        calls = _count_eig_banded(monkeypatch)
+        built = []
+        init = fock.ExactPropagator.__init__
+        monkeypatch.setattr(fock.ExactPropagator, "__init__",
+                            lambda self, h: built.append(0) or init(self, h))
+        assert main(["validate", "--preset", "fig3a", "--out",
+                     str(tmp_path)]) == 0
+        assert (len(built), len(calls)) == (48, 100)
 
 
 class TestEnCurves:
