@@ -20,15 +20,15 @@ from .errors import (GraventError, ConfigError, NegativeSquaredFrequency,
 from .negativity import (partial_transpose, partial_trace, log_negativity,
                          log_negativity_from_partial_transpose,
                          en_bipartition, trace_norm_hermitian)
-from .params import (PhysicalSetup, ModelParams, SqueezedFrame,
-                     RegimeReport, derive_model_params,
+from .params import (PhysicalSetup, ModelParams, SqueezedFrame, Check,
+                     Report, derive_model_params,
                      derive_squeezed_frame, regime_report,
                      coulomb_distance_for_drive)
 from .presets import PRESET_NAMES, SEC5_GOLDEN, load_preset
 from .sweep import (AxisSpec, TimeRule, DynamicsSection, SweepSection,
                     RateSection, SweepResult, run_sweep, entanglement_rate,
                     timeseries_figure)
-from .validate import run_validation, ValidationReport
+from .validate import run_validation
 
 __version__ = "0.1.0"
 
@@ -45,12 +45,12 @@ __all__ = [
     "partial_transpose", "partial_trace", "log_negativity",
     "log_negativity_from_partial_transpose", "en_bipartition",
     "trace_norm_hermitian",
-    "PhysicalSetup", "ModelParams", "SqueezedFrame", "RegimeReport",
+    "PhysicalSetup", "ModelParams", "SqueezedFrame", "Check", "Report",
     "derive_model_params", "derive_squeezed_frame", "regime_report",
     "coulomb_distance_for_drive",
     "PRESET_NAMES", "SEC5_GOLDEN", "load_preset",
     "AxisSpec", "TimeRule", "DynamicsSection", "SweepSection",
     "RateSection", "SweepResult", "run_sweep", "entanglement_rate",
     "timeseries_figure",
-    "run_validation", "ValidationReport",
+    "run_validation",
 ]

@@ -21,18 +21,27 @@ from .config import (FeasibilitySection, RunConfig, base_cell, load_config,
 from .dynamics import partial_transpose_matrix
 from .errors import ConfigError, GraventError
 from .negativity import log_negativity_from_partial_transpose
-from .params import regime_report
+from .params import Report, regime_report
 from .presets import PRESET_NAMES, SEC5_GOLDEN, golden_check, load_preset
 from .sweep import (entanglement_rate, merge_cell, run_sweep,
                     timeseries_figure)
 from .validate import run_validation
 
 
+def print_checks(checks) -> None:
+    for c in checks:
+        mark = "SKIP" if c.skipped else ("PASS" if c.passed else "FAIL")
+        dev = "" if c.max_dev is None else \
+            f" max dev {c.max_dev:.3e} (tol {c.tol:.1e})"
+        note = f" - {c.note}" if c.note else ""
+        print(f"[{mark}] {c.name}{dev}{note}")
+
+
 def cmd_feasibility(cfg: RunConfig, args) -> int:
     setup, params, frame = resolve_si(cfg)
     fz = cfg.feasibility if cfg.feasibility is not None \
         else FeasibilitySection()
-    report = regime_report(setup, frame)
+    regime = regime_report(setup, frame)
     t_eval = fz.cycles * frame.t_period
     g_lo, g_hi = fz.gamma_window
 
@@ -40,15 +49,14 @@ def cmd_feasibility(cfg: RunConfig, args) -> int:
         m = partial_transpose_matrix(frame, cfg.mediator, t_eval, gamma)
         return log_negativity_from_partial_transpose(m)
 
-    en_lo, en_hi = en_at(g_lo), en_at(g_hi)
     derived = {
         "omega_tilde": params.omega_tilde, "omega_a": params.omega_a,
         "F": params.F, "delta": params.delta, "epsilon": params.epsilon,
         "r0": setup.r0, "g_a": params.g_a, "g_b": params.g_b,
         "s": frame.s, "omega_s": frame.omega_s, "g_a_s": frame.g_a_s,
         "g_b_s": frame.g_b_s, "g_eff": frame.g_eff,
-        "delta_x": report.delta_x, "t_eval": t_eval,
-        "en_gamma_lo": en_lo, "en_gamma_hi": en_hi,
+        "delta_x": regime.base["delta_x"], "t_eval": t_eval,
+        "en_gamma_lo": en_at(g_lo), "en_gamma_hi": en_at(g_hi),
     }
     units = {"s": "", "delta_x": "m", "r0": "m", "t_eval": "s",
              "en_gamma_lo": "", "en_gamma_hi": ""}
@@ -59,37 +67,19 @@ def cmd_feasibility(cfg: RunConfig, args) -> int:
         unit = units.get(name, "rad/s")
         print(f"  {name:<12} {value: .10e} {unit}")
     print("regime checks:")
-    for c in report.checks:
-        mark = "PASS" if c.passed else "FAIL"
-        print(f"  [{mark}] {c.name}: {c.value:.4e} vs {c.limit:.4e} "
-              f"({c.detail})")
-
-    golden_rows = []
-    golden_ok = True
-    if args.golden:
-        measured = {
-            "g_a_abs": abs(params.g_a), "g_b": params.g_b, "s": frame.s,
-            "omega_s": frame.omega_s, "g_a_s_abs": abs(frame.g_a_s),
-            "g_b_s": frame.g_b_s, "g_eff_abs": abs(frame.g_eff),
-            "delta_x": report.delta_x, "en_gamma_lo": en_lo,
-            "en_gamma_hi": en_hi,
-        }
-        print("reference comparison:")
-        for key in SEC5_GOLDEN:
-            target, dev, ok = golden_check(key, measured[key])
-            golden_ok &= ok
-            golden_rows.append({"key": key, "value": measured[key],
-                                "target": target, "deviation": dev,
-                                "passed": ok})
-            mark = "PASS" if ok else "FAIL"
-            print(f"  [{mark}] {key:<12} {measured[key]: .6e} "
-                  f"(reference {target: .6e}, dev {dev:.2e})")
+    print_checks(regime.checks)
 
     info = io.provenance(cfg, command="feasibility")
-    payload = {"derived": derived, "regime": report.as_dict(),
+    payload = {"derived": derived, "regime": regime.as_dict(),
                "gamma_window": list(fz.gamma_window)}
+    golden_ok = True
     if args.golden:
-        payload["golden"] = {"all_pass": golden_ok, "rows": golden_rows}
+        golden = Report(tuple(golden_check(key, derived[key])
+                              for key in SEC5_GOLDEN))
+        print("reference comparison:")
+        print_checks(golden.checks)
+        payload["golden"] = golden.as_dict()
+        golden_ok = golden.all_pass
     path = io.write_json(Path(args.out) / f"{cfg.label}_feasibility.json",
                          info, payload)
     print(f"wrote {path}")
@@ -144,12 +134,7 @@ def cmd_rate(cfg: RunConfig, args) -> int:
 
 def cmd_validate(cfg: RunConfig, args) -> int:
     report = run_validation(cfg)
-    for c in report.checks:
-        mark = "SKIP" if c.skipped else ("PASS" if c.passed else "FAIL")
-        dev = "" if c.max_dev is None else \
-            f" max dev {c.max_dev:.3e} (tol {c.tol:.1e})"
-        note = f" - {c.note}" if c.note else ""
-        print(f"[{mark}] {c.name}{dev}{note}")
+    print_checks(report.checks)
     info = io.provenance(cfg, command="validate")
     path = io.write_json(Path(args.out) / f"{cfg.label}_validate.json",
                          info, report.as_dict())

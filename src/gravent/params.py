@@ -26,6 +26,11 @@ to the instability at 4F = omega_tilde, the larger the boost.
 
 All frequencies are angular (rad/s in SI mode).  Dimensionless mode sets
 omega_tilde = 1 and measures every other rate in the same unit.
+
+Every check of the package, whether an oracle cross-check, a regime
+ratio or a published reference, is one `Check`: a figure of at most a
+tolerance, or a skip with a note.  `Report` groups one leg's checks with
+the base figures they were evaluated at.
 """
 
 from __future__ import annotations
@@ -288,84 +293,78 @@ def derive_squeezed_frame(params: ModelParams) -> SqueezedFrame:
 
 
 @dataclass(frozen=True)
-class RegimeCheck:
+class Check:
+    """One check of any leg: a figure of at most a tolerance, or a skip."""
+
     name: str
     passed: bool
-    value: float
-    limit: float
-    margin: float   # limit/value for upper bounds, value/limit for lower
-    detail: str = ""
+    skipped: bool = False
+    max_dev: float | None = None
+    tol: float | None = None
+    note: str = ""
+
+    @classmethod
+    def bound(cls, name: str, max_dev: float, tol: float,
+              note: str = "") -> "Check":
+        """Passes when max_dev <= tol; a NaN figure fails."""
+        return cls(name, bool(max_dev <= tol), max_dev=max_dev, tol=tol,
+                   note=note)
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
 @dataclass(frozen=True)
-class RegimeReport:
-    """Validity checks for the expansions behind the model."""
+class Report:
+    """Checks of one leg and the base figures they were evaluated at."""
 
-    delta_x: float
-    checks: tuple[RegimeCheck, ...] = field(default_factory=tuple)
+    checks: tuple[Check, ...]
+    base: dict = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.passed or c.skipped for c in self.checks)
 
     def as_dict(self) -> dict:
-        return {"delta_x_m": self.delta_x, "all_pass": self.all_pass,
+        return {"all_pass": self.all_pass, "base": self.base,
                 "checks": [c.as_dict() for c in self.checks]}
 
 
 def regime_report(setup: PhysicalSetup, frame: SqueezedFrame,
                   casimir_threshold: float = CASIMIR_THRESHOLD,
                   coulomb_ratio_limit: float = 0.01,
-                  gravity_ratio_limit: float = 0.05) -> RegimeReport:
+                  gravity_ratio_limit: float = 0.05) -> Report:
     """Check that the squeezed mediator stays inside every expansion.
 
     The squeezing enlarges the mediator position spread to
-    delta_x = sqrt(hbar / (m_c omega_tilde)) e^s, which must stay small
-    against the Coulomb distance r0 and, together with the well offset
-    d0/2, against the gravitational distance d.  The surface separation
-    must clear the Casimir threshold, and the frame itself must be stable.
+    delta_x = sqrt(hbar / (m_c omega_tilde)) e^s, the report's one base
+    figure, which must stay small against the Coulomb distance r0 and,
+    together with the well offset d0/2, against the gravitational
+    distance d.  The Casimir floor must stay below the surface separation.
+    Each check is a ratio of at most its limit.
     """
     delta_x = math.sqrt(HBAR / (setup.m_c * frame.omega_tilde)) \
         * math.exp(frame.s)
-    checks: list[RegimeCheck] = []
-
+    checks = []
     if setup.coulomb_active:
-        ratio = delta_x / setup.r0
-        checks.append(RegimeCheck(
-            name="coulomb_expansion", passed=ratio <= coulomb_ratio_limit,
-            value=ratio, limit=coulomb_ratio_limit,
-            margin=coulomb_ratio_limit / ratio if ratio > 0 else float("inf"),
-            detail="delta_x / r0 (second-order Coulomb expansion)"))
-
-    ratio_g = (setup.d0 / 2.0 + delta_x) / setup.d
-    checks.append(RegimeCheck(
-        name="gravity_expansion", passed=ratio_g <= gravity_ratio_limit,
-        value=ratio_g, limit=gravity_ratio_limit,
-        margin=gravity_ratio_limit / ratio_g,
-        detail="(d0/2 + delta_x) / d (linearized gravity)"))
-
+        checks.append(Check.bound(
+            "coulomb_expansion", delta_x / setup.r0, coulomb_ratio_limit,
+            "delta_x / r0 (second-order Coulomb expansion)"))
+    checks.append(Check.bound(
+        "gravity_expansion", (setup.d0 / 2.0 + delta_x) / setup.d,
+        gravity_ratio_limit, "(d0/2 + delta_x) / d (linearized gravity)"))
     separation = setup.d - setup.d0 / 2.0 - setup.radius_a - setup.radius_c
-    checks.append(RegimeCheck(
-        name="casimir_separation", passed=separation >= casimir_threshold,
-        value=separation, limit=casimir_threshold,
-        margin=separation / casimir_threshold,
-        detail="minimum surface separation against the Casimir floor"))
-
-    delta = frame.omega_s ** 2 / frame.omega_tilde  # = omega_tilde - 4F
-    checks.append(RegimeCheck(
-        name="stable_frame", passed=delta > 0,
-        value=delta, limit=0.0, margin=delta / frame.omega_tilde,
-        detail="gap omega_tilde - 4F to the inverted-potential threshold"))
-
-    return RegimeReport(delta_x=delta_x, checks=tuple(checks))
+    checks.append(Check.bound(
+        "casimir_separation",
+        casimir_threshold / separation if separation > 0 else math.inf, 1.0,
+        f"Casimir floor {casimir_threshold:.3e} m / minimum surface "
+        f"separation {separation:.3e} m"))
+    return Report(tuple(checks), {"delta_x": delta_x})
 
 
 __all__ = [
     "DRIVE_KEYS", "PhysicalSetup", "ModelParams", "SqueezedFrame",
-    "RegimeCheck", "RegimeReport", "drive_gap", "derive_model_params",
+    "Check", "Report", "drive_gap", "derive_model_params",
     "derive_squeezed_frame", "regime_report", "coulomb_distance_for_drive",
     "CASIMIR_THRESHOLD",
 ]

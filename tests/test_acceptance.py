@@ -38,21 +38,19 @@ class TestPublishedRates:
         _, setup, params, frame = sec5
         report = regime_report(setup, frame)
         measured = {
-            "g_a_abs": abs(params.g_a),
+            "g_a": params.g_a,
             "g_b": params.g_b,
             "s": frame.s,
             "omega_s": frame.omega_s,
-            "g_a_s_abs": abs(frame.g_a_s),
+            "g_a_s": frame.g_a_s,
             "g_b_s": frame.g_b_s,
-            "g_eff_abs": abs(frame.g_eff),
-            "delta_x": report.delta_x,
+            "g_eff": frame.g_eff,
+            "delta_x": report.base["delta_x"],
         }
-        failures = []
-        for key, value in measured.items():
-            target, dev, ok = golden_check(key, value)
-            if not ok:
-                failures.append(f"{key}: {value:.6e} vs {target:.6e} "
-                                f"(dev {dev:.2e})")
+        failures = [f"{c.name}: {c.note} ({c.max_dev:.2e})"
+                    for c in (golden_check(key, value)
+                              for key, value in measured.items())
+                    if not c.passed]
         assert not failures, "; ".join(failures)
 
     def test_regime_checks_all_pass(self, sec5):
@@ -163,6 +161,30 @@ class TestLinearDriveIrrelevance:
         assert not result.skipped
         assert result.passed, f"max dev {result.max_dev:.3e}"
         assert result.max_dev <= 1e-3
+
+    @pytest.mark.parametrize("delta", [0.2, 0.5])
+    def test_driven_fig3a_reach_is_pinned(self, delta):
+        """At fig3a's couplings the lab-frame oracle reaches delta = 0.5
+        but not delta = 0.2 (s = 0.40), although the s <= 1 skip rule
+        lets that point run.  A reach rule fixed before the run must
+        change this outcome on purpose, with this test."""
+        cfg = load_preset("fig3a")
+        params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0,
+                                           delta=delta)
+        result = check_epsilon_irrelevance(params, cfg.mediator,
+                                           ValidateSection(),
+                                           cfg.tolerances.fock_tail)
+        assert not result.skipped
+        if delta == 0.5:
+            assert result.passed
+            assert result.note.startswith("N = 192,")
+            assert result.max_dev == pytest.approx(1.7e-8, rel=0.05)
+        else:
+            assert not result.passed and result.max_dev is None
+            assert result.note.startswith(
+                "no cutoff up to the ceiling N = 512 passes (")
+            assert "N = 384: trajectory leaks at N = 384 (tail mass " \
+                "5.290e-03)" in result.note
 
 
 class TestPropertySuite:

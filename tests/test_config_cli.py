@@ -555,21 +555,32 @@ class TestResolvers:
 
 class TestGoldenTable:
     def test_relative_kind(self):
-        target, dev, ok = golden_check("g_b", 673.4614 * 1.0005)
-        assert target == 673.4614 and ok
-        _, _, bad = golden_check("g_b", 673.4614 * 1.01)
-        assert not bad
+        check = golden_check("g_b", 673.4614 * 1.0005)
+        assert check.passed and check.tol == 1e-3
+        assert check.max_dev == pytest.approx(5e-4)
+        assert "6.734614e+02" in check.note
+        assert not golden_check("g_b", 673.4614 * 1.01).passed
 
-    def test_absolute_and_upper_kinds(self):
-        assert golden_check("en_gamma_lo", 0.5229)[2]
-        assert not golden_check("en_gamma_lo", 0.525)[2]
-        assert golden_check("en_gamma_hi", 0.0019)[2]
-        assert not golden_check("en_gamma_hi", 0.01)[2]
+    def test_absolute_kind(self):
+        """EN = 0 at gamma = 0.01 is the dephasing claim lost, not met."""
+        assert golden_check("en_gamma_lo", 0.5229).passed
+        assert not golden_check("en_gamma_lo", 0.525).passed
+        for lost in (0.0, 0.0019, 0.01):
+            assert not golden_check("en_gamma_hi", lost).passed
+        check = golden_check("en_gamma_hi", 1.0136e-3)
+        assert check.passed
+        assert check.max_dev == pytest.approx(1.36e-5)
+
+    def test_rounded_reference_says_so(self):
+        check = golden_check("omega_s", 0.011209982432795857)
+        assert check.passed and check.max_dev == pytest.approx(8.913e-4,
+                                                               rel=1e-3)
+        assert "three figures" in check.note
 
     def test_table_covers_the_published_set(self):
         assert set(SEC5_GOLDEN) == {
-            "g_a_abs", "g_b", "s", "omega_s", "g_a_s_abs", "g_b_s",
-            "g_eff_abs", "delta_x", "en_gamma_lo", "en_gamma_hi"}
+            "g_a", "g_b", "s", "omega_s", "g_a_s", "g_b_s",
+            "g_eff", "delta_x", "en_gamma_lo", "en_gamma_hi"}
 
 
 class TestPresets:

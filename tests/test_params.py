@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravent import (ModelParams, PhysicalSetup, UnstableFrame,
+from gravent import (Check, ModelParams, PhysicalSetup, Report, UnstableFrame,
                      coulomb_distance_for_drive, derive_model_params,
                      derive_squeezed_frame, regime_report)
 from gravent.errors import NegativeSquaredFrequency
@@ -234,9 +234,9 @@ class TestRegimeReport:
         rep = regime_report(setup, frame)
         names = {c.name for c in rep.checks}
         assert names == {"coulomb_expansion", "gravity_expansion",
-                         "casimir_separation", "stable_frame"}
+                         "casimir_separation"}
         assert rep.all_pass
-        assert rep.delta_x > 0.0
+        assert rep.base["delta_x"] > 0.0
 
     def test_casimir_check_fails_when_too_close(self):
         s = make_setup(d=1.8e-4, radius_a=5e-5, radius_c=9e-5)
@@ -245,11 +245,73 @@ class TestRegimeReport:
         casimir = next(c for c in rep.checks
                        if c.name == "casimir_separation")
         assert not casimir.passed
+        assert casimir.max_dev > casimir.tol == 1.0
         assert not rep.all_pass
+
+    def test_casimir_is_the_floor_over_the_separation(self, sec5_config):
+        from gravent.config import resolve_si
+        setup, _, frame = resolve_si(sec5_config)
+        casimir = regime_report(setup, frame).checks[-1]
+        assert casimir.name == "casimir_separation"
+        assert casimir.max_dev == pytest.approx(157e-6 / 1.7843e-4,
+                                                rel=1e-12)
+        assert round(casimir.max_dev, 3) == 0.880
+
+    def test_overlapping_spheres_fail_the_casimir_check(self):
+        s = make_setup(d=1.8e-4, radius_a=9e-5, radius_c=9e-5)
+        rep = regime_report(s, derive_squeezed_frame(derive_model_params(s)))
+        assert not rep.checks[-1].passed
+        assert rep.checks[-1].max_dev == math.inf
 
     def test_report_serializes(self, sec5_config):
         from gravent.config import resolve_si
         setup, _, frame = resolve_si(sec5_config)
         d = regime_report(setup, frame).as_dict()
         assert d["all_pass"] is True
-        assert len(d["checks"]) == 4
+        assert len(d["checks"]) == 3
+
+
+class TestCheckRecord:
+    """The validate, regime and reference legs report in one record."""
+
+    @pytest.fixture(scope="class")
+    def every_check(self, sec5_config):
+        import dataclasses
+
+        from gravent import load_preset, run_validation
+        from gravent.config import ValidateSection, resolve_si
+        from gravent.presets import SEC5_GOLDEN, golden_check
+        small = dataclasses.replace(
+            load_preset("fig3a"), validate=ValidateSection(
+                seed=5, overlap_samples=4, pt_samples=2, fock_n=16,
+                t_points=7))
+        setup, _, frame = resolve_si(sec5_config)
+        golden = [golden_check(key, value) for key, (value, _, _)
+                  in SEC5_GOLDEN.items()]
+        return [*run_validation(small).checks,
+                *regime_report(setup, frame).checks, *golden]
+
+    def test_every_leg_serializes_the_same_fields(self, every_check):
+        assert len(every_check) == 7 + 3 + 10
+        for check in every_check:
+            assert list(check.as_dict()) == ["name", "passed", "skipped",
+                                             "max_dev", "tol", "note"]
+
+    def test_passed_means_the_figure_is_within_its_tolerance(self,
+                                                             every_check):
+        for c in every_check:
+            if not c.skipped and c.max_dev is not None:
+                assert c.passed == (c.max_dev <= c.tol), c
+
+    def test_bound_fails_nan_and_passes_equality(self):
+        assert not Check.bound("x", math.nan, 1e-3).passed
+        assert Check.bound("x", 1e-3, 1e-3).passed
+        assert not Check.bound("x", math.nextafter(1e-3, 1.0), 1e-3).passed
+
+    def test_a_skipped_check_counts_as_passing(self):
+        skip = Check("lab", False, skipped=True, note="out of reach")
+        assert Report((skip, Check.bound("x", 0.0, 1.0))).all_pass
+        assert not Report((skip, Check.bound("x", 2.0, 1.0))).all_pass
+        assert Report((skip,), {"s": 0.4}).as_dict() == {
+            "all_pass": True, "base": {"s": 0.4},
+            "checks": [skip.as_dict()]}
