@@ -22,8 +22,7 @@ from .negativity import (partial_transpose, partial_trace, log_negativity,
                          en_bipartition, trace_norm_hermitian)
 from .params import (PhysicalSetup, ModelParams, SqueezedFrame, Check,
                      Report, derive_model_params,
-                     derive_squeezed_frame, regime_report,
-                     coulomb_distance_for_drive)
+                     derive_squeezed_frame, regime_report)
 from .presets import PRESET_NAMES, SEC5_GOLDEN, load_preset
 from .sweep import (AxisSpec, TimeRule, DynamicsSection, SweepSection,
                     RateSection, SweepResult, run_sweep, entanglement_rate,
@@ -47,7 +46,6 @@ __all__ = [
     "trace_norm_hermitian",
     "PhysicalSetup", "ModelParams", "SqueezedFrame", "Check", "Report",
     "derive_model_params", "derive_squeezed_frame", "regime_report",
-    "coulomb_distance_for_drive",
     "PRESET_NAMES", "SEC5_GOLDEN", "load_preset",
     "AxisSpec", "TimeRule", "DynamicsSection", "SweepSection",
     "RateSection", "SweepResult", "run_sweep", "entanglement_rate",

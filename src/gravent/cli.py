@@ -52,7 +52,7 @@ def cmd_feasibility(cfg: RunConfig, args) -> int:
     derived = {
         "omega_tilde": params.omega_tilde, "omega_a": params.omega_a,
         "F": params.F, "delta": params.delta, "epsilon": params.epsilon,
-        "r0": setup.r0, "g_a": params.g_a, "g_b": params.g_b,
+        "r0": setup.tip_distance, "g_a": params.g_a, "g_b": params.g_b,
         "s": frame.s, "omega_s": frame.omega_s, "g_a_s": frame.g_a_s,
         "g_b_s": frame.g_b_s, "g_eff": frame.g_eff,
         "delta_x": regime.base["delta_x"], "t_eval": t_eval,

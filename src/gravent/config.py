@@ -3,10 +3,11 @@
 One JSON file describes a system (dimensionless or SI) plus optional
 command sections (dynamics, sweep, rate, feasibility, validate); each CLI
 command reads the sections it needs.  The dataclasses are the schema,
-walked through their field annotations.  Parsing is strict: unknown keys,
-type errors, non-finite numbers and values a block's own rules reject
-raise ConfigError with the dotted field path, and parse(serialize(cfg))
-== cfg holds exactly.
+walked through their field annotations; the SI block is
+`params.PhysicalSetup` itself.  Parsing is strict: unknown keys, type
+errors, non-finite numbers and values a block's own rules reject (a
+drive outside its domain among them) raise ConfigError with the dotted
+field path, and parse(serialize(cfg)) == cfg holds exactly.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 
 from .dynamics import DephasingBlock, MediatorInit
 from .errors import ConfigError, GraventError, UnstableFrame
-from .params import (ModelParams, PhysicalSetup, coulomb_distance_for_drive,
-                     derive_model_params, derive_squeezed_frame, drive_gap)
+from .params import (ModelParams, PhysicalSetup, derive_model_params,
+                     derive_squeezed_frame)
 from .sweep import (DynamicsSection, RateSection, SweepSection,
                     check_fields, check_fock_cuts, merge_cell, resolve_cell)
 
@@ -41,51 +42,6 @@ class DimensionlessSystem:
 
     def __post_init__(self):
         ModelParams.dimensionless(**dataclasses.asdict(self))
-
-
-@dataclass(frozen=True)
-class SISystem:
-    """Raw experimental inputs (SI units, angular frequencies).
-
-    The two-phonon drive is fixed by exactly one of: the tip distance r0,
-    the detuning delta = omega_tilde - 4F, or F itself.  Given delta or F
-    the tip distance is back-solved, since a detuning of interest can sit
-    ten orders of magnitude below omega_tilde where r0 cannot be typed in
-    decimal form.
-    """
-
-    m_a: float
-    m_c: float
-    d: float
-    d0: float
-    omega_c: float
-    omega_b: float
-    omega_a0: float = 0.0
-    Q1: float = 0.0
-    Q2: float = 0.0
-    r0: float | None = None
-    delta: float | None = None
-    F: float | None = None
-    chi: float | None = None
-    B_grad: float | None = None
-    gamma_e: float | None = None
-    radius_a: float = 0.0
-    radius_c: float = 0.0
-
-    def __post_init__(self):
-        n_drive = sum(v is not None for v in (self.r0, self.delta, self.F))
-        charged = self.Q1 != 0.0 and self.Q2 != 0.0
-        if charged and n_drive != 1:
-            raise ValueError("give exactly one of r0, delta, F when both "
-                             "charges are set")
-        if not charged and n_drive:
-            raise ValueError("r0/delta/F need both charges nonzero")
-
-    def setup(self, **changes) -> PhysicalSetup:
-        """The PhysicalSetup of these inputs, with some fields changed."""
-        return PhysicalSetup(**{f.name: changes.get(f.name,
-                                                    getattr(self, f.name))
-                                for f in dataclasses.fields(PhysicalSetup)})
 
 
 @dataclass(frozen=True)
@@ -125,10 +81,10 @@ class ToleranceBlock:
 
 @dataclass(frozen=True)
 class RunConfig:
-    label: str
+    label: str = field(metadata={"label": True})
     mode: str = field(metadata={"choices": ("dimensionless", "si")})
     system: DimensionlessSystem | None = None
-    si_system: SISystem | None = None
+    si_system: PhysicalSetup | None = None
     mediator: MediatorInit = field(default_factory=MediatorInit)
     dephasing: DephasingBlock = field(default_factory=DephasingBlock)
     tolerances: ToleranceBlock = field(default_factory=ToleranceBlock)
@@ -241,7 +197,8 @@ def _build(cls, raw, path: str):
 
     Missing optional keys take the dataclass defaults.  A ConfigError
     from the block's __post_init__ names a field relative to the block,
-    any other ValueError or GraventError is reported against the block.
+    any other ValueError, GraventError or float overflow is reported
+    against the block.
     """
     if not isinstance(raw, dict):
         raise ConfigError(path, f"expected an object, got "
@@ -262,7 +219,7 @@ def _build(cls, raw, path: str):
         return cls(**kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{path}.{exc.path}", exc.message) from None
-    except (ValueError, GraventError) as exc:
+    except (ValueError, ArithmeticError, GraventError) as exc:
         raise ConfigError(path, str(exc)) from None
 
 
@@ -328,34 +285,12 @@ def base_cell(cfg: RunConfig) -> dict:
 
 
 def resolve_si(cfg: RunConfig):
-    """SI block -> (PhysicalSetup, ModelParams, SqueezedFrame).
-
-    When the drive is given as delta or F, the tip distance is back-solved
-    and the gap delta = omega_tilde - 4F is kept exact for the frame
-    derivation.  Inputs the physical setup rejects (masses, charges,
-    distances) are reported as ConfigError against the SI block.
-    """
+    """SI block -> (PhysicalSetup, ModelParams, SqueezedFrame)."""
     if cfg.si_system is None:
         raise ConfigError(f"{cfg.label}.si_system",
                           "this command needs an SI system block")
-    s = cfg.si_system
-    delta, r0, charges = None, s.r0, {}
-    try:
-        if s.delta is not None or s.F is not None:
-            probe = derive_model_params(s.setup(r0=None, Q1=0.0, Q2=0.0))
-            drive = dataclasses.replace(
-                probe, delta=drive_gap(probe.omega_tilde, s.F, s.delta))
-            delta = drive.delta
-            if drive.F == 0.0:
-                charges, r0 = {"Q1": 0.0, "Q2": 0.0}, None
-            else:
-                r0 = coulomb_distance_for_drive(s.m_c, s.omega_c, s.Q1,
-                                                s.Q2, drive.F)
-        setup = s.setup(r0=r0, **charges)
-        params = derive_model_params(setup, delta=delta)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.label}.si_system", str(exc)) from None
-    return setup, params, derive_squeezed_frame(params)
+    params = derive_model_params(cfg.si_system)
+    return cfg.si_system, params, derive_squeezed_frame(params)
 
 
 def resolve_dimensionless(cfg: RunConfig) -> ModelParams:
@@ -363,7 +298,7 @@ def resolve_dimensionless(cfg: RunConfig) -> ModelParams:
 
 
 __all__ = [
-    "DephasingBlock", "DimensionlessSystem", "SISystem",
+    "DephasingBlock", "DimensionlessSystem",
     "DynamicsSection", "SweepSection", "RateSection", "FeasibilitySection",
     "ValidateSection", "ToleranceBlock", "RunConfig", "parse_config",
     "load_config", "serialize_config", "config_hash", "base_cell",

@@ -5,7 +5,9 @@ separation d0, gravitating with a levitated mediator sphere a distance d
 away, plus a qubit coupled to the same mediator through a magnetic-field
 gradient.  A charged tip at distance r0 drives the mediator at twice its
 trap frequency, which is equivalent to a static two-phonon term of
-strength F after moving to the rotating frame.
+strength F after moving to the rotating frame.  `PhysicalSetup` takes
+that drive as r0, as the gap delta = omega_tilde - 4F or as F, and
+resolves it once into omega_tilde, the gap and the tip distance.
 
 Expanding gravity to first order in d0/d and the Coulomb interaction to
 second order in the mediator displacement gives a lab-frame Hamiltonian
@@ -74,8 +76,14 @@ class PhysicalSetup:
     Q1, Q2:
         Mediator charge (>= 0) and driving-tip charge (<= 0), C. Zero
         either one to switch the two-phonon drive off.
-    r0:
-        Mediator-tip distance (m). Required whenever both charges are set.
+    r0, delta, F:
+        The two-phonon drive, given by exactly one of these whenever both
+        charges are set and by none otherwise: the mediator-tip distance
+        (m), the gap delta = omega_tilde - 4F to the instability, or F
+        itself (rad/s).  A gap of interest can sit ten orders of
+        magnitude below omega_tilde, where r0 cannot be typed in decimal
+        form, so delta or F is kept exact and the tip distance that
+        realizes it is back-solved.
     chi:
         Qubit-mediator force gradient (rad s^-1 m^-1), given directly ...
     B_grad, gamma_e:
@@ -95,6 +103,8 @@ class PhysicalSetup:
     Q1: float = 0.0
     Q2: float = 0.0
     r0: float | None = None
+    delta: float | None = None
+    F: float | None = None
     chi: float | None = None
     B_grad: float | None = None
     gamma_e: float | None = None
@@ -119,9 +129,14 @@ class PhysicalSetup:
             raise ValueError("Q1 must be non-negative (mediator charge)")
         if self.Q2 > 0:
             raise ValueError("Q2 must be non-positive (tip charge)")
-        if self.coulomb_active and (self.r0 is None or self.r0 <= 0):
-            raise ValueError("r0 required (and positive) when both charges "
-                             "are nonzero")
+        n_drive = sum(v is not None for v in (self.r0, self.delta, self.F))
+        if self.coulomb_active and n_drive != 1:
+            raise ValueError("give exactly one of r0, delta, F when both "
+                             "charges are set")
+        if not self.coulomb_active and n_drive:
+            raise ValueError("r0/delta/F need both charges nonzero")
+        if self.r0 is not None and self.r0 <= 0:
+            raise ValueError("r0 must be positive")
         if self.chi is None and (self.B_grad is None or self.gamma_e is None):
             raise ValueError("qubit coupling underdetermined: give chi or "
                              "both B_grad and gamma_e")
@@ -132,10 +147,40 @@ class PhysicalSetup:
                 raise ValueError(
                     f"chi = {self.chi!r} inconsistent with gamma_e * B_grad "
                     f"= {alt!r} beyond {CHI_CONSISTENCY_RTOL:g} relative")
+        derive_model_params(self)  # rejects a drive or trap outside the model
 
     @property
     def coulomb_active(self) -> bool:
         return self.Q1 > 0 and self.Q2 < 0
+
+    def drive(self) -> tuple[float, float, float | None]:
+        """(omega_tilde, gap omega_tilde - 4F, tip distance or None).
+
+        From r0 the gap follows through F = k_e |Q1 Q2| / (2 m_c omega_c
+        r0^3); from delta or F it is kept exact and the tip distance is
+        back-solved.  Without a drive, or at F = 0, there is no tip.
+        """
+        wt2 = self.omega_c ** 2 - 2.0 * G * self.m_a / self.d ** 3
+        if wt2 <= 0:
+            raise NegativeSquaredFrequency(
+                f"omega_c^2 - 2 G m_a / d^3 = {wt2:.6g} <= 0")
+        omega_tilde = math.sqrt(wt2)
+        coulomb = K_E * abs(self.Q1 * self.Q2)
+        stiffness = 2.0 * self.m_c * self.omega_c
+        if self.r0 is not None:
+            F = coulomb / (stiffness * self.r0 ** 3)
+            return omega_tilde, drive_gap(omega_tilde, F=F), self.r0
+        if self.delta is None and self.F is None:
+            return omega_tilde, omega_tilde, None
+        gap = drive_gap(omega_tilde, self.F, self.delta)
+        F = (omega_tilde - gap) / 4.0
+        r0 = (coulomb / (stiffness * F)) ** (1.0 / 3.0) if F > 0 else None
+        return omega_tilde, gap, r0
+
+    @property
+    def tip_distance(self) -> float | None:
+        """r0, given or back-solved from the drive; None without one."""
+        return self.drive()[2]
 
     @property
     def chi_value(self) -> float:
@@ -220,54 +265,31 @@ class SqueezedFrame:
         return 2.0 * math.pi * n / self.omega_s
 
 
-def derive_model_params(setup: PhysicalSetup,
-                        delta: float | None = None) -> ModelParams:
+def derive_model_params(setup: PhysicalSetup) -> ModelParams:
     """Hamiltonian coefficients from raw experimental inputs.
 
-    delta keeps an exact requested gap omega_tilde - 4F instead of the one
-    recomputed from the (rounded) back-solved tip distance; it matters
-    when the target gap is many orders below omega_tilde.
+    The drive is resolved once, by `PhysicalSetup.drive`; a tip, when
+    there is one, adds its Coulomb force to the static force epsilon.
 
     Raises NegativeSquaredFrequency if gravitational softening overwhelms
     the trap, UnstableFrame if the Coulomb drive exceeds the inversion
     threshold omega_tilde / 4.
     """
-    wt2 = setup.omega_c ** 2 - 2.0 * G * setup.m_a / setup.d ** 3
-    if wt2 <= 0:
-        raise NegativeSquaredFrequency(
-            f"omega_c^2 - 2 G m_a / d^3 = {wt2:.6g} <= 0")
-    omega_tilde = math.sqrt(wt2)
-
+    omega_tilde, delta, r0 = setup.drive()
     omega_a = setup.omega_a0 + G * setup.m_a * setup.m_c * setup.d0 / (
         2.0 * HBAR * setup.d ** 2)
 
-    F = eps_coulomb = 0.0
-    if setup.coulomb_active:
-        coulomb = K_E * abs(setup.Q1 * setup.Q2)
-        F = coulomb / (2.0 * setup.m_c * setup.omega_c * setup.r0 ** 3)
-        eps_coulomb = coulomb / setup.r0 ** 2
+    eps_coulomb = 0.0 if r0 is None \
+        else K_E * abs(setup.Q1 * setup.Q2) / r0 ** 2
     epsilon = (G * setup.m_a * setup.m_c / setup.d ** 2 + eps_coulomb) \
         * math.sqrt(1.0 / (2.0 * HBAR * setup.m_c * setup.omega_c))
 
     g_a = -(G * setup.m_a * setup.d0 / setup.d ** 3) \
         * math.sqrt(setup.m_c / (2.0 * omega_tilde * HBAR))
     g_b = setup.chi_value * math.sqrt(HBAR / (2.0 * setup.m_c * setup.omega_c))
-
-    if delta is None:
-        delta = drive_gap(omega_tilde, F=F)
     return ModelParams(omega_a=omega_a, omega_b=setup.omega_b,
                        omega_tilde=omega_tilde, delta=delta, epsilon=epsilon,
                        g_a=g_a, g_b=g_b)
-
-
-def coulomb_distance_for_drive(setup_mass: float, omega_c: float, Q1: float,
-                               Q2: float, F: float) -> float:
-    """Tip distance r0 that realizes a requested two-phonon strength F."""
-    if F <= 0:
-        raise ValueError("F must be positive to solve for r0")
-    if Q1 <= 0 or Q2 >= 0:
-        raise ValueError("charges must be active (Q1 > 0, Q2 < 0)")
-    return (K_E * abs(Q1 * Q2) / (2.0 * setup_mass * omega_c * F)) ** (1.0 / 3.0)
 
 
 def derive_squeezed_frame(params: ModelParams) -> SqueezedFrame:
@@ -338,7 +360,8 @@ def regime_report(setup: PhysicalSetup, frame: SqueezedFrame,
 
     The squeezing enlarges the mediator position spread to
     delta_x = sqrt(hbar / (m_c omega_tilde)) e^s, the report's one base
-    figure, which must stay small against the Coulomb distance r0 and,
+    figure, which must stay small against the tip distance, given or
+    back-solved (when there is a tip), and,
     together with the well offset d0/2, against the gravitational
     distance d.  The Casimir floor must stay below the surface separation.
     Each check is a ratio of at most its limit.
@@ -346,9 +369,10 @@ def regime_report(setup: PhysicalSetup, frame: SqueezedFrame,
     delta_x = math.sqrt(HBAR / (setup.m_c * frame.omega_tilde)) \
         * math.exp(frame.s)
     checks = []
-    if setup.coulomb_active:
+    r0 = setup.tip_distance
+    if r0 is not None:
         checks.append(Check.bound(
-            "coulomb_expansion", delta_x / setup.r0, coulomb_ratio_limit,
+            "coulomb_expansion", delta_x / r0, coulomb_ratio_limit,
             "delta_x / r0 (second-order Coulomb expansion)"))
     checks.append(Check.bound(
         "gravity_expansion", (setup.d0 / 2.0 + delta_x) / setup.d,
@@ -365,6 +389,5 @@ def regime_report(setup: PhysicalSetup, frame: SqueezedFrame,
 __all__ = [
     "DRIVE_KEYS", "PhysicalSetup", "ModelParams", "SqueezedFrame",
     "Check", "Report", "drive_gap", "derive_model_params",
-    "derive_squeezed_frame", "regime_report", "coulomb_distance_for_drive",
-    "CASIMIR_THRESHOLD",
+    "derive_squeezed_frame", "regime_report", "CASIMIR_THRESHOLD",
 ]

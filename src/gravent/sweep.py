@@ -12,6 +12,7 @@ trajectory does not fit its cutoff is marked invalid too.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -37,11 +38,17 @@ _CELL_DEFAULTS = {
 }
 
 
+# a label names output files and table columns: no path, no comma
+_LABEL = re.compile(r"(?!\.\.?$)[A-Za-z0-9._=+-]+")
+
+
 def check_fields(block) -> None:
     """ConfigError naming the first field of dataclass block, or item of a
     tuple field, that breaks a rule of its metadata: "choices", the values
-    it may take, "min", its least value, or the exclusive bounds "above"
-    and "below".  None breaks no rule; NaN breaks every bound."""
+    it may take, "min", its least value, the exclusive bounds "above"
+    and "below", or "label", a name safe in file names and CSV headers
+    (of a variant, its first item).  None breaks no rule; NaN breaks
+    every bound."""
     for f in (f for f in fields(block) if f.metadata):
         rule, value = f.metadata, getattr(block, f.name)
         lo, hi = rule.get("above", -math.inf), rule.get("below", math.inf)
@@ -50,6 +57,10 @@ def check_fields(block) -> None:
             where = f"{f.name}[{i}]" if many else f.name
             if v is None:
                 continue
+            if "label" in rule and not _LABEL.fullmatch(
+                    v if isinstance(v, str) else v[0]):
+                raise ConfigError(where, "a label takes only letters, "
+                                  "digits and ._=+- and is not . or ..")
             if "choices" in rule and v not in rule["choices"]:
                 raise ConfigError(where, f"must be one of {rule['choices']}")
             if "min" in rule and not v >= rule["min"]:
@@ -116,7 +127,7 @@ class DynamicsSection:
     bipartitions: tuple[str, ...] = field(
         default=("tp_qubit",),
         metadata={"choices": tuple(fock.BIPARTITIONS)})
-    variants: Variants = ()
+    variants: Variants = field(default=(), metadata={"label": True})
 
     def __post_init__(self):
         check_fields(self)
@@ -150,7 +161,7 @@ class RateSection:
     which: str = field(metadata={"choices": ("g_a", "g_b")})
     axis: AxisSpec
     time: TimeRule = TimeRule()
-    variants: Variants = ()
+    variants: Variants = field(default=(), metadata={"label": True})
 
     def __post_init__(self):
         check_fields(self)
@@ -159,6 +170,8 @@ class RateSection:
                               f"axis {self.which}, got {self.axis.name!r}")
         if self.axis.count < 3:
             raise ConfigError("axis", "rate extraction needs >= 3 points")
+        if self.axis.start == self.axis.stop:
+            raise ConfigError("axis", "rate extraction needs start != stop")
 
 
 def merge_cell(base: dict, overrides: dict) -> dict:

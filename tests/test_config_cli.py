@@ -64,7 +64,7 @@ class TestParsing:
                           "system": MINIMAL["system"]})
         both = cfg_with(si_system={"m_a": 1e-18, "m_c": 1e-14, "d": 1e-4,
                                    "d0": 1e-7, "omega_c": 1e4,
-                                   "omega_b": 1e9})
+                                   "omega_b": 1e9, "chi": 1e15})
         with pytest.raises(ConfigError, match="mode"):
             parse_config(both)
 
@@ -280,6 +280,10 @@ class TestConfigBoundary:
             "which": "g_b",
             "axis": {"name": "g_b", "start": 0.0, "stop": 2.0,
                      "count": 2}}}),
+        ("<config>.rate.axis", {"rate": {
+            "which": "g_b",
+            "axis": {"name": "g_b", "start": 0.5, "stop": 0.5,
+                     "count": 5}}}),
         ("<config>.sweep.axes", {"sweep": {"axes": [
             {"name": "F", "start": 0.0, "stop": 0.1, "count": 3},
             {"name": "g_b", "start": 0.0, "stop": 2.0, "count": 3},
@@ -318,7 +322,8 @@ class TestConfigBoundary:
             "variant-xi_mag", "variant-delta", "variant-unknown-key",
             "variant-unstable", "sweep-axis-F", "sweep-axis-gamma",
             "rate-variant-gamma_tp", "rate-axis-gamma", "rate-axis-name",
-            "rate-axis-count", "sweep-three-axes", "sweep-two-drives",
+            "rate-axis-count", "rate-axis-width", "sweep-three-axes",
+            "sweep-two-drives",
             "dephased-mediator-cut", "variant-dephased-mediator-cut",
             "sweep-backend", "dynamics-backend", "dynamics-hamiltonian",
             "overlap_samples", "pt_samples", "fock_tail", "en_convergence",
@@ -327,6 +332,40 @@ class TestConfigBoundary:
         with pytest.raises(ConfigError) as exc:
             parse_config(cfg_with(**edit))
         assert exc.value.path == field
+
+    @pytest.mark.parametrize("field,edit", [
+        ("label", {"label": "../escaped"}),
+        ("label", {"label": ".."}),
+        ("label", {"label": ""}),
+        ("dynamics.variants[1]", {"dynamics": {
+            "t_stop": 1.0, "points": 5,
+            "variants": [["ok", {}], ["x/../../../up", {}]]}}),
+        ("dynamics.variants[0]", {"dynamics": {
+            "t_stop": 1.0, "points": 5, "variants": [[".", {}]]}}),
+        ("rate.variants[0]", {"rate": {
+            "which": "g_b",
+            "axis": {"name": "g_b", "start": 0.1, "stop": 1.0, "count": 5},
+            "variants": [["a,b", {}]]}}),
+    ], ids=["label-parent", "label-dotdot", "label-empty",
+            "dynamics-variant-path", "dynamics-variant-dot",
+            "rate-variant-comma"])
+    def test_labels_that_are_not_file_names_are_rejected(
+            self, tmp_path, capsys, field, edit):
+        """A label names output files: a path in it wrote outside --out,
+        and a comma split a CSV header into more names than columns."""
+        data = cfg_with(**edit)
+        with pytest.raises(ConfigError, match="label") as exc:
+            parse_config(data)
+        assert exc.value.path == f"<config>.{field}"
+        cfg_path = tmp_path / "cfg" / "bad.json"
+        cfg_path.parent.mkdir()
+        cfg_path.write_text(json.dumps(data))
+        command = "rate" if "rate" in edit else "dynamics"
+        assert main([command, "--config", str(cfg_path), "--out",
+                     str(tmp_path / "cfg" / "out")]) == 2
+        assert f"error: {cfg_path}.{field}: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.json",
+                                                               "cfg"]
 
     NEGATIVE_TIMES = [
         ("dynamics.t_start", {"dynamics": {
@@ -390,11 +429,18 @@ class TestConfigBoundary:
 
     def test_si_inputs_the_setup_rejects_are_config_errors(self,
                                                             sec5_config):
-        data = serialize_config(sec5_config)
-        data["si_system"]["m_a"] = -1.0
-        with pytest.raises(ConfigError, match="m_a must be positive") as exc:
-            resolve_si(parse_config(data))
-        assert exc.value.path == "sec5-feasibility.si_system"
+        """Bad inputs and a drive outside its domain stop at parse time."""
+        for edit, message in (({"m_a": -1.0}, "m_a must be positive"),
+                              ({"delta": -1.0}, "no stable squeezed frame"),
+                              ({"delta": 1e12}, "F must be non-negative"),
+                              ({"d": 1e300}, "out of range"),
+                              ({"omega_c": 1e-9}, "omega_c^2 - 2 G m_a")):
+            data = serialize_config(sec5_config)
+            data["si_system"].update(edit)
+            with pytest.raises(ConfigError) as exc:
+                parse_config(data)
+            assert exc.value.path == "<config>.si_system"
+            assert message in exc.value.message
 
     def test_non_finite_numbers_rejected_everywhere(self):
         for edit in ({"dephasing": {"gamma": math.inf}},
@@ -536,21 +582,32 @@ class TestResolvers:
         setup, params, frame = resolve_si(sec5_config)
         requested = sec5_config.si_system.delta
         assert params.delta == requested
-        assert setup.r0 is not None and setup.r0 > 0
+        assert setup.r0 is None and setup.tip_distance > 0
         # the back-solved tip distance reproduces the same drive
         from gravent import derive_model_params
-        assert derive_model_params(setup).F == pytest.approx(params.F,
-                                                             rel=1e-9)
+        tip = dataclasses.replace(setup, delta=None, r0=setup.tip_distance)
+        assert derive_model_params(tip).F == pytest.approx(params.F,
+                                                           rel=1e-12)
 
     def test_si_zero_drive_disables_charges(self, sec5_config):
+        from gravent import regime_report
         data = json.loads(json.dumps(
             serialize_config(sec5_config)))
         probe_delta = resolve_si(sec5_config)[1].omega_tilde
         data["si_system"]["delta"] = probe_delta  # delta = omega_tilde
         cfg = parse_config(data)
-        setup, params, _ = resolve_si(cfg)
-        assert params.F == 0.0
-        assert not setup.coulomb_active
+        setup, params, frame = resolve_si(cfg)
+        assert params.F == 0.0 and params.delta == probe_delta
+        assert setup.coulomb_active and setup.tip_distance is None
+        names = [c.name for c in regime_report(setup, frame).checks]
+        assert names == ["gravity_expansion", "casimir_separation"]
+
+    def test_one_si_setup_type(self, sec5_config):
+        assert isinstance(sec5_config.si_system, gravent.PhysicalSetup)
+        for module in (gravent, gravent.config, gravent.params):
+            assert not hasattr(module, "SISystem")
+            assert not hasattr(module, "coulomb_distance_for_drive")
+        assert len(serialize_config(sec5_config)["si_system"]) == 17
 
 
 class TestGoldenTable:

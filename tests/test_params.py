@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravent import (Check, ModelParams, PhysicalSetup, Report, UnstableFrame,
-                     coulomb_distance_for_drive, derive_model_params,
-                     derive_squeezed_frame, regime_report)
+                     derive_model_params, derive_squeezed_frame,
+                     regime_report)
 from gravent.errors import NegativeSquaredFrequency
 from gravent.params import drive_gap
 from gravent.sweep import resolve_cell
@@ -49,8 +49,14 @@ class TestPhysicalSetup:
             make_setup(Q2=1e-9)
 
     def test_active_charges_need_tip_distance(self):
-        with pytest.raises(ValueError, match="r0 required"):
+        with pytest.raises(ValueError, match="exactly one of r0, delta, F"):
             make_setup(Q1=1e-15, Q2=-1e-9)
+        with pytest.raises(ValueError, match="exactly one of r0, delta, F"):
+            make_setup(Q1=1e-15, Q2=-1e-9, r0=5e-3, F=500.0)
+        with pytest.raises(ValueError, match="r0 must be positive"):
+            make_setup(Q1=1e-15, Q2=-1e-9, r0=0.0)
+        with pytest.raises(ValueError, match="charges"):
+            make_setup(Q1=1e-15, delta=1.0)
 
     def test_qubit_coupling_underdetermined(self):
         with pytest.raises(ValueError, match="underdetermined"):
@@ -193,23 +199,38 @@ class TestDeriveModelParams:
         assert p.F > 0.0
 
     def test_drive_override_takes_precedence(self):
-        s = make_setup(Q1=1e-15, Q2=-1e-9, r0=5e-3)
-        p = derive_model_params(s, delta=123.456)
+        """A gap given as delta is kept, not recomputed from a tip."""
+        s = make_setup(Q1=1e-15, Q2=-1e-9, delta=123.456)
+        p = derive_model_params(s)
         assert p.delta == 123.456
+        assert p.omega_tilde == s.drive()[0]
 
     def test_tip_distance_back_solve_round_trip(self):
-        s = make_setup()
-        target_F = 500.0
-        r0 = coulomb_distance_for_drive(s.m_c, s.omega_c, 1e-15, -1e-9,
-                                        target_F)
-        p = derive_model_params(make_setup(Q1=1e-15, Q2=-1e-9, r0=r0))
-        assert p.F == pytest.approx(target_F, rel=1e-12)
+        """F, delta = omega_tilde - 4F and the back-solved tip distance
+        give one model, to 1e-12 relative."""
+        charged = make_setup(Q1=1e-15, Q2=-1e-9, F=500.0)
+        omega_tilde, _, r0 = charged.drive()
+        same = [derive_model_params(make_setup(Q1=1e-15, Q2=-1e-9, **drive))
+                for drive in ({"F": 500.0},
+                              {"delta": omega_tilde - 2000.0}, {"r0": r0})]
+        assert same[0].F == 500.0
+        for p in same[1:]:
+            for name, value in vars(p).items():
+                assert value == pytest.approx(getattr(same[0], name),
+                                              rel=1e-12), name
+        assert charged.tip_distance == r0 > 0.0
 
     def test_back_solve_input_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            coulomb_distance_for_drive(1e-14, 1e4, 1e-15, -1e-9, 0.0)
-        with pytest.raises(ValueError, match="charges"):
-            coulomb_distance_for_drive(1e-14, 1e4, 0.0, -1e-9, 1.0)
+        omega_tilde = make_setup().drive()[0]
+        undriven = make_setup(Q1=1e-15, Q2=-1e-9, delta=omega_tilde)
+        assert undriven.tip_distance is None
+        assert derive_model_params(undriven).F == 0.0
+        with pytest.raises(ValueError, match="non-negative"):
+            make_setup(Q1=1e-15, Q2=-1e-9, F=-1.0)
+        with pytest.raises(UnstableFrame):
+            make_setup(Q1=1e-15, Q2=-1e-9, delta=-1.0)
+        with pytest.raises(UnstableFrame):
+            make_setup(Q1=1e-15, Q2=-1e-9, r0=1e-9)
 
 
 def test_en_depends_only_on_coupling_magnitude():
