@@ -23,7 +23,7 @@ from .errors import ConfigError, GraventError
 from .negativity import log_negativity_from_partial_transpose
 from .params import Report, regime_report
 from .presets import PRESET_NAMES, SEC5_GOLDEN, golden_check, load_preset
-from .sweep import (entanglement_rate, merge_cell, run_sweep,
+from .sweep import (entanglement_rate, merge_cell, phase_time, run_sweep,
                     timeseries_figure)
 from .validate import run_validation
 
@@ -42,7 +42,7 @@ def cmd_feasibility(cfg: RunConfig, args) -> int:
     fz = cfg.feasibility if cfg.feasibility is not None \
         else FeasibilitySection()
     regime = regime_report(setup, frame)
-    t_eval = fz.cycles * frame.t_period
+    t_eval = phase_time(fz.cycles, frame)
     g_lo, g_hi = fz.gamma_window
 
     def en_at(gamma: float) -> float:

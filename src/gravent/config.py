@@ -25,7 +25,8 @@ from .errors import ConfigError, GraventError, UnstableFrame
 from .params import (ModelParams, PhysicalSetup, derive_model_params,
                      derive_squeezed_frame)
 from .sweep import (DynamicsSection, RateSection, SweepSection,
-                    check_fields, check_fock_cuts, merge_cell, resolve_cell)
+                    check_fields, check_fock_cuts, merge_cell, phase_time,
+                    resolve_cell)
 
 
 @dataclass(frozen=True)
@@ -103,12 +104,18 @@ class RunConfig:
                               "block, never both")
         if self.system is not None:
             _check_cells(self)
+        elif self.feasibility is not None:
+            try:
+                phase_time(self.feasibility.cycles, resolve_si(self)[2])
+            except ConfigError as exc:
+                raise ConfigError(f"feasibility.{exc.path}",
+                                  exc.message) from None
 
 
 def _check_cells(cfg: RunConfig) -> None:
     """Resolve each variant cell and axis endpoint as the commands will,
-    and check the Fock cuts against the dephasing; only an axis endpoint
-    past the instability is left to the sweep."""
+    time rule included, and check the Fock cuts against the dephasing;
+    only an axis endpoint past the instability is left to the sweep."""
     base = base_cell(cfg)
     cells = [(f"{name}.variants[{i}]", o, False)
              for name in ("dynamics", "rate") if getattr(cfg, name)
@@ -119,8 +126,10 @@ def _check_cells(cfg: RunConfig) -> None:
     cells += [(path, {ax.name: v}, True)
               for path, ax in axes for v in (ax.start, ax.stop)]
     for path, overrides, on_axis in cells:
+        section = getattr(cfg, path.split(".")[0])
         try:
-            resolve_cell(merge_cell(base, overrides))
+            resolve_cell(merge_cell(base, overrides),
+                         getattr(section, "time", None))
         except (ValueError, GraventError) as exc:
             if not (on_axis and isinstance(exc, UnstableFrame)):
                 raise ConfigError(path, str(exc)) from None

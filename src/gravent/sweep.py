@@ -200,14 +200,16 @@ def check_fock_cuts(spec: DynamicsSection, fixed: dict) -> None:
                               f"the dephasing of {label!r}")
 
 
-def resolve_cell(cell: dict, time_rule: TimeRule = TimeRule()):
+def resolve_cell(cell: dict, time_rule: TimeRule | None = None):
     """Cell dict -> (params, frame, init, gamma, gamma_tp, t).
 
     Null values take the defaults.  g_a, g_b, gamma, gamma_tp and t may be
-    arrays that broadcast together, for cells sharing s, omega_s and xi.
-    An unknown key, a missing coupling or a negative t raises ConfigError
-    naming the key; another value outside the model's domain, in any cell,
-    ValueError, a drive at or past the instability UnstableFrame.
+    arrays that broadcast together, for cells sharing s, omega_s and xi;
+    t is the cell's, else time_rule's, else None.  An unknown key, a
+    missing coupling, a negative t or an overflowing phase time raises
+    ConfigError naming the key or cycles; another value outside the
+    model's domain, in any cell, ValueError, a drive at or past the
+    instability UnstableFrame.
     """
     for key in cell:
         if key not in _CELL_DEFAULTS:
@@ -230,11 +232,24 @@ def resolve_cell(cell: dict, time_rule: TimeRule = TimeRule()):
         t = p["t"]
         if np.less(t, 0.0).any():
             raise ConfigError("t", f"must be non-negative, got {np.min(t)}")
+    elif time_rule is None:
+        t = None
     elif time_rule.kind == "fixed":  # TimeRule keeps its t and cycles >= 0
         t = float(time_rule.t)
     else:
-        t = time_rule.cycles * 2.0 * math.pi / frame.omega_s
+        t = phase_time(time_rule.cycles, frame)
     return params, frame, init, deph.gamma, deph.gamma_tp, t
+
+
+def phase_time(cycles: float, frame):
+    """frame.decoupling_time(cycles); ConfigError naming cycles where that
+    time or the conditional phase g_eff t it gives is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = frame.decoupling_time(cycles)
+        if np.isfinite(t * frame.g_eff).all():
+            return t
+    raise ConfigError("cycles", f"{cycles:g} periods take t or the phase "
+                      "g_eff t past the largest float")
 
 
 def _fock_tp_qubit_en(states: np.ndarray, n: int, ts, gamma: float,
@@ -420,5 +435,5 @@ __all__ = [
     "AXIS_NAMES", "BACKENDS", "BROADCAST_AXES", "AxisSpec", "TimeRule",
     "DynamicsSection", "SweepSection", "RateSection", "SweepResult",
     "RateResult", "TimeseriesResult", "merge_cell", "check_fields",
-    "check_fock_cuts", "resolve_cell", "run_sweep", "entanglement_rate",
-    "timeseries_figure"]
+    "check_fock_cuts", "resolve_cell", "phase_time", "run_sweep",
+    "entanglement_rate", "timeseries_figure"]

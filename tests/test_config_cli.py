@@ -411,6 +411,28 @@ class TestConfigBoundary:
         assert rc == 2
         assert f"error: {cfg_path}.{field}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,preset,field", [
+        ("sweep", "fig2", "sweep.axes[0]"),
+        ("feasibility", "sec5-feasibility", "feasibility.cycles")])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cycles_past_the_float_range_are_rejected(
+            self, tmp_path, capsys, command, preset, field):
+        """1e306 periods overflowed t (sec5) or the phase g_eff t at the
+        F = 0.2495 end of fig2's axis: the kernel warned and eigvalsh
+        failed with "Eigenvalues did not converge", naming no field."""
+        data = serialize_config(load_preset(preset))
+        (data[command].get("time") or data[command])["cycles"] = 1e306
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        assert exc.value.path == f"<config>.{field}"
+        assert "cycles: 1e+306 periods" in str(exc.value)
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main([command, "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert f"error: {cfg_path}.{field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("dynamics", [
         {"t_stop": 1.0, "points": 5, "backend": "fock"},
         {"t_stop": 1.0, "points": 5, "backend": "analytic",
@@ -766,6 +788,34 @@ class TestCliSweep:
                         + text[3:])
         assert rows == want
         assert "nan" in rows[1]
+
+    def test_invalid_cells_round_trip_as_nan(self, tmp_path):
+        """Cells past the instability come back from the JSON as NaN and
+        from the CSV as nan; every valid number comes back exactly."""
+        data = cfg_with(sweep={"axes": [
+            {"name": "F", "start": 0.1, "stop": 0.3, "count": 5},
+            {"name": "g_b", "start": 0.5, "stop": 1.0, "count": 2}]})
+        cfg = parse_config(data)
+        res = gravent.sweep.run_sweep(cfg.sweep, base_cell(cfg))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")]) == 0
+        blob = json.loads((tmp_path / "out" / "unit_sweep.json").read_text())
+        assert blob["valid"] == res.valid.tolist()
+        assert blob["valid"] == [[True] * 2] * 3 + [[False] * 2] * 2
+        en = np.array(blob["en"])
+        np.testing.assert_array_equal(en, res.en)
+        assert np.isnan(en).tolist() == (~res.valid).tolist()
+        for name, values in res.extras.items():
+            np.testing.assert_array_equal(blob["extras"][name], values)
+        _, names, rows = read_csv(tmp_path / "out" / "unit_sweep.csv")
+        cells = {name: [row[k] for row in rows]
+                 for k, name in enumerate(names)}
+        assert [c == "nan" for c in cells["en"]] == \
+            [v == "0" for v in cells["valid"]]
+        np.testing.assert_array_equal(
+            np.array(cells["en"], float), res.en.ravel())
 
     def test_axis_overrides_fixed_drive(self, tmp_path):
         # the system block pins F; the sweep axis takes it over

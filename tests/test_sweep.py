@@ -1,5 +1,6 @@
 """Sweep engine: grids, time rules, rate extraction, time-series tables."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -182,6 +183,25 @@ class TestResolveCell:
     def test_null_takes_the_default(self):
         *_, gamma, gamma_tp, _ = resolve_cell(dict(BASE, F=0.1, gamma=None))
         assert gamma == 0.0 and gamma_tp == 0.0
+
+    def test_without_a_time_rule_t_is_unset(self):
+        assert resolve_cell(dict(BASE, F=0.1))[-1] is None
+        assert resolve_cell(dict(BASE, F=0.1, t=2.0))[-1] == 2.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_phase_past_the_float_range_names_cycles(self):
+        """At 4e304 periods g_eff t stays finite along both edges of the
+        grid, which is all a parse-time check of the axis endpoints sees,
+        and overflows in its F = 0.2495, g_b = 2 corner."""
+        spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.2495, 3),
+                                  AxisSpec("g_b", 1.0, 2.0, 2)),
+                            time=TimeRule(cycles=4e304))
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(spec, BASE)
+        assert exc.value.path == "cycles"
+        t_edge = run_sweep(dataclasses.replace(spec, axes=spec.axes[:1]),
+                           BASE).extras["t_eval"][-1]
+        assert np.isfinite(t_edge)
 
 
 class TestRunSweep:
