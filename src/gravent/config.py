@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import sys
 import typing
@@ -113,18 +114,23 @@ class RunConfig:
 
 
 def _check_cells(cfg: RunConfig) -> None:
-    """Resolve each variant cell and axis endpoint as the commands will,
-    time rule included, and check the Fock cuts against the dephasing;
-    only an axis endpoint past the instability is left to the sweep."""
+    """Resolve each variant cell, axis endpoint and corner of a multi-axis
+    sweep as the commands will, time rule included, and check the Fock
+    cuts against the dephasing; only an axis cell past the instability is
+    left to the sweep."""
     base = base_cell(cfg)
     cells = [(f"{name}.variants[{i}]", o, False)
              for name in ("dynamics", "rate") if getattr(cfg, name)
              for i, (_, o) in enumerate(getattr(cfg, name).variants)]
-    axes = [(f"sweep.axes[{i}]", ax)
-            for i, ax in enumerate(cfg.sweep.axes if cfg.sweep else ())]
+    sweep = cfg.sweep.axes if cfg.sweep else ()
+    axes = [(f"sweep.axes[{i}]", ax) for i, ax in enumerate(sweep)]
     axes += [("rate.axis", cfg.rate.axis)] if cfg.rate else []
     cells += [(path, {ax.name: v}, True)
               for path, ax in axes for v in (ax.start, ax.stop)]
+    if len(sweep) > 1:
+        cells += [("sweep.axes", dict(zip((ax.name for ax in sweep), c)),
+                   True) for c in itertools.product(
+                       *((ax.start, ax.stop) for ax in sweep))]
     for path, overrides, on_axis in cells:
         section = getattr(cfg, path.split(".")[0])
         try:

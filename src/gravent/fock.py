@@ -12,9 +12,12 @@ band storage (4N, 3): h[j, k] = H[j + k, j] within a block, tridiagonal
 in the squeezed frame and pentadiagonal in the lab frame.  The parity P =
 (-1)^(a^dag a) keeps a^dag a and a^2 and negates a + a^dag, so blocks with
 opposite couplings share eigenvalues, up to their energy offset, and
-eigenvectors, up to P: `ExactPropagator` solves one of each such pair.
-D(alpha) and S(xi) are applied by `ladder_exp`; both exponentiate the
-same truncated matrices a dense `expm` would.
+eigenvectors, up to P: `ExactPropagator` solves one of each such pair,
+tridiagonal blocks by LAPACK's divide and conquer `dstevd`, and evolves
+both blocks of a pair in that one real eigenbasis with real products.
+D(alpha) and S(xi) are applied by `ladder_exp`, to a vector or a stack
+of them with one z per row; both exponentiate the same truncated
+matrices a dense `expm` would.
 
 Basis ordering: index = tp * (2 * N) + qubit * N + n with tp in {0: |R>,
 1: |L>}, qubit in {0: |0>, 1: |1>}, n the Fock level.  `cut_pt` reduces
@@ -31,9 +34,11 @@ are only sensible for s up to about 1 and the strongly driven regimes
 must be validated in the squeezed frame or in closed form.
 
 Every cutoff is chosen by one bounded search, `search_cutoff`, whose
-NoConvergence is the only way the oracle gives up.  One run at a fixed
-N, in the lab or the squeezed frame, is `trajectory`.  scipy, needed by
-this oracle alone, loads on the first `expm` or `eig_banded` call.
+NoConvergence is the only way the oracle gives up; `fock_overlap` runs a
+batch of tuples through one search, each taken at the first N where it
+fits.  One run at a fixed N, in the lab or the squeezed frame, is
+`trajectory`.  scipy, needed by this oracle alone, loads on the first
+`expm` or `eig_banded` call.
 """
 
 from __future__ import annotations
@@ -67,8 +72,17 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def eig_banded(band: np.ndarray, lower: bool = False):
-    from scipy.linalg import eig_banded as scipy_eig_banded
-    return scipy_eig_banded(band, lower=lower)
+    """scipy's eig_banded; a lower tridiagonal band goes straight to
+    LAPACK's divide and conquer dstevd, with the same eigenpairs."""
+    if not (lower and len(band) == 2):
+        from scipy.linalg import eig_banded as scipy_eig_banded
+        return scipy_eig_banded(band, lower=lower)
+    from scipy.linalg.lapack import dstevd
+    d, e = np.asarray_chkfinite(band, float)
+    w, v, info = dstevd(d, e[:max(len(e) - 1, 1)])
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
+    return w, v
 
 
 def destroy(n: int) -> np.ndarray:
@@ -78,14 +92,15 @@ def destroy(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
 
 
-def coherent_vector(alpha: complex, n: int) -> tuple[np.ndarray, float]:
-    """Truncated coherent amplitudes and the probability mass cut off."""
-    steps = np.empty(n, complex)  # v[k] = v[k - 1] * alpha / sqrt(k)
-    steps[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    steps[1:] = alpha / np.sqrt(np.arange(1.0, n))
-    v = np.multiply.accumulate(steps)
-    tail = max(0.0, 1.0 - float(np.vdot(v, v).real))
-    return v, tail
+def coherent_vector(alpha, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated coherent amplitudes and the probability mass cut off, for
+    one alpha or a row for each of an array of them."""
+    alpha = np.asarray(alpha, complex)[..., None]
+    steps = np.empty(alpha.shape[:-1] + (n,), complex)
+    steps[..., :1] = np.exp(-0.5 * np.abs(alpha) ** 2)
+    steps[..., 1:] = alpha / np.sqrt(np.arange(1.0, n))
+    v = np.multiply.accumulate(steps, axis=-1)  # v[k] = v[k-1] alpha/sqrt(k)
+    return v, np.maximum(0.0, 1.0 - np.sum(v.real ** 2 + v.imag ** 2, -1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -100,18 +115,29 @@ def _ladder_modes(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
-def ladder_exp(z: complex, k: int, vec: np.ndarray) -> np.ndarray:
-    """exp(z a^dag^k - z* a^k) @ vec on the cutoff N = len(vec): D(z) for
-    k = 1, S(-2z) for k = 2.  With E = diag((-i z/|z|)^(m // k)) the
-    generator is E (i|z| B) E^dag, B = U diag(w) U^T of `_ladder_modes`."""
+def _by_real(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m for a complex (K, N) stack x and a real matrix m, as one real
+    product of the stacked real and imaginary parts."""
+    y = np.concatenate((x.real, x.imag)) @ m
+    return y[:len(x)] + 1j * y[len(x):]
+
+
+def ladder_exp(z, k: int, vec: np.ndarray) -> np.ndarray:
+    """exp(z a^dag^k - z* a^k) @ vec on the cutoff N = vec.shape[-1]: D(z)
+    for k = 1, S(-2z) for k = 2, with one z per row of a (K, N) vec.  With
+    E = diag((-i z/|z|)^(m // k)) the generator is E (i|z| B) E^dag,
+    B = U diag(w) U^T of `_ladder_modes`."""
     vec = np.asarray(vec, complex)
-    if abs(z) < np.finfo(float).tiny:  # z / |z| is no phase for subnormals
-        return vec.copy()
-    w, u = _ladder_modes(len(vec), k)
-    e = (-1j * z / abs(z)) ** (np.arange(len(vec)) // k)
-    x = e.conj() * vec
-    x = np.exp(1j * abs(z) * w) * (u.T @ x.real + 1j * (u.T @ x.imag))
-    return e * (u @ x.real + 1j * (u @ x.imag))
+    x = vec.reshape(-1, vec.shape[-1]).copy()
+    z = np.asarray(z, complex).reshape(-1)
+    live = np.abs(z) >= np.finfo(float).tiny  # z/|z| is no phase below it
+    if live.any():
+        w, u = _ladder_modes(x.shape[1], k)
+        mag = np.abs(z[live])[:, None]
+        e = (-1j * z[live, None] / mag) ** (np.arange(x.shape[1]) // k)
+        y = np.exp(1j * mag * w) * _by_real(e.conj() * x[live], u)
+        x[live] = e * _by_real(y, u.T)
+    return x.reshape(vec.shape)
 
 
 def _squeezed_coherent(init: MediatorInit, n: int,
@@ -160,28 +186,52 @@ def lab_mediator_vector(init: MediatorInit, frame: SqueezedFrame, n: int,
     return vec / np.linalg.norm(vec)
 
 
-def displaced_squeezed_vector(shifts, init: MediatorInit, n: int,
+def displaced_squeezed_vector(shifts, inits, n: int,
                               frame: SqueezedFrame | None = None,
-                              tail_tol: float = 1e-10) -> list[np.ndarray]:
-    """D(shift) S(xi) |alpha0> on the cutoff for each of shifts."""
-    vec = _squeezed_coherent(init, n, frame, tail_tol)
-    return [_fits(ladder_exp(shift, 1, vec), n, tail_tol, "displaced state")
-            for shift in shifts]
+                              tail_tol: float = 1e-10):
+    """D(shift) S(xi) |alpha0> on the cutoff, a row per init of inits and
+    a (rows, S) array of shifts: the (rows, S, N) stack and, per row, the
+    CutoffTooSmall that rejects N for it, or None when the row fits."""
+    shifts = np.asarray(shifts, complex)
+    coh, tail = coherent_vector([i.alpha0 for i in inits], n)
+    vec = ladder_exp([-0.5 * i.xi(frame) for i in inits], 2, coh)
+    vecs = ladder_exp(shifts.reshape(-1), 1,
+                      np.repeat(vec, shifts.shape[1], axis=0))
+    vecs = vecs.reshape(shifts.shape + (n,))
+    why = [CutoffTooSmall(f"coherent amplitude {i.alpha0} does not fit in "
+                          f"N = {n}", t) if t > tail_tol else
+           next((CutoffTooSmall(f"displaced state leaks at N = {n}", e)
+                 for e in edge if e > tail_tol), None)
+           for i, t, edge in zip(inits, tail, _edge(vecs))]
+    return vecs, why
 
 
-def fock_overlap(a_i: complex, a_j: complex, init: MediatorInit,
-                 frame: SqueezedFrame | None = None,
+def fock_overlap(a_i, a_j, init, frame: SqueezedFrame | None = None,
                  tail_tol: float = 1e-10, n_start: int = 64,
-                 n_max: int = 1024) -> complex:
-    """Inner product <a_i, zeta | a_j, zeta> by brute truncation, the
-    cutoff doubling until both vectors pass the tail criterion."""
-    def attempt(n: int) -> complex:
-        vi, vj = displaced_squeezed_vector((a_i, a_j), init, n, frame,
-                                           tail_tol)
-        return complex(np.vdot(vi, vj))
+                 n_max: int = 1024):
+    """Inner product <a_i, zeta | a_j, zeta> by brute truncation, for one
+    tuple or, as an array, for equal-length sequences of a_i, a_j and
+    init.  Each tuple is taken at the first N of one doubling search where
+    both its vectors pass the tail criterion; an N is rejected, with the
+    first leaking tuple's reason, while any tuple is left."""
+    one = isinstance(init, MediatorInit)
+    inits = [init] if one else list(init)
+    shifts = np.column_stack((np.ravel(a_i), np.ravel(a_j)))
+    out = np.empty(len(inits), complex)
+    todo = np.arange(len(inits))
 
-    overlap, _ = search_cutoff(attempt, n_start, n_max)
-    return overlap
+    def attempt(n: int) -> None:
+        nonlocal todo
+        vecs, why = displaced_squeezed_vector(
+            shifts[todo], [inits[r] for r in todo], n, frame, tail_tol)
+        fit = np.array([w is None for w in why])
+        out[todo[fit]] = np.sum(vecs[fit, 0].conj() * vecs[fit, 1], -1)
+        todo = todo[~fit]
+        if todo.size:
+            raise next(w for w in why if w is not None)
+
+    search_cutoff(attempt, n_start, n_max)
+    return complex(out[0]) if one else out
 
 
 def _spin_blocks(n: int, spin_energy: np.ndarray, level: float,
@@ -228,10 +278,12 @@ def prepare_initial(init: MediatorInit, n: int,
 
 class ExactPropagator:
     """Eigenpairs of each sigma^z block of the band storage h, reused
-    across a time grid: w of shape (4, N), v of shape (4, N, N).  The
-    parity P = diag((-1)^m) negates a block's subdiagonal, so a block equal
-    to a solved one up to that sign and a constant on the diagonal takes
-    the solved w plus that constant and v, or P v, with no eigensolve."""
+    across a time grid.  The parity P = diag((-1)^m) negates a block's
+    subdiagonal, so a block equal to a solved one up to that sign and a
+    constant on the diagonal takes the solved w plus that constant and v,
+    or P v, with no eigensolve.  `solves` holds each distinct (w, v), of
+    shapes (N,) and (N, N); `blocks` gives each block its solve's index,
+    its energy offset and whether it takes P v."""
 
     def __init__(self, h: np.ndarray):
         h = np.asarray(h)
@@ -242,31 +294,45 @@ class ExactPropagator:
         blocks = h.reshape(4, -1, 3).transpose(0, 2, 1)
         # a constant added to a diagonal is exact only to its rounding
         tol = 4.0 * np.finfo(float).eps * np.max(np.abs(blocks[:, 0]))
-        parity = (-1.0) ** np.arange(blocks.shape[2])[:, None]
-        eig, w, v = {}, [], []
+        self.solves, self.blocks, owners = [], [], []
         for j, (diag, sub, pair) in enumerate(blocks):
-            i = next((i for i in eig if np.ptp(diag - blocks[i, 0]) <= tol
+            k = next((k for k, i in enumerate(owners)
+                      if np.ptp(diag - blocks[i, 0]) <= tol
                       and np.array_equal(pair, blocks[i, 2])
                       and (np.array_equal(sub, blocks[i, 1])
-                           or np.array_equal(sub, -blocks[i, 1]))), j)
-            if i == j:
+                           or np.array_equal(sub, -blocks[i, 1]))),
+                     len(owners))
+            if k == len(owners):
                 try:
-                    eig[j] = eig_banded(blocks[j, :width], lower=True)
+                    self.solves.append(eig_banded(blocks[j, :width],
+                                                  lower=True))
                 except np.linalg.LinAlgError as exc:
                     raise EigenFailure(str(exc)) from exc
-            w.append(eig[i][0] + (diag[0] - blocks[i, 0, 0]))
-            flip = not np.array_equal(sub, blocks[i, 1])
-            v.append(parity * eig[i][1] if flip else eig[i][1])
-        self.w, self.v = np.stack(w), np.stack(v)
+                owners.append(j)
+            i = owners[k]
+            self.blocks.append((k, diag[0] - blocks[i, 0, 0],
+                                not np.array_equal(sub, blocks[i, 1])))
 
     def evolve_grid(self, psi0: np.ndarray, t_grid) -> np.ndarray:
-        """Stack of evolved states, one row per time."""
-        n = self.w.shape[1]
-        c = np.asarray(psi0, complex).reshape(4, 1, n) @ self.v
+        """Stack of evolved states, one row per time.  The blocks of one
+        solve evolve together in its real eigenbasis, each block's offset
+        as one phase per time."""
         ts = np.asarray(t_grid, float).reshape(-1)
-        phases = np.exp(-1j * ts[:, None] * self.w[:, None, :])
-        states = (phases * c) @ self.v.transpose(0, 2, 1)
-        return states.transpose(1, 0, 2).reshape(ts.size, 4 * n)
+        n = len(self.solves[0][0])
+        x = np.asarray(psi0, complex).reshape(4, n)
+        parity = (-1.0) ** np.arange(n)
+        out = np.empty((ts.size, 4, n), complex)
+        for k, (w, v) in enumerate(self.solves):
+            group = [j for j, b in enumerate(self.blocks) if b[0] == k]
+            offset = np.array([self.blocks[j][1] for j in group])
+            flip = np.array([self.blocks[j][2] for j in group])
+            c = _by_real(np.where(flip[:, None], parity * x[group],
+                                  x[group]), v)
+            y = np.exp(-1j * ts[:, None, None] * w) * c
+            y = _by_real(y.reshape(-1, n), v.T).reshape(ts.size, -1, n)
+            y *= np.exp(-1j * ts[:, None] * offset)[:, :, None]
+            out[:, group] = np.where(flip[:, None], parity * y, y)
+        return out.reshape(ts.size, 4 * n)
 
 
 def cut_pt(states: np.ndarray, n: int, cut: str) -> np.ndarray:

@@ -6,6 +6,8 @@ checks and the qualitative invariants that stand in for figure regions
 without numeric tables.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from gravent import (AxisSpec, MediatorInit, ModelParams, SweepSection,
                      log_negativity_from_partial_transpose,
                      partial_transpose_matrix, run_sweep)
 from gravent import fock
+from gravent.cli import main
 from gravent.config import ValidateSection, resolve_si
 from gravent.dynamics import branch_state
 from gravent.params import regime_report
@@ -148,6 +151,35 @@ class TestOverlapOracle:
         result = check_pt_matrix(v)
         assert result.passed, f"max dev {result.max_dev:.3e}"
         assert result.max_dev <= 1e-6
+
+
+class TestValidateFig3a:
+    """`validate --preset fig3a` end to end: every check, in order, with
+    the cutoff each oracle search accepted in its note."""
+
+    NOTES = {
+        "overlap_closed_form_vs_fock": "200 randomized tuples",
+        "pt_matrix_vs_fock": "20 random frames, s <= 0.5",
+        "en_timeseries_analytic_vs_fock":
+            "N = 64, 25 times over two mediator periods",
+        "mediator_decoupling_at_tn": "N = 32, first two decoupling times",
+        "closed_form_at_tn": "first three decoupling times",
+        "epsilon_irrelevance":
+            "N = 96, lab-frame drive 0, 0.1, 1 in mediator units",
+        "frame_equivalence": "N = 128 lab, 64 squeezed",
+    }
+
+    def test_seven_checks_pass_at_pinned_cutoffs(self, tmp_path):
+        assert main(["validate", "--preset", "fig3a", "--out",
+                     str(tmp_path)]) == 0
+        blob = json.loads((tmp_path / "fig3a_validate.json").read_text())
+        assert blob["all_pass"] is True
+        checks = blob["checks"]
+        assert [c["name"] for c in checks] == list(self.NOTES)
+        assert {c["name"]: c["note"] for c in checks} == self.NOTES
+        for c in checks:
+            assert c["passed"] and not c["skipped"]
+            assert c["max_dev"] <= c["tol"]
 
 
 class TestLinearDriveIrrelevance:

@@ -433,6 +433,33 @@ class TestConfigBoundary:
         assert f"error: {cfg_path}.{field}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_sweep_corner_past_the_float_range_names_the_axes(
+            self, tmp_path, capsys):
+        """Each axis's endpoints keep a finite phase g_eff t at the other
+        axis's base value; only the F = 0.2495, g_b = 2 corner overflows,
+        and it exited 2 at run time naming no section."""
+        data = cfg_with(system={"g_a": 1.0 / 48.0, "g_b": 1.0, "F": 0.0},
+                        sweep={"axes": [
+                            {"name": "F", "start": 0.0, "stop": 0.2495,
+                             "count": 3},
+                            {"name": "g_b", "start": 1.0, "stop": 2.0,
+                             "count": 2}], "time": {"cycles": 4e304}})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        assert exc.value.path == "<config>.sweep.axes"
+        assert "cycles: 4e+304 periods" in str(exc.value)
+        cfg_path = tmp_path / "corner.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert f"error: {cfg_path}.sweep.axes: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # a corner past the instability stays a NaN cell of the sweep
+        data["sweep"]["axes"][0]["stop"] = 0.3
+        data["sweep"]["time"]["cycles"] = 1.0
+        parse_config(data)
+
     @pytest.mark.parametrize("dynamics", [
         {"t_stop": 1.0, "points": 5, "backend": "fock"},
         {"t_stop": 1.0, "points": 5, "backend": "analytic",

@@ -73,6 +73,36 @@ class TestOperators:
         got = fock.ladder_exp(z, k, vec)
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([1, 2]), n=st.integers(1, 40),
+           zs=st.lists(st.one_of(
+               st.sampled_from([0j, 5e-324 + 5e-324j, -1e-310j]),
+               st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                  allow_infinity=False)),
+               min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(k=1, n=1, zs=[0j, 0.7 - 0.2j], seed=0)
+    @example(k=2, n=2, zs=[5e-324 + 5e-324j, -1.1j, 0j], seed=1)
+    def test_batched_ladder_exp_rows_equal_scalar_calls_and_expm(
+            self, k, n, zs, seed):
+        """One z per row: each row is its scalar call, to rounding, and
+        the dense expm; a row whose |z| is below the smallest normal
+        float is its vector unchanged."""
+        rng = np.random.default_rng(seed)
+        vecs = rng.normal(size=(len(zs), n)) + 1j * rng.normal(
+            size=(len(zs), n))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        got = fock.ladder_exp(zs, k, vecs)
+        assert got.shape == vecs.shape
+        ak = np.linalg.matrix_power(fock.destroy(n), k)
+        for z, vec, row in zip(zs, vecs, got):
+            np.testing.assert_allclose(row, fock.ladder_exp(z, k, vec),
+                                       rtol=0, atol=1e-14)
+            want = scipy.linalg.expm(z * ak.conj().T - np.conj(z) * ak) @ vec
+            assert np.max(np.abs(row - want)) <= 1e-12
+            if abs(z) < np.finfo(float).tiny:
+                assert np.array_equal(row, vec)
+
     def test_ladder_exp_is_the_dense_displacement_and_squeeze(self):
         rng = np.random.default_rng(3)
         vec = rng.normal(size=30) + 1j * rng.normal(size=30)
@@ -175,6 +205,43 @@ class TestOverlapOracle:
             orc = fock.fock_overlap(a_i, a_j, init)
             assert abs(ana - orc) < 1e-8
 
+    def test_validate_batch_equals_single_tuple_calls(self, monkeypatch):
+        """validate's 200 tuples in one search: one state preparation per
+        N, and each tuple's overlap and accepted N as in a call of its
+        own (146 tuples fit at N = 64, 48 at 128 and 6 at 256)."""
+        from gravent import validate
+        from gravent.config import ValidateSection
+        batch, calls = {}, []
+        overlap, prepare = fock.fock_overlap, fock.displaced_squeezed_vector
+
+        def recording_overlap(a_i, a_j, init, **kwargs):
+            batch["args"], batch["kwargs"] = (a_i, a_j, init), kwargs
+            batch["out"] = overlap(a_i, a_j, init, **kwargs)
+            return batch["out"]
+
+        def recording_prepare(shifts, init, n, *args, **kwargs):
+            calls.append((n, {tuple(row) for row in np.asarray(shifts)}))
+            return prepare(shifts, init, n, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "fock_overlap", recording_overlap)
+        monkeypatch.setattr(fock, "displaced_squeezed_vector",
+                            recording_prepare)
+        assert validate.check_overlap_closed_form(ValidateSection()).passed
+        assert [n for n, _ in calls] == [64, 128, 256]
+
+        def accepted(pair):
+            return max(n for n, rows in calls if pair in rows)
+
+        got = [accepted(pair) for pair in zip(*batch["args"][:2])]
+        assert {n: got.count(n) for n in set(got)} == {64: 146, 128: 48,
+                                                       256: 6}
+        for (a_i, a_j, init), value, n in zip(zip(*batch["args"]),
+                                              batch["out"], got):
+            calls.clear()
+            single = overlap(a_i, a_j, init, **batch["kwargs"])
+            assert calls[-1][0] == n
+            assert abs(single - value) <= 1e-14
+
     def test_gives_up_past_the_cap(self):
         init = MediatorInit(alpha0=12.0, xi_mag=1.5, theta=0.0)
         with pytest.raises(NoConvergence) as exc:
@@ -233,6 +300,15 @@ class TestBandHamiltonians:
         assert np.all(lab.reshape(4, 16, 3)[:, :-2, 2] < 0.0)
 
 
+def block_eigenpairs(prop, j):
+    """Eigenvalues and eigenvectors of block j of a propagator, read
+    through the solve it shares: w plus its offset, and v or P v."""
+    k, offset, flip = prop.blocks[j]
+    w, v = prop.solves[k]
+    return w + offset, (-1.0) ** np.arange(len(w))[:, None] * v if flip \
+        else v
+
+
 class TestEvolution:
     def test_unitarity_along_trajectory(self, trajectory):
         _, _, _, states = trajectory
@@ -252,14 +328,22 @@ class TestEvolution:
             single = scipy.linalg.expm(-1j * h * ts[k]) @ psi0
             assert np.allclose(single, states[k], atol=1e-12)
 
-    @pytest.mark.parametrize("frame_name", ["lab", "squeezed"])
-    def test_evolve_grid_matches_expm_of_the_reference(self, frame_name):
-        params = ModelParams.dimensionless(g_a=0.05, g_b=0.7, F=0.08,
-                                           epsilon=0.2, omega_a=0.3,
-                                           omega_b=0.1)
+    @pytest.mark.parametrize("frame_name,ts", [
+        pytest.param(name, ts, id=name + grid)
+        for grid, ts in (("", [0.0, 0.4, 3.0, 11.0]), ("-T=1", [3.0]),
+                         ("-T=25", np.linspace(0.0, 11.0, 25)))
+        for name in ("lab", "lab-eps=0", "squeezed")])
+    def test_evolve_grid_matches_expm_of_the_reference(self, frame_name,
+                                                       ts):
+        """Squeezed and lab epsilon = 0 blocks evolve in parity pairs, lab
+        blocks at epsilon != 0 each in its own eigenbasis."""
+        params = ModelParams.dimensionless(
+            g_a=0.05, g_b=0.7, F=0.08,
+            epsilon=0.0 if frame_name == "lab-eps=0" else 0.2,
+            omega_a=0.3, omega_b=0.1)
         frame = derive_squeezed_frame(params)
         n = 24
-        if frame_name == "lab":
+        if frame_name.startswith("lab"):
             band = fock.build_hamiltonian_lab(params, n)
             ref = kron_hamiltonian_lab(params, n)
         else:
@@ -268,9 +352,8 @@ class TestEvolution:
         rng = np.random.default_rng(7)
         psi0 = rng.normal(size=4 * n) + 1j * rng.normal(size=4 * n)
         psi0 /= np.linalg.norm(psi0)
-        ts = np.array([0.0, 0.4, 3.0, 11.0])
         states = fock.ExactPropagator(band).evolve_grid(psi0, ts)
-        assert states.shape == (4, 4 * n)
+        assert states.shape == (len(ts), 4 * n)
         for t, psi in zip(ts, states):
             want = scipy.linalg.expm(-1j * ref * t) @ psi0
             assert np.max(np.abs(psi - want)) <= 1e-12
@@ -285,11 +368,11 @@ class TestEvolution:
         params = ModelParams.dimensionless(g_a=0.02, g_b=0.8, F=0.12)
         band = fock.build_hamiltonian_lab(params, 10)
         prop = fock.ExactPropagator(band)
-        assert prop.w.shape == (4, 10)
-        assert prop.v.shape == (4, 10, 10)
+        w, v = zip(*(block_eigenpairs(prop, j) for j in range(4)))
+        assert np.shape(w) == (4, 10)
+        assert np.shape(v) == (4, 10, 10)
         want = np.linalg.eigvalsh(kron_hamiltonian_lab(params, 10))
-        np.testing.assert_allclose(np.sort(prop.w.ravel()), want,
-                                   atol=1e-12)
+        np.testing.assert_allclose(np.sort(np.ravel(w)), want, atol=1e-12)
 
     def test_hamiltonians_are_hermitian(self):
         """The band holds the lower triangle of each block; the reference's
@@ -308,6 +391,27 @@ class TestEvolution:
             lower = np.tril(band_to_dense(band))
             np.testing.assert_allclose(lower.T, np.triu(ref).real,
                                        rtol=1e-15, atol=0)
+
+
+class TestTridiagonalSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1, seed=0)
+    @example(n=2, seed=1)
+    @example(n=256, seed=2)
+    def test_is_bit_equal_to_scipy_eig_banded(self, n, seed):
+        """dstevd takes the subdiagonal alone (length max(N - 1, 1)); the
+        unused last entry of the band's second row stays unread."""
+        band = np.random.default_rng(seed).normal(size=(2, n))
+        w, v = fock.eig_banded(band, lower=True)
+        want_w, want_v = scipy.linalg.eig_banded(band, lower=True)
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+
+    def test_non_finite_bands_are_refused(self):
+        band = np.ones((2, 4))
+        band[0, 2] = np.nan
+        with pytest.raises(ValueError):
+            fock.eig_banded(band, lower=True)
 
 
 PROPAGATOR_INIT = fock.ExactPropagator.__init__.__code__
@@ -382,12 +486,11 @@ class TestParityPairing:
         width = 3 if band[:, 2].any() else 2
         for j, block in enumerate(band.reshape(4, -1, 3)):
             w, v = scipy.linalg.eig_banded(block.T[:width], lower=True)
+            got_w, got_v = block_eigenpairs(prop, j)
             scale = max(1.0, np.max(np.abs(w)))
-            np.testing.assert_allclose(prop.w[j], w, rtol=0,
-                                       atol=1e-13 * scale)
-            signs = np.sign(np.sum(prop.v[j] * v, axis=0))
-            np.testing.assert_allclose(prop.v[j] * signs, v, rtol=0,
-                                       atol=1e-10)
+            np.testing.assert_allclose(got_w, w, rtol=0, atol=1e-13 * scale)
+            signs = np.sign(np.sum(got_v * v, axis=0))
+            np.testing.assert_allclose(got_v * signs, v, rtol=0, atol=1e-10)
 
     def test_validate_fig3a_makes_100_eigensolves(self, tmp_path,
                                                   monkeypatch):
