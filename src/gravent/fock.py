@@ -15,6 +15,8 @@ opposite couplings share eigenvalues, up to their energy offset, and
 eigenvectors, up to P: `ExactPropagator` solves one of each such pair,
 tridiagonal blocks by LAPACK's divide and conquer `dstevd`, and evolves
 both blocks of a pair in that one real eigenbasis with real products.
+Given a tail tolerance, it solves the pairs largest |coupling| first and
+stops once one pair alone leaks past it, since all four blocks hold more.
 D(alpha) and S(xi) are applied by `ladder_exp`, to a vector or a stack
 of them with one z per row; both exponentiate the same truncated
 matrices a dense `expm` would.
@@ -34,11 +36,11 @@ are only sensible for s up to about 1 and the strongly driven regimes
 must be validated in the squeezed frame or in closed form.
 
 Every cutoff is chosen by one bounded search, `search_cutoff`, whose
-NoConvergence is the only way the oracle gives up; `fock_overlap` runs a
-batch of tuples through one search, each taken at the first N where it
-fits.  One run at a fixed N, in the lab or the squeezed frame, is
-`trajectory`.  scipy, needed by this oracle alone, loads on the first
-`expm` or `eig_banded` call.
+NoConvergence is the only way the oracle gives up; `search_rows` runs
+a batch of rows through it, each taken at the first N where it fits
+(the tuples of `fock_overlap`).  One run at a fixed N, in the lab or the
+squeezed frame, is `trajectory`.  scipy, needed by this oracle alone,
+loads on the first `expm` or `eig_banded` call.
 """
 
 from __future__ import annotations
@@ -157,8 +159,9 @@ def _edge(blocks: np.ndarray) -> np.ndarray:
 
 
 def _fits(vec: np.ndarray, n: int, tail_tol: float, what: str) -> np.ndarray:
-    """vec, unless its top two Fock levels hold more than tail_tol."""
-    edge = float(_edge(vec))
+    """vec, an (N,) vector or a (T, B, N) stack of blocks, unless its top
+    two Fock levels hold more than tail_tol (at some time)."""
+    edge = float(np.max(np.sum(np.atleast_2d(_edge(vec)), -1)))
     if edge > tail_tol:
         raise CutoffTooSmall(f"{what} leaks at N = {n}", edge)
     return vec
@@ -211,26 +214,18 @@ def fock_overlap(a_i, a_j, init, frame: SqueezedFrame | None = None,
                  n_max: int = 1024):
     """Inner product <a_i, zeta | a_j, zeta> by brute truncation, for one
     tuple or, as an array, for equal-length sequences of a_i, a_j and
-    init.  Each tuple is taken at the first N of one doubling search where
-    both its vectors pass the tail criterion; an N is rejected, with the
-    first leaking tuple's reason, while any tuple is left."""
+    init.  Each tuple is taken at the first N of one `search_rows` where
+    both its vectors pass the tail criterion."""
     one = isinstance(init, MediatorInit)
     inits = [init] if one else list(init)
     shifts = np.column_stack((np.ravel(a_i), np.ravel(a_j)))
-    out = np.empty(len(inits), complex)
-    todo = np.arange(len(inits))
 
-    def attempt(n: int) -> None:
-        nonlocal todo
+    def attempt(n: int, todo: list[int]):
         vecs, why = displaced_squeezed_vector(
             shifts[todo], [inits[r] for r in todo], n, frame, tail_tol)
-        fit = np.array([w is None for w in why])
-        out[todo[fit]] = np.sum(vecs[fit, 0].conj() * vecs[fit, 1], -1)
-        todo = todo[~fit]
-        if todo.size:
-            raise next(w for w in why if w is not None)
+        return np.sum(vecs[:, 0].conj() * vecs[:, 1], -1), why
 
-    search_cutoff(attempt, n_start, n_max)
+    out = np.array(search_rows(attempt, len(inits), n_start, n_max))
     return complex(out[0]) if one else out
 
 
@@ -277,13 +272,12 @@ def prepare_initial(init: MediatorInit, n: int,
 
 
 class ExactPropagator:
-    """Eigenpairs of each sigma^z block of the band storage h, reused
-    across a time grid.  The parity P = diag((-1)^m) negates a block's
-    subdiagonal, so a block equal to a solved one up to that sign and a
-    constant on the diagonal takes the solved w plus that constant and v,
-    or P v, with no eigensolve.  `solves` holds each distinct (w, v), of
-    shapes (N,) and (N, N); `blocks` gives each block its solve's index,
-    its energy offset and whether it takes P v."""
+    """Eigenpairs of the sigma^z blocks of the band storage h.  The parity
+    P = diag((-1)^m) negates a block's subdiagonal, so a block equal to
+    another up to that sign and a constant on the diagonal shares its
+    eigensolve: w plus that constant and v, or P v.  `pairs` groups the
+    blocks by shared solve, largest |coupling| first, each as (block,
+    energy offset, takes P v); `solve(k)` solves group k's first block."""
 
     def __init__(self, h: np.ndarray):
         h = np.asarray(h)
@@ -291,48 +285,50 @@ class ExactPropagator:
             raise DimensionMismatch(
                 f"Hamiltonian band storage must be (4N, 3), got {h.shape}")
         width = 3 if h[:, 2].any() else 2  # tridiagonal blocks solve faster
-        blocks = h.reshape(4, -1, 3).transpose(0, 2, 1)
+        self._bands = h.reshape(4, -1, 3).transpose(0, 2, 1)[:, :width]
+        diag, sub, pair = h.reshape(4, -1, 3).transpose(2, 0, 1)
         # a constant added to a diagonal is exact only to its rounding
-        tol = 4.0 * np.finfo(float).eps * np.max(np.abs(blocks[:, 0]))
-        self.solves, self.blocks, owners = [], [], []
-        for j, (diag, sub, pair) in enumerate(blocks):
-            k = next((k for k, i in enumerate(owners)
-                      if np.ptp(diag - blocks[i, 0]) <= tol
-                      and np.array_equal(pair, blocks[i, 2])
-                      and (np.array_equal(sub, blocks[i, 1])
-                           or np.array_equal(sub, -blocks[i, 1]))),
-                     len(owners))
-            if k == len(owners):
-                try:
-                    self.solves.append(eig_banded(blocks[j, :width],
-                                                  lower=True))
-                except np.linalg.LinAlgError as exc:
-                    raise EigenFailure(str(exc)) from exc
-                owners.append(j)
-            i = owners[k]
-            self.blocks.append((k, diag[0] - blocks[i, 0, 0],
-                                not np.array_equal(sub, blocks[i, 1])))
+        tol = 4.0 * np.finfo(float).eps * np.max(np.abs(diag))
+        same_sub = (sub[:, None] == sub).all(-1)
+        partners = ((np.ptp(diag[:, None] - diag, axis=-1) <= tol)
+                    & (pair[:, None] == pair).all(-1)
+                    & (same_sub | (sub[:, None] == -sub).all(-1)))
+        groups = {}  # by the block solved for them
+        for j in np.argsort(-np.abs(sub).max(1), kind="stable"):
+            i = next((i for i in groups if partners[j, i]), j)
+            groups.setdefault(i, []).append(
+                (j, diag[j, 0] - diag[i, 0], not same_sub[j, i]))
+        self.pairs = list(groups.values())
 
-    def evolve_grid(self, psi0: np.ndarray, t_grid) -> np.ndarray:
-        """Stack of evolved states, one row per time.  The blocks of one
-        solve evolve together in its real eigenbasis, each block's offset
-        as one phase per time."""
+    def solve(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(w, v) of group k, of shapes (N,) and (N, N)."""
+        try:
+            return eig_banded(self._bands[self.pairs[k][0][0]], lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure(str(exc)) from exc
+
+    def evolve_grid(self, psi0: np.ndarray, t_grid,
+                    tail_tol: float = math.inf) -> np.ndarray:
+        """Stack of evolved states, one row per time.  Each group evolves in
+        its one real eigenbasis, each block's offset as one phase per time.
+        CutoffTooSmall when the top two Fock levels hold more than tail_tol
+        at some time, raised before the next solve once one group does."""
         ts = np.asarray(t_grid, float).reshape(-1)
-        n = len(self.solves[0][0])
-        x = np.asarray(psi0, complex).reshape(4, n)
+        x = np.asarray(psi0, complex).reshape(4, -1)
+        n = x.shape[1]
         parity = (-1.0) ** np.arange(n)
         out = np.empty((ts.size, 4, n), complex)
-        for k, (w, v) in enumerate(self.solves):
-            group = [j for j, b in enumerate(self.blocks) if b[0] == k]
-            offset = np.array([self.blocks[j][1] for j in group])
-            flip = np.array([self.blocks[j][2] for j in group])
-            c = _by_real(np.where(flip[:, None], parity * x[group],
-                                  x[group]), v)
+        for k, group in enumerate(self.pairs):
+            blocks, offset, flip = map(np.array, zip(*group))
+            w, v = self.solve(k)
+            c = _by_real(np.where(flip[:, None], parity * x[blocks],
+                                  x[blocks]), v)
             y = np.exp(-1j * ts[:, None, None] * w) * c
             y = _by_real(y.reshape(-1, n), v.T).reshape(ts.size, -1, n)
             y *= np.exp(-1j * ts[:, None] * offset)[:, :, None]
-            out[:, group] = np.where(flip[:, None], parity * y, y)
-        return out.reshape(ts.size, 4 * n)
+            _fits(y, n, tail_tol, "evolved state")
+            out[:, blocks] = np.where(flip[:, None], parity * y, y)
+        return _fits(out, n, tail_tol, "evolved state").reshape(ts.size, 4 * n)
 
 
 def cut_pt(states: np.ndarray, n: int, cut: str) -> np.ndarray:
@@ -453,6 +449,24 @@ def search_cutoff(attempt, n_start: int, n_max: int, settled=None):
     raise NoConvergence(report.message, report)
 
 
+def search_rows(attempt, rows: int, n_start: int, n_max: int) -> list:
+    """`search_cutoff` for a batch of rows, each taken at the first N
+    where it fits: attempt(N, todo) gives the results of the rows todo
+    and, per row, the CutoffTooSmall that rejects N for it, or None."""
+    out, todo = {}, list(range(rows))
+
+    def step(n: int) -> None:
+        nonlocal todo
+        results, why = attempt(n, todo)
+        out.update((r, x) for r, x, w in zip(todo, results, why) if w is None)
+        todo = [r for r, w in zip(todo, why) if w is not None]
+        if todo:
+            raise next(w for w in why if w is not None)
+
+    search_cutoff(step, n_start, n_max)
+    return [out[r] for r in range(rows)]
+
+
 def converge_cutoff(params: ModelParams, init: MediatorInit, t_grid,
                     hamiltonian: str = "squeezed",
                     en_tol: float | None = 1e-4,
@@ -486,6 +500,6 @@ __all__ = [
     "lab_mediator_vector", "displaced_squeezed_vector", "fock_overlap",
     "build_hamiltonian_lab", "build_hamiltonian_squeezed", "prepare_initial",
     "ExactPropagator", "cut_pt", "en_curves", "trajectory",
-    "ConvergenceReport", "search_cutoff", "converge_cutoff", "BIPARTITIONS",
-    "SIGMA_Z",
+    "ConvergenceReport", "search_cutoff", "search_rows", "converge_cutoff",
+    "BIPARTITIONS", "SIGMA_Z",
 ]

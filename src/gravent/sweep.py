@@ -45,10 +45,10 @@ _LABEL = re.compile(r"(?!\.\.?$)[A-Za-z0-9._=+-]+")
 def check_fields(block) -> None:
     """ConfigError naming the first field of dataclass block, or item of a
     tuple field, that breaks a rule of its metadata: "choices", the values
-    it may take, "min", its least value, the exclusive bounds "above"
-    and "below", or "label", a name safe in file names and CSV headers
-    (of a variant, its first item).  None breaks no rule; NaN breaks
-    every bound."""
+    it may take, the bounds "min" and "max" and the exclusive "above" and
+    "below", or "label", a name safe in file names and CSV headers (of a
+    variant, its first item).  None breaks no rule; NaN breaks every
+    bound."""
     for f in (f for f in fields(block) if f.metadata):
         rule, value = f.metadata, getattr(block, f.name)
         lo, hi = rule.get("above", -math.inf), rule.get("below", math.inf)
@@ -65,6 +65,8 @@ def check_fields(block) -> None:
                 raise ConfigError(where, f"must be one of {rule['choices']}")
             if "min" in rule and not v >= rule["min"]:
                 raise ConfigError(where, f"must be at least {rule['min']}")
+            if "max" in rule and not v <= rule["max"]:
+                raise ConfigError(where, f"must be at most {rule['max']}")
             if ("above" in rule or "below" in rule) and not lo < v < hi:
                 raise ConfigError(where, "must be positive" if (lo, hi) == (
                     0, math.inf) else f"must lie strictly between {lo:g} "

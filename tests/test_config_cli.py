@@ -239,6 +239,7 @@ class TestConfigBoundary:
         ("<config>.validate.seed", {"validate": {"seed": -1}}),
         ("<config>.validate.t_points", {"validate": {"t_points": 0}}),
         ("<config>.validate.fock_n", {"validate": {"fock_n": 0}}),
+        ("<config>.validate.fock_n", {"validate": {"fock_n": 1025}}),
         ("<config>.system.g_a", {"system": {"g_a": 10 ** 400, "g_b": 1.0,
                                             "F": 0.1}}),
         ("<config>.dynamics.fock_n", {"dynamics": {
@@ -318,7 +319,8 @@ class TestConfigBoundary:
             "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
             "time": {"kind": "phase", "t": 5.0}}}),
     ], ids=["negative-drive", "seed", "t_points", "fock_n",
-            "float-overflow", "dynamics.fock_n", "sweep.fock_n",
+            "fock_n-past-the-ceiling", "float-overflow", "dynamics.fock_n",
+            "sweep.fock_n",
             "variant-xi_mag", "variant-delta", "variant-unknown-key",
             "variant-unstable", "sweep-axis-F", "sweep-axis-gamma",
             "rate-variant-gamma_tp", "rate-axis-gamma", "rate-axis-name",
@@ -975,6 +977,30 @@ class TestCliValidate:
         assert rc == 2
         assert f"error: {cfg_path}.validate.{name}: " in \
             capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fock_n_past_the_ceiling_exits_2_before_any_check(
+            self, tmp_path, capsys, monkeypatch):
+        """The searches' largest ceiling is N = 1024 and each tries its
+        start N, so a larger start is refused at parse time."""
+        from gravent import fock
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a cutoff search ran")
+
+        monkeypatch.setattr(fock, "search_cutoff", no_search)
+        data = self._tiny_validate_config()
+        assert parse_config(data).validate.fock_n == 16
+        data["validate"]["fock_n"] = 1024
+        assert parse_config(data).validate.fock_n == 1024
+        data["validate"]["fock_n"] = 1025
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        rc = main(["validate", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 2
+        assert (f"error: {cfg_path}.validate.fock_n: must be at most 1024"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_sec5_feasibility_outcomes_are_pinned(self, tmp_path):

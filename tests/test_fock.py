@@ -249,6 +249,124 @@ class TestOverlapOracle:
         assert [s["n"] for s in exc.value.report.steps] == [16, 32, 64]
 
 
+def _pt_frames(v):
+    """validate's partial-transpose frames, drawn one by one as a check
+    per frame drew them: (params, frame, init, t) each."""
+    rng = np.random.default_rng(v.seed + 1)
+    for _ in range(v.pt_samples):
+        s = rng.uniform(0.0, 0.5)
+        params = ModelParams.dimensionless(
+            g_a=rng.uniform(0.005, 0.05), g_b=rng.uniform(0.3, 1.2), s=s)
+        frame = derive_squeezed_frame(params)
+        init = MediatorInit(alpha0=complex(rng.normal(0, 0.7),
+                                           rng.normal(0, 0.7)))
+        yield params, frame, init, rng.uniform(0.1, 1.9) * frame.t_period
+
+
+def _record_pt_batch(monkeypatch):
+    """The cutoffs validate's partial-transpose check prepares its states
+    at, with the alpha0 of each row, and the matrices it returns."""
+    from gravent import validate
+    calls, batch = [], {}
+    prepare, search = fock.displaced_squeezed_vector, fock.search_rows
+
+    def recording_prepare(shifts, inits, n, *args, **kwargs):
+        calls.append((n, [i.alpha0 for i in inits]))
+        return prepare(shifts, inits, n, *args, **kwargs)
+
+    def recording_search(*args, **kwargs):
+        batch["out"] = search(*args, **kwargs)
+        return batch["out"]
+
+    monkeypatch.setattr(fock, "displaced_squeezed_vector", recording_prepare)
+    monkeypatch.setattr(fock, "search_rows", recording_search)
+    return validate, calls, batch
+
+
+class TestPtMatrixOracle:
+    def test_validate_batch_equals_per_frame_searches(self, monkeypatch):
+        """validate's 20 frames in one search: each frame's accepted N and
+        matrix as in a search of its own over `fock.trajectory` (9 frames
+        fit at N = 64, 6 at 128 and 5 at 256)."""
+        from gravent.config import ValidateSection
+        validate, calls, batch = _record_pt_batch(monkeypatch)
+        v = ValidateSection()
+        assert validate.check_pt_matrix(v).passed
+        assert [n for n, _ in calls] == [64, 128, 256]
+        got = []
+        for (params, frame, init, t), pt in zip(_pt_frames(v), batch["out"]):
+            want, report = fock.search_cutoff(
+                lambda n: fock.cut_pt(fock.trajectory(
+                    params, frame, init, [t], n, cuts=(),
+                    tail_tol=1e-14)["states"], n, "tp_qubit")[0], 64, 1024)
+            got.append(max(n for n, rows in calls if init.alpha0 in rows))
+            assert got[-1] == report.n
+            assert np.max(np.abs(pt - want)) <= 1e-15
+        assert {n: got.count(n) for n in set(got)} == {64: 9, 128: 6,
+                                                       256: 5}
+
+    def test_a_frame_whose_first_group_fits_can_still_leak(self,
+                                                          monkeypatch):
+        """A tail tolerance between the largest-coupling group's tail and
+        the whole state's: both groups are solved and N is rejected."""
+        from gravent.config import ValidateSection
+        validate, calls, _ = _record_pt_batch(monkeypatch)
+        v = ValidateSection(pt_samples=1)
+        _, frame, init, t = next(_pt_frames(v))
+        prop = fock.ExactPropagator(
+            fock.build_hamiltonian_squeezed(frame, 0.0, 0.0, 64))
+        states = prop.evolve_grid(fock.prepare_initial(init, 64, frame,
+                                                       1e-14), [t])
+        edge = np.sum(np.abs(states.reshape(4, 64)[:, -2:]) ** 2, axis=1)
+        first = edge[[j for j, _, _ in prop.pairs[0]]].sum()
+        tol = (first + edge.sum()) / 2
+        assert first < tol < edge.sum()
+        monkeypatch.setattr(validate, "PT_TAIL", tol)
+        solves = _count_eig_banded(monkeypatch)
+        assert validate.check_pt_matrix(v).passed
+        assert [n for n, _ in calls] == [64, 128]
+        assert solves == [(2, 64)] * 2 + [(2, 128)] * 2
+
+    def test_a_rejected_frame_leaves_no_arrays_behind(self):
+        """A frame's CutoffTooSmall is kept without its traceback, which
+        would hold the frame's evolution, eigenvectors included, in a
+        reference cycle until the next collection: 1.75 MB per check."""
+        import gc
+        import tracemalloc
+
+        from gravent import validate
+        from gravent.config import ValidateSection
+        validate.check_pt_matrix(ValidateSection())
+        gc.collect()
+        gc.disable()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            validate.check_pt_matrix(ValidateSection())
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+            gc.enable()
+        assert held < 200_000
+
+    def test_validate_makes_56_eigensolves(self, monkeypatch):
+        """72 before a frame was dropped once its first group leaks: 29
+        at N = 64, 17 at 128 and 10 at 256, with the ladder modes of the
+        state preparation cached."""
+        from gravent import validate
+        from gravent.config import ValidateSection
+        validate.check_pt_matrix(ValidateSection())
+        calls, solve = [], fock.eig_banded
+        monkeypatch.setattr(fock, "eig_banded", lambda band, lower=False: (
+            calls.append(band.shape[1]) or solve(band, lower=lower)))
+        assert validate.check_pt_matrix(ValidateSection()).passed
+        assert {n: calls.count(n) for n in set(calls)} == {64: 29, 128: 17,
+                                                           256: 10}
+
+
 @pytest.fixture(scope="module")
 def trajectory():
     """A squeezed-frame run at N = 48, with the dense kron-built reference
@@ -303,8 +421,10 @@ class TestBandHamiltonians:
 def block_eigenpairs(prop, j):
     """Eigenvalues and eigenvectors of block j of a propagator, read
     through the solve it shares: w plus its offset, and v or P v."""
-    k, offset, flip = prop.blocks[j]
-    w, v = prop.solves[k]
+    k, offset, flip = next((k, offset, flip)
+                           for k, group in enumerate(prop.pairs)
+                           for i, offset, flip in group if i == j)
+    w, v = prop.solve(k)
     return w + offset, (-1.0) ** np.arange(len(w))[:, None] * v if flip \
         else v
 
@@ -414,7 +534,7 @@ class TestTridiagonalSolver:
             fock.eig_banded(band, lower=True)
 
 
-PROPAGATOR_INIT = fock.ExactPropagator.__init__.__code__
+PROPAGATOR_SOLVE = fock.ExactPropagator.solve.__code__
 
 
 def _count_eig_banded(monkeypatch):
@@ -423,7 +543,7 @@ def _count_eig_banded(monkeypatch):
 
     def counting(band, lower=False):
         frame = sys._getframe(1)
-        while frame and frame.f_code is not PROPAGATOR_INIT:
+        while frame and frame.f_code is not PROPAGATOR_SOLVE:
             frame = frame.f_back
         if frame:
             calls.append(band.shape)
@@ -475,8 +595,10 @@ class TestParityPairing:
         for label, band, solves in CASES])
     def test_partners_share_one_eigensolve(self, monkeypatch, band, solves):
         calls = _count_eig_banded(monkeypatch)
-        fock.ExactPropagator(band)
-        assert len(calls) == solves
+        prop = fock.ExactPropagator(band)
+        assert not calls
+        prop.evolve_grid(np.ones(len(band)), [0.0, 1.0])
+        assert len(calls) == len(prop.pairs) == solves
 
     @pytest.mark.parametrize("band", [pytest.param(band, id=label)
                                       for label, band, _ in CASES])
@@ -492,9 +614,11 @@ class TestParityPairing:
             signs = np.sign(np.sum(got_v * v, axis=0))
             np.testing.assert_allclose(got_v * signs, v, rtol=0, atol=1e-10)
 
-    def test_validate_fig3a_makes_100_eigensolves(self, tmp_path,
-                                                  monkeypatch):
-        """48 propagators: 192 eigensolves before partners were paired."""
+    def test_validate_fig3a_makes_84_eigensolves(self, tmp_path,
+                                                 monkeypatch):
+        """48 propagators: 192 eigensolves before partners were paired,
+        100 before the partial-transpose check dropped a frame whose
+        first group leaks without solving its second."""
         from gravent.cli import main
         calls = _count_eig_banded(monkeypatch)
         built = []
@@ -503,7 +627,7 @@ class TestParityPairing:
                             lambda self, h: built.append(0) or init(self, h))
         assert main(["validate", "--preset", "fig3a", "--out",
                      str(tmp_path)]) == 0
-        assert (len(built), len(calls)) == (48, 100)
+        assert (len(built), len(calls)) == (48, 84)
 
 
 class TestEnCurves:
@@ -610,15 +734,15 @@ class TestConvergeCutoff:
         from gravent.validate import check_pt_matrix
         tried = []
 
-        def never_fits(init, n, *args, **kwargs):
+        def never_fits(shifts, init, n, *args, **kwargs):
             tried.append(n)
             raise CutoffTooSmall(f"no room at N = {n}", 1.0)
 
-        monkeypatch.setattr(fock, "prepare_initial", never_fits)
+        monkeypatch.setattr(fock, "displaced_squeezed_vector", never_fits)
         result = check_pt_matrix(ValidateSection(pt_samples=3))
         assert not result.passed and not result.skipped
         assert "ceiling N = 1024" in result.note
-        # the first sample that finds no cutoff ends the check
+        # one preparation of all samples per N, up to the ceiling
         assert tried == [64, 128, 256, 512, 1024]
 
     def test_curve_checks_try_a_start_above_their_ceiling(self,
