@@ -64,7 +64,7 @@ class ValidateSection:
     seed: int = field(default=20240811, metadata={"min": 0})
     overlap_samples: int = field(default=200, metadata={"min": 1})
     pt_samples: int = field(default=20, metadata={"min": 1})
-    # the start N of cutoff searches whose ceilings are at most 1024
+    # start N of the pt-matrix, linear-drive and frame-equivalence searches
     fock_n: int = field(default=64, metadata={"min": 1, "max": 1024})
     t_points: int = field(default=25, metadata={"min": 2})
     overlap_tol: float = field(default=1e-8, metadata=_FRACTION)

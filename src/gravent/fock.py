@@ -35,12 +35,13 @@ when mapping squeezed-frame states to the lab mode), so lab-frame checks
 are only sensible for s up to about 1 and the strongly driven regimes
 must be validated in the squeezed frame or in closed form.
 
-Every cutoff is chosen by one bounded search, `search_cutoff`, whose
-NoConvergence is the only way the oracle gives up; `search_rows` runs
-a batch of rows through it, each taken at the first N where it fits
-(the tuples of `fock_overlap`).  One run at a fixed N, in the lab or the
-squeezed frame, is `trajectory`.  scipy, needed by this oracle alone,
-loads on the first `expm` or `eig_banded` call.
+Every cutoff is chosen by one bounded search over a batch of rows,
+`search_cutoff`, whose NoConvergence is the only way the oracle gives
+up.  Its rows are the tuples of `fock_overlap` or, by `converge_cutoff`,
+runs of `trajectory`: one run at a fixed N, in the lab or the squeezed
+frame, that `evolve_grid` rejects at its first leaking parity group.
+scipy, needed by this oracle alone, loads on the first `expm` or
+`eig_banded` call.
 """
 
 from __future__ import annotations
@@ -142,51 +143,52 @@ def ladder_exp(z, k: int, vec: np.ndarray) -> np.ndarray:
     return x.reshape(vec.shape)
 
 
-def _squeezed_coherent(init: MediatorInit, n: int,
-                       frame: SqueezedFrame | None,
-                       tail_tol: float) -> np.ndarray:
-    """S(xi) |alpha0> on the cutoff, once |alpha0> itself fits."""
-    coh, tail = coherent_vector(complex(init.alpha0), n)
-    if tail > tail_tol:
-        raise CutoffTooSmall(
-            f"coherent amplitude {init.alpha0} does not fit in N = {n}", tail)
-    return ladder_exp(-0.5 * init.xi(frame), 2, coh)
-
-
 def _edge(blocks: np.ndarray) -> np.ndarray:
     """Occupation of the top two Fock levels of (..., N) mediator blocks."""
     return np.sum(np.abs(blocks[..., -2:]) ** 2, axis=-1)
 
 
-def _fits(vec: np.ndarray, n: int, tail_tol: float, what: str) -> np.ndarray:
-    """vec, an (N,) vector or a (T, B, N) stack of blocks, unless its top
-    two Fock levels hold more than tail_tol (at some time)."""
-    edge = float(np.max(np.sum(np.atleast_2d(_edge(vec)), -1)))
+def _fits(vec: np.ndarray, n: int, tail_tol: float) -> np.ndarray:
+    """A (T, B, N) stack of blocks of a trajectory, unless their top two
+    Fock levels hold more than tail_tol at some time."""
+    edge = float(np.max(np.sum(_edge(vec), -1)))
     if edge > tail_tol:
-        raise CutoffTooSmall(f"{what} leaks at N = {n}", edge)
+        raise CutoffTooSmall(f"trajectory leaks at N = {n}", edge)
     return vec
 
 
-def mediator_vector(init: MediatorInit, n: int,
-                    frame: SqueezedFrame | None = None,
-                    tail_tol: float = 1e-8) -> np.ndarray:
-    """Normalized Fock amplitudes of S(xi) |alpha0>."""
-    vec = _fits(_squeezed_coherent(init, n, frame, tail_tol), n, tail_tol,
-                "squeezed state")
-    return vec / np.linalg.norm(vec)
-
-
-def lab_mediator_vector(init: MediatorInit, frame: SqueezedFrame, n: int,
-                        tail_tol: float = 1e-8) -> np.ndarray:
-    """The same physical state expressed in the lab mode.
-
-    Mapping it back through the Bogoliubov rotation S(s) between the two
-    modes costs one more squeeze, so occupations grow like e^{4s}: this
-    step rules out lab-frame oracles deep in the driven regime."""
-    vec = _squeezed_coherent(init, n, frame, tail_tol)
-    vec = _fits(ladder_exp(0.5 * frame.s, 2, vec), n, tail_tol,
-                "lab-mode image of the initial state")
-    return vec / np.linalg.norm(vec)
+def mediator_vector(init, n: int, frame: SqueezedFrame | None = None,
+                    tail_tol: float = 1e-8, lab_mode=False):
+    """Normalized Fock amplitudes of S(xi) |alpha0>, or in the lab mode of
+    its image through the Bogoliubov rotation S(s) between the modes: one
+    more squeeze, so occupations grow like e^{4s}, which rules out lab
+    oracles deep in the driven regime.  Given lists of inits, frames and
+    lab_mode flags, one batch: the (rows, N) stack and, per row, the
+    CutoffTooSmall that rejects N for it, or None when the row fits."""
+    one = isinstance(init, MediatorInit)
+    inits, frames, labs = ([init], [frame], [lab_mode]) if one else \
+        (init, frame, lab_mode)
+    if any(lab and f is None for f, lab in zip(frames, labs)):
+        raise ValueError("lab_mode requires the frame")
+    coh, tail = coherent_vector([i.alpha0 for i in inits], n)
+    # xi, which may need the frame, only of a row whose |alpha0> fits
+    vec = ladder_exp([-0.5 * i.xi(f) if t <= tail_tol else 0.0
+                      for i, f, t in zip(inits, frames, tail)], 2, coh)
+    vec = ladder_exp([0.5 * f.s if lab else 0.0
+                      for f, lab in zip(frames, labs)], 2, vec)
+    why = [CutoffTooSmall(f"coherent amplitude {i.alpha0} does not fit in "
+                          f"N = {n}", t) if t > tail_tol else
+           CutoffTooSmall(("lab-mode image of the initial state" if lab else
+                           "squeezed state") + f" leaks at N = {n}", e)
+           if e > tail_tol else None
+           for i, lab, t, e in zip(inits, labs, tail, _edge(vec))]
+    vec = np.array([v / np.linalg.norm(v) if w is None else v
+                    for v, w in zip(vec, why)])
+    if not one:
+        return vec, why
+    if why[0] is not None:
+        raise why.pop()  # not held in a cycle by this frame
+    return vec[0]
 
 
 def displaced_squeezed_vector(shifts, inits, n: int,
@@ -214,8 +216,8 @@ def fock_overlap(a_i, a_j, init, frame: SqueezedFrame | None = None,
                  n_max: int = 1024):
     """Inner product <a_i, zeta | a_j, zeta> by brute truncation, for one
     tuple or, as an array, for equal-length sequences of a_i, a_j and
-    init.  Each tuple is taken at the first N of one `search_rows` where
-    both its vectors pass the tail criterion."""
+    init.  Each tuple is taken at the first N of one `search_cutoff`
+    where both its vectors pass the tail criterion."""
     one = isinstance(init, MediatorInit)
     inits = [init] if one else list(init)
     shifts = np.column_stack((np.ravel(a_i), np.ravel(a_j)))
@@ -225,7 +227,7 @@ def fock_overlap(a_i, a_j, init, frame: SqueezedFrame | None = None,
             shifts[todo], [inits[r] for r in todo], n, frame, tail_tol)
         return np.sum(vecs[:, 0].conj() * vecs[:, 1], -1), why
 
-    out = np.array(search_rows(attempt, len(inits), n_start, n_max))
+    out = np.array(search_cutoff(attempt, len(inits), n_start, n_max)[0])
     return complex(out[0]) if one else out
 
 
@@ -257,18 +259,16 @@ def build_hamiltonian_squeezed(frame: SqueezedFrame, omega_a: float,
                         frame.g_a_s * _SZ_A + frame.g_b_s * _SZ_B)
 
 
-def prepare_initial(init: MediatorInit, n: int,
-                    frame: SqueezedFrame | None = None,
-                    tail_tol: float = 1e-8,
-                    lab_mode: bool = False) -> np.ndarray:
-    """(|L> + |R>)/sqrt2 x (|0> + |1>)/sqrt2 x mediator, as a 4N vector."""
-    if lab_mode:
-        if frame is None:
-            raise ValueError("lab_mode requires the frame")
-        med = lab_mediator_vector(init, frame, n, tail_tol)
-    else:
-        med = mediator_vector(init, n, frame, tail_tol)
-    return np.tile(0.5 * med, 4)
+def prepare_initial(init, n: int, frame: SqueezedFrame | None = None,
+                    tail_tol: float = 1e-8, lab_mode=False):
+    """(|L> + |R>)/sqrt2 x (|0> + |1>)/sqrt2 x mediator, as a 4N vector,
+    or, for lists as in `mediator_vector`, a (rows, 4N) stack with its
+    rows' rejections."""
+    if isinstance(init, MediatorInit):
+        return np.tile(0.5 * mediator_vector(init, n, frame, tail_tol,
+                                             lab_mode), 4)
+    med, why = mediator_vector(init, n, frame, tail_tol, lab_mode)
+    return np.tile(0.5 * med, 4), why
 
 
 class ExactPropagator:
@@ -326,9 +326,9 @@ class ExactPropagator:
             y = np.exp(-1j * ts[:, None, None] * w) * c
             y = _by_real(y.reshape(-1, n), v.T).reshape(ts.size, -1, n)
             y *= np.exp(-1j * ts[:, None] * offset)[:, :, None]
-            _fits(y, n, tail_tol, "evolved state")
+            _fits(y, n, tail_tol)
             out[:, blocks] = np.where(flip[:, None], parity * y, y)
-        return _fits(out, n, tail_tol, "evolved state").reshape(ts.size, 4 * n)
+        return _fits(out, n, tail_tol).reshape(ts.size, 4 * n)
 
 
 def cut_pt(states: np.ndarray, n: int, cut: str) -> np.ndarray:
@@ -345,13 +345,13 @@ def cut_pt(states: np.ndarray, n: int, cut: str) -> np.ndarray:
 
 
 def en_curves(h: np.ndarray, psi0: np.ndarray, t_grid, n: int,
-              cuts: tuple[str, ...] = ("tp_qubit",)) -> dict[str, np.ndarray]:
+              cuts: tuple[str, ...] = ("tp_qubit",),
+              tail_tol: float = math.inf) -> dict[str, np.ndarray]:
     """EN along a trajectory for each of cuts, plus the states under
-    "states" and their top-two-level occupation under "tail", per time."""
-    states = ExactPropagator(h).evolve_grid(psi0, t_grid)
+    "states", per time; CutoffTooSmall past tail_tol (`evolve_grid`)."""
+    states = ExactPropagator(h).evolve_grid(psi0, t_grid, tail_tol)
     out = {cut: log_negativity_from_partial_transpose(cut_pt(states, n, cut))
            for cut in cuts}
-    out["tail"] = _edge(states.reshape(-1, 4, n)).sum(1)
     out["states"] = states
     return out
 
@@ -361,39 +361,49 @@ def trajectory(params: ModelParams, frame: SqueezedFrame,
                hamiltonian: str = "squeezed",
                cuts: tuple[str, ...] = ("tp_qubit",),
                tail_tol: float = 1e-8) -> dict[str, np.ndarray]:
-    """One oracle run at cutoff n: the en_curves of the prepared state.
+    """One oracle run at cutoff n: the en_curves of the prepared state,
+    "squeezed" evolving the squeezed-frame state under the stiff
+    oscillator, "lab" its lab-mode image under the full driven
+    Hamiltonian.  CutoffTooSmall when the initial state, or the state at
+    any time of t_grid, holds more than tail_tol in the top two levels."""
+    (out,), why = trajectories([(params, frame, init, t_grid, hamiltonian)],
+                               n, cuts, tail_tol)
+    if why[0] is not None:
+        raise why.pop()  # not held in a cycle by this frame
+    return out
 
-    hamiltonian picks the frame: "squeezed" evolves the squeezed-frame
-    state under the stiff oscillator, "lab" maps the state to the lab
-    mode and evolves it under the full driven Hamiltonian.  Raises
-    CutoffTooSmall when the initial state, or the state at any time of
-    t_grid, holds more than tail_tol in the top two Fock levels.
-    """
-    if hamiltonian not in ("squeezed", "lab"):
+
+def trajectories(rows, n: int, cuts: tuple[str, ...], tail_tol: float):
+    """`trajectory` at cutoff n for rows (params, frame, init, t_grid,
+    hamiltonian), their initial states prepared as one batch: each row's
+    run and the CutoffTooSmall that rejects n for it, or None if it fits."""
+    if any(row[4] not in ("squeezed", "lab") for row in rows):
         raise ValueError("hamiltonian must be 'squeezed' or 'lab'")
-    psi0 = prepare_initial(init, n, frame, tail_tol,
-                           lab_mode=hamiltonian == "lab")
-    if hamiltonian == "lab":
-        h = build_hamiltonian_lab(params, n)
-    else:
-        h = build_hamiltonian_squeezed(frame, params.omega_a,
-                                       params.omega_b, n)
-    curves = en_curves(h, psi0, t_grid, n, cuts)
-    tail = float(curves["tail"].max())
-    if tail > tail_tol:
-        raise CutoffTooSmall(f"trajectory leaks at N = {n}", tail)
-    return curves
+    psi0, why = prepare_initial([row[2] for row in rows], n,
+                                [row[1] for row in rows], tail_tol,
+                                [row[4] == "lab" for row in rows])
+    out = [None] * len(rows)
+    for k, (params, frame, _, t_grid, ham) in enumerate(rows):
+        if why[k] is None:
+            h = build_hamiltonian_lab(params, n) if ham == "lab" else \
+                build_hamiltonian_squeezed(frame, params.omega_a,
+                                           params.omega_b, n)
+            try:
+                out[k] = en_curves(h, psi0[k], t_grid, n, cuts, tail_tol)
+            except CutoffTooSmall as exc:
+                # its traceback would pin the evolution's arrays in a cycle
+                why[k] = exc.with_traceback(None)
+    return out, why
 
 
 @dataclass
 class ConvergenceReport:
-    """Outcome of a cutoff search: the N accepted and every N tried, each
-    step with the reason it was rejected, if it was."""
+    """Outcome of a cutoff search: each row's accepted N (0 for none) and
+    every N tried, each with the first row still left's rejection, if any."""
 
-    n: int
+    n: list[int]
     converged: bool
     steps: list[dict] = field(default_factory=list)
-    curves: dict[str, np.ndarray] | None = None
     message: str = ""
 
     def as_dict(self) -> dict:
@@ -401,105 +411,89 @@ class ConvergenceReport:
                 "steps": self.steps, "message": self.message}
 
 
-def search_cutoff(attempt, n_start: int, n_max: int, settled=None):
-    """The one bounded cutoff search: N = n_start, 2 n_start, ... <= n_max.
+def search_cutoff(attempt, rows: int, n_start: int, n_max: int,
+                  settled=None):
+    """The one bounded cutoff search, for a batch of rows: N = n_start,
+    2 n_start, ... <= n_max, and n_start always, even above n_max.
 
-    n_start itself is always tried, even above n_max.  attempt(N)
-    computes a result at cutoff N and raises CutoffTooSmall when N is
-    too small for it.  Without settled the first N that does not raise
-    is accepted.  With settled, settled(prev, cur) compares the results
-    at N and 2N: it returns None when they agree, and then N and its
-    result are accepted; otherwise it returns their deviation, which the
-    rejection reason quotes.  Returns (result, report) with report.n the
-    accepted N.  Past n_max raises NoConvergence carrying the report; its
-    message names the ceiling and each N tried with the reason it was
-    rejected.
+    attempt(N, todo) returns the results of the rows todo at N and, per
+    row, the CutoffTooSmall that rejects N for it or None; a raised one
+    rejects N for every row.  A row is accepted at the first N where it
+    fits or, with settled, where settled(prev, cur) of its results at N
+    and 2N gives None, not their deviation, which the rejection quotes.
+    Returns (results, report), report.n each row's accepted N.  Past
+    n_max raises NoConvergence carrying the report; its message names the
+    ceiling and each N tried with the first row still left's rejection.
     """
-    report = ConvergenceReport(n=0, converged=False)
-    prev = None
+    report = ConvergenceReport(n=[0] * rows, converged=False)
+    out, prev, todo = [None] * rows, [None] * rows, list(range(rows))
+    why_at = []  # per N tried, {row: the reason it was rejected there}
     n = n_start
     while n <= max(n_start, n_max):
         try:
-            cur = attempt(n)
+            results, why = attempt(n, todo)
         except CutoffTooSmall as exc:
-            report.steps.append({"n": n, "rejected": str(exc)})
-            prev = None
-        else:
-            report.steps.append({"n": n})
-            if settled is None:
-                report.n, report.converged = n, True
-                report.message = f"fits at N = {n}"
-                return cur, report
-            if prev is not None:
-                dev = settled(prev, cur)
-                if dev is None:
-                    report.n, report.converged = n // 2, True
-                    report.message = (f"converged at N = {n // 2} "
-                                      f"(checked against {n})")
-                    return prev, report
-                report.steps[-2]["rejected"] = (f"differs from N = {n} "
-                                                f"by {dev:.2e}")
-            prev = cur
+            results, why = [None] * len(todo), [str(exc)] * len(todo)
+        report.steps.append({"n": n})
+        why_at.append({})
+        for r, cur, w in zip(todo, results, why):
+            if w is not None:
+                why_at[-1][r], prev[r] = str(w), None
+            elif settled is None:
+                out[r], report.n[r] = cur, n
+            elif prev[r] is None:
+                prev[r] = cur
+            elif (dev := settled(prev[r], cur)) is None:
+                out[r], report.n[r] = prev[r], n // 2
+            else:
+                why_at[-2][r] = f"differs from N = {n} by {dev:.2e}"
+                prev[r] = cur
+        for step, why in zip(report.steps[-2:], why_at[-2:]):
+            if why:
+                step["rejected"] = why[min(why)]
+        todo = [r for r in todo if not report.n[r]]
+        if not todo:
+            report.converged = True
+            report.message = (f"fits at N = {n}" if settled is None else
+                              f"converged at N = {n // 2} "
+                              f"(checked against {n})")
+            return out, report
         n *= 2
     tried = "; ".join(
         f"N = {s['n']}: {s.get('rejected', 'not confirmed at a larger N')}"
         for s in report.steps)
     report.message = (f"no cutoff up to the ceiling N = {n_max} passes "
-                      f"({tried or 'no N tried'})")
+                      f"({tried})")
     raise NoConvergence(report.message, report)
 
 
-def search_rows(attempt, rows: int, n_start: int, n_max: int) -> list:
-    """`search_cutoff` for a batch of rows, each taken at the first N
-    where it fits: attempt(N, todo) gives the results of the rows todo
-    and, per row, the CutoffTooSmall that rejects N for it, or None."""
-    out, todo = {}, list(range(rows))
+def converge_cutoff(rows, tail_tol: float, n_start: int, n_max: int,
+                    en_tol: float | None = None,
+                    cuts: tuple[str, ...] = ("tp_qubit",)):
+    """`search_cutoff` over rows (params, init, t_grid, hamiltonian) of
+    `trajectory` arguments, each row's frame derived from its params:
+    each row's `trajectory` output where it first fits tail_tol or, with
+    en_tol, where its TP-qubit EN curve also agrees with the one at 2N
+    within en_tol at every time, and the report."""
+    rows = [(params, derive_squeezed_frame(params), init, t_grid, ham)
+            for params, init, t_grid, ham in rows]
 
-    def step(n: int) -> None:
-        nonlocal todo
-        results, why = attempt(n, todo)
-        out.update((r, x) for r, x, w in zip(todo, results, why) if w is None)
-        todo = [r for r, w in zip(todo, why) if w is not None]
-        if todo:
-            raise next(w for w in why if w is not None)
-
-    search_cutoff(step, n_start, n_max)
-    return [out[r] for r in range(rows)]
-
-
-def converge_cutoff(params: ModelParams, init: MediatorInit, t_grid,
-                    hamiltonian: str = "squeezed",
-                    en_tol: float | None = 1e-4,
-                    tail_tol: float = 1e-8, n_start: int = 2,
-                    n_max: int = 512) -> ConvergenceReport:
-    """Smallest cutoff in a doubling schedule with a stable EN curve.
-
-    The TP-qubit EN curves at N and 2N must agree within en_tol on the
-    whole grid (with en_tol None the first N that fits is accepted) and
-    the trajectory tail stay below tail_tol.  The report carries the
-    curves and states at the accepted N.  Past n_max raises
-    NoConvergence, the expected outcome for strongly squeezed frames
-    where the occupation scales like e^{2s}.
-    """
-    frame = derive_squeezed_frame(params)
+    def attempt(n: int, todo: list[int]):
+        return trajectories([rows[r] for r in todo], n, cuts, tail_tol)
 
     def deviation(prev, cur):
         dev = float(np.max(np.abs(cur["tp_qubit"] - prev["tp_qubit"])))
         return None if dev < en_tol else dev
 
-    curves, report = search_cutoff(
-        lambda n: trajectory(params, frame, init, t_grid, n, hamiltonian,
-                             tail_tol=tail_tol),
-        n_start, n_max, settled=None if en_tol is None else deviation)
-    report.curves = curves
-    return report
+    return search_cutoff(attempt, len(rows), n_start, n_max,
+                         None if en_tol is None else deviation)
 
 
 __all__ = [
     "destroy", "coherent_vector", "ladder_exp", "mediator_vector",
-    "lab_mediator_vector", "displaced_squeezed_vector", "fock_overlap",
+    "displaced_squeezed_vector", "fock_overlap",
     "build_hamiltonian_lab", "build_hamiltonian_squeezed", "prepare_initial",
-    "ExactPropagator", "cut_pt", "en_curves", "trajectory",
-    "ConvergenceReport", "search_cutoff", "search_rows", "converge_cutoff",
+    "ExactPropagator", "cut_pt", "en_curves", "trajectory", "trajectories",
+    "ConvergenceReport", "search_cutoff", "converge_cutoff",
     "BIPARTITIONS", "SIGMA_Z",
 ]

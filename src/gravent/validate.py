@@ -8,15 +8,16 @@ and lab-vs-squeezed frame agreement.  Each returns a `params.Check`, a
 deviation of at most a tolerance, and `run_validation` gathers them in a
 `params.Report` over the base system.
 
-Every oracle cutoff comes from the one bounded search
+Every oracle cutoff comes from the one bounded row search
 `fock.search_cutoff`: it starts at a given N, which it always tries, and
 doubles it up to a ceiling, 512 for EN curves and 1024 for overlaps and
 the partial-transpose matrix, then raises NoConvergence with the history
 of every N tried.  Each check reports that as a failed check whose note
 is the search's message, never as a crash; checks that need the
 lab-frame oracle are skipped with a note once the squeezing parameter
-puts lab occupations out of reach.  The overlap tuples share one search,
-and so do the partial-transpose frames, each taken where it first fits.
+puts lab occupations out of reach.  Apart from the overlap tuples, every
+row is a `fock.converge_cutoff` trajectory; the partial-transpose frames
+share one search, and so do the three linear drives.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import fock
 from .config import RunConfig, ValidateSection
 from .dynamics import (MediatorInit, displaced_overlap, en_at_decoupling,
                        en_timeseries, partial_transpose_matrix)
-from .errors import CutoffTooSmall, NoConvergence
+from .errors import NoConvergence
 from .negativity import log_negativity_from_partial_transpose
 from .params import Check, ModelParams, Report, derive_squeezed_frame
 
@@ -102,33 +103,20 @@ def check_pt_matrix(v: ValidateSection) -> Check:
     The entrywise truncation error grows like the square root of the
     tail occupation, so the tail must sit well below pt_tol^2."""
     rng = np.random.default_rng(v.seed + 1)
-    frames, inits, ts = [], [], []
+    rows, ana = [], []
     for _ in range(v.pt_samples):
         s = rng.uniform(0.0, 0.5)
-        frames.append(derive_squeezed_frame(ModelParams.dimensionless(
-            g_a=rng.uniform(0.005, 0.05), g_b=rng.uniform(0.3, 1.2), s=s)))
-        inits.append(MediatorInit(alpha0=complex(
-            rng.normal(0, 0.7), rng.normal(0, 0.7)), xi_mag=frames[-1].s))
-        ts.append(rng.uniform(0.1, 1.9) * frames[-1].t_period)
-
-    def attempt(n: int, todo: list[int]):
-        vecs, why = fock.displaced_squeezed_vector(
-            [[0.0]] * len(todo), [inits[r] for r in todo], n, None, PT_TAIL)
-        states = np.zeros((len(todo), 4 * n), complex)
-        for row, r in enumerate(todo):
-            if why[row] is None:
-                med = vecs[row, 0] / np.linalg.norm(vecs[row, 0])
-                h = fock.build_hamiltonian_squeezed(frames[r], 0.0, 0.0, n)
-                try:
-                    states[row] = fock.ExactPropagator(h).evolve_grid(
-                        np.tile(0.5 * med, 4), [ts[r]], PT_TAIL)[0]
-                except CutoffTooSmall as exc:
-                    # its traceback would pin the evolution's arrays in a cycle
-                    why[row] = exc.with_traceback(None)
-        return fock.cut_pt(states, n, "tp_qubit"), why
-
-    orc = fock.search_rows(attempt, len(frames), v.fock_n, 1024)
-    ana = [partial_transpose_matrix(*a) for a in zip(frames, inits, ts)]
+        params = ModelParams.dimensionless(
+            g_a=rng.uniform(0.005, 0.05), g_b=rng.uniform(0.3, 1.2), s=s)
+        frame = derive_squeezed_frame(params)
+        init = MediatorInit(alpha0=complex(rng.normal(0, 0.7),
+                                           rng.normal(0, 0.7)))
+        t = rng.uniform(0.1, 1.9) * frame.t_period
+        rows.append((params, init, [t], "squeezed"))
+        ana.append(partial_transpose_matrix(frame, init, t))
+    curves, rep = fock.converge_cutoff(rows, PT_TAIL, v.fock_n, 1024, cuts=())
+    orc = [fock.cut_pt(c["states"], n, "tp_qubit")[0]
+           for c, n in zip(curves, rep.n)]
     worst = float(np.max(np.abs(np.subtract(ana, orc))))
     return worst, v.pt_tol, f"{v.pt_samples} random frames, s <= 0.5"
 
@@ -139,25 +127,28 @@ def check_en_timeseries(params: ModelParams, init: MediatorInit,
                         en_convergence: float) -> Check:
     frame = derive_squeezed_frame(params)
     t_grid = np.linspace(0.0, 2.0 * frame.t_period, v.t_points)
-    rep = fock.converge_cutoff(params, init, t_grid, en_tol=en_convergence,
-                               tail_tol=fock_tail)
+    [curves], rep = fock.converge_cutoff(
+        [(params, init, t_grid, "squeezed")], fock_tail, 2, 512,
+        en_convergence)
     ana = en_timeseries(frame, init, t_grid)
-    dev = float(np.max(np.abs(ana - rep.curves["tp_qubit"])))
-    return dev, v.en_tol, (f"N = {rep.n}, {v.t_points} times over two "
+    dev = float(np.max(np.abs(ana - curves["tp_qubit"])))
+    return dev, v.en_tol, (f"N = {rep.n[0]}, {v.t_points} times over two "
                            "mediator periods")
 
 
 @_check("mediator_decoupling_at_tn")
 def check_decoupling(params: ModelParams, init: MediatorInit,
-                     v: ValidateSection, fock_tail: float) -> Check:
+                     v: ValidateSection, fock_tail: float,
+                     en_convergence: float) -> Check:
     """Mediator EN vanishes at t_n in the oracle (both mediator cuts)."""
     frame = derive_squeezed_frame(params)
     t_n = [frame.decoupling_time(1), frame.decoupling_time(2)]
-    rep = fock.converge_cutoff(params, init, t_n, tail_tol=fock_tail)
+    [curves], rep = fock.converge_cutoff(
+        [(params, init, t_n, "squeezed")], fock_tail, 2, 512, en_convergence)
     dev = max(float(np.max(log_negativity_from_partial_transpose(
-        fock.cut_pt(rep.curves["states"], rep.n, cut))))
+        fock.cut_pt(curves["states"], rep.n[0], cut))))
         for cut in ("tp_mediator", "qubit_mediator"))
-    return dev, v.en_tol, f"N = {rep.n}, first two decoupling times"
+    return dev, v.en_tol, f"N = {rep.n[0]}, first two decoupling times"
 
 
 @_check("closed_form_at_tn")
@@ -197,14 +188,13 @@ def check_epsilon_irrelevance(params: ModelParams, init: MediatorInit,
                 "out of reach, check skipped (frame restriction)")
     t_grid = np.linspace(0.0, 2.0 * 2.0 * math.pi / params.omega_tilde,
                          v.t_points)
-    curves = []
-    for eps in (0.0, 0.1 * params.omega_tilde, params.omega_tilde):
-        rep = fock.converge_cutoff(replace(params, epsilon=eps), init,
-                                   t_grid, "lab", None, fock_tail,
-                                   max(v.fock_n, 96))
-        curves.append(rep.curves["tp_qubit"])
-    dev = float(np.max(np.abs(np.array(curves[1:]) - curves[0])))
-    return dev, v.en_tol, (f"N = {rep.n}, lab-frame drive 0, 0.1, 1 in "
+    curves, rep = fock.converge_cutoff(
+        [(replace(params, epsilon=eps), init, t_grid, "lab")
+         for eps in (0.0, 0.1 * params.omega_tilde, params.omega_tilde)],
+        fock_tail, max(v.fock_n, 96), 512)
+    dev = max(float(np.max(np.abs(c["tp_qubit"] - curves[0]["tp_qubit"])))
+              for c in curves[1:])
+    return dev, v.en_tol, (f"N = {rep.n[-1]}, lab-frame drive 0, 0.1, 1 in "
                            "mediator units")
 
 
@@ -218,13 +208,12 @@ def check_frame_equivalence(params: ModelParams, init: MediatorInit,
         return (f"s = {frame.s:.4g} > 0.5: lab-frame preparation out of "
                 "reach, check skipped (frame restriction)")
     t_grid = np.linspace(0.0, 2.0 * frame.t_period, v.t_points)
-    lab = fock.converge_cutoff(params, init, t_grid, "lab", None, fock_tail,
-                               max(v.fock_n, 128))
-    sq = fock.converge_cutoff(params, init, t_grid, "squeezed", None,
-                              fock_tail, v.fock_n)
-    dev = float(np.max(np.abs(lab.curves["tp_qubit"]
-                              - sq.curves["tp_qubit"])))
-    return dev, v.en_tol, f"N = {lab.n} lab, {sq.n} squeezed"
+    [lab], lab_rep = fock.converge_cutoff(
+        [(params, init, t_grid, "lab")], fock_tail, max(v.fock_n, 128), 512)
+    [sq], sq_rep = fock.converge_cutoff(
+        [(params, init, t_grid, "squeezed")], fock_tail, v.fock_n, 512)
+    dev = float(np.max(np.abs(lab["tp_qubit"] - sq["tp_qubit"])))
+    return dev, v.en_tol, f"N = {lab_rep.n[0]} lab, {sq_rep.n[0]} squeezed"
 
 
 def run_validation(cfg: RunConfig) -> Report:
@@ -232,14 +221,13 @@ def run_validation(cfg: RunConfig) -> Report:
     v = cfg.validate if cfg.validate is not None else ValidateSection()
     params = _base_params(cfg)
     init = cfg.mediator
-    tail = cfg.tolerances.fock_tail
+    tail, conv = cfg.tolerances.fock_tail, cfg.tolerances.en_convergence
     frame = derive_squeezed_frame(params)
     return Report((
         check_overlap_closed_form(v),
         check_pt_matrix(v),
-        check_en_timeseries(params, init, v, tail,
-                            cfg.tolerances.en_convergence),
-        check_decoupling(params, init, v, tail),
+        check_en_timeseries(params, init, v, tail, conv),
+        check_decoupling(params, init, v, tail, conv),
         check_closed_form_at_tn(params, init),
         check_epsilon_irrelevance(params, init, v, tail),
         check_frame_equivalence(params, init, v, tail),

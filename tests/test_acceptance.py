@@ -7,6 +7,7 @@ without numeric tables.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from gravent.dynamics import branch_state
 from gravent.params import regime_report
 from gravent.presets import SEC5_GOLDEN, golden_check
 from gravent.validate import (check_epsilon_irrelevance,
-                              check_overlap_closed_form, check_pt_matrix)
+                              check_overlap_closed_form, check_pt_matrix,
+                              run_validation)
 
 
 @pytest.fixture(scope="module")
@@ -91,26 +93,27 @@ def undriven_oracle():
     frame = derive_squeezed_frame(params)
     init = MediatorInit(alpha0=1.0 + 0.0j)
     t_n = [frame.decoupling_time(1), frame.decoupling_time(2)]
-    rep = fock.converge_cutoff(params, init, t_n)
-    return params, frame, init, t_n, rep
+    [curves], rep = fock.converge_cutoff([(params, init, t_n, "squeezed")],
+                                         1e-8, 2, 512, en_tol=1e-4)
+    return params, frame, init, t_n, curves, rep
 
 
 class TestOracleEquivalence:
     """Independent Fock evolution against the closed form, undriven."""
 
     def test_converges_within_budget(self, undriven_oracle):
-        _, _, _, _, rep = undriven_oracle
+        *_, rep = undriven_oracle
         assert rep.converged
-        assert rep.n <= 64
+        assert rep.n[0] <= 64
 
     def test_en_at_decoupling_matches_closed_form(self, undriven_oracle):
-        _, frame, _, t_n, rep = undriven_oracle
-        for t, en_fock in zip(t_n, rep.curves["tp_qubit"]):
+        _, frame, _, t_n, curves, _ = undriven_oracle
+        for t, en_fock in zip(t_n, curves["tp_qubit"]):
             assert abs(en_fock - en_at_decoupling(frame.g_eff, t)) <= 1e-3
 
     def test_mediator_cuts_vanish_at_decoupling(self, undriven_oracle):
-        params, frame, init, t_n, rep = undriven_oracle
-        n = rep.n
+        params, frame, init, t_n, _, rep = undriven_oracle
+        n = rep.n[0]
         h = fock.build_hamiltonian_squeezed(frame, 0.0, 0.0, n)
         psi0 = fock.prepare_initial(init, n, frame)
         curves = fock.en_curves(h, psi0, t_n, n,
@@ -169,6 +172,15 @@ class TestValidateFig3a:
         "frame_equivalence": "N = 128 lab, 64 squeezed",
     }
 
+    def test_decoupling_settles_at_the_configured_en_convergence(self):
+        """At the default 1e-4 the mediator curves settle at N = 32."""
+        cfg = load_preset("fig3a")
+        cfg = replace(cfg, tolerances=replace(cfg.tolerances,
+                                              en_convergence=1e-12))
+        checks = {c.name: c for c in run_validation(cfg).checks}
+        assert checks["mediator_decoupling_at_tn"].note.startswith(
+            "N = 64, ")
+
     def test_seven_checks_pass_at_pinned_cutoffs(self, tmp_path):
         assert main(["validate", "--preset", "fig3a", "--out",
                      str(tmp_path)]) == 0
@@ -216,7 +228,7 @@ class TestLinearDriveIrrelevance:
             assert result.note.startswith(
                 "no cutoff up to the ceiling N = 512 passes (")
             assert "N = 384: trajectory leaks at N = 384 (tail mass " \
-                "5.290e-03)" in result.note
+                "3.011e-03)" in result.note
 
 
 class TestPropertySuite:

@@ -175,7 +175,7 @@ class TestStatePrep:
             ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.0))
         init = MediatorInit(alpha0=0.9, xi_mag=0.3, theta=0.4)
         a = fock.mediator_vector(init, 48, f)
-        b = fock.lab_mediator_vector(init, f, 48)
+        b = fock.mediator_vector(init, 48, f, lab_mode=True)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_prepare_initial_structure(self):
@@ -265,21 +265,23 @@ def _pt_frames(v):
 
 def _record_pt_batch(monkeypatch):
     """The cutoffs validate's partial-transpose check prepares its states
-    at, with the alpha0 of each row, and the matrices it returns."""
+    at, with the alpha0 of each row, and the matrices it compares."""
     from gravent import validate
     calls, batch = [], {}
-    prepare, search = fock.displaced_squeezed_vector, fock.search_rows
+    prepare, search = fock.prepare_initial, fock.converge_cutoff
 
-    def recording_prepare(shifts, inits, n, *args, **kwargs):
+    def recording_prepare(inits, n, *args, **kwargs):
         calls.append((n, [i.alpha0 for i in inits]))
-        return prepare(shifts, inits, n, *args, **kwargs)
+        return prepare(inits, n, *args, **kwargs)
 
     def recording_search(*args, **kwargs):
-        batch["out"] = search(*args, **kwargs)
-        return batch["out"]
+        curves, report = search(*args, **kwargs)
+        batch["out"] = [fock.cut_pt(c["states"], n, "tp_qubit")[0]
+                        for c, n in zip(curves, report.n)]
+        return curves, report
 
-    monkeypatch.setattr(fock, "displaced_squeezed_vector", recording_prepare)
-    monkeypatch.setattr(fock, "search_rows", recording_search)
+    monkeypatch.setattr(fock, "prepare_initial", recording_prepare)
+    monkeypatch.setattr(fock, "converge_cutoff", recording_search)
     return validate, calls, batch
 
 
@@ -293,14 +295,16 @@ class TestPtMatrixOracle:
         v = ValidateSection()
         assert validate.check_pt_matrix(v).passed
         assert [n for n, _ in calls] == [64, 128, 256]
-        got = []
+        prepared, got = calls[:], []
         for (params, frame, init, t), pt in zip(_pt_frames(v), batch["out"]):
-            want, report = fock.search_cutoff(
-                lambda n: fock.cut_pt(fock.trajectory(
+            [want], report = fock.search_cutoff(
+                lambda n, todo: ([fock.cut_pt(fock.trajectory(
                     params, frame, init, [t], n, cuts=(),
-                    tail_tol=1e-14)["states"], n, "tp_qubit")[0], 64, 1024)
-            got.append(max(n for n, rows in calls if init.alpha0 in rows))
-            assert got[-1] == report.n
+                    tail_tol=1e-14)["states"], n, "tp_qubit")[0]], [None]),
+                1, 64, 1024)
+            got.append(max(n for n, rows in prepared
+                            if init.alpha0 in rows))
+            assert [got[-1]] == report.n
             assert np.max(np.abs(pt - want)) <= 1e-15
         assert {n: got.count(n) for n in set(got)} == {64: 9, 128: 6,
                                                        256: 5}
@@ -310,7 +314,6 @@ class TestPtMatrixOracle:
         """A tail tolerance between the largest-coupling group's tail and
         the whole state's: both groups are solved and N is rejected."""
         from gravent.config import ValidateSection
-        validate, calls, _ = _record_pt_batch(monkeypatch)
         v = ValidateSection(pt_samples=1)
         _, frame, init, t = next(_pt_frames(v))
         prop = fock.ExactPropagator(
@@ -321,6 +324,7 @@ class TestPtMatrixOracle:
         first = edge[[j for j, _, _ in prop.pairs[0]]].sum()
         tol = (first + edge.sum()) / 2
         assert first < tol < edge.sum()
+        validate, calls, _ = _record_pt_batch(monkeypatch)
         monkeypatch.setattr(validate, "PT_TAIL", tol)
         solves = _count_eig_banded(monkeypatch)
         assert validate.check_pt_matrix(v).passed
@@ -351,6 +355,29 @@ class TestPtMatrixOracle:
                 tracemalloc.stop()
             gc.enable()
         assert held < 200_000
+
+    def test_a_rejected_n_leaves_no_exception_cycle(self):
+        """With the collector off, a search that rejects N for some rows
+        leaves nothing for it to find, in the overlap search (two
+        rejected N) as in the partial-transpose one (two)."""
+        import gc
+
+        from gravent import validate
+        from gravent.config import ValidateSection
+        checks = (validate.check_overlap_closed_form,
+                  validate.check_pt_matrix)
+        for check in checks:
+            check(ValidateSection())
+        gc.collect()
+        gc.disable()
+        try:
+            found = []
+            for check in checks:
+                assert check(ValidateSection()).passed
+                found.append(gc.collect())
+        finally:
+            gc.enable()
+        assert found == [0, 0]
 
     def test_validate_makes_56_eigensolves(self, monkeypatch):
         """72 before a frame was dropped once its first group leaks: 29
@@ -614,11 +641,12 @@ class TestParityPairing:
             signs = np.sign(np.sum(got_v * v, axis=0))
             np.testing.assert_allclose(got_v * signs, v, rtol=0, atol=1e-10)
 
-    def test_validate_fig3a_makes_84_eigensolves(self, tmp_path,
+    def test_validate_fig3a_makes_82_eigensolves(self, tmp_path,
                                                  monkeypatch):
         """48 propagators: 192 eigensolves before partners were paired,
         100 before the partial-transpose check dropped a frame whose
-        first group leaks without solving its second."""
+        first group leaks without solving its second, and 84 before every
+        trajectory did."""
         from gravent.cli import main
         calls = _count_eig_banded(monkeypatch)
         built = []
@@ -627,7 +655,7 @@ class TestParityPairing:
                             lambda self, h: built.append(0) or init(self, h))
         assert main(["validate", "--preset", "fig3a", "--out",
                      str(tmp_path)]) == 0
-        assert (len(built), len(calls)) == (48, 84)
+        assert (len(built), len(calls)) == (48, 82)
 
 
 class TestEnCurves:
@@ -679,10 +707,10 @@ class TestEnCurves:
         assert len(res.curves) == 3
         params = ModelParams.dimensionless(**fixed)
         check = check_decoupling(params, MediatorInit(), ValidateSection(),
-                                 1e-8)
+                                 1e-8, 1e-4)
         assert check.passed and check.max_dev < 1e-6
 
-    def test_requested_cuts_plus_tail(self):
+    def test_requested_cuts_plus_states(self):
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
         frame = derive_squeezed_frame(params)
         n = 24
@@ -691,7 +719,7 @@ class TestEnCurves:
         ts = [0.0, 1.0, 2.0]
         out = fock.en_curves(h, psi0, ts, n, tuple(fock.BIPARTITIONS))
         assert set(out) == {"tp_qubit", "tp_mediator", "qubit_mediator",
-                            "tail", "states"}
+                            "states"}
         assert all(len(v) == 3 for v in out.values())
         assert out["states"].shape == (3, 4 * n)
         assert out["tp_qubit"][0] == 0.0
@@ -702,30 +730,35 @@ class TestConvergeCutoff:
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
         frame = derive_squeezed_frame(params)
         ts = np.linspace(0.0, frame.t_period, 9)
-        rep = fock.converge_cutoff(params, MediatorInit(), ts)
+        [curves], rep = fock.converge_cutoff(
+            [(params, MediatorInit(), ts, "squeezed")], 1e-8, 2, 512, 1e-4)
         assert rep.converged
-        assert rep.n <= 64
-        assert len(rep.curves["tp_qubit"]) == 9
+        assert rep.n[0] <= 64
+        assert len(curves["tp_qubit"]) == 9
         assert rep.as_dict()["converged"] is True
 
     def test_states_belong_to_the_accepted_cutoff(self):
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
-        rep = fock.converge_cutoff(params, MediatorInit(), [0.0, 1.0])
-        assert rep.curves["states"].shape == (2, 4 * rep.n)
+        [curves], rep = fock.converge_cutoff(
+            [(params, MediatorInit(), [0.0, 1.0], "squeezed")], 1e-8, 2, 512,
+            1e-4)
+        assert curves["states"].shape == (2, 4 * rep.n[0])
 
     def test_unsettled_curves_report_their_deviation(self):
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
         with pytest.raises(NoConvergence) as exc:
-            fock.converge_cutoff(params, MediatorInit(), [0.0, 3.0],
-                                 en_tol=0.0, n_start=48, n_max=96)
+            fock.converge_cutoff(
+                [(params, MediatorInit(), [0.0, 3.0], "squeezed")], 1e-8, 48,
+                96, en_tol=0.0)
         assert "N = 48: differs from N = 96 by " in str(exc.value)
 
     def test_strong_squeezing_is_out_of_reach(self):
         params = ModelParams.dimensionless(
             g_a=0.01, g_b=1.0, F=0.25 * (1.0 - math.exp(-4.0 * 3.0)))
         with pytest.raises(NoConvergence) as exc:
-            fock.converge_cutoff(params, MediatorInit(), [0.0, 1.0],
-                                 n_max=64)
+            fock.converge_cutoff(
+                [(params, MediatorInit(), [0.0, 1.0], "squeezed")], 1e-8, 2,
+                64, 1e-4)
         assert exc.value.report is not None
         assert exc.value.report.steps
 
@@ -734,11 +767,11 @@ class TestConvergeCutoff:
         from gravent.validate import check_pt_matrix
         tried = []
 
-        def never_fits(shifts, init, n, *args, **kwargs):
+        def never_fits(init, n, *args, **kwargs):
             tried.append(n)
             raise CutoffTooSmall(f"no room at N = {n}", 1.0)
 
-        monkeypatch.setattr(fock, "displaced_squeezed_vector", never_fits)
+        monkeypatch.setattr(fock, "prepare_initial", never_fits)
         result = check_pt_matrix(ValidateSection(pt_samples=3))
         assert not result.passed and not result.skipped
         assert "ceiling N = 1024" in result.note
@@ -751,11 +784,11 @@ class TestConvergeCutoff:
         from gravent.validate import check_epsilon_irrelevance
         tried = []
 
-        def never_fits(params, frame, init, t_grid, n, *args, **kwargs):
+        def never_fits(rows, n, *args, **kwargs):
             tried.append(n)
             raise CutoffTooSmall(f"no room at N = {n}", 1.0)
 
-        monkeypatch.setattr(fock, "trajectory", never_fits)
+        monkeypatch.setattr(fock, "trajectories", never_fits)
         params = ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.1)
         result = check_epsilon_irrelevance(
             params, MediatorInit(), ValidateSection(fock_n=600), 1e-8)
@@ -766,24 +799,36 @@ class TestConvergeCutoff:
     def test_unknown_hamiltonian_label(self):
         params = ModelParams.dimensionless(g_a=0.01, g_b=1.0, F=0.0)
         with pytest.raises(ValueError, match="squeezed"):
-            fock.converge_cutoff(params, MediatorInit(), [0.0],
-                                 hamiltonian="exact")
+            fock.converge_cutoff([(params, MediatorInit(), [0.0], "exact")],
+                                 1e-8, 2, 512, 1e-4)
 
 
 class TestSearchCutoff:
     @staticmethod
     def fits_from(n_min, tried):
-        def attempt(n):
+        """An attempt whose row r fits from N = n_min[r] on, or every row
+        from n_min given one number, with N as its result; it records
+        each N tried."""
+        def attempt(n, todo):
             tried.append(n)
-            if n < n_min:
-                raise CutoffTooSmall(f"too small at N = {n}", 0.5)
-            return n
+            low = [n_min if np.isscalar(n_min) else n_min[r] for r in todo]
+            return [n] * len(todo), [
+                None if n >= m else
+                CutoffTooSmall(f"too small at N = {n}", 0.5) for m in low]
         return attempt
+
+    @staticmethod
+    def logging_todo(attempt, todos):
+        def logged(n, todo):
+            todos.append(list(todo))
+            return attempt(n, todo)
+        return logged
 
     def test_first_fit_is_accepted(self):
         tried = []
-        result, rep = fock.search_cutoff(self.fits_from(20, tried), 4, 512)
-        assert (result, rep.n, rep.converged) == (32, 32, True)
+        result, rep = fock.search_cutoff(self.fits_from(20, tried), 1, 4,
+                                         512)
+        assert (result, rep.n, rep.converged) == ([32], [32], True)
         assert tried == [4, 8, 16, 32]
         assert [s["n"] for s in rep.steps] == tried
         assert "too small at N = 16" in rep.steps[2]["rejected"]
@@ -791,9 +836,9 @@ class TestSearchCutoff:
     def test_settled_returns_the_smaller_cutoff(self):
         tried = []
         result, rep = fock.search_cutoff(
-            self.fits_from(8, tried), 2, 512,
+            self.fits_from(8, tried), 1, 2, 512,
             settled=lambda prev, cur: None if cur >= 32 else 0.25)
-        assert (result, rep.n) == (16, 16)
+        assert (result, rep.n) == ([16], [16])
         assert tried == [2, 4, 8, 16, 32]
         assert rep.steps[2]["rejected"] == "differs from N = 16 by 2.50e-01"
         assert rep.message == "converged at N = 16 (checked against 32)"
@@ -801,7 +846,7 @@ class TestSearchCutoff:
     def test_ceiling_is_tried_then_the_search_gives_up(self):
         tried = []
         with pytest.raises(NoConvergence) as exc:
-            fock.search_cutoff(self.fits_from(10 ** 6, tried), 64, 1024)
+            fock.search_cutoff(self.fits_from(10 ** 6, tried), 1, 64, 1024)
         assert tried == [64, 128, 256, 512, 1024]
         msg = str(exc.value)
         assert msg.startswith("no cutoff up to the ceiling N = 1024 passes")
@@ -812,7 +857,7 @@ class TestSearchCutoff:
 
     def test_unsettled_ceiling_is_named(self):
         with pytest.raises(NoConvergence) as exc:
-            fock.search_cutoff(self.fits_from(1, []), 2, 8,
+            fock.search_cutoff(self.fits_from(1, []), 1, 2, 8,
                                settled=lambda prev, cur: 1.0)
         assert str(exc.value).endswith(
             "(N = 2: differs from N = 4 by 1.00e+00; "
@@ -821,23 +866,99 @@ class TestSearchCutoff:
 
     def test_start_above_the_ceiling_is_tried_once(self):
         tried = []
-        result, rep = fock.search_cutoff(self.fits_from(1, tried), 600, 512)
-        assert (result, rep.n, tried) == (600, 600, [600])
+        result, rep = fock.search_cutoff(self.fits_from(1, tried), 1, 600,
+                                         512)
+        assert (result, rep.n, tried) == ([600], [600], [600])
         with pytest.raises(NoConvergence, match="ceiling N = 512 passes "
                                                 r"\(N = 600: too small"):
-            fock.search_cutoff(self.fits_from(10 ** 6, []), 600, 512)
+            fock.search_cutoff(self.fits_from(10 ** 6, []), 1, 600, 512)
 
     def test_doublings_stop_at_the_ceiling(self):
         tried = []
         with pytest.raises(NoConvergence):
-            fock.search_cutoff(self.fits_from(10 ** 6, tried), 96, 1024)
+            fock.search_cutoff(self.fits_from(10 ** 6, tried), 1, 96, 1024)
         assert tried == [96, 192, 384, 768]
 
     def test_other_errors_propagate(self):
-        def broken(n):
+        def broken(n, todo):
             raise ValueError("not a cutoff problem")
         with pytest.raises(ValueError, match="not a cutoff problem"):
-            fock.search_cutoff(broken, 2, 64)
+            fock.search_cutoff(broken, 1, 2, 64)
+
+    def test_rows_are_accepted_at_different_n(self):
+        tried, todos = [], []
+        result, rep = fock.search_cutoff(self.logging_todo(
+            self.fits_from([4, 16, 8], tried), todos), 3, 2, 64)
+        assert result == rep.n == [4, 16, 8]
+        assert tried == [2, 4, 8, 16]
+        assert todos == [[0, 1, 2], [0, 1, 2], [1, 2], [1]]
+        assert rep.message == "fits at N = 16"
+        assert [s.get("rejected") for s in rep.steps] == [
+            f"too small at N = {n} (tail mass 5.000e-01)" for n in tried[:3]
+        ] + [None]
+
+    def test_settled_row_beside_a_row_that_settles_at_once(self):
+        """Row 0 agrees with itself from the start; row 1 changes up to
+        N = 16."""
+        todos = []
+
+        def attempt(n, todo):
+            return [min(n, 16) * r for r in todo], [None] * len(todo)
+
+        result, rep = fock.search_cutoff(
+            self.logging_todo(attempt, todos), 2, 2, 64,
+            settled=lambda prev, cur: None if prev == cur else cur - prev)
+        assert (result, rep.n) == ([0, 16], [2, 16])
+        assert todos == [[0, 1], [0, 1], [1], [1], [1]]
+        assert [s.get("rejected") for s in rep.steps] == [
+            "differs from N = 4 by 2.00e+00",
+            "differs from N = 8 by 4.00e+00",
+            "differs from N = 16 by 8.00e+00", None, None]
+        assert rep.message == "converged at N = 16 (checked against 32)"
+
+    def test_a_raised_cutoff_too_small_rejects_n_for_every_row(self):
+        def attempt(n, todo):
+            if n == 4:
+                raise CutoffTooSmall(f"nothing fits at N = {n}", 0.5)
+            return [n] * len(todo), [None] * len(todo)
+
+        result, rep = fock.search_cutoff(attempt, 3, 4, 64)
+        assert result == rep.n == [8, 8, 8]
+        assert rep.steps[0]["rejected"] == \
+            "nothing fits at N = 4 (tail mass 5.000e-01)"
+        # with settled, it also drops each row's result at the N before
+        result, rep = fock.search_cutoff(attempt, 2, 2, 64,
+                                         settled=lambda prev, cur: None)
+        assert result == rep.n == [8, 8]
+        assert "rejected" not in rep.steps[0]
+
+    def test_start_above_the_ceiling_with_several_rows(self):
+        tried = []
+        result, rep = fock.search_cutoff(self.fits_from(1, tried), 3, 600,
+                                         512)
+        assert (result, rep.n, tried) == ([600] * 3, [600] * 3, [600])
+        tried.clear()
+        with pytest.raises(NoConvergence, match="ceiling N = 512 passes "
+                                                r"\(N = 600: too small"):
+            fock.search_cutoff(self.fits_from([1, 10 ** 6], tried), 2, 600,
+                               512)
+        assert tried == [600]
+
+    def test_no_convergence_names_the_first_row_left(self):
+        def attempt(n, todo):
+            return [n] * len(todo), [
+                None if r == 0 and n >= 4 else
+                CutoffTooSmall(f"row {r} too small at N = {n}", 0.5)
+                for r in todo]
+
+        with pytest.raises(NoConvergence) as exc:
+            fock.search_cutoff(attempt, 3, 2, 8)
+        assert str(exc.value) == (
+            "no cutoff up to the ceiling N = 8 passes ("
+            "N = 2: row 0 too small at N = 2 (tail mass 5.000e-01); "
+            "N = 4: row 1 too small at N = 4 (tail mass 5.000e-01); "
+            "N = 8: row 1 too small at N = 8 (tail mass 5.000e-01))")
+        assert exc.value.report.n == [4, 0, 0]
 
 
 class TestTrajectory:

@@ -288,7 +288,7 @@ class TestRunSweep:
         [(idx, note)] = res.invalid_cells
         assert idx == (2,)
         assert "trajectory leaks at N = 64" in note
-        assert "tail mass 7.646e-04" in note
+        assert "tail mass 6.400e-04" in note
 
     def test_tail_tolerance_reaches_the_fock_cell(self):
         spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.2, 3),),
