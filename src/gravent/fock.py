@@ -35,11 +35,11 @@ when mapping squeezed-frame states to the lab mode), so lab-frame checks
 are only sensible for s up to about 1 and the strongly driven regimes
 must be validated in the squeezed frame or in closed form.
 
-Every cutoff is chosen by one bounded search over a batch of rows,
-`search_cutoff`, whose NoConvergence is the only way the oracle gives
-up.  Its rows are the tuples of `fock_overlap` or, by `converge_cutoff`,
-runs of `trajectory`: one run at a fixed N, in the lab or the squeezed
-frame, that `evolve_grid` rejects at its first leaking parity group.
+Every entry point takes a batch of rows, and one bounded search over a
+batch, `search_cutoff`, chooses every cutoff; its NoConvergence is the
+only way the oracle gives up.  Its rows are the tuples of `fock_overlap`
+or, by `converge_cutoff`, runs of `trajectories`, at one N in the lab or
+the squeezed frame, rejected at their first leaking parity group.
 scipy, needed by this oracle alone, loads on the first `expm` or
 `eig_banded` call.
 """
@@ -148,78 +148,50 @@ def _edge(blocks: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(blocks[..., -2:]) ** 2, axis=-1)
 
 
-def _fits(vec: np.ndarray, n: int, tail_tol: float) -> np.ndarray:
-    """A (T, B, N) stack of blocks of a trajectory, unless their top two
-    Fock levels hold more than tail_tol at some time."""
+def _fits(vec: np.ndarray, n: int, tail_tol: float, part: str = ""):
+    """A (T, B, N) stack of the blocks, named by part, of a trajectory,
+    unless their top two Fock levels hold more than tail_tol at a time."""
     edge = float(np.max(np.sum(_edge(vec), -1)))
     if edge > tail_tol:
-        raise CutoffTooSmall(f"trajectory leaks at N = {n}", edge)
+        raise CutoffTooSmall(f"trajectory leaks at N = {n}{part}", edge)
     return vec
 
 
-def mediator_vector(init, n: int, frame: SqueezedFrame | None = None,
-                    tail_tol: float = 1e-8, lab_mode=False):
-    """Normalized Fock amplitudes of S(xi) |alpha0>, or in the lab mode of
-    its image through the Bogoliubov rotation S(s) between the modes: one
-    more squeeze, so occupations grow like e^{4s}, which rules out lab
-    oracles deep in the driven regime.  Given lists of inits, frames and
-    lab_mode flags, one batch: the (rows, N) stack and, per row, the
-    CutoffTooSmall that rejects N for it, or None when the row fits."""
-    one = isinstance(init, MediatorInit)
-    inits, frames, labs = ([init], [frame], [lab_mode]) if one else \
-        (init, frame, lab_mode)
-    if any(lab and f is None for f, lab in zip(frames, labs)):
-        raise ValueError("lab_mode requires the frame")
+def _squeezed_coherent(inits, frames, n: int, tail_tol: float):
+    """S(xi) |alpha0> on the cutoff, a row per init and its frame, and
+    per row the CutoffTooSmall when |alpha0> does not fit, or None."""
     coh, tail = coherent_vector([i.alpha0 for i in inits], n)
     # xi, which may need the frame, only of a row whose |alpha0> fits
     vec = ladder_exp([-0.5 * i.xi(f) if t <= tail_tol else 0.0
                       for i, f, t in zip(inits, frames, tail)], 2, coh)
-    vec = ladder_exp([0.5 * f.s if lab else 0.0
-                      for f, lab in zip(frames, labs)], 2, vec)
-    why = [CutoffTooSmall(f"coherent amplitude {i.alpha0} does not fit in "
-                          f"N = {n}", t) if t > tail_tol else
-           CutoffTooSmall(("lab-mode image of the initial state" if lab else
-                           "squeezed state") + f" leaks at N = {n}", e)
-           if e > tail_tol else None
-           for i, lab, t, e in zip(inits, labs, tail, _edge(vec))]
-    vec = np.array([v / np.linalg.norm(v) if w is None else v
-                    for v, w in zip(vec, why)])
-    if not one:
-        return vec, why
-    if why[0] is not None:
-        raise why.pop()  # not held in a cycle by this frame
-    return vec[0]
+    return vec, [CutoffTooSmall(f"coherent amplitude {i.alpha0} does not "
+                                f"fit in N = {n}", t) if t > tail_tol else
+                 None for i, t in zip(inits, tail)]
 
 
-def displaced_squeezed_vector(shifts, inits, n: int,
+def displaced_squeezed_vector(shifts, inits: list[MediatorInit], n: int,
                               frame: SqueezedFrame | None = None,
                               tail_tol: float = 1e-10):
     """D(shift) S(xi) |alpha0> on the cutoff, a row per init of inits and
     a (rows, S) array of shifts: the (rows, S, N) stack and, per row, the
     CutoffTooSmall that rejects N for it, or None when the row fits."""
     shifts = np.asarray(shifts, complex)
-    coh, tail = coherent_vector([i.alpha0 for i in inits], n)
-    vec = ladder_exp([-0.5 * i.xi(frame) for i in inits], 2, coh)
+    vec, why = _squeezed_coherent(inits, [frame] * len(inits), n, tail_tol)
     vecs = ladder_exp(shifts.reshape(-1), 1,
                       np.repeat(vec, shifts.shape[1], axis=0))
     vecs = vecs.reshape(shifts.shape + (n,))
-    why = [CutoffTooSmall(f"coherent amplitude {i.alpha0} does not fit in "
-                          f"N = {n}", t) if t > tail_tol else
-           next((CutoffTooSmall(f"displaced state leaks at N = {n}", e)
-                 for e in edge if e > tail_tol), None)
-           for i, t, edge in zip(inits, tail, _edge(vecs))]
+    why = [w or next((CutoffTooSmall(f"displaced state leaks at N = {n}", e)
+                      for e in edge if e > tail_tol), None)
+           for w, edge in zip(why, _edge(vecs))]
     return vecs, why
 
 
-def fock_overlap(a_i, a_j, init, frame: SqueezedFrame | None = None,
-                 tail_tol: float = 1e-10, n_start: int = 64,
-                 n_max: int = 1024):
-    """Inner product <a_i, zeta | a_j, zeta> by brute truncation, for one
-    tuple or, as an array, for equal-length sequences of a_i, a_j and
-    init.  Each tuple is taken at the first N of one `search_cutoff`
-    where both its vectors pass the tail criterion."""
-    one = isinstance(init, MediatorInit)
-    inits = [init] if one else list(init)
+def fock_overlap(a_i, a_j, inits: list[MediatorInit],
+                 frame: SqueezedFrame | None = None, tail_tol: float = 1e-10,
+                 n_start: int = 64, n_max: int = 1024) -> np.ndarray:
+    """Inner products <a_i, zeta | a_j, zeta> by brute truncation of
+    equal-length sequences a_i, a_j and inits, each at the first N of one
+    `search_cutoff` where both its vectors pass the tail criterion."""
     shifts = np.column_stack((np.ravel(a_i), np.ravel(a_j)))
 
     def attempt(n: int, todo: list[int]):
@@ -227,8 +199,7 @@ def fock_overlap(a_i, a_j, init, frame: SqueezedFrame | None = None,
             shifts[todo], [inits[r] for r in todo], n, frame, tail_tol)
         return np.sum(vecs[:, 0].conj() * vecs[:, 1], -1), why
 
-    out = np.array(search_cutoff(attempt, len(inits), n_start, n_max)[0])
-    return complex(out[0]) if one else out
+    return np.array(search_cutoff(attempt, len(inits), n_start, n_max)[0])
 
 
 def _spin_blocks(n: int, spin_energy: np.ndarray, level: float,
@@ -259,16 +230,25 @@ def build_hamiltonian_squeezed(frame: SqueezedFrame, omega_a: float,
                         frame.g_a_s * _SZ_A + frame.g_b_s * _SZ_B)
 
 
-def prepare_initial(init, n: int, frame: SqueezedFrame | None = None,
-                    tail_tol: float = 1e-8, lab_mode=False):
-    """(|L> + |R>)/sqrt2 x (|0> + |1>)/sqrt2 x mediator, as a 4N vector,
-    or, for lists as in `mediator_vector`, a (rows, 4N) stack with its
-    rows' rejections."""
-    if isinstance(init, MediatorInit):
-        return np.tile(0.5 * mediator_vector(init, n, frame, tail_tol,
-                                             lab_mode), 4)
-    med, why = mediator_vector(init, n, frame, tail_tol, lab_mode)
-    return np.tile(0.5 * med, 4), why
+def prepare_initial(inits: list[MediatorInit], n: int, frames,
+                    tail_tol: float, lab_modes):
+    """(|L> + |R>)/sqrt2 x (|0> + |1>)/sqrt2 x S(xi) |alpha0>, a (rows, 4N)
+    stack with a row per init and its frame, and per row the
+    CutoffTooSmall that rejects N, or None.  A lab_modes row maps the
+    mediator to the lab mode by S(s): one more squeeze, so occupations
+    grow like e^{4s}, out of reach deep in the driven regime."""
+    if any(lab and f is None for f, lab in zip(frames, lab_modes)):
+        raise ValueError("lab_mode requires the frame")
+    vec, why = _squeezed_coherent(inits, frames, n, tail_tol)
+    vec = ladder_exp([0.5 * f.s if lab else 0.0
+                      for f, lab in zip(frames, lab_modes)], 2, vec)
+    why = [w or (CutoffTooSmall(("lab-mode image of the initial state" if lab
+                                 else "squeezed state") + f" leaks at N = {n}",
+                                e) if e > tail_tol else None)
+           for w, lab, e in zip(why, lab_modes, _edge(vec))]
+    vec = np.array([v / np.linalg.norm(v) if w is None else v
+                    for v, w in zip(vec, why)])
+    return np.tile(0.5 * vec, 4), why
 
 
 class ExactPropagator:
@@ -326,7 +306,7 @@ class ExactPropagator:
             y = np.exp(-1j * ts[:, None, None] * w) * c
             y = _by_real(y.reshape(-1, n), v.T).reshape(ts.size, -1, n)
             y *= np.exp(-1j * ts[:, None] * offset)[:, :, None]
-            _fits(y, n, tail_tol)
+            _fits(y, n, tail_tol, " in one parity group")
             out[:, blocks] = np.where(flip[:, None], parity * y, y)
         return _fits(out, n, tail_tol).reshape(ts.size, 4 * n)
 
@@ -356,27 +336,13 @@ def en_curves(h: np.ndarray, psi0: np.ndarray, t_grid, n: int,
     return out
 
 
-def trajectory(params: ModelParams, frame: SqueezedFrame,
-               init: MediatorInit, t_grid, n: int,
-               hamiltonian: str = "squeezed",
-               cuts: tuple[str, ...] = ("tp_qubit",),
-               tail_tol: float = 1e-8) -> dict[str, np.ndarray]:
-    """One oracle run at cutoff n: the en_curves of the prepared state,
-    "squeezed" evolving the squeezed-frame state under the stiff
-    oscillator, "lab" its lab-mode image under the full driven
-    Hamiltonian.  CutoffTooSmall when the initial state, or the state at
-    any time of t_grid, holds more than tail_tol in the top two levels."""
-    (out,), why = trajectories([(params, frame, init, t_grid, hamiltonian)],
-                               n, cuts, tail_tol)
-    if why[0] is not None:
-        raise why.pop()  # not held in a cycle by this frame
-    return out
-
-
 def trajectories(rows, n: int, cuts: tuple[str, ...], tail_tol: float):
-    """`trajectory` at cutoff n for rows (params, frame, init, t_grid,
-    hamiltonian), their initial states prepared as one batch: each row's
-    run and the CutoffTooSmall that rejects n for it, or None if it fits."""
+    """Oracle runs at cutoff n of rows (params, frame, init, t_grid,
+    hamiltonian), prepared as one batch: each row's `en_curves`, of its
+    squeezed-frame state under the stiff oscillator ("squeezed") or its
+    lab-mode image under the driven Hamiltonian ("lab"), and the
+    CutoffTooSmall that rejects n for it, from `prepare_initial` or
+    `evolve_grid`, or None."""
     if any(row[4] not in ("squeezed", "lab") for row in rows):
         raise ValueError("hamiltonian must be 'squeezed' or 'lab'")
     psi0, why = prepare_initial([row[2] for row in rows], n,
@@ -471,10 +437,10 @@ def converge_cutoff(rows, tail_tol: float, n_start: int, n_max: int,
                     en_tol: float | None = None,
                     cuts: tuple[str, ...] = ("tp_qubit",)):
     """`search_cutoff` over rows (params, init, t_grid, hamiltonian) of
-    `trajectory` arguments, each row's frame derived from its params:
-    each row's `trajectory` output where it first fits tail_tol or, with
-    en_tol, where its TP-qubit EN curve also agrees with the one at 2N
-    within en_tol at every time, and the report."""
+    `trajectories`, each row's frame derived from its params: each row's
+    run where it first fits tail_tol or, with en_tol, where its TP-qubit
+    EN curve also agrees with the one at 2N within en_tol at every time,
+    and the report."""
     rows = [(params, derive_squeezed_frame(params), init, t_grid, ham)
             for params, init, t_grid, ham in rows]
 
@@ -490,10 +456,10 @@ def converge_cutoff(rows, tail_tol: float, n_start: int, n_max: int,
 
 
 __all__ = [
-    "destroy", "coherent_vector", "ladder_exp", "mediator_vector",
-    "displaced_squeezed_vector", "fock_overlap",
-    "build_hamiltonian_lab", "build_hamiltonian_squeezed", "prepare_initial",
-    "ExactPropagator", "cut_pt", "en_curves", "trajectory", "trajectories",
+    "destroy", "coherent_vector", "ladder_exp", "displaced_squeezed_vector",
+    "fock_overlap", "build_hamiltonian_lab", "build_hamiltonian_squeezed",
+    "prepare_initial", "ExactPropagator", "cut_pt", "en_curves",
+    "trajectories",
     "ConvergenceReport", "search_cutoff", "converge_cutoff",
     "BIPARTITIONS", "SIGMA_Z",
 ]

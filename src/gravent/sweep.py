@@ -4,8 +4,8 @@ Grids are specified in units of the modified mediator frequency
 (omega_tilde = 1).  Axes may move the drive itself; cells that land at or
 beyond the instability are marked invalid rather than zeroed, and the
 sweep keeps going.  Cells that share the drive and the initial state are
-evaluated together, in one closed-form kernel call; the Fock backend is
-available for cross-checking small grids, and a cell whose state or
+evaluated together, in one closed-form kernel call; the Fock backend
+cross-checks small grids in one oracle batch, and a cell whose state or
 trajectory does not fit its cutoff is marked invalid too.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import fock
 from .dynamics import (DephasingBlock, MediatorInit, dephasing_mask,
                        en_timeseries, partial_transpose_matrix)
-from .errors import ConfigError, CutoffTooSmall, UnstableFrame
+from .errors import ConfigError, UnstableFrame
 from .negativity import log_negativity_from_partial_transpose
 from .params import DRIVE_KEYS, ModelParams, derive_squeezed_frame
 
@@ -295,9 +295,9 @@ def run_sweep(spec: SweepSection, fixed: dict,
     fixed holds the cell parameters the axes do not set; a drive axis
     evicts its drive.  One resolve and one kernel call per group of cells
     that differ only along BROADCAST_AXES give EN and the frame extras;
-    the Fock backend then runs its valid cells one by one, and marks a
-    cell invalid once its state holds more than tail_tol in the top two
-    Fock levels.
+    the Fock backend then runs its valid cells as one batch of
+    `fock.trajectories`, and marks a cell invalid once its state holds
+    more than tail_tol in the top two Fock levels.
     """
     axes_vals = tuple(ax.values() for ax in spec.axes)
     shape = tuple(len(v) for v in axes_vals)
@@ -319,20 +319,20 @@ def run_sweep(spec: SweepSection, fixed: dict,
         if spec.backend != "fock":
             en[sel] = log_negativity_from_partial_transpose(
                 partial_transpose_matrix(frame, init, t, gamma, gamma_tp))
-    for idx, overrides in _groups(spec.axes, axes_vals) \
-            if spec.backend != "analytic" else ():
-        if notes[idx]:
-            continue
-        params, frame, init, gamma, gamma_tp, t = resolve_cell(
-            merge_cell(fixed, overrides), spec.time)
-        try:
-            states = fock.trajectory(params, frame, init, [t], spec.fock_n,
-                                     cuts=(), tail_tol=tail_tol)["states"]
-        except CutoffTooSmall as exc:
+    cells = [(idx, *resolve_cell(merge_cell(fixed, overrides), spec.time))
+             for idx, overrides in (_groups(spec.axes, axes_vals)
+                                    if spec.backend != "analytic" else ())
+             if not notes[idx]]
+    runs, why = fock.trajectories(
+        [(params, frame, init, [t], "squeezed")
+         for _, params, frame, init, _, _, t in cells],
+        spec.fock_n, (), tail_tol) if cells else ((), ())
+    for (idx, _, _, _, gamma, gamma_tp, t), run, exc in zip(cells, runs, why):
+        if exc is not None:
             notes[idx] = f"Fock backend: {exc}"
-            continue
-        extras.get("en_fock", en)[idx] = _fock_tp_qubit_en(
-            states, spec.fock_n, [t], gamma, gamma_tp)[0]
+        else:
+            extras.get("en_fock", en)[idx] = _fock_tp_qubit_en(
+                run["states"], spec.fock_n, [t], gamma, gamma_tp)[0]
     valid = notes == ""
     for values in (en, *extras.values()):
         values[~valid] = np.nan
@@ -403,33 +403,41 @@ def timeseries_figure(spec: DynamicsSection, fixed: dict,
     """EN(t) table for one or more parameter variants of fixed.
 
     The analytic backend contributes a TP-qubit column per variant; the
-    Fock backend adds the requested bipartitions (mediator cuts only
-    here, for undamped variants); both TP-qubit columns are dephased.
-    Columns: "<label>:<bipartition>:<backend>".
+    Fock backend adds the requested bipartitions (mediator cuts only for
+    undamped variants) in one oracle batch, or raises the first rejected
+    variant's CutoffTooSmall; both TP-qubit columns are dephased.
+    Columns, variant by variant: "<label>:<bipartition>:<backend>".
     """
     check_fock_cuts(spec, fixed)
     ts = np.linspace(spec.t_start, spec.t_stop, spec.points)
     curves: dict[str, np.ndarray] = {}
     meta: dict = {"hamiltonian": spec.hamiltonian, "variants": []}
 
-    for label, overrides in spec.variants or (("base", {}),):
-        params, frame, init, gamma, gamma_tp, _ = resolve_cell(
-            merge_cell(fixed, overrides))
+    variants = [(label, *resolve_cell(merge_cell(fixed, overrides)))
+                for label, overrides in spec.variants or (("base", {}),)]
+    runs = [None] * len(variants)
+    if spec.backend != "analytic":
+        runs, why = fock.trajectories(
+            [(params, frame, init, ts, spec.hamiltonian)
+             for _, params, frame, init, *_ in variants], spec.fock_n,
+            tuple(name for name in spec.bipartitions if name != "tp_qubit"),
+            tail_tol)
+        bad = [k for k, exc in enumerate(why) if exc is not None]
+        if bad:
+            raise why.pop(bad[0])  # not held in a cycle by this frame
+        meta["fock_n"] = spec.fock_n
+    for (label, _, frame, init, gamma, gamma_tp, _), data in zip(variants,
+                                                                runs):
         meta["variants"].append({"label": label, "s": frame.s,
                                  "omega_s": frame.omega_s})
-        if spec.backend in ("analytic", "both"):
+        if spec.backend != "fock":
             curves[f"{label}:tp_qubit:analytic"] = en_timeseries(
                 frame, init, ts, gamma, gamma_tp)
-        if spec.backend in ("fock", "both"):
-            cuts = tuple(name for name in spec.bipartitions
-                         if name != "tp_qubit")
-            data = fock.trajectory(params, frame, init, ts, spec.fock_n,
-                                   spec.hamiltonian, cuts, tail_tol)
+        if data is not None:
             data["tp_qubit"] = _fock_tp_qubit_en(
                 data["states"], spec.fock_n, ts, gamma, gamma_tp)
             for name in spec.bipartitions:
                 curves[f"{label}:{name}:fock"] = data[name]
-            meta.setdefault("fock_n", spec.fock_n)
     return TimeseriesResult(t=ts, curves=curves, meta=meta)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from gravent import MediatorInit, ModelParams, derive_squeezed_frame, \
     load_preset, partial_transpose
-from gravent.fock import SIGMA_Z, destroy, expm
+from gravent.fock import SIGMA_Z, destroy, expm, prepare_initial
 
 
 def local_rotation(m, t, omega_a, omega_b):
@@ -17,6 +17,15 @@ def local_rotation(m, t, omega_a, omega_b):
     u = np.exp(-1j * (omega_a * sigma_a + omega_b * sigma_b) * t)
     rho = partial_transpose(m, (2, 2), 1)
     return partial_transpose(u[:, None] * rho * u.conj(), (2, 2), 1)
+
+
+def prepare_one(init, n, frame=None, tail_tol=1e-8, lab_mode=False):
+    """The 4N initial state of a one-row `prepare_initial` batch, or its
+    CutoffTooSmall raised."""
+    [psi], [why] = prepare_initial([init], n, [frame], tail_tol, [lab_mode])
+    if why is not None:
+        raise why
+    return psi
 
 
 def displacement_matrix(alpha, n):

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import local_rotation
+from conftest import local_rotation, prepare_one
 from gravent import (AxisSpec, MediatorInit, ModelParams, SweepSection,
                      TimeRule, derive_squeezed_frame, en_at_decoupling,
                      en_timeseries, load_preset,
@@ -115,7 +115,7 @@ class TestOracleEquivalence:
         params, frame, init, t_n, _, rep = undriven_oracle
         n = rep.n[0]
         h = fock.build_hamiltonian_squeezed(frame, 0.0, 0.0, n)
-        psi0 = fock.prepare_initial(init, n, frame)
+        psi0 = prepare_one(init, n, frame)
         curves = fock.en_curves(h, psi0, t_n, n,
                                 ("tp_mediator", "qubit_mediator"))
         assert curves["tp_mediator"].max() < 1e-3
@@ -227,8 +227,8 @@ class TestLinearDriveIrrelevance:
             assert not result.passed and result.max_dev is None
             assert result.note.startswith(
                 "no cutoff up to the ceiling N = 512 passes (")
-            assert "N = 384: trajectory leaks at N = 384 (tail mass " \
-                "3.011e-03)" in result.note
+            assert "N = 384: trajectory leaks at N = 384 in one parity " \
+                "group (tail mass 3.011e-03)" in result.note
 
 
 class TestPropertySuite:

@@ -758,8 +758,8 @@ class TestCliDynamics:
         rc = main(["dynamics", "--config", str(cfg_path), "--out",
                    str(tmp_path / "out")])
         assert rc == 2
-        assert "trajectory leaks at N = 24 (tail mass 3.6" in \
-            capsys.readouterr().err
+        assert "trajectory leaks at N = 24 in one parity group (tail mass " \
+            "3.6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fock_tail", [1.0, -1.0])
     def test_fock_tail_outside_0_1_exits_2(self, tmp_path, capsys,
@@ -1115,6 +1115,23 @@ class TestCliTopLevel:
             assert parsers() == before
         finally:
             gc.enable()
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        """No `__all__` of the package or of a module names what it no
+        longer defines."""
+        import importlib
+        import pkgutil
+        modules = [gravent] + [
+            importlib.import_module(f"gravent.{info.name}")
+            for info in pkgutil.iter_modules(gravent.__path__)]
+        exported = [m for m in modules if hasattr(m, "__all__")]
+        assert {"gravent", "gravent.fock", "gravent.sweep"} <= {
+            m.__name__ for m in exported}
+        for module in exported:
+            missing = [n for n in module.__all__ if not hasattr(module, n)]
+            assert not missing, f"{module.__name__} exports {missing}"
 
 
 CLOSED_FORM_ONLY = """

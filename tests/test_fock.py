@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from conftest import (band_to_dense, displacement_matrix,
                       kron_hamiltonian_lab, kron_hamiltonian_squeezed,
-                      squeeze_matrix)
+                      prepare_one, squeeze_matrix)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -121,8 +121,11 @@ class TestOperators:
         params = ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.05)
         frame = derive_squeezed_frame(params)
         init = MediatorInit(alpha0=0.5 + 0.2j, xi_mag=0.3, theta=1.0)
-        fock.fock_overlap(0.3, -0.4j, init)
-        fock.trajectory(params, frame, init, [0.0, 1.0], 64, "lab")
+        fock.fock_overlap([0.3], [-0.4j], [init])
+        _, [why] = fock.trajectories(
+            [(params, frame, init, [0.0, 1.0], "lab")], 64, ("tp_qubit",),
+            1e-8)
+        assert why is None
 
 
 class TestStatePrep:
@@ -159,30 +162,48 @@ class TestStatePrep:
         _, tail = fock.coherent_vector(3.0, 4)
         assert tail > 0.1
 
-    def test_mediator_vector_rejects_leaky_state(self):
+    def test_leaky_mediator_state_is_rejected(self):
         with pytest.raises(CutoffTooSmall) as exc:
-            fock.mediator_vector(MediatorInit(alpha0=6.0, xi_mag=0.0), 8)
+            prepare_one(MediatorInit(alpha0=6.0, xi_mag=0.0), 8)
         assert exc.value.tail_mass > 0.0
 
-    def test_mediator_vector_normalized(self):
+    def test_mediator_state_normalized(self):
         f = derive_squeezed_frame(
             ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.1))
-        v = fock.mediator_vector(MediatorInit(), 64, f)
+        v = 2.0 * prepare_one(MediatorInit(), 64, f)[:64]
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_lab_image_matches_at_zero_squeezing(self):
         f = derive_squeezed_frame(
             ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.0))
         init = MediatorInit(alpha0=0.9, xi_mag=0.3, theta=0.4)
-        a = fock.mediator_vector(init, 48, f)
-        b = fock.mediator_vector(init, 48, f, lab_mode=True)
+        a = prepare_one(init, 48, f)
+        b = prepare_one(init, 48, f, lab_mode=True)
         assert np.allclose(a, b, atol=1e-12)
+
+    def test_rows_of_a_batch_are_prepared_alone(self):
+        """A batch mixing frames, lab modes and a rejected row: each row
+        as prepared in a batch of its own, bit for bit."""
+        frames = [derive_squeezed_frame(ModelParams.dimensionless(
+            g_a=0.02, g_b=1.0, F=F)) for F in (0.0, 0.1, 0.05)]
+        inits = [MediatorInit(alpha0=0.9, xi_mag=0.3, theta=0.4),
+                 MediatorInit(alpha0=6.0), MediatorInit()]
+        labs = [True, False, False]
+        psi, why = fock.prepare_initial(inits, 32, frames, 1e-8, labs)
+        assert psi.shape == (3, 4 * 32)
+        assert [w is None for w in why] == [True, False, True]
+        assert str(why[1]).startswith("coherent amplitude 6.0 does not fit "
+                                      "in N = 32")
+        for row, init, f, lab in zip(psi[::2], inits[::2], frames[::2],
+                                     labs[::2]):
+            assert np.array_equal(row, prepare_one(init, 32, f,
+                                                   lab_mode=lab))
 
     def test_prepare_initial_structure(self):
         f = derive_squeezed_frame(
             ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.05))
         n = 32
-        psi = fock.prepare_initial(MediatorInit(), n, f)
+        psi = prepare_one(MediatorInit(), n, f)
         assert psi.shape == (4 * n,)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
         # balanced spin superpositions: all four blocks identical
@@ -192,8 +213,8 @@ class TestStatePrep:
 
     def test_lab_mode_requires_frame(self):
         with pytest.raises(ValueError, match="frame"):
-            fock.prepare_initial(MediatorInit(xi_mag=0.0), 16, None,
-                                 lab_mode=True)
+            fock.prepare_initial([MediatorInit(xi_mag=0.0)], 16, [None],
+                                 1e-8, [True])
 
 
 class TestOverlapOracle:
@@ -202,7 +223,7 @@ class TestOverlapOracle:
         for a_i, a_j in [(0.3, -0.4), (1.0 + 1.0j, -0.5j),
                          (0.0, 0.9 - 0.3j)]:
             ana = displaced_overlap(a_i, a_j, init)
-            orc = fock.fock_overlap(a_i, a_j, init)
+            [orc] = fock.fock_overlap([a_i], [a_j], [init])
             assert abs(ana - orc) < 1e-8
 
     def test_validate_batch_equals_single_tuple_calls(self, monkeypatch):
@@ -238,14 +259,14 @@ class TestOverlapOracle:
         for (a_i, a_j, init), value, n in zip(zip(*batch["args"]),
                                               batch["out"], got):
             calls.clear()
-            single = overlap(a_i, a_j, init, **batch["kwargs"])
+            [single] = overlap([a_i], [a_j], [init], **batch["kwargs"])
             assert calls[-1][0] == n
             assert abs(single - value) <= 1e-14
 
     def test_gives_up_past_the_cap(self):
         init = MediatorInit(alpha0=12.0, xi_mag=1.5, theta=0.0)
         with pytest.raises(NoConvergence) as exc:
-            fock.fock_overlap(20.0, -20.0, init, n_start=16, n_max=64)
+            fock.fock_overlap([20.0], [-20.0], [init], n_start=16, n_max=64)
         assert [s["n"] for s in exc.value.report.steps] == [16, 32, 64]
 
 
@@ -288,20 +309,25 @@ def _record_pt_batch(monkeypatch):
 class TestPtMatrixOracle:
     def test_validate_batch_equals_per_frame_searches(self, monkeypatch):
         """validate's 20 frames in one search: each frame's accepted N and
-        matrix as in a search of its own over `fock.trajectory` (9 frames
-        fit at N = 64, 6 at 128 and 5 at 256)."""
+        matrix as in a search of its own over one-row `fock.trajectories`
+        (9 frames fit at N = 64, 6 at 128 and 5 at 256)."""
         from gravent.config import ValidateSection
         validate, calls, batch = _record_pt_batch(monkeypatch)
         v = ValidateSection()
         assert validate.check_pt_matrix(v).passed
         assert [n for n, _ in calls] == [64, 128, 256]
         prepared, got = calls[:], []
+
+        def own_row(row):
+            def attempt(n, todo):
+                runs, why = fock.trajectories([row], n, (), 1e-14)
+                return [None if run is None else fock.cut_pt(
+                    run["states"], n, "tp_qubit")[0] for run in runs], why
+            return attempt
+
         for (params, frame, init, t), pt in zip(_pt_frames(v), batch["out"]):
             [want], report = fock.search_cutoff(
-                lambda n, todo: ([fock.cut_pt(fock.trajectory(
-                    params, frame, init, [t], n, cuts=(),
-                    tail_tol=1e-14)["states"], n, "tp_qubit")[0]], [None]),
-                1, 64, 1024)
+                own_row((params, frame, init, [t], "squeezed")), 1, 64, 1024)
             got.append(max(n for n, rows in prepared
                             if init.alpha0 in rows))
             assert [got[-1]] == report.n
@@ -318,8 +344,7 @@ class TestPtMatrixOracle:
         _, frame, init, t = next(_pt_frames(v))
         prop = fock.ExactPropagator(
             fock.build_hamiltonian_squeezed(frame, 0.0, 0.0, 64))
-        states = prop.evolve_grid(fock.prepare_initial(init, 64, frame,
-                                                       1e-14), [t])
+        states = prop.evolve_grid(prepare_one(init, 64, frame, 1e-14), [t])
         edge = np.sum(np.abs(states.reshape(4, 64)[:, -2:]) ** 2, axis=1)
         first = edge[[j for j, _, _ in prop.pairs[0]]].sum()
         tol = (first + edge.sum()) / 2
@@ -402,7 +427,7 @@ def trajectory():
     frame = derive_squeezed_frame(params)
     n = 48
     h = fock.build_hamiltonian_squeezed(frame, 0.0, 0.0, n)
-    psi0 = fock.prepare_initial(MediatorInit(), n, frame)
+    psi0 = prepare_one(MediatorInit(), n, frame)
     ts = np.linspace(0.0, 2.0 * frame.t_period, 25)
     states = fock.ExactPropagator(h).evolve_grid(psi0, ts)
     dense = kron_hamiltonian_squeezed(frame, 0.0, 0.0, n)
@@ -715,7 +740,7 @@ class TestEnCurves:
         frame = derive_squeezed_frame(params)
         n = 24
         h = fock.build_hamiltonian_squeezed(frame, 0.0, 0.0, n)
-        psi0 = fock.prepare_initial(MediatorInit(), n, frame)
+        psi0 = prepare_one(MediatorInit(), n, frame)
         ts = [0.0, 1.0, 2.0]
         out = fock.en_curves(h, psi0, ts, n, tuple(fock.BIPARTITIONS))
         assert set(out) == {"tp_qubit", "tp_mediator", "qubit_mediator",
@@ -966,16 +991,23 @@ class TestTrajectory:
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
         frame = derive_squeezed_frame(params)
         vacuum = MediatorInit(alpha0=0.0, xi_mag=0.0)
+        [run], [why] = fock.trajectories(
+            [(params, frame, vacuum, [0.0, math.pi], "squeezed")], 8,
+            ("tp_qubit",), 1e-8)
+        assert run is None
         with pytest.raises(CutoffTooSmall, match="trajectory leaks at N = 8"):
-            fock.trajectory(params, frame, vacuum, [0.0, math.pi], 8)
+            raise why
 
     def test_frames_agree_and_states_are_returned(self):
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.05)
         frame = derive_squeezed_frame(params)
         ts = np.linspace(0.0, frame.t_period, 5)
         init = MediatorInit(alpha0=0.5)
-        sq = fock.trajectory(params, frame, init, ts, 48)
-        lab = fock.trajectory(params, frame, init, ts, 96, "lab")
+        [sq], sq_why = fock.trajectories(
+            [(params, frame, init, ts, "squeezed")], 48, ("tp_qubit",), 1e-8)
+        [lab], lab_why = fock.trajectories(
+            [(params, frame, init, ts, "lab")], 96, ("tp_qubit",), 1e-8)
+        assert sq_why == lab_why == [None]
         assert np.max(np.abs(sq["tp_qubit"] - lab["tp_qubit"])) < 1e-6
         assert sq["states"].shape == (5, 4 * 48)
         assert lab["states"].shape == (5, 4 * 96)
@@ -983,8 +1015,9 @@ class TestTrajectory:
     def test_unknown_hamiltonian_label(self):
         params = ModelParams.dimensionless(g_a=0.01, g_b=1.0, F=0.0)
         with pytest.raises(ValueError, match="squeezed"):
-            fock.trajectory(params, derive_squeezed_frame(params),
-                            MediatorInit(), [0.0], 8, "exact")
+            fock.trajectories([(params, derive_squeezed_frame(params),
+                                MediatorInit(), [0.0], "exact")], 8,
+                              ("tp_qubit",), 1e-8)
 
 
 class TestOracleIndependence:

@@ -287,8 +287,8 @@ class TestRunSweep:
         assert np.max(np.abs(res.extras["en_fock"][:2] - res.en[:2])) < 1e-3
         [(idx, note)] = res.invalid_cells
         assert idx == (2,)
-        assert "trajectory leaks at N = 64" in note
-        assert "tail mass 6.400e-04" in note
+        assert note == ("Fock backend: trajectory leaks at N = 64 in one "
+                        "parity group (tail mass 6.400e-04)")
 
     def test_tail_tolerance_reaches_the_fock_cell(self):
         spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.2, 3),),
@@ -304,6 +304,36 @@ class TestRunSweep:
         [(idx, note)] = res.invalid_cells
         assert idx == (2,)
         assert "at N = 64 (tail mass" in note
+
+    def test_fock_cells_run_as_one_batch(self, monkeypatch):
+        """Fitting and leaking cells in one `fock.trajectories` batch: each
+        leaking cell, at F = 0.2, is invalid with its own note, and every
+        other cell is its one-row run, bit for bit."""
+        batches, trajectories = [], fock.trajectories
+        monkeypatch.setattr(fock, "trajectories", lambda rows, *args: (
+            batches.append(len(rows)) or trajectories(rows, *args)))
+        spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.2, 5),
+                                  AxisSpec("alpha0", 0.0, 2.0, 3)),
+                            backend="fock", fock_n=64)
+        fixed = dict(BASE, xi_mag=0.0, gamma=0.1, gamma_tp=0.05)
+        res = run_sweep(spec, fixed)
+        assert batches == [15]
+        assert res.valid[:4].all() and not res.valid[4].any()
+        notes = dict(res.invalid_cells)
+        assert len(set(notes.values())) == 3
+        for idx in np.ndindex(*res.en.shape):
+            params, frame, init, gamma, gamma_tp, t = resolve_cell(
+                merge_cell(fixed, {ax.name: float(ax.values()[i])
+                                   for ax, i in zip(spec.axes, idx)}),
+                spec.time)
+            [run], [why] = trajectories(
+                [(params, frame, init, [t], "squeezed")], 64, (), 1e-8)
+            if why is not None:
+                assert notes[idx] == f"Fock backend: {why}"
+                continue
+            assert res.en[idx] == log_negativity_from_partial_transpose(
+                fock.cut_pt(run["states"], 64, "tp_qubit")
+                * dephasing_mask([t], gamma, gamma_tp))[0]
 
 
 EXTRA_NAMES = ("s", "omega_s", "g_a_s", "g_b_s", "g_eff", "t_eval")
@@ -326,11 +356,13 @@ def per_cell_sweep(spec, fixed, tail_tol=1e-8):
             params, frame, init, gamma, gamma_tp, t = resolve_cell(
                 cell, spec.time)
             if spec.backend == "both":
-                states = fock.trajectory(params, frame, init, [t],
-                                         spec.fock_n, cuts=(),
-                                         tail_tol=tail_tol)["states"]
+                [run], [why] = fock.trajectories(
+                    [(params, frame, init, [t], "squeezed")], spec.fock_n, (),
+                    tail_tol)
+                if why is not None:
+                    raise why
                 extras["en_fock"][idx] = log_negativity_from_partial_transpose(
-                    fock.cut_pt(states, spec.fock_n, "tp_qubit")
+                    fock.cut_pt(run["states"], spec.fock_n, "tp_qubit")
                     * dephasing_mask([t], gamma, gamma_tp))[0]
         except UnstableFrame as exc:
             invalid.append((idx, str(exc)))
@@ -504,6 +536,58 @@ class TestTimeseriesFigure:
         dev = np.max(np.abs(res.curves["base:tp_qubit:analytic"]
                             - res.curves["base:tp_qubit:fock"]))
         assert dev < 1e-3
+
+    def test_fock_variants_run_as_one_batch(self, monkeypatch):
+        """Three variants in one `fock.trajectories` batch: the columns stay
+        variant by variant, and each Fock column is its variant's one-row
+        run, bit for bit."""
+        batches, trajectories = [], fock.trajectories
+        monkeypatch.setattr(fock, "trajectories", lambda rows, *args: (
+            batches.append(len(rows)) or trajectories(rows, *args)))
+        variants = (("F=0", {"F": 0.0}), ("F=0.05", {"F": 0.05}),
+                    ("F=0.1", {"F": 0.1}))
+        spec = DynamicsSection(8.0, 9, backend="both", fock_n=64,
+                               bipartitions=("tp_qubit", "tp_mediator"),
+                               variants=variants)
+        fixed = dict(BASE, xi_mag=0.0)
+        res = timeseries_figure(spec, fixed)
+        assert batches == [3]
+        assert list(res.curves) == [
+            f"{label}:{cut}" for label, _ in variants
+            for cut in ("tp_qubit:analytic", "tp_qubit:fock",
+                        "tp_mediator:fock")]
+        for label, overrides in variants:
+            params, frame, init, gamma, gamma_tp, _ = resolve_cell(
+                merge_cell(fixed, overrides))
+            [run], [why] = trajectories(
+                [(params, frame, init, res.t, "squeezed")], 64,
+                ("tp_mediator",), 1e-8)
+            assert why is None
+            assert np.array_equal(res.curves[f"{label}:tp_mediator:fock"],
+                                  run["tp_mediator"])
+            assert np.array_equal(
+                res.curves[f"{label}:tp_qubit:fock"],
+                log_negativity_from_partial_transpose(
+                    fock.cut_pt(run["states"], 64, "tp_qubit")
+                    * dephasing_mask(res.t, gamma, gamma_tp)))
+
+    def test_first_leaking_variant_is_raised(self):
+        """The second and third variants both leak at N = 64; the second's
+        rejection is the one raised."""
+        variants = (("F=0.1", {"F": 0.1}), ("F=0.2", {"F": 0.2}),
+                    ("F=0.24", {"F": 0.24}))
+        spec = DynamicsSection(8.0, 9, backend="both", fock_n=64,
+                               variants=variants)
+        fixed = dict(BASE, xi_mag=0.0)
+        with pytest.raises(CutoffTooSmall) as exc:
+            timeseries_figure(spec, fixed)
+        params, frame, init, *_ = resolve_cell(merge_cell(fixed, {"F": 0.2}))
+        _, [why] = fock.trajectories(
+            [(params, frame, init, np.linspace(0.0, 8.0, 9), "squeezed")], 64,
+            (), 1e-8)
+        assert str(exc.value) == str(why)
+        assert exc.value.tail_mass == why.tail_mass == pytest.approx(
+            1.540e-02, abs=1e-5)
 
     def test_fock_columns_carry_the_dephasing(self):
         """g_a = 0.3, g_b = 1, F = 0.1, gamma = 0.2: at t_1 and 2 t_1 the
