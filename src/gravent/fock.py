@@ -35,13 +35,13 @@ when mapping squeezed-frame states to the lab mode), so lab-frame checks
 are only sensible for s up to about 1 and the strongly driven regimes
 must be validated in the squeezed frame or in closed form.
 
-Every entry point takes a batch of rows, and one bounded search over a
-batch, `search_cutoff`, chooses every cutoff; its NoConvergence is the
-only way the oracle gives up.  Its rows are the tuples of `fock_overlap`
-or, by `converge_cutoff`, runs of `trajectories`, at one N in the lab or
-the squeezed frame, rejected at their first leaking parity group.
-scipy, needed by this oracle alone, loads on the first `expm` or
-`eig_banded` call.
+Every entry point takes a batch of rows (`prepare_initial` a lone row
+too), and one bounded search over a batch, `search_cutoff`, chooses
+every cutoff; its NoConvergence is the only way the oracle gives up.
+Its rows are the tuples of `fock_overlap` or, by `converge_cutoff`, runs
+of `trajectories`, at one N in the lab or the squeezed frame, rejected
+at their first leaking parity group.  scipy, needed by this oracle
+alone, loads on the first `expm` or `eig_banded` call.
 """
 
 from __future__ import annotations
@@ -230,13 +230,18 @@ def build_hamiltonian_squeezed(frame: SqueezedFrame, omega_a: float,
                         frame.g_a_s * _SZ_A + frame.g_b_s * _SZ_B)
 
 
-def prepare_initial(inits: list[MediatorInit], n: int, frames,
-                    tail_tol: float, lab_modes):
+def prepare_initial(inits, n: int, frames=None, tail_tol: float = 1e-8,
+                    lab_modes=False):
     """(|L> + |R>)/sqrt2 x (|0> + |1>)/sqrt2 x S(xi) |alpha0>, a (rows, 4N)
     stack with a row per init and its frame, and per row the
     CutoffTooSmall that rejects N, or None.  A lab_modes row maps the
     mediator to the lab mode by S(s): one more squeeze, so occupations
-    grow like e^{4s}, out of reach deep in the driven regime."""
+    grow like e^{4s}, out of reach deep in the driven regime.  A lone
+    init, with one frame and lab mode, is one row: its 4N vector, or its
+    rejection raised."""
+    lone = isinstance(inits, MediatorInit)  # as bench/tests calls it
+    if lone:
+        inits, frames, lab_modes = [inits], [frames], [lab_modes]
     if any(lab and f is None for f, lab in zip(frames, lab_modes)):
         raise ValueError("lab_mode requires the frame")
     vec, why = _squeezed_coherent(inits, frames, n, tail_tol)
@@ -248,7 +253,9 @@ def prepare_initial(inits: list[MediatorInit], n: int, frames,
            for w, lab, e in zip(why, lab_modes, _edge(vec))]
     vec = np.array([v / np.linalg.norm(v) if w is None else v
                     for v, w in zip(vec, why)])
-    return np.tile(0.5 * vec, 4), why
+    if lone and why[0]:
+        raise why.pop()  # not held in a cycle by this frame
+    return np.tile(0.5 * vec[0], 4) if lone else (np.tile(0.5 * vec, 4), why)
 
 
 class ExactPropagator:

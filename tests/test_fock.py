@@ -199,6 +199,20 @@ class TestStatePrep:
             assert np.array_equal(row, prepare_one(init, 32, f,
                                                    lab_mode=lab))
 
+    def test_lone_init_is_a_one_row_batch(self):
+        """A lone init is the batch's one row: its vector bit for bit, and
+        its rejection raised rather than returned."""
+        f = derive_squeezed_frame(
+            ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.05))
+        init = MediatorInit(alpha0=0.9, xi_mag=0.3, theta=0.4)
+        for lab in (False, True):
+            assert np.array_equal(
+                fock.prepare_initial(init, 48, f, 1e-8, lab),
+                prepare_one(init, 48, f, lab_mode=lab))
+        with pytest.raises(CutoffTooSmall, match="coherent amplitude 3.0 "
+                           "does not fit in N = 4"):
+            fock.prepare_initial(MediatorInit(alpha0=3.0), 4)
+
     def test_prepare_initial_structure(self):
         f = derive_squeezed_frame(
             ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.05))
