@@ -38,10 +38,12 @@ must be validated in the squeezed frame or in closed form.
 Every entry point takes a batch of rows (`prepare_initial` a lone row
 too), and one bounded search over a batch, `search_cutoff`, chooses
 every cutoff; its NoConvergence is the only way the oracle gives up.
-Its rows are the tuples of `fock_overlap` or, by `converge_cutoff`, runs
-of `trajectories`, at one N in the lab or the squeezed frame, rejected
-at their first leaking parity group.  scipy, needed by this oracle
-alone, loads on the first `expm` or `eig_banded` call.
+Its rows are the tuples of `fock_overlap` or, by `converge_cutoff`, the
+rows (params, init, t_grid, hamiltonian) of `trajectories`, run at one N
+in the lab or the squeezed frame and rejected at their first leaking
+parity group.  A frame reaches this module only as the `ModelParams` it
+is derived from.  scipy, needed by this oracle alone, loads on the first
+`expm` or `eig_banded` call.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .dynamics import MediatorInit
 from .errors import CutoffTooSmall, DimensionMismatch, EigenFailure, \
     NoConvergence
 from .negativity import log_negativity_from_partial_transpose
-from .params import ModelParams, SqueezedFrame, derive_squeezed_frame
+from .params import ModelParams, derive_squeezed_frame
 
 # sigma_a^z = |L><L| - |R><R| in basis [R, L]; sigma_b^z likewise in [0, 1]
 SIGMA_Z = np.diag([-1.0, 1.0])
@@ -170,13 +172,12 @@ def _squeezed_coherent(inits, frames, n: int, tail_tol: float):
 
 
 def displaced_squeezed_vector(shifts, inits: list[MediatorInit], n: int,
-                              frame: SqueezedFrame | None = None,
                               tail_tol: float = 1e-10):
     """D(shift) S(xi) |alpha0> on the cutoff, a row per init of inits and
     a (rows, S) array of shifts: the (rows, S, N) stack and, per row, the
     CutoffTooSmall that rejects N for it, or None when the row fits."""
     shifts = np.asarray(shifts, complex)
-    vec, why = _squeezed_coherent(inits, [frame] * len(inits), n, tail_tol)
+    vec, why = _squeezed_coherent(inits, [None] * len(inits), n, tail_tol)
     vecs = ladder_exp(shifts.reshape(-1), 1,
                       np.repeat(vec, shifts.shape[1], axis=0))
     vecs = vecs.reshape(shifts.shape + (n,))
@@ -187,8 +188,8 @@ def displaced_squeezed_vector(shifts, inits: list[MediatorInit], n: int,
 
 
 def fock_overlap(a_i, a_j, inits: list[MediatorInit],
-                 frame: SqueezedFrame | None = None, tail_tol: float = 1e-10,
-                 n_start: int = 64, n_max: int = 1024) -> np.ndarray:
+                 tail_tol: float = 1e-10, n_start: int = 64,
+                 n_max: int = 1024) -> np.ndarray:
     """Inner products <a_i, zeta | a_j, zeta> by brute truncation of
     equal-length sequences a_i, a_j and inits, each at the first N of one
     `search_cutoff` where both its vectors pass the tail criterion."""
@@ -196,7 +197,7 @@ def fock_overlap(a_i, a_j, inits: list[MediatorInit],
 
     def attempt(n: int, todo: list[int]):
         vecs, why = displaced_squeezed_vector(
-            shifts[todo], [inits[r] for r in todo], n, frame, tail_tol)
+            shifts[todo], [inits[r] for r in todo], n, tail_tol)
         return np.sum(vecs[:, 0].conj() * vecs[:, 1], -1), why
 
     return np.array(search_cutoff(attempt, len(inits), n_start, n_max)[0])
@@ -223,27 +224,29 @@ def build_hamiltonian_lab(params: ModelParams, n: int) -> np.ndarray:
         params.epsilon + params.g_a * _SZ_A + params.g_b * _SZ_B, -params.F)
 
 
-def build_hamiltonian_squeezed(frame: SqueezedFrame, omega_a: float,
-                               omega_b: float, n: int) -> np.ndarray:
+def build_hamiltonian_squeezed(params: ModelParams, n: int) -> np.ndarray:
     """Squeezed-frame Hamiltonian: stiff oscillator, boosted couplings."""
-    return _spin_blocks(n, omega_a * _SZ_A + omega_b * _SZ_B, frame.omega_s,
-                        frame.g_a_s * _SZ_A + frame.g_b_s * _SZ_B)
+    frame = derive_squeezed_frame(params)
+    return _spin_blocks(
+        n, params.omega_a * _SZ_A + params.omega_b * _SZ_B, frame.omega_s,
+        frame.g_a_s * _SZ_A + frame.g_b_s * _SZ_B)
 
 
-def prepare_initial(inits, n: int, frames=None, tail_tol: float = 1e-8,
+def prepare_initial(inits, n: int, params=None, tail_tol: float = 1e-8,
                     lab_modes=False):
     """(|L> + |R>)/sqrt2 x (|0> + |1>)/sqrt2 x S(xi) |alpha0>, a (rows, 4N)
-    stack with a row per init and its frame, and per row the
-    CutoffTooSmall that rejects N, or None.  A lab_modes row maps the
+    stack with a row per init and the params of its frame, and per row
+    the CutoffTooSmall that rejects N, or None.  A lab_modes row maps the
     mediator to the lab mode by S(s): one more squeeze, so occupations
     grow like e^{4s}, out of reach deep in the driven regime.  A lone
-    init, with one frame and lab mode, is one row: its 4N vector, or its
+    init, with one params and lab mode, is one row: its 4N vector, or its
     rejection raised."""
     lone = isinstance(inits, MediatorInit)  # as bench/tests calls it
     if lone:
-        inits, frames, lab_modes = [inits], [frames], [lab_modes]
-    if any(lab and f is None for f, lab in zip(frames, lab_modes)):
-        raise ValueError("lab_mode requires the frame")
+        inits, params, lab_modes = [inits], [params], [lab_modes]
+    if any(lab and p is None for p, lab in zip(params, lab_modes)):
+        raise ValueError("lab_mode requires params to derive its frame from")
+    frames = [None if p is None else derive_squeezed_frame(p) for p in params]
     vec, why = _squeezed_coherent(inits, frames, n, tail_tol)
     vec = ladder_exp([0.5 * f.s if lab else 0.0
                       for f, lab in zip(frames, lab_modes)], 2, vec)
@@ -344,25 +347,25 @@ def en_curves(h: np.ndarray, psi0: np.ndarray, t_grid, n: int,
 
 
 def trajectories(rows, n: int, cuts: tuple[str, ...], tail_tol: float):
-    """Oracle runs at cutoff n of rows (params, frame, init, t_grid,
-    hamiltonian), prepared as one batch: each row's `en_curves`, of its
-    squeezed-frame state under the stiff oscillator ("squeezed") or its
-    lab-mode image under the driven Hamiltonian ("lab"), and the
-    CutoffTooSmall that rejects n for it, from `prepare_initial` or
-    `evolve_grid`, or None."""
-    if any(row[4] not in ("squeezed", "lab") for row in rows):
+    """Oracle runs at cutoff n of rows (params, init, t_grid, hamiltonian),
+    prepared as one batch, each row's frame derived from its params: each
+    row's `en_curves`, of its squeezed-frame state under the stiff
+    oscillator ("squeezed") or its lab-mode image under the driven
+    Hamiltonian ("lab"), and the CutoffTooSmall that rejects n for it,
+    from `prepare_initial` or `evolve_grid`, or None."""
+    if any(row[3] not in ("squeezed", "lab") for row in rows):
         raise ValueError("hamiltonian must be 'squeezed' or 'lab'")
-    psi0, why = prepare_initial([row[2] for row in rows], n,
-                                [row[1] for row in rows], tail_tol,
-                                [row[4] == "lab" for row in rows])
+    psi0, why = prepare_initial([row[1] for row in rows], n,
+                                [row[0] for row in rows], tail_tol,
+                                [row[3] == "lab" for row in rows])
     out = [None] * len(rows)
-    for k, (params, frame, _, t_grid, ham) in enumerate(rows):
+    for k, (params, _, t_grid, ham) in enumerate(rows):
         if why[k] is None:
-            h = build_hamiltonian_lab(params, n) if ham == "lab" else \
-                build_hamiltonian_squeezed(frame, params.omega_a,
-                                           params.omega_b, n)
+            build = build_hamiltonian_lab if ham == "lab" else \
+                build_hamiltonian_squeezed
             try:
-                out[k] = en_curves(h, psi0[k], t_grid, n, cuts, tail_tol)
+                out[k] = en_curves(build(params, n), psi0[k], t_grid, n, cuts,
+                                   tail_tol)
             except CutoffTooSmall as exc:
                 # its traceback would pin the evolution's arrays in a cycle
                 why[k] = exc.with_traceback(None)
@@ -375,13 +378,7 @@ class ConvergenceReport:
     every N tried, each with the first row still left's rejection, if any."""
 
     n: list[int]
-    converged: bool
     steps: list[dict] = field(default_factory=list)
-    message: str = ""
-
-    def as_dict(self) -> dict:
-        return {"n": self.n, "converged": self.converged,
-                "steps": self.steps, "message": self.message}
 
 
 def search_cutoff(attempt, rows: int, n_start: int, n_max: int,
@@ -398,7 +395,7 @@ def search_cutoff(attempt, rows: int, n_start: int, n_max: int,
     n_max raises NoConvergence carrying the report; its message names the
     ceiling and each N tried with the first row still left's rejection.
     """
-    report = ConvergenceReport(n=[0] * rows, converged=False)
+    report = ConvergenceReport(n=[0] * rows)
     out, prev, todo = [None] * rows, [None] * rows, list(range(rows))
     why_at = []  # per N tried, {row: the reason it was rejected there}
     n = n_start
@@ -426,30 +423,22 @@ def search_cutoff(attempt, rows: int, n_start: int, n_max: int,
                 step["rejected"] = why[min(why)]
         todo = [r for r in todo if not report.n[r]]
         if not todo:
-            report.converged = True
-            report.message = (f"fits at N = {n}" if settled is None else
-                              f"converged at N = {n // 2} "
-                              f"(checked against {n})")
             return out, report
         n *= 2
     tried = "; ".join(
         f"N = {s['n']}: {s.get('rejected', 'not confirmed at a larger N')}"
         for s in report.steps)
-    report.message = (f"no cutoff up to the ceiling N = {n_max} passes "
-                      f"({tried})")
-    raise NoConvergence(report.message, report)
+    raise NoConvergence(f"no cutoff up to the ceiling N = {n_max} passes "
+                        f"({tried})", report)
 
 
 def converge_cutoff(rows, tail_tol: float, n_start: int, n_max: int,
                     en_tol: float | None = None,
                     cuts: tuple[str, ...] = ("tp_qubit",)):
     """`search_cutoff` over rows (params, init, t_grid, hamiltonian) of
-    `trajectories`, each row's frame derived from its params: each row's
-    run where it first fits tail_tol or, with en_tol, where its TP-qubit
-    EN curve also agrees with the one at 2N within en_tol at every time,
-    and the report."""
-    rows = [(params, derive_squeezed_frame(params), init, t_grid, ham)
-            for params, init, t_grid, ham in rows]
+    `trajectories`: each row's run where it first fits tail_tol or, with
+    en_tol, where its TP-qubit EN curve also agrees with the one at 2N
+    within en_tol at every time, and the report."""
 
     def attempt(n: int, todo: list[int]):
         return trajectories([rows[r] for r in todo], n, cuts, tail_tol)

@@ -324,8 +324,8 @@ def run_sweep(spec: SweepSection, fixed: dict,
                                     if spec.backend != "analytic" else ())
              if not notes[idx]]
     runs, why = fock.trajectories(
-        [(params, frame, init, [t], "squeezed")
-         for _, params, frame, init, _, _, t in cells],
+        [(params, init, [t], "squeezed")
+         for _, params, _, init, _, _, t in cells],
         spec.fock_n, (), tail_tol) if cells else ((), ())
     for (idx, _, _, _, gamma, gamma_tp, t), run, exc in zip(cells, runs, why):
         if exc is not None:
@@ -418,8 +418,8 @@ def timeseries_figure(spec: DynamicsSection, fixed: dict,
     runs = [None] * len(variants)
     if spec.backend != "analytic":
         runs, why = fock.trajectories(
-            [(params, frame, init, ts, spec.hamiltonian)
-             for _, params, frame, init, *_ in variants], spec.fock_n,
+            [(params, init, ts, spec.hamiltonian)
+             for _, params, _, init, *_ in variants], spec.fock_n,
             tuple(name for name in spec.bipartitions if name != "tp_qubit"),
             tail_tol)
         bad = [k for k, exc in enumerate(why) if exc is not None]

@@ -140,13 +140,15 @@ def check_en_timeseries(params: ModelParams, init: MediatorInit,
 def check_decoupling(params: ModelParams, init: MediatorInit,
                      v: ValidateSection, fock_tail: float,
                      en_convergence: float) -> Check:
-    """Mediator EN vanishes at t_n in the oracle (both mediator cuts)."""
+    """Mediator EN vanishes at t_n in the oracle (both mediator cuts, of
+    the states at the cutoff the TP-qubit search accepts)."""
     frame = derive_squeezed_frame(params)
     t_n = [frame.decoupling_time(1), frame.decoupling_time(2)]
     [curves], rep = fock.converge_cutoff(
-        [(params, init, t_n, "squeezed")], fock_tail, 2, 512, en_convergence,
-        tuple(fock.BIPARTITIONS))
-    dev = float(np.max([curves["tp_mediator"], curves["qubit_mediator"]]))
+        [(params, init, t_n, "squeezed")], fock_tail, 2, 512, en_convergence)
+    dev = float(np.max([log_negativity_from_partial_transpose(
+        fock.cut_pt(curves["states"], rep.n[0], cut))
+        for cut in ("tp_mediator", "qubit_mediator")]))
     return dev, v.en_tol, f"N = {rep.n[0]}, first two decoupling times"
 
 

@@ -19,10 +19,10 @@ def local_rotation(m, t, omega_a, omega_b):
     return partial_transpose(u[:, None] * rho * u.conj(), (2, 2), 1)
 
 
-def prepare_one(init, n, frame=None, tail_tol=1e-8, lab_mode=False):
+def prepare_one(init, n, params=None, tail_tol=1e-8, lab_mode=False):
     """The 4N initial state of a one-row `prepare_initial` batch, or its
     CutoffTooSmall raised."""
-    [psi], [why] = prepare_initial([init], n, [frame], tail_tol, [lab_mode])
+    [psi], [why] = prepare_initial([init], n, [params], tail_tol, [lab_mode])
     if why is not None:
         raise why
     return psi
@@ -61,13 +61,14 @@ def kron_hamiltonian_lab(params, n):
         + params.g_b * _kron3(i2, SIGMA_Z, x)
 
 
-def kron_hamiltonian_squeezed(frame, omega_a, omega_b, n):
+def kron_hamiltonian_squeezed(params, n):
     """Dense squeezed-frame Hamiltonian from Kronecker products."""
+    frame = derive_squeezed_frame(params)
     a = destroy(n)
     x = a + a.conj().T
     i2, inn = np.eye(2), np.eye(n)
-    return omega_a * _kron3(SIGMA_Z, i2, inn) \
-        + omega_b * _kron3(i2, SIGMA_Z, inn) \
+    return params.omega_a * _kron3(SIGMA_Z, i2, inn) \
+        + params.omega_b * _kron3(i2, SIGMA_Z, inn) \
         + frame.omega_s * _kron3(i2, i2, a.conj().T @ a) \
         + frame.g_a_s * _kron3(SIGMA_Z, i2, x) \
         + frame.g_b_s * _kron3(i2, SIGMA_Z, x)

@@ -322,12 +322,12 @@ class TestRunSweep:
         notes = dict(res.invalid_cells)
         assert len(set(notes.values())) == 3
         for idx in np.ndindex(*res.en.shape):
-            params, frame, init, gamma, gamma_tp, t = resolve_cell(
+            params, _, init, gamma, gamma_tp, t = resolve_cell(
                 merge_cell(fixed, {ax.name: float(ax.values()[i])
                                    for ax, i in zip(spec.axes, idx)}),
                 spec.time)
             [run], [why] = trajectories(
-                [(params, frame, init, [t], "squeezed")], 64, (), 1e-8)
+                [(params, init, [t], "squeezed")], 64, (), 1e-8)
             if why is not None:
                 assert notes[idx] == f"Fock backend: {why}"
                 continue
@@ -357,7 +357,7 @@ def per_cell_sweep(spec, fixed, tail_tol=1e-8):
                 cell, spec.time)
             if spec.backend == "both":
                 [run], [why] = fock.trajectories(
-                    [(params, frame, init, [t], "squeezed")], spec.fock_n, (),
+                    [(params, init, [t], "squeezed")], spec.fock_n, (),
                     tail_tol)
                 if why is not None:
                     raise why
@@ -557,11 +557,11 @@ class TestTimeseriesFigure:
             for cut in ("tp_qubit:analytic", "tp_qubit:fock",
                         "tp_mediator:fock")]
         for label, overrides in variants:
-            params, frame, init, gamma, gamma_tp, _ = resolve_cell(
+            params, _, init, gamma, gamma_tp, _ = resolve_cell(
                 merge_cell(fixed, overrides))
             [run], [why] = trajectories(
-                [(params, frame, init, res.t, "squeezed")], 64,
-                ("tp_mediator",), 1e-8)
+                [(params, init, res.t, "squeezed")], 64, ("tp_mediator",),
+                1e-8)
             assert why is None
             assert np.array_equal(res.curves[f"{label}:tp_mediator:fock"],
                                   run["tp_mediator"])
@@ -581,10 +581,10 @@ class TestTimeseriesFigure:
         fixed = dict(BASE, xi_mag=0.0)
         with pytest.raises(CutoffTooSmall) as exc:
             timeseries_figure(spec, fixed)
-        params, frame, init, *_ = resolve_cell(merge_cell(fixed, {"F": 0.2}))
+        params, _, init, *_ = resolve_cell(merge_cell(fixed, {"F": 0.2}))
         _, [why] = fock.trajectories(
-            [(params, frame, init, np.linspace(0.0, 8.0, 9), "squeezed")], 64,
-            (), 1e-8)
+            [(params, init, np.linspace(0.0, 8.0, 9), "squeezed")], 64, (),
+            1e-8)
         assert str(exc.value) == str(why)
         assert exc.value.tail_mass == why.tail_mass == pytest.approx(
             1.540e-02, abs=1e-5)
@@ -630,3 +630,38 @@ class TestTimeseriesFigure:
         res = timeseries_figure(spec, dict(BASE, F=0.0, epsilon=0.5,
                                            xi_mag=0.0))
         assert "base:tp_qubit:fock" in res.curves
+
+
+def _skewed_frame(params):
+    """The squeezed frame with omega_s off by one part in a thousand."""
+    frame = gravent.params.derive_squeezed_frame(params)
+    return dataclasses.replace(frame, omega_s=frame.omega_s * (1.0 + 1e-3))
+
+
+class TestFockCatchesAFrameError:
+    """The Fock oracle derives its frame from the cell's ModelParams, so an
+    error in the closed form's frame shows as analytic-vs-Fock
+    disagreement instead of being copied into both columns."""
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_timeseries_columns(self, monkeypatch, skewed):
+        if skewed:
+            monkeypatch.setattr(gravent.sweep, "derive_squeezed_frame",
+                                _skewed_frame)
+        res = timeseries_figure(
+            DynamicsSection(12.0, 25, backend="both", fock_n=64),
+            dict(BASE, delta=0.5))
+        dev = np.max(np.abs(res.curves["base:tp_qubit:analytic"]
+                            - res.curves["base:tp_qubit:fock"]))
+        assert dev > 1e-3 if skewed else dev < 1e-8
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_sweep_columns(self, monkeypatch, skewed):
+        if skewed:
+            monkeypatch.setattr(gravent.sweep, "derive_squeezed_frame",
+                                _skewed_frame)
+        res = run_sweep(SweepSection(axes=(f_axis(0.0, 0.12, 4),),
+                                     backend="both", fock_n=64), BASE)
+        assert res.valid.all()
+        dev = np.max(np.abs(res.en - res.extras["en_fock"]))
+        assert dev > 1e-4 if skewed else dev < 1e-8
