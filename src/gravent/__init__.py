@@ -17,9 +17,9 @@ from .dynamics import (MediatorInit, BranchState, branch_state,
 from .errors import (GraventError, ConfigError, NegativeSquaredFrequency,
                      UnstableFrame, DimensionMismatch, NonHermitianInput,
                      CutoffTooSmall, EigenFailure, NoConvergence)
-from .negativity import (partial_transpose, partial_trace, log_negativity,
+from .negativity import (partial_transpose, partial_trace,
                          log_negativity_from_partial_transpose,
-                         en_bipartition, trace_norm_hermitian)
+                         en_bipartition)
 from .params import (PhysicalSetup, ModelParams, SqueezedFrame, Check,
                      Report, derive_model_params,
                      derive_squeezed_frame, regime_report)
@@ -41,9 +41,8 @@ __all__ = [
     "GraventError", "ConfigError", "NegativeSquaredFrequency",
     "UnstableFrame", "DimensionMismatch", "NonHermitianInput",
     "CutoffTooSmall", "EigenFailure", "NoConvergence",
-    "partial_transpose", "partial_trace", "log_negativity",
+    "partial_transpose", "partial_trace",
     "log_negativity_from_partial_transpose", "en_bipartition",
-    "trace_norm_hermitian",
     "PhysicalSetup", "ModelParams", "SqueezedFrame", "Check", "Report",
     "derive_model_params", "derive_squeezed_frame", "regime_report",
     "PRESET_NAMES", "SEC5_GOLDEN", "load_preset",

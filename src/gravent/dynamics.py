@@ -182,9 +182,7 @@ def partial_transpose_matrix(frame: SqueezedFrame, init: MediatorInit,
     bs = branch_state(frame, t)
     coef = np.exp(1j * (bs.phi[..., None] * _SIGMA_AB))
     # displacements -lambda conj(alpha_t) have a Weyl phase of exactly 0
-    lam = np.multiply.outer(frame.g_a_s, _SIGMA_A) \
-        + np.multiply.outer(frame.g_b_s, _SIGMA_B)
-    beta = (lam[..., _BRA] - lam[..., _KET]) * np.conj(bs.alpha_t)[..., None]
+    beta = bs.displacements[..., _KET] - bs.displacements[..., _BRA]
     upper = 0.25 * coef[..., _KET] * np.conj(coef[..., _BRA]) \
         * _overlap(beta, complex(init.alpha0), init.xi(frame))
     m = np.full(upper.shape[:-1] + (4, 4), 0.25, complex)

@@ -40,9 +40,10 @@ too), and one bounded search over a batch, `search_cutoff`, chooses
 every cutoff; its NoConvergence is the only way the oracle gives up.
 Its rows are the tuples of `fock_overlap` or, by `converge_cutoff`, the
 rows (params, init, t_grid, hamiltonian) of `trajectories`, run at one N
-in the lab or the squeezed frame and rejected at their first leaking
-parity group.  A frame reaches this module only as the `ModelParams` it
-is derived from.  scipy, needed by this oracle alone, loads on the first
+in the lab or the squeezed frame; an attempt returns, never raises, the
+CutoffTooSmall of a row whose displaced, prepared or evolved state
+leaks.  A frame reaches this module only as the `ModelParams` it is
+derived from.  scipy, needed by this oracle alone, loads on the first
 `expm` or `eig_banded` call.
 """
 
@@ -76,25 +77,18 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
-def eig_banded(band: np.ndarray, lower: bool = False):
-    """scipy's eig_banded; a lower tridiagonal band goes straight to
-    LAPACK's divide and conquer dstevd, with the same eigenpairs."""
-    if not (lower and len(band) == 2):
+def eig_banded(band: np.ndarray):
+    """scipy's eig_banded of a lower band; a tridiagonal one goes straight
+    to LAPACK's divide and conquer dstevd, with the same eigenpairs."""
+    if len(band) != 2:
         from scipy.linalg import eig_banded as scipy_eig_banded
-        return scipy_eig_banded(band, lower=lower)
+        return scipy_eig_banded(band, lower=True)
     from scipy.linalg.lapack import dstevd
     d, e = np.asarray_chkfinite(band, float)
     w, v, info = dstevd(d, e[:max(len(e) - 1, 1)])
     if info:
         raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
     return w, v
-
-
-def destroy(n: int) -> np.ndarray:
-    """Truncated annihilation operator."""
-    if n < 1:
-        raise DimensionMismatch("cutoff must be >= 1")
-    return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
 
 
 def coherent_vector(alpha, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +109,7 @@ def _ladder_modes(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     band = np.zeros((k + 1, n))
     m = np.arange(1.0, n - k + 1)
     band[k, :m.size] = np.sqrt(math.prod(m + i for i in range(k)))
-    w, u = eig_banded(band, lower=True)
+    w, u = eig_banded(band)
     w.flags.writeable = u.flags.writeable = False
     return w, u
 
@@ -172,7 +166,7 @@ def _squeezed_coherent(inits, frames, n: int, tail_tol: float):
 
 
 def displaced_squeezed_vector(shifts, inits: list[MediatorInit], n: int,
-                              tail_tol: float = 1e-10):
+                              tail_tol: float):
     """D(shift) S(xi) |alpha0> on the cutoff, a row per init of inits and
     a (rows, S) array of shifts: the (rows, S, N) stack and, per row, the
     CutoffTooSmall that rejects N for it, or None when the row fits."""
@@ -187,9 +181,8 @@ def displaced_squeezed_vector(shifts, inits: list[MediatorInit], n: int,
     return vecs, why
 
 
-def fock_overlap(a_i, a_j, inits: list[MediatorInit],
-                 tail_tol: float = 1e-10, n_start: int = 64,
-                 n_max: int = 1024) -> np.ndarray:
+def fock_overlap(a_i, a_j, inits: list[MediatorInit], tail_tol: float,
+                 n_start: int = 64, n_max: int = 1024) -> np.ndarray:
     """Inner products <a_i, zeta | a_j, zeta> by brute truncation of
     equal-length sequences a_i, a_j and inits, each at the first N of one
     `search_cutoff` where both its vectors pass the tail criterion."""
@@ -293,7 +286,7 @@ class ExactPropagator:
     def solve(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(w, v) of group k, of shapes (N,) and (N, N)."""
         try:
-            return eig_banded(self._bands[self.pairs[k][0][0]], lower=True)
+            return eig_banded(self._bands[self.pairs[k][0][0]])
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(str(exc)) from exc
 
@@ -387,10 +380,10 @@ def search_cutoff(attempt, rows: int, n_start: int, n_max: int,
     2 n_start, ... <= n_max, and n_start always, even above n_max.
 
     attempt(N, todo) returns the results of the rows todo at N and, per
-    row, the CutoffTooSmall that rejects N for it or None; a raised one
-    rejects N for every row.  A row is accepted at the first N where it
-    fits or, with settled, where settled(prev, cur) of its results at N
-    and 2N gives None, not their deviation, which the rejection quotes.
+    row, the CutoffTooSmall that rejects N for it or None: the one way a
+    row is rejected.  A row is accepted at the first N where it fits or,
+    with settled, where settled(prev, cur) of its results at N and 2N
+    gives None, not their deviation, which the rejection quotes.
     Returns (results, report), report.n each row's accepted N.  Past
     n_max raises NoConvergence carrying the report; its message names the
     ceiling and each N tried with the first row still left's rejection.
@@ -400,10 +393,7 @@ def search_cutoff(attempt, rows: int, n_start: int, n_max: int,
     why_at = []  # per N tried, {row: the reason it was rejected there}
     n = n_start
     while n <= max(n_start, n_max):
-        try:
-            results, why = attempt(n, todo)
-        except CutoffTooSmall as exc:
-            results, why = [None] * len(todo), [str(exc)] * len(todo)
+        results, why = attempt(n, todo)
         report.steps.append({"n": n})
         why_at.append({})
         for r, cur, w in zip(todo, results, why):
@@ -452,7 +442,7 @@ def converge_cutoff(rows, tail_tol: float, n_start: int, n_max: int,
 
 
 __all__ = [
-    "destroy", "coherent_vector", "ladder_exp", "displaced_squeezed_vector",
+    "coherent_vector", "ladder_exp", "displaced_squeezed_vector",
     "fock_overlap", "build_hamiltonian_lab", "build_hamiltonian_squeezed",
     "prepare_initial", "ExactPropagator", "cut_pt", "en_curves",
     "trajectories",

@@ -81,46 +81,27 @@ def partial_trace(state: np.ndarray, dims: Sequence[int],
     return np.einsum("abcb->ac", tensor)
 
 
-def hermitize(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Symmetrize nearly Hermitian (..., n, n) matrices; reject a stack
-    in which any one matrix is skew beyond `tol` relative to its norm."""
+def log_negativity_from_partial_transpose(matrix: np.ndarray):
+    """EN per already partially transposed matrix, a float for one: log2
+    of the trace norm of its Hermitian part, unless any one matrix of the
+    stack is skew beyond HERMITICITY_TOL relative to its own norm."""
     matrix = np.asarray(matrix)
     adj = matrix.swapaxes(-1, -2).conj()
     asym = _frobenius(matrix - adj) / np.maximum(1.0, _frobenius(matrix))
-    if (asym > tol).any():
-        raise NonHermitianInput(
-            f"relative asymmetry {asym.max():.3e} exceeds tolerance {tol:g}")
-    return 0.5 * (matrix + adj)
-
-
-def _frobenius(matrix: np.ndarray) -> np.ndarray:
-    return np.sqrt((matrix * matrix.conj()).real.sum(axis=(-2, -1)))
-
-
-def trace_norm_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL):
-    """Sum of absolute eigenvalues per Hermitian matrix; a float for one."""
-    sym = hermitize(matrix, tol)
+    if (asym > HERMITICITY_TOL).any():
+        raise NonHermitianInput(f"relative asymmetry {asym.max():.3e} "
+                                f"exceeds tolerance {HERMITICITY_TOL:g}")
     try:
-        eigs = np.linalg.eigvalsh(sym)
+        eigs = np.linalg.eigvalsh(0.5 * (matrix + adj))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigenFailure(str(exc)) from exc
-    norm = np.abs(eigs).sum(axis=-1)
-    return float(norm) if norm.ndim == 0 else norm
-
-
-def log_negativity_from_partial_transpose(matrix: np.ndarray,
-                                          tol: float = HERMITICITY_TOL):
-    """EN per already partially transposed matrix; a float for one."""
-    en = np.log2(trace_norm_hermitian(matrix, tol))
+    en = np.log2(np.abs(eigs).sum(axis=-1))
     en = np.where(en < EN_CLAMP, 0.0, en)
     return float(en) if en.ndim == 0 else en
 
 
-def log_negativity(rho: np.ndarray, dims: Sequence[int], subsystem: int,
-                   tol: float = HERMITICITY_TOL) -> float:
-    """EN of `rho` across the cut separating `subsystem` from the rest."""
-    return log_negativity_from_partial_transpose(
-        partial_transpose(rho, dims, subsystem), tol)
+def _frobenius(matrix: np.ndarray) -> np.ndarray:
+    return np.sqrt((matrix * matrix.conj()).real.sum(axis=(-2, -1)))
 
 
 def en_bipartition(state: np.ndarray, dims: Sequence[int],
@@ -154,7 +135,6 @@ def en_bipartition(state: np.ndarray, dims: Sequence[int],
 
 
 __all__ = [
-    "partial_transpose", "partial_trace", "hermitize",
-    "trace_norm_hermitian", "log_negativity",
+    "partial_transpose", "partial_trace",
     "log_negativity_from_partial_transpose", "en_bipartition", "EN_CLAMP",
 ]

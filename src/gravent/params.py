@@ -48,9 +48,11 @@ from .errors import NegativeSquaredFrequency, UnstableFrame
 # when both are supplied.
 CHI_CONSISTENCY_RTOL = 1e-9
 
-# Default minimum surface separation below which Casimir forces would
-# rival gravity for the masses of interest.
+# Minimum surface separation below which Casimir forces would rival
+# gravity for the masses of interest.
 CASIMIR_THRESHOLD = 157e-6  # m
+COULOMB_RATIO_LIMIT = 0.01  # of delta_x / r0 in `regime_report`
+GRAVITY_RATIO_LIMIT = 0.05  # of (d0/2 + delta_x) / d in `regime_report`
 
 
 @dataclass(frozen=True)
@@ -352,10 +354,7 @@ class Report:
                 "checks": [c.as_dict() for c in self.checks]}
 
 
-def regime_report(setup: PhysicalSetup, frame: SqueezedFrame,
-                  casimir_threshold: float = CASIMIR_THRESHOLD,
-                  coulomb_ratio_limit: float = 0.01,
-                  gravity_ratio_limit: float = 0.05) -> Report:
+def regime_report(setup: PhysicalSetup, frame: SqueezedFrame) -> Report:
     """Check that the squeezed mediator stays inside every expansion.
 
     The squeezing enlarges the mediator position spread to
@@ -372,16 +371,16 @@ def regime_report(setup: PhysicalSetup, frame: SqueezedFrame,
     r0 = setup.tip_distance
     if r0 is not None:
         checks.append(Check.bound(
-            "coulomb_expansion", delta_x / r0, coulomb_ratio_limit,
+            "coulomb_expansion", delta_x / r0, COULOMB_RATIO_LIMIT,
             "delta_x / r0 (second-order Coulomb expansion)"))
     checks.append(Check.bound(
         "gravity_expansion", (setup.d0 / 2.0 + delta_x) / setup.d,
-        gravity_ratio_limit, "(d0/2 + delta_x) / d (linearized gravity)"))
+        GRAVITY_RATIO_LIMIT, "(d0/2 + delta_x) / d (linearized gravity)"))
     separation = setup.d - setup.d0 / 2.0 - setup.radius_a - setup.radius_c
     checks.append(Check.bound(
         "casimir_separation",
-        casimir_threshold / separation if separation > 0 else math.inf, 1.0,
-        f"Casimir floor {casimir_threshold:.3e} m / minimum surface "
+        CASIMIR_THRESHOLD / separation if separation > 0 else math.inf, 1.0,
+        f"Casimir floor {CASIMIR_THRESHOLD:.3e} m / minimum surface "
         f"separation {separation:.3e} m"))
     return Report(tuple(checks), {"delta_x": delta_x})
 
@@ -390,4 +389,5 @@ __all__ = [
     "DRIVE_KEYS", "PhysicalSetup", "ModelParams", "SqueezedFrame",
     "Check", "Report", "drive_gap", "derive_model_params",
     "derive_squeezed_frame", "regime_report", "CASIMIR_THRESHOLD",
+    "COULOMB_RATIO_LIMIT", "GRAVITY_RATIO_LIMIT",
 ]

@@ -41,6 +41,7 @@ from .params import Check, ModelParams, Report, derive_squeezed_frame
 # lab oracle cannot represent the initial state at any sane cutoff.
 LAB_FRAME_S_MAX = 1.0
 PT_TAIL = 1e-14  # Fock tail tolerance of check_pt_matrix
+OVERLAP_TAIL = 1e-10  # Fock tail tolerance of check_overlap_closed_form
 
 
 def _check(name: str):
@@ -91,7 +92,7 @@ def check_overlap_closed_form(v: ValidateSection) -> Check:
             alpha0=alpha0, xi_mag=rng.uniform(0.0, 1.0),
             theta=rng.uniform(0.0, 2.0 * math.pi))))
     ana = [displaced_overlap(*t) for t in tuples]
-    orc = fock.fock_overlap(*zip(*tuples), tail_tol=1e-10)
+    orc = fock.fock_overlap(*zip(*tuples), tail_tol=OVERLAP_TAIL)
     worst = float(np.max(np.abs(np.subtract(ana, orc))))
     return worst, v.overlap_tol, f"{v.overlap_samples} randomized tuples"
 

@@ -3,9 +3,23 @@
 import numpy as np
 import pytest
 
-from gravent import MediatorInit, ModelParams, derive_squeezed_frame, \
-    load_preset, partial_transpose
-from gravent.fock import SIGMA_Z, destroy, expm, prepare_initial
+from gravent import DimensionMismatch, MediatorInit, ModelParams, \
+    derive_squeezed_frame, load_preset, \
+    log_negativity_from_partial_transpose, partial_transpose
+from gravent.fock import SIGMA_Z, expm, prepare_initial
+
+
+def destroy(n: int) -> np.ndarray:
+    """Truncated annihilation operator."""
+    if n < 1:
+        raise DimensionMismatch("cutoff must be >= 1")
+    return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
+
+
+def log_negativity(rho, dims, subsystem):
+    """EN of `rho` across the cut separating `subsystem` from the rest."""
+    return log_negativity_from_partial_transpose(
+        partial_transpose(rho, dims, subsystem))
 
 
 def local_rotation(m, t, omega_a, omega_b):

@@ -934,13 +934,16 @@ class TestCliValidate:
         """The search gives up inside every oracle check; none crashes."""
         from gravent import CutoffTooSmall, fock
 
-        def never_fits(n):
-            raise CutoffTooSmall(f"no room at N = {n}", 1.0)
+        def never_fits(vectors, n):
+            """Every row's rejection returned, as the real batches do."""
+            return vectors, [CutoffTooSmall(f"no room at N = {n}", 1.0)
+                             ] * len(vectors)
 
-        monkeypatch.setattr(fock, "prepare_initial",
-                            lambda init, n, *a, **k: never_fits(n))
+        monkeypatch.setattr(fock, "prepare_initial", lambda inits, n, *a, **k:
+                            never_fits(np.zeros((len(inits), 4 * n)), n))
         monkeypatch.setattr(fock, "displaced_squeezed_vector",
-                            lambda shift, init, n, *a, **k: never_fits(n))
+                            lambda shifts, inits, n, *a, **k: never_fits(
+                                np.zeros(np.shape(shifts) + (n,)), n))
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(self._tiny_validate_config()))
         rc = main(["validate", "--config", str(cfg_path), "--out",

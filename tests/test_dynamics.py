@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gravent import (MediatorInit, ModelParams, dephasing_mask,
                      en_at_decoupling, en_timeseries, load_preset,
                      log_negativity_from_partial_transpose,
                      partial_transpose, partial_transpose_matrix)
+from gravent import dynamics
 from gravent.config import resolve_si
 from gravent.dynamics import branch_state
 
@@ -147,6 +149,19 @@ class TestPartialTransposeMatrix:
         assert np.array_equal(m, m.conj().T)
         assert np.array_equal(np.diag(m), np.full(4, 0.25))
         assert np.trace(m) == 1.0
+
+    def test_coherences_follow_the_branch_displacements(self, monkeypatch):
+        """-lambda alpha_t in place of -lambda conj(alpha_t) in
+        `branch_state` must move the matrix, not only BranchState."""
+        f, init, t = frame_for(), MediatorInit(), 2.7
+        m = partial_transpose_matrix(f, init, t)
+
+        def conjugated(frame, t):
+            bs = branch_state(frame, t)
+            return replace(bs, displacements=bs.displacements.conj())
+
+        monkeypatch.setattr(dynamics, "branch_state", conjugated)
+        assert np.max(np.abs(partial_transpose_matrix(f, init, t) - m)) > 0.01
 
     @given(g_a=st.floats(1e-3, 0.1), g_b=st.floats(0.1, 2.0),
            F=st.floats(0.0, 0.24), alpha0=complex_amp,

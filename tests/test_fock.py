@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import (band_to_dense, displacement_matrix,
+from conftest import (band_to_dense, destroy, displacement_matrix,
                       kron_hamiltonian_lab, kron_hamiltonian_squeezed,
                       prepare_one, squeeze_matrix)
 from hypothesis import example, given, settings
@@ -22,20 +22,20 @@ from gravent import fock
 
 class TestOperators:
     def test_annihilation_matrix_elements(self):
-        a = fock.destroy(5)
+        a = destroy(5)
         for n in range(1, 5):
             assert a[n - 1, n] == pytest.approx(math.sqrt(n))
         assert np.count_nonzero(a) == 4
 
     def test_commutator_away_from_the_edge(self):
         n = 12
-        a = fock.destroy(n)
+        a = destroy(n)
         c = a @ a.conj().T - a.conj().T @ a
         assert np.allclose(np.diag(c)[:-1], 1.0, atol=1e-14)
 
     def test_cutoff_must_be_positive(self):
         with pytest.raises(DimensionMismatch):
-            fock.destroy(0)
+            destroy(0)
 
     def test_displacement_is_unitary(self):
         d = displacement_matrix(0.4 - 0.7j, 24)
@@ -68,7 +68,7 @@ class TestOperators:
         rng = np.random.default_rng(seed)
         vec = rng.normal(size=n) + 1j * rng.normal(size=n)
         vec /= np.linalg.norm(vec)
-        ak = np.linalg.matrix_power(fock.destroy(n), k)
+        ak = np.linalg.matrix_power(destroy(n), k)
         want = scipy.linalg.expm(z * ak.conj().T - np.conj(z) * ak) @ vec
         got = fock.ladder_exp(z, k, vec)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -94,7 +94,7 @@ class TestOperators:
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         got = fock.ladder_exp(zs, k, vecs)
         assert got.shape == vecs.shape
-        ak = np.linalg.matrix_power(fock.destroy(n), k)
+        ak = np.linalg.matrix_power(destroy(n), k)
         for z, vec, row in zip(zs, vecs, got):
             np.testing.assert_allclose(row, fock.ladder_exp(z, k, vec),
                                        rtol=0, atol=1e-14)
@@ -120,7 +120,7 @@ class TestOperators:
         monkeypatch.setattr(fock, "expm", no_expm)
         params = ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.05)
         init = MediatorInit(alpha0=0.5 + 0.2j, xi_mag=0.3, theta=1.0)
-        fock.fock_overlap([0.3], [-0.4j], [init])
+        fock.fock_overlap([0.3], [-0.4j], [init], tail_tol=1e-10)
         _, [why] = fock.trajectories(
             [(params, init, [0.0, 1.0], "lab")], 64, ("tp_qubit",), 1e-8)
         assert why is None
@@ -231,7 +231,7 @@ class TestOverlapOracle:
         for a_i, a_j in [(0.3, -0.4), (1.0 + 1.0j, -0.5j),
                          (0.0, 0.9 - 0.3j)]:
             ana = displaced_overlap(a_i, a_j, init)
-            [orc] = fock.fock_overlap([a_i], [a_j], [init])
+            [orc] = fock.fock_overlap([a_i], [a_j], [init], tail_tol=1e-10)
             assert abs(ana - orc) < 1e-8
 
     def test_validate_batch_equals_single_tuple_calls(self, monkeypatch):
@@ -274,7 +274,8 @@ class TestOverlapOracle:
     def test_gives_up_past_the_cap(self):
         init = MediatorInit(alpha0=12.0, xi_mag=1.5, theta=0.0)
         with pytest.raises(NoConvergence) as exc:
-            fock.fock_overlap([20.0], [-20.0], [init], n_start=16, n_max=64)
+            fock.fock_overlap([20.0], [-20.0], [init], tail_tol=1e-10,
+                              n_start=16, n_max=64)
         assert [s["n"] for s in exc.value.report.steps] == [16, 32, 64]
 
 
@@ -420,8 +421,8 @@ class TestPtMatrixOracle:
         from gravent.config import ValidateSection
         validate.check_pt_matrix(ValidateSection())
         calls, solve = [], fock.eig_banded
-        monkeypatch.setattr(fock, "eig_banded", lambda band, lower=False: (
-            calls.append(band.shape[1]) or solve(band, lower=lower)))
+        monkeypatch.setattr(fock, "eig_banded", lambda band: (
+            calls.append(band.shape[1]) or solve(band)))
         assert validate.check_pt_matrix(ValidateSection()).passed
         assert {n: calls.count(n) for n in set(calls)} == {64: 29, 128: 17,
                                                            256: 10}
@@ -577,7 +578,7 @@ class TestTridiagonalSolver:
         """dstevd takes the subdiagonal alone (length max(N - 1, 1)); the
         unused last entry of the band's second row stays unread."""
         band = np.random.default_rng(seed).normal(size=(2, n))
-        w, v = fock.eig_banded(band, lower=True)
+        w, v = fock.eig_banded(band)
         want_w, want_v = scipy.linalg.eig_banded(band, lower=True)
         assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
 
@@ -585,7 +586,7 @@ class TestTridiagonalSolver:
         band = np.ones((2, 4))
         band[0, 2] = np.nan
         with pytest.raises(ValueError):
-            fock.eig_banded(band, lower=True)
+            fock.eig_banded(band)
 
 
 PROPAGATOR_SOLVE = fock.ExactPropagator.solve.__code__
@@ -595,13 +596,13 @@ def _count_eig_banded(monkeypatch):
     """Record the band shape of each eig_banded call of a propagator."""
     calls, solve = [], fock.eig_banded
 
-    def counting(band, lower=False):
+    def counting(band):
         frame = sys._getframe(1)
         while frame and frame.f_code is not PROPAGATOR_SOLVE:
             frame = frame.f_back
         if frame:
             calls.append(band.shape)
-        return solve(band, lower=lower)
+        return solve(band)
 
     monkeypatch.setattr(fock, "eig_banded", counting)
     return calls
@@ -791,9 +792,10 @@ class TestConvergeCutoff:
         from gravent.validate import check_pt_matrix
         tried = []
 
-        def never_fits(init, n, *args, **kwargs):
+        def never_fits(inits, n, *args, **kwargs):
             tried.append(n)
-            raise CutoffTooSmall(f"no room at N = {n}", 1.0)
+            return (np.zeros((len(inits), 4 * n), complex),
+                    [CutoffTooSmall(f"no room at N = {n}", 1.0)] * len(inits))
 
         monkeypatch.setattr(fock, "prepare_initial", never_fits)
         result = check_pt_matrix(ValidateSection(pt_samples=3))
@@ -810,7 +812,8 @@ class TestConvergeCutoff:
 
         def never_fits(rows, n, *args, **kwargs):
             tried.append(n)
-            raise CutoffTooSmall(f"no room at N = {n}", 1.0)
+            return ([None] * len(rows),
+                    [CutoffTooSmall(f"no room at N = {n}", 1.0)] * len(rows))
 
         monkeypatch.setattr(fock, "trajectories", never_fits)
         params = ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.1)
@@ -934,22 +937,6 @@ class TestSearchCutoff:
             "differs from N = 4 by 2.00e+00",
             "differs from N = 8 by 4.00e+00",
             "differs from N = 16 by 8.00e+00", None, None]
-
-    def test_a_raised_cutoff_too_small_rejects_n_for_every_row(self):
-        def attempt(n, todo):
-            if n == 4:
-                raise CutoffTooSmall(f"nothing fits at N = {n}", 0.5)
-            return [n] * len(todo), [None] * len(todo)
-
-        result, rep = fock.search_cutoff(attempt, 3, 4, 64)
-        assert result == rep.n == [8, 8, 8]
-        assert rep.steps[0]["rejected"] == \
-            "nothing fits at N = 4 (tail mass 5.000e-01)"
-        # with settled, it also drops each row's result at the N before
-        result, rep = fock.search_cutoff(attempt, 2, 2, 64,
-                                         settled=lambda prev, cur: None)
-        assert result == rep.n == [8, 8]
-        assert "rejected" not in rep.steps[0]
 
     def test_start_above_the_ceiling_with_several_rows(self):
         tried = []
