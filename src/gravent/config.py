@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import itertools
 import json
 import sys
@@ -278,10 +277,19 @@ def serialize_config(cfg: RunConfig) -> dict:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """16-hex-char digest of the canonical serialized form."""
+    """16-hex-char SHA-256 digest of the canonical serialized form, by
+    CPython's own SHA-256 module; hashlib's, which loads OpenSSL (3.6 MB
+    resident), serves only a build without it."""
+    try:
+        if sys.version_info >= (3, 12):  # no failed import on every call
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
     blob = json.dumps(serialize_config(cfg), sort_keys=True,
                       separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 def _system(cfg: RunConfig) -> DimensionlessSystem:

@@ -345,14 +345,20 @@ def trajectories(rows, n: int, cuts: tuple[str, ...], tail_tol: float):
     row's `en_curves`, of its squeezed-frame state under the stiff
     oscillator ("squeezed") or its lab-mode image under the driven
     Hamiltonian ("lab"), and the CutoffTooSmall that rejects n for it,
-    from `prepare_initial` or `evolve_grid`, or None."""
+    from `prepare_initial` or `evolve_grid`, or None.  Rows equal in all
+    four, as dephasing variants are, run once: each gets that run's
+    rejection and a dict of its own over the same arrays."""
     if any(row[3] not in ("squeezed", "lab") for row in rows):
         raise ValueError("hamiltonian must be 'squeezed' or 'lab'")
-    psi0, why = prepare_initial([row[1] for row in rows], n,
-                                [row[0] for row in rows], tail_tol,
-                                [row[3] == "lab" for row in rows])
-    out = [None] * len(rows)
-    for k, (params, _, t_grid, ham) in enumerate(rows):
+    slot = {}  # each distinct row, by value, to its index in distinct
+    which = [slot.setdefault((p, i, np.asarray(t, float).tobytes(), h),
+                             len(slot)) for p, i, t, h in rows]
+    distinct = list(dict(zip(which, rows)).values())
+    psi0, why = prepare_initial([row[1] for row in distinct], n,
+                                [row[0] for row in distinct], tail_tol,
+                                [row[3] == "lab" for row in distinct])
+    out = [None] * len(distinct)
+    for k, (params, _, t_grid, ham) in enumerate(distinct):
         if why[k] is None:
             build = build_hamiltonian_lab if ham == "lab" else \
                 build_hamiltonian_squeezed
@@ -362,7 +368,7 @@ def trajectories(rows, n: int, cuts: tuple[str, ...], tail_tol: float):
             except CutoffTooSmall as exc:
                 # its traceback would pin the evolution's arrays in a cycle
                 why[k] = exc.with_traceback(None)
-    return out, why
+    return [out[j] and dict(out[j]) for j in which], [why[j] for j in which]
 
 
 @dataclass

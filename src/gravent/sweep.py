@@ -422,9 +422,9 @@ def timeseries_figure(spec: DynamicsSection, fixed: dict,
              for _, params, _, init, *_ in variants], spec.fock_n,
             tuple(name for name in spec.bipartitions if name != "tp_qubit"),
             tail_tol)
-        bad = [k for k, exc in enumerate(why) if exc is not None]
-        if bad:
-            raise why.pop(bad[0])  # not held in a cycle by this frame
+        why = list(dict.fromkeys(filter(None, why)))  # a shared one once
+        if why:
+            raise why.pop(0)  # not held in a cycle by this frame
         meta["fock_n"] = spec.fock_n
     for (label, _, frame, init, gamma, gamma_tp, _), data in zip(variants,
                                                                 runs):

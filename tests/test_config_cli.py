@@ -33,6 +33,14 @@ MINIMAL = {
 }
 
 
+# every preset's config_hash, which each result file's provenance carries
+PRESET_HASHES = {
+    "fig2": "190447f35560c3bb", "fig3a": "278cdc2ab7399329",
+    "fig3b": "eaa1be44527ed8db", "fig4": "54947d380e9e5d77",
+    "fig5": "0bceb45baddf9ccc", "fig6": "c3178ae68deacdb5",
+    "sec5-feasibility": "6da2e509c7df082c"}
+
+
 def cfg_with(**sections):
     data = json.loads(json.dumps(MINIMAL))
     data.update(sections)
@@ -608,6 +616,20 @@ class TestRoundTrip:
         other = parse_config(cfg_with(label="renamed"))
         assert config_hash(other) != h1
 
+    def test_preset_hashes_are_pinned(self):
+        assert {name: config_hash(load_preset(name))
+                for name in PRESET_NAMES} == PRESET_HASHES
+
+    def test_every_sha256_module_gives_the_same_digest(self, monkeypatch):
+        """CPython's own module (`_sha2` from 3.12, `_sha256` before) and
+        hashlib's fallback hash alike."""
+        cfg = load_preset("sec5-feasibility")
+        digests = [config_hash(cfg)]
+        for module in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, module, None)
+            digests.append(config_hash(cfg))
+        assert digests == [PRESET_HASHES["sec5-feasibility"]] * 3
+
 
 class TestResolvers:
     def test_base_cell_carries_the_drive_form(self):
@@ -1146,18 +1168,20 @@ for args in ("sweep --preset fig2", "dynamics --preset fig3b",
              "feasibility --preset sec5-feasibility --golden"):
     assert main([*args.split(), "--out", out]) == 0, args
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+openssl = "_hashlib" in sys.modules
 assert main(["dynamics", "--preset", "fig3a", "--out", out]) == 0
-print(loaded, "scipy.linalg" in sys.modules)
+print(loaded, openssl, "scipy.linalg" in sys.modules)
 """
 
 
 def test_closed_form_commands_never_load_scipy(tmp_path):
-    """A fresh interpreter runs every closed-form command without scipy;
-    the Fock backend of fig3a then loads it on first use."""
+    """A fresh interpreter runs every closed-form command without scipy
+    and without OpenSSL's `_hashlib`; the Fock backend of fig3a then
+    loads scipy on first use."""
     src = str(Path(gravent.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", CLOSED_FORM_ONLY,
                            str(tmp_path)], capture_output=True, text=True,
                           env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[] True"
+    assert done.stdout.splitlines()[-1] == "[] False True"

@@ -992,6 +992,26 @@ class TestTrajectory:
         assert sq["states"].shape == (5, 4 * 48)
         assert lab["states"].shape == (5, 4 * 96)
 
+    def test_equal_rows_share_a_run_in_dicts_of_their_own(self):
+        """Rows equal in params, init, t_grid and hamiltonian are evolved
+        once; each gets its own dict over the same arrays, or the same
+        rejection."""
+        params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.05)
+        ts = np.linspace(0.0, 2.0, 3)
+        init, wide = MediatorInit(alpha0=0.5), MediatorInit(alpha0=6.0)
+        rows = [(params, init, ts, "squeezed"), (params, wide, ts, "lab"),
+                (params, init, list(ts), "squeezed"),
+                (params, wide, ts, "lab")]
+        runs, why = fock.trajectories(rows, 48, ("tp_qubit",), 1e-8)
+        assert why[0] is why[2] is None
+        assert runs[0] is not runs[2]
+        assert runs[0]["states"] is runs[2]["states"]
+        runs[0]["tp_qubit"] = None
+        assert runs[2]["tp_qubit"] is not None
+        assert runs[1] is runs[3] is None
+        assert "does not fit in N = 48" in str(why[1])
+        assert str(why[3]) == str(why[1])
+
     def test_unknown_hamiltonian_label(self):
         params = ModelParams.dimensionless(g_a=0.01, g_b=1.0, F=0.0)
         with pytest.raises(ValueError, match="squeezed"):

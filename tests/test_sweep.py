@@ -1,6 +1,7 @@
 """Sweep engine: grids, time rules, rate extraction, time-series tables."""
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -335,6 +336,24 @@ class TestRunSweep:
                 fock.cut_pt(run["states"], 64, "tp_qubit")
                 * dephasing_mask([t], gamma, gamma_tp))[0]
 
+    def test_cells_that_differ_in_dephasing_share_one_run(self, monkeypatch):
+        """F (2 values) x gamma (3 values) makes as many eigensolves as F
+        alone, each F's trajectory dephased per gamma into the values of
+        the per-cell loop."""
+        solves, solve = [], fock.ExactPropagator.solve
+        monkeypatch.setattr(fock.ExactPropagator, "solve", lambda self, k: (
+            solves.append(k) or solve(self, k)))
+        drive = AxisSpec("F", 0.0, 0.1, 2)
+        run_sweep(SweepSection(axes=(drive,), backend="both", fock_n=64),
+                  BASE)
+        alone = len(solves)
+        spec = SweepSection(axes=(drive, AxisSpec("gamma", 0.0, 0.2, 3)),
+                            backend="both", fock_n=64)
+        res = run_sweep(spec, BASE)
+        assert len(solves) == 2 * alone > 0
+        assert res.valid.all()
+        assert_same_sweep(res, *per_cell_sweep(spec, BASE))
+
 
 EXTRA_NAMES = ("s", "omega_s", "g_a_s", "g_b_s", "g_eff", "t_eval")
 
@@ -588,6 +607,52 @@ class TestTimeseriesFigure:
         assert str(exc.value) == str(why)
         assert exc.value.tail_mass == why.tail_mass == pytest.approx(
             1.540e-02, abs=1e-5)
+
+    def test_variants_that_differ_in_dephasing_share_a_trajectory(
+            self, monkeypatch):
+        """Two gamma variants evolve one trajectory, and their columns are
+        those of each variant run alone."""
+        evolved, evolve = [], fock.ExactPropagator.evolve_grid
+        monkeypatch.setattr(fock.ExactPropagator, "evolve_grid", lambda *a: (
+            evolved.append(1) or evolve(*a)))
+        variants = (("g=0", {"gamma": 0.0}), ("g=0.2", {"gamma": 0.2}))
+        fixed = dict(BASE, F=0.1)
+        res = timeseries_figure(DynamicsSection(8.0, 9, backend="both",
+                                                fock_n=64, variants=variants),
+                                fixed)
+        assert len(evolved) == 1
+        alone = {}
+        for variant in variants:
+            alone.update(timeseries_figure(DynamicsSection(
+                8.0, 9, backend="both", fock_n=64, variants=(variant,)),
+                fixed).curves)
+        assert list(res.curves) == list(alone)
+        for name, curve in alone.items():
+            assert np.array_equal(res.curves[name], curve), name
+
+    def test_a_rejected_shared_trajectory_leaves_no_exception_cycle(self):
+        """With the collector off, raising the rejection that two variants
+        share leaves nothing for it to find."""
+        variants = (("g=0", {"gamma": 0.0}), ("g=0.1", {"gamma": 0.1}))
+        spec = DynamicsSection(8.0, 9, backend="both", fock_n=64,
+                               variants=variants)
+        fixed = dict(BASE, F=0.2, xi_mag=0.0)
+
+        def rejected():
+            try:
+                timeseries_figure(spec, fixed)
+            except CutoffTooSmall as exc:
+                return str(exc)
+
+        assert "leaks at N = 64" in rejected()
+        gc.collect()
+        gc.disable()
+        try:
+            rejected()
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
 
     def test_fock_columns_carry_the_dephasing(self):
         """g_a = 0.3, g_b = 1, F = 0.1, gamma = 0.2: at t_1 and 2 t_1 the
