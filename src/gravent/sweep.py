@@ -4,16 +4,16 @@ Grids are specified in units of the modified mediator frequency
 (omega_tilde = 1).  Axes may move the drive itself; cells that land at or
 beyond the instability are marked invalid rather than zeroed, and the
 sweep keeps going.  Cells that share the drive and the initial state are
-evaluated together, in one closed-form kernel call; the Fock backend
-cross-checks small grids in one oracle batch, and a cell whose state or
-trajectory does not fit its cutoff is marked invalid too.
+resolved once, as a group, for one closed-form kernel call; the Fock
+backend takes one row per cell from those groups into one oracle batch
+and one EN call, and marks invalid a cell that does not fit its cutoff.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -254,9 +254,8 @@ def phase_time(cycles: float, frame):
                       "g_eff t past the largest float")
 
 
-def _fock_tp_qubit_en(states: np.ndarray, n: int, ts, gamma: float,
-                      gamma_tp: float) -> np.ndarray:
-    """Dephased TP-qubit EN of Fock states, one row per time of ts."""
+def _fock_tp_qubit_en(states, n: int, ts, gamma, gamma_tp) -> np.ndarray:
+    """Dephased TP-qubit EN of each Fock state at its time and rates."""
     return log_negativity_from_partial_transpose(
         fock.cut_pt(states, n, "tp_qubit")
         * dephasing_mask(ts, gamma, gamma_tp))
@@ -273,11 +272,11 @@ class SweepResult:
     meta: dict = field(default_factory=dict)
 
 
-def _groups(axes: tuple[AxisSpec, ...], axes_vals, broadcast=()):
-    """(index, overrides) per group of cells that differ only along the
-    axes named in broadcast: their overrides are open grids, the other
-    axes' overrides one value each."""
-    wide = [ax.name in broadcast for ax in axes]
+def _groups(axes: tuple[AxisSpec, ...], axes_vals):
+    """(index, overrides) per group of cells that differ only along
+    BROADCAST_AXES: their overrides are open grids, the other axes'
+    overrides one value each."""
+    wide = [ax.name in BROADCAST_AXES for ax in axes]
     keep = tuple(slice(None) if w else 0 for w in wide)
     grids = [g[keep] for g in np.meshgrid(*axes_vals, indexing="ij",
                                           sparse=True)]
@@ -295,9 +294,9 @@ def run_sweep(spec: SweepSection, fixed: dict,
     fixed holds the cell parameters the axes do not set; a drive axis
     evicts its drive.  One resolve and one kernel call per group of cells
     that differ only along BROADCAST_AXES give EN and the frame extras;
-    the Fock backend then runs its valid cells as one batch of
-    `fock.trajectories`, and marks a cell invalid once its state holds
-    more than tail_tol in the top two Fock levels.
+    the Fock backend splits those groups into a row per cell, for one
+    `fock.trajectories` batch and one EN call, and marks a cell invalid
+    once its state holds more than tail_tol in its top two Fock levels.
     """
     axes_vals = tuple(ax.values() for ax in spec.axes)
     shape = tuple(len(v) for v in axes_vals)
@@ -307,9 +306,11 @@ def run_sweep(spec: SweepSection, fixed: dict,
     extras = {name: np.full(shape, np.nan) for name in extra_names}
     if spec.backend == "both":
         extras["en_fock"] = np.full(shape, np.nan)
-    for sel, overrides in _groups(spec.axes, axes_vals, BROADCAST_AXES):
+    flat = np.arange(en.size).reshape(shape)
+    rows, cols = [], []  # per cell its Fock row, per group its columns
+    for sel, overrides in _groups(spec.axes, axes_vals):
         try:
-            _, frame, init, gamma, gamma_tp, t = resolve_cell(
+            params, frame, init, gamma, gamma_tp, t = resolve_cell(
                 merge_cell(fixed, overrides), spec.time)
         except UnstableFrame as exc:
             notes[sel] = str(exc)
@@ -319,20 +320,19 @@ def run_sweep(spec: SweepSection, fixed: dict,
         if spec.backend != "fock":
             en[sel] = log_negativity_from_partial_transpose(
                 partial_transpose_matrix(frame, init, t, gamma, gamma_tp))
-    cells = [(idx, *resolve_cell(merge_cell(fixed, overrides), spec.time))
-             for idx, overrides in (_groups(spec.axes, axes_vals)
-                                    if spec.backend != "analytic" else ())
-             if not notes[idx]]
-    runs, why = fock.trajectories(
-        [(params, init, [t], "squeezed")
-         for _, params, _, init, _, _, t in cells],
-        spec.fock_n, (), tail_tol) if cells else ((), ())
-    for (idx, _, _, _, gamma, gamma_tp, t), run, exc in zip(cells, runs, why):
-        if exc is not None:
-            notes[idx] = f"Fock backend: {exc}"
-        else:
-            extras.get("en_fock", en)[idx] = _fock_tp_qubit_en(
-                run["states"], spec.fock_n, [t], gamma, gamma_tp)[0]
+        if spec.backend != "analytic":  # a Fock row per cell of the group
+            cols.append([np.ravel(c) for c in np.broadcast_arrays(
+                flat[sel], params.g_a, params.g_b, gamma, gamma_tp, t)])
+            rows += [(replace(params, g_a=a, g_b=b), init, [u], "squeezed")
+                     for _, a, b, _, _, u in zip(*cols[-1])]
+    if rows:  # one oracle batch, and one reduction of its accepted cells
+        runs, why = fock.trajectories(rows, spec.fock_n, (), tail_tol)
+        k, _, _, gamma, gamma_tp, t = map(np.concatenate, zip(*cols))
+        notes.flat[k] = [f"Fock backend: {e}" if e else "" for e in why]
+        ok = notes.flat[k] == ""
+        extras.get("en_fock", en).flat[k[ok]] = _fock_tp_qubit_en(
+            np.array([run["states"][0] for run in runs if run]),
+            spec.fock_n, t[ok], gamma[ok], gamma_tp[ok])
     valid = notes == ""
     for values in (en, *extras.values()):
         values[~valid] = np.nan

@@ -408,6 +408,7 @@ def assert_same_sweep(res, en, extras, invalid):
 
 
 F_ACROSS = AxisSpec("F", 0.1, 0.3, 5)   # 0.25 is stable no more
+F_LEAKS = AxisSpec("F", 0.0, 0.26, 3)   # 0.13 leaks at N = 32, 0.26 unstable
 
 
 class TestGroupedSweep:
@@ -438,23 +439,49 @@ class TestGroupedSweep:
         if F_ACROSS in axes:
             assert res.invalid_cells and not res.valid.all()
 
-    @pytest.mark.parametrize("axes", [
-        (AxisSpec("F", 0.0, 0.26, 3), AxisSpec("gamma", 0.0, 0.2, 2)),
-        (AxisSpec("gamma", 0.0, 0.2, 2), AxisSpec("F", 0.0, 0.26, 3)),
-    ], ids=["F-gamma", "gamma-F"])
-    def test_both_backend_equals_the_per_cell_loop(self, axes):
-        """At N = 32 the middle drive leaks and the last one is unstable;
-        a Fock-invalid cell keeps NaN extras."""
+    @pytest.mark.parametrize("axes,leaks", [
+        ((F_LEAKS, AxisSpec("gamma", 0.0, 0.2, 2)), 2),
+        ((AxisSpec("gamma", 0.0, 0.2, 2), F_LEAKS), 2),
+        ((F_LEAKS, AxisSpec("g_a", 0.01, 0.3, 2)), 2),
+        ((AxisSpec("g_a", 0.01, 0.3, 2), F_LEAKS), 2),
+        ((F_LEAKS, AxisSpec("g_b", 0.5, 1.0, 2)), 1),
+        ((AxisSpec("g_b", 0.5, 1.0, 2), F_LEAKS), 1),
+        ((F_LEAKS, AxisSpec("t", 1.0, 6.0, 2)), 1),
+        ((AxisSpec("t", 1.0, 6.0, 2), F_LEAKS), 1),
+    ], ids=["F-gamma", "gamma-F", "F-g_a", "g_a-F", "F-g_b", "g_b-F", "F-t",
+            "t-F"])
+    def test_both_backend_equals_the_per_cell_loop(self, axes, leaks):
+        """At N = 32 the middle drive leaks, at both couplings g_a but only
+        at the larger g_b or t, and the last one is unstable; each group
+        of a broadcast axis splits into a Fock row per cell, and a
+        Fock-invalid cell keeps NaN extras."""
         spec = SweepSection(axes=axes, backend="both", fock_n=32)
         fixed = dict(BASE, xi_mag=0.0)
         res = run_sweep(spec, fixed)
         assert_same_sweep(res, *per_cell_sweep(spec, fixed))
-        leaks = [idx for idx, note in res.invalid_cells
+        found = [idx for idx, note in res.invalid_cells
                  if note.startswith("Fock backend: trajectory leaks")]
-        assert len(leaks) == 2 and len(res.invalid_cells) == 4
-        for idx in leaks:
+        assert len(found) == leaks and len(res.invalid_cells) == leaks + 2
+        for idx in found:
             assert np.isnan(res.en[idx])
             assert all(np.isnan(v[idx]) for v in res.extras.values())
+
+    def test_fock_rows_come_from_the_groups(self, monkeypatch):
+        """fig4's grid on backend "both" at N = 64: one resolve_cell per
+        group of 41 damping rates, 49 in all, and one cut_pt for the 1,312
+        cells the oracle accepts."""
+        calls = {"resolve_cell": 0, "cut_pt": 0}
+        for module, name in ((gravent.sweep, "resolve_cell"),
+                             (fock, "cut_pt")):
+            def counting(*args, real=getattr(module, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, counting)
+        cfg = load_preset("fig4")
+        res = run_sweep(dataclasses.replace(cfg.sweep, backend="both",
+                                            fock_n=64), base_cell(cfg))
+        assert calls == {"resolve_cell": 49, "cut_pt": 1}
+        assert res.valid.sum() == 1312
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
