@@ -43,12 +43,9 @@ def cmd_feasibility(cfg: RunConfig, args) -> int:
         else FeasibilitySection()
     regime = regime_report(setup, frame)
     t_eval = phase_time(fz.cycles, frame)
-    g_lo, g_hi = fz.gamma_window
-
-    def en_at(gamma: float) -> float:
-        m = partial_transpose_matrix(frame, cfg.mediator, t_eval, gamma)
-        return log_negativity_from_partial_transpose(m)
-
+    en_lo, en_hi = log_negativity_from_partial_transpose(
+        partial_transpose_matrix(frame, cfg.mediator, t_eval,
+                                 fz.gamma_window)).tolist()
     derived = {
         "omega_tilde": params.omega_tilde, "omega_a": params.omega_a,
         "F": params.F, "delta": params.delta, "epsilon": params.epsilon,
@@ -56,7 +53,7 @@ def cmd_feasibility(cfg: RunConfig, args) -> int:
         "s": frame.s, "omega_s": frame.omega_s, "g_a_s": frame.g_a_s,
         "g_b_s": frame.g_b_s, "g_eff": frame.g_eff,
         "delta_x": regime.base["delta_x"], "t_eval": t_eval,
-        "en_gamma_lo": en_at(g_lo), "en_gamma_hi": en_at(g_hi),
+        "en_gamma_lo": en_lo, "en_gamma_hi": en_hi,
     }
     units = {"s": "", "delta_x": "m", "r0": "m", "t_eval": "s",
              "en_gamma_lo": "", "en_gamma_hi": ""}

@@ -125,7 +125,7 @@ class DynamicsSection:
     backend: str = field(default="analytic", metadata={"choices": BACKENDS})
     hamiltonian: str = field(default="squeezed",
                              metadata={"choices": ("squeezed", "lab")})
-    fock_n: int = field(default=64, metadata={"min": 1})
+    fock_n: int = field(default=64, metadata={"min": 1, "max": 1024})
     bipartitions: tuple[str, ...] = field(
         default=("tp_qubit",),
         metadata={"choices": tuple(fock.BIPARTITIONS)})
@@ -143,7 +143,7 @@ class SweepSection:
     axes: tuple[AxisSpec, ...]
     time: TimeRule = TimeRule()
     backend: str = field(default="analytic", metadata={"choices": BACKENDS})
-    fock_n: int = field(default=64, metadata={"min": 1})
+    fock_n: int = field(default=64, metadata={"min": 1, "max": 1024})
 
     def __post_init__(self):
         check_fields(self)

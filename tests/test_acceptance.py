@@ -24,7 +24,8 @@ from gravent.config import ValidateSection, resolve_si
 from gravent.dynamics import branch_state
 from gravent.params import regime_report
 from gravent.presets import SEC5_GOLDEN, golden_check
-from gravent.validate import (check_epsilon_irrelevance,
+from gravent.validate import (check_closed_form_at_tn,
+                              check_epsilon_irrelevance,
                               check_overlap_closed_form, check_pt_matrix,
                               run_validation)
 
@@ -193,16 +194,32 @@ class TestValidateFig3a:
             assert c["max_dev"] <= c["tol"]
 
     def test_seven_checks_pass_on_a_driven_base(self):
-        """fig3a's couplings at delta = 0.5 (s = 0.17): a frame that is not
-        the identity, still within reach of both lab-frame checks."""
-        cfg = load_preset("fig3a")
-        cfg = replace(cfg, system=replace(cfg.system, F=None, delta=0.5))
-        report = run_validation(cfg)
+        """fig3b's base, fig3a's couplings at delta = 0.5 (s = 0.17): a
+        frame that is not the identity, still within reach of both
+        lab-frame checks."""
+        report = run_validation(load_preset("fig3b"))
         assert report.base["s"] == pytest.approx(0.25 * np.log(2.0))
         assert report.base["s"] > 0
         assert [c.name for c in report.checks] == list(self.NOTES)
         for c in report.checks:
             assert c.passed and not c.skipped, c.note
+
+
+class TestClosedFormAtDecoupling:
+    """The closed-form check's reach at fig3a's couplings under its fixed
+    1e-10: past s = 5 a float t_n is no longer an exact decoupling time.
+    Making time a mediator phase must flip the failing cases on purpose,
+    with this test."""
+
+    @pytest.mark.parametrize("s,passes", [
+        (0.0, True), (1.0, True), (3.0, True), (5.0, True),
+        (6.0, False), (7.0, False)])
+    def test_reach_is_pinned(self, s, passes):
+        params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, s=s)
+        result = check_closed_form_at_tn(params, MediatorInit())
+        assert result.tol == 1e-10
+        assert result.note == "first three decoupling times"
+        assert result.passed is passes, f"max dev {result.max_dev:.3e}"
 
 
 class TestLinearDriveIrrelevance:
