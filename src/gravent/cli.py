@@ -85,7 +85,7 @@ def cmd_feasibility(cfg: RunConfig, args) -> int:
 
 def cmd_dynamics(cfg: RunConfig, args) -> int:
     d = cfg.dynamics
-    result = timeseries_figure(d, base_cell(cfg), cfg.tolerances.fock_tail)
+    result = timeseries_figure(d, base_cell(cfg))
     info = io.provenance(cfg, command="dynamics", hamiltonian=d.hamiltonian,
                          backend=d.backend)
     paths = io.write_timeseries(Path(args.out), f"{cfg.label}_dynamics",
@@ -98,7 +98,7 @@ def cmd_dynamics(cfg: RunConfig, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     sw = cfg.sweep
-    result = run_sweep(sw, base_cell(cfg), cfg.tolerances.fock_tail)
+    result = run_sweep(sw, base_cell(cfg))
     info = io.provenance(cfg, command="sweep", backend=sw.backend)
     paths = io.write_sweep(Path(args.out), f"{cfg.label}_sweep", result,
                            info)

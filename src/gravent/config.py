@@ -1,13 +1,14 @@
 """JSON run configuration: schema, validation, canonical hashing.
 
 One JSON file describes a system (dimensionless or SI) plus optional
-command sections (dynamics, sweep, rate, feasibility, validate); each CLI
-command reads the sections it needs.  The dataclasses are the schema,
+command sections (dynamics, sweep, rate, feasibility); each CLI command
+reads the sections it needs.  The dataclasses are the schema,
 walked through their field annotations; the SI block is
 `params.PhysicalSetup` itself.  Parsing is strict: unknown keys, type
 errors, non-finite numbers and values a block's own rules reject (a
-drive outside its domain among them) raise ConfigError with the dotted
-field path, and parse(serialize(cfg)) == cfg holds exactly.
+drive outside its domain among them, or a gap so small that one mediator
+cycle takes t or g_eff t past the largest float) raise ConfigError with
+the dotted field path, and parse(serialize(cfg)) == cfg holds exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .dynamics import DephasingBlock, MediatorInit
 from .errors import ConfigError, GraventError, UnstableFrame
 from .params import (ModelParams, PhysicalSetup, derive_model_params,
                      derive_squeezed_frame)
-from .sweep import (DynamicsSection, RateSection, SweepSection,
+from .sweep import (DynamicsSection, RateSection, SweepSection, TimeRule,
                     check_fields, check_fock_cuts, merge_cell, phase_time,
                     resolve_cell)
 
@@ -54,33 +55,6 @@ class FeasibilitySection:
     __post_init__ = check_fields
 
 
-# a tolerance strictly between 0 and 1
-_FRACTION = {"above": 0.0, "below": 1.0}
-
-
-@dataclass(frozen=True)
-class ValidateSection:
-    seed: int = field(default=20240811, metadata={"min": 0})
-    overlap_samples: int = field(default=200, metadata={"min": 1})
-    pt_samples: int = field(default=20, metadata={"min": 1})
-    # start N of the pt-matrix, linear-drive and frame-equivalence searches
-    fock_n: int = field(default=64, metadata={"min": 1, "max": 1024})
-    t_points: int = field(default=25, metadata={"min": 2})
-    overlap_tol: float = field(default=1e-8, metadata=_FRACTION)
-    pt_tol: float = field(default=1e-6, metadata=_FRACTION)
-    en_tol: float = field(default=1e-3, metadata=_FRACTION)
-
-    __post_init__ = check_fields
-
-
-@dataclass(frozen=True)
-class ToleranceBlock:
-    fock_tail: float = field(default=1e-8, metadata=_FRACTION)
-    en_convergence: float = field(default=1e-4, metadata={"above": 0.0})
-
-    __post_init__ = check_fields
-
-
 @dataclass(frozen=True)
 class RunConfig:
     label: str = field(metadata={"label": True})
@@ -89,12 +63,10 @@ class RunConfig:
     si_system: PhysicalSetup | None = None
     mediator: MediatorInit = field(default_factory=MediatorInit)
     dephasing: DephasingBlock = field(default_factory=DephasingBlock)
-    tolerances: ToleranceBlock = field(default_factory=ToleranceBlock)
     dynamics: DynamicsSection | None = None
     sweep: SweepSection | None = None
     rate: RateSection | None = None
     feasibility: FeasibilitySection | None = None
-    validate: ValidateSection | None = None
 
     def __post_init__(self):
         check_fields(self)
@@ -105,23 +77,30 @@ class RunConfig:
                               "block, never both")
         if self.system is not None:
             _check_cells(self)
-        elif self.feasibility is not None:
+            return
+        # one cycle rejects a gap too small for float64
+        cycles = {"si_system": 1.0}
+        if self.feasibility is not None:
+            cycles["feasibility.cycles"] = self.feasibility.cycles
+        frame = resolve_si(self)[2]
+        for path, n in cycles.items():
             try:
-                phase_time(self.feasibility.cycles, resolve_si(self)[2])
+                phase_time(n, frame)
             except ConfigError as exc:
-                raise ConfigError(f"feasibility.{exc.path}",
-                                  exc.message) from None
+                raise ConfigError(path, exc.message) from None
 
 
 def _check_cells(cfg: RunConfig) -> None:
-    """Resolve each variant cell, axis endpoint and corner of a multi-axis
-    sweep as the commands will, time rule included, and check the Fock
-    cuts against the dephasing; only an axis cell past the instability is
-    left to the sweep."""
+    """Resolve the base cell, each variant cell, axis endpoint and corner
+    of a multi-axis sweep as the commands will, time rule included (one
+    cycle for the base and a dynamics variant), and check the Fock cuts
+    against the dephasing; only an axis cell past the instability is left
+    to the sweep."""
     base = base_cell(cfg)
-    cells = [(f"{name}.variants[{i}]", o, False)
-             for name in ("dynamics", "rate") if getattr(cfg, name)
-             for i, (_, o) in enumerate(getattr(cfg, name).variants)]
+    cells = [("system." + ("F" if "F" in base else "delta"), {}, False)]
+    cells += [(f"{name}.variants[{i}]", o, False)
+              for name in ("dynamics", "rate") if getattr(cfg, name)
+              for i, (_, o) in enumerate(getattr(cfg, name).variants)]
     sweep = cfg.sweep.axes if cfg.sweep else ()
     axes = [(f"sweep.axes[{i}]", ax) for i, ax in enumerate(sweep)]
     axes += [("rate.axis", cfg.rate.axis)] if cfg.rate else []
@@ -135,7 +114,7 @@ def _check_cells(cfg: RunConfig) -> None:
         section = getattr(cfg, path.split(".")[0])
         try:
             resolve_cell(merge_cell(base, overrides),
-                         getattr(section, "time", None))
+                         getattr(section, "time", TimeRule()))
         except (ValueError, GraventError) as exc:
             if not (on_axis and isinstance(exc, UnstableFrame)):
                 raise ConfigError(path, str(exc)) from None
@@ -324,7 +303,7 @@ def resolve_dimensionless(cfg: RunConfig) -> ModelParams:
 __all__ = [
     "DephasingBlock", "DimensionlessSystem",
     "DynamicsSection", "SweepSection", "RateSection", "FeasibilitySection",
-    "ValidateSection", "ToleranceBlock", "RunConfig", "parse_config",
+    "RunConfig", "parse_config",
     "load_config", "serialize_config", "config_hash", "base_cell",
     "resolve_si", "resolve_dimensionless",
 ]

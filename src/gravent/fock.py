@@ -371,6 +371,10 @@ def trajectories(rows, n: int, cuts: tuple[str, ...], tail_tol: float):
     return [out[j] and dict(out[j]) for j in which], [why[j] for j in which]
 
 
+TAIL_TOL = 1e-8  # occupation a trajectory's top two Fock levels may hold
+EN_CONVERGENCE = 1e-4  # of a TP-qubit EN curve against the one at 2N
+
+
 @dataclass
 class ConvergenceReport:
     """Outcome of a cutoff search: each row's accepted N (0 for none) and
@@ -453,5 +457,5 @@ __all__ = [
     "prepare_initial", "ExactPropagator", "cut_pt", "en_curves",
     "trajectories",
     "ConvergenceReport", "search_cutoff", "converge_cutoff",
-    "BIPARTITIONS", "SIGMA_Z",
+    "BIPARTITIONS", "SIGMA_Z", "TAIL_TOL", "EN_CONVERGENCE",
 ]

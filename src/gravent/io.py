@@ -20,11 +20,11 @@ from .config import RunConfig, config_hash
 
 
 def provenance(cfg: RunConfig, **extra) -> dict:
-    from . import __version__
+    from . import __version__, fock
     info = {"label": cfg.label, "config_hash": config_hash(cfg),
             "version": __version__,
-            "tolerances": {"fock_tail": cfg.tolerances.fock_tail,
-                           "en_convergence": cfg.tolerances.en_convergence}}
+            "tolerances": {"fock_tail": fock.TAIL_TOL,
+                           "en_convergence": fock.EN_CONVERGENCE}}
     info.update(extra)
     return info
 

@@ -45,13 +45,11 @@ _LABEL = re.compile(r"(?!\.\.?$)[A-Za-z0-9._=+-]+")
 def check_fields(block) -> None:
     """ConfigError naming the first field of dataclass block, or item of a
     tuple field, that breaks a rule of its metadata: "choices", the values
-    it may take, the bounds "min" and "max" and the exclusive "above" and
-    "below", or "label", a name safe in file names and CSV headers (of a
-    variant, its first item).  None breaks no rule; NaN breaks every
-    bound."""
+    it may take, the bounds "min" and "max", or "label", a name safe in
+    file names and CSV headers (of a variant, its first item).  None
+    breaks no rule; NaN breaks every bound."""
     for f in (f for f in fields(block) if f.metadata):
         rule, value = f.metadata, getattr(block, f.name)
-        lo, hi = rule.get("above", -math.inf), rule.get("below", math.inf)
         many = isinstance(value, tuple)
         for i, v in enumerate(value if many else (value,)):
             where = f"{f.name}[{i}]" if many else f.name
@@ -67,10 +65,6 @@ def check_fields(block) -> None:
                 raise ConfigError(where, f"must be at least {rule['min']}")
             if "max" in rule and not v <= rule["max"]:
                 raise ConfigError(where, f"must be at most {rule['max']}")
-            if ("above" in rule or "below" in rule) and not lo < v < hi:
-                raise ConfigError(where, "must be positive" if (lo, hi) == (
-                    0, math.inf) else f"must lie strictly between {lo:g} "
-                    f"and {hi:g}")
 
 
 @dataclass(frozen=True)
@@ -287,8 +281,7 @@ def _groups(axes: tuple[AxisSpec, ...], axes_vals):
                     for k, (ax, w, i) in enumerate(zip(axes, wide, sel))}
 
 
-def run_sweep(spec: SweepSection, fixed: dict,
-              tail_tol: float = 1e-8) -> SweepResult:
+def run_sweep(spec: SweepSection, fixed: dict) -> SweepResult:
     """Evaluate EN over the grid; deterministic for fixed inputs.
 
     fixed holds the cell parameters the axes do not set; a drive axis
@@ -296,7 +289,7 @@ def run_sweep(spec: SweepSection, fixed: dict,
     that differ only along BROADCAST_AXES give EN and the frame extras;
     the Fock backend splits those groups into a row per cell, for one
     `fock.trajectories` batch and one EN call, and marks a cell invalid
-    once its state holds more than tail_tol in its top two Fock levels.
+    once its state holds more than `fock.TAIL_TOL` in its top two levels.
     """
     axes_vals = tuple(ax.values() for ax in spec.axes)
     shape = tuple(len(v) for v in axes_vals)
@@ -323,10 +316,11 @@ def run_sweep(spec: SweepSection, fixed: dict,
         if spec.backend != "analytic":  # a Fock row per cell of the group
             cols.append([np.ravel(c) for c in np.broadcast_arrays(
                 flat[sel], params.g_a, params.g_b, gamma, gamma_tp, t)])
-            rows += [(replace(params, g_a=a, g_b=b), init, [u], "squeezed")
-                     for _, a, b, _, _, u in zip(*cols[-1])]
+            same = np.ndim(params.g_a) == np.ndim(params.g_b) == 0
+            rows += [(params if same else replace(params, g_a=a, g_b=b), init,
+                      [u], "squeezed") for _, a, b, _, _, u in zip(*cols[-1])]
     if rows:  # one oracle batch, and one reduction of its accepted cells
-        runs, why = fock.trajectories(rows, spec.fock_n, (), tail_tol)
+        runs, why = fock.trajectories(rows, spec.fock_n, (), fock.TAIL_TOL)
         k, _, _, gamma, gamma_tp, t = map(np.concatenate, zip(*cols))
         notes.flat[k] = [f"Fock backend: {e}" if e else "" for e in why]
         ok = notes.flat[k] == ""
@@ -398,14 +392,13 @@ class TimeseriesResult:
     meta: dict = field(default_factory=dict)
 
 
-def timeseries_figure(spec: DynamicsSection, fixed: dict,
-                      tail_tol: float = 1e-8) -> TimeseriesResult:
+def timeseries_figure(spec: DynamicsSection, fixed: dict) -> TimeseriesResult:
     """EN(t) table for one or more parameter variants of fixed.
 
     The analytic backend contributes a TP-qubit column per variant; the
     Fock backend adds the requested bipartitions (mediator cuts only for
     undamped variants) in one oracle batch, or raises the first rejected
-    variant's CutoffTooSmall; both TP-qubit columns are dephased.
+    variant's CutoffTooSmall at `fock.TAIL_TOL`; TP-qubit columns are dephased.
     Columns, variant by variant: "<label>:<bipartition>:<backend>".
     """
     check_fock_cuts(spec, fixed)
@@ -421,7 +414,7 @@ def timeseries_figure(spec: DynamicsSection, fixed: dict,
             [(params, init, ts, spec.hamiltonian)
              for _, params, _, init, *_ in variants], spec.fock_n,
             tuple(name for name in spec.bipartitions if name != "tp_qubit"),
-            tail_tol)
+            fock.TAIL_TOL)
         why = list(dict.fromkeys(filter(None, why)))  # a shared one once
         if why:
             raise why.pop(0)  # not held in a cycle by this frame

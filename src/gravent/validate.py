@@ -6,7 +6,8 @@ the full 4x4 partial-transpose matrix, EN time series, mediator
 decoupling, the decoupling-time closed form, linear-drive irrelevance,
 and lab-vs-squeezed frame agreement.  Each returns a `params.Check`, a
 deviation of at most a tolerance, and `run_validation` gathers them in a
-`params.Report` over the base system.
+`params.Report` over the base system.  The constants below, and the
+oracle's `fock.TAIL_TOL` and `fock.EN_CONVERGENCE`, fix the policy.
 
 Every oracle cutoff comes from the one bounded row search
 `fock.search_cutoff`: it starts at a given N, which it always tries, and
@@ -29,7 +30,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import fock
-from .config import RunConfig, ValidateSection
+from .config import RunConfig
 from .dynamics import (MediatorInit, displaced_overlap, en_at_decoupling,
                        en_timeseries, partial_transpose_matrix)
 from .errors import NoConvergence
@@ -40,8 +41,20 @@ from .params import Check, ModelParams, Report, derive_squeezed_frame
 # transformation, so occupations scale like e^{4s}; past this value the
 # lab oracle cannot represent the initial state at any sane cutoff.
 LAB_FRAME_S_MAX = 1.0
+FRAME_EQUIVALENCE_S_MAX = 0.5  # the same bound, tighter, of frame_equivalence
 PT_TAIL = 1e-14  # Fock tail tolerance of check_pt_matrix
 OVERLAP_TAIL = 1e-10  # Fock tail tolerance of check_overlap_closed_form
+# Seed and sample counts of the base-independent checks, start N of the
+# pt-matrix and squeezed frame-equivalence searches, times per EN curve
+# and the tolerances; PT_TOL is 1,000 times the 9.4e-13 every base reads
+SEED = 20240811
+OVERLAP_SAMPLES = 200
+PT_SAMPLES = 20
+FOCK_N = 64
+T_POINTS = 25
+OVERLAP_TOL = 1e-8
+PT_TOL = 1e-9
+EN_TOL = 1e-3
 
 
 def _check(name: str):
@@ -80,11 +93,11 @@ def _base_params(cfg: RunConfig) -> ModelParams:
 
 
 @_check("overlap_closed_form_vs_fock")
-def check_overlap_closed_form(v: ValidateSection) -> Check:
+def check_overlap_closed_form() -> Check:
     """Closed-form displaced-squeezed overlap vs brute-force truncation."""
-    rng = np.random.default_rng(v.seed)
+    rng = np.random.default_rng(SEED)
     tuples = []
-    for _ in range(v.overlap_samples):
+    for _ in range(OVERLAP_SAMPLES):
         a_i = complex(rng.normal(0, 1.0), rng.normal(0, 1.0))
         a_j = complex(rng.normal(0, 1.0), rng.normal(0, 1.0))
         alpha0 = complex(rng.normal(0, 0.7), rng.normal(0, 0.7))
@@ -94,18 +107,19 @@ def check_overlap_closed_form(v: ValidateSection) -> Check:
     ana = [displaced_overlap(*t) for t in tuples]
     orc = fock.fock_overlap(*zip(*tuples), tail_tol=OVERLAP_TAIL)
     worst = float(np.max(np.abs(np.subtract(ana, orc))))
-    return worst, v.overlap_tol, f"{v.overlap_samples} randomized tuples"
+    return worst, OVERLAP_TOL, f"{OVERLAP_SAMPLES} randomized tuples"
 
 
 @_check("pt_matrix_vs_fock")
-def check_pt_matrix(v: ValidateSection) -> Check:
+def check_pt_matrix() -> Check:
     """Entrywise analytic vs oracle partial-transpose matrix, gamma = 0.
 
-    The entrywise truncation error grows like the square root of the
-    tail occupation, so the tail must sit well below pt_tol^2."""
-    rng = np.random.default_rng(v.seed + 1)
+    The entrywise truncation error is bounded by about the square root
+    of the tail occupation, 1e-7 at PT_TAIL, but reads 9.4e-13 at the
+    cutoffs the search accepts; PT_TOL is set against that reading."""
+    rng = np.random.default_rng(SEED + 1)
     rows, ana = [], []
-    for _ in range(v.pt_samples):
+    for _ in range(PT_SAMPLES):
         s = rng.uniform(0.0, 0.5)
         params = ModelParams.dimensionless(
             g_a=rng.uniform(0.005, 0.05), g_b=rng.uniform(0.3, 1.2), s=s)
@@ -115,47 +129,43 @@ def check_pt_matrix(v: ValidateSection) -> Check:
         t = rng.uniform(0.1, 1.9) * frame.t_period
         rows.append((params, init, [t], "squeezed"))
         ana.append(partial_transpose_matrix(frame, init, t))
-    curves, rep = fock.converge_cutoff(rows, PT_TAIL, v.fock_n, 1024, cuts=())
+    curves, rep = fock.converge_cutoff(rows, PT_TAIL, FOCK_N, 1024, cuts=())
     orc = [fock.cut_pt(c["states"], n, "tp_qubit")[0]
            for c, n in zip(curves, rep.n)]
     worst = float(np.max(np.abs(np.subtract(ana, orc))))
-    return worst, v.pt_tol, f"{v.pt_samples} random frames, s <= 0.5"
+    return worst, PT_TOL, f"{PT_SAMPLES} random frames, s <= 0.5"
 
 
 @_check("en_timeseries_analytic_vs_fock")
-def check_en_timeseries(params: ModelParams, init: MediatorInit,
-                        v: ValidateSection, fock_tail: float,
-                        en_convergence: float) -> Check:
+def check_en_timeseries(params: ModelParams, init: MediatorInit) -> Check:
     frame = derive_squeezed_frame(params)
-    t_grid = np.linspace(0.0, 2.0 * frame.t_period, v.t_points)
+    t_grid = np.linspace(0.0, 2.0 * frame.t_period, T_POINTS)
     [curves], rep = fock.converge_cutoff(
-        [(params, init, t_grid, "squeezed")], fock_tail, 2, 512,
-        en_convergence)
+        [(params, init, t_grid, "squeezed")], fock.TAIL_TOL, 2, 512,
+        fock.EN_CONVERGENCE)
     ana = en_timeseries(frame, init, t_grid)
     dev = float(np.max(np.abs(ana - curves["tp_qubit"])))
-    return dev, v.en_tol, (f"N = {rep.n[0]}, {v.t_points} times over two "
-                           "mediator periods")
+    return dev, EN_TOL, (f"N = {rep.n[0]}, {T_POINTS} times over two "
+                         "mediator periods")
 
 
 @_check("mediator_decoupling_at_tn")
-def check_decoupling(params: ModelParams, init: MediatorInit,
-                     v: ValidateSection, fock_tail: float,
-                     en_convergence: float) -> Check:
+def check_decoupling(params: ModelParams, init: MediatorInit) -> Check:
     """Mediator EN vanishes at t_n in the oracle (both mediator cuts, of
     the states at the cutoff the TP-qubit search accepts)."""
     frame = derive_squeezed_frame(params)
     t_n = [frame.decoupling_time(1), frame.decoupling_time(2)]
     [curves], rep = fock.converge_cutoff(
-        [(params, init, t_n, "squeezed")], fock_tail, 2, 512, en_convergence)
+        [(params, init, t_n, "squeezed")], fock.TAIL_TOL, 2, 512,
+        fock.EN_CONVERGENCE)
     dev = float(np.max([log_negativity_from_partial_transpose(
         fock.cut_pt(curves["states"], rep.n[0], cut))
         for cut in ("tp_mediator", "qubit_mediator")]))
-    return dev, v.en_tol, f"N = {rep.n[0]}, first two decoupling times"
+    return dev, EN_TOL, f"N = {rep.n[0]}, first two decoupling times"
 
 
 @_check("closed_form_at_tn")
-def check_closed_form_at_tn(params: ModelParams,
-                            init: MediatorInit) -> Check:
+def check_closed_form_at_tn(params: ModelParams, init: MediatorInit) -> Check:
     """Full matrix pipeline vs the one-line decoupling formula."""
     frame = derive_squeezed_frame(params)
     t_n = [frame.decoupling_time(k) for k in (1, 2, 3)]
@@ -167,61 +177,53 @@ def check_closed_form_at_tn(params: ModelParams,
 
 
 @_check("epsilon_irrelevance")
-def check_epsilon_irrelevance(params: ModelParams, init: MediatorInit,
-                              v: ValidateSection,
-                              fock_tail: float) -> Check:
+def check_epsilon_irrelevance(params: ModelParams,
+                              init: MediatorInit) -> Check:
     """A common linear drive must not move the TP-qubit EN curve."""
     frame = derive_squeezed_frame(params)
     if frame.s > LAB_FRAME_S_MAX:
         return (f"s = {frame.s:.4g} > {LAB_FRAME_S_MAX}: lab-frame oracle "
                 "out of reach, check skipped (frame restriction)")
     t_grid = np.linspace(0.0, 2.0 * 2.0 * math.pi / params.omega_tilde,
-                         v.t_points)
+                         T_POINTS)
     curves, rep = fock.converge_cutoff(
         [(replace(params, epsilon=eps), init, t_grid, "lab")
          for eps in (0.0, 0.1 * params.omega_tilde, params.omega_tilde)],
-        fock_tail, max(v.fock_n, 96), 512)
+        fock.TAIL_TOL, 96, 512)
     dev = max(float(np.max(np.abs(c["tp_qubit"] - curves[0]["tp_qubit"])))
               for c in curves[1:])
-    return dev, v.en_tol, (f"N = {rep.n[-1]}, lab-frame drive 0, 0.1, 1 in "
-                           "mediator units")
+    return dev, EN_TOL, (f"N = {rep.n[-1]}, lab-frame drive 0, 0.1, 1 in "
+                         "mediator units")
 
 
 @_check("frame_equivalence")
-def check_frame_equivalence(params: ModelParams, init: MediatorInit,
-                            v: ValidateSection,
-                            fock_tail: float) -> Check:
+def check_frame_equivalence(params: ModelParams, init: MediatorInit) -> Check:
     """Lab-frame and squeezed-frame oracles agree on EN(t)."""
     frame = derive_squeezed_frame(params)
-    if frame.s > 0.5:
-        return (f"s = {frame.s:.4g} > 0.5: lab-frame preparation out of "
-                "reach, check skipped (frame restriction)")
-    t_grid = np.linspace(0.0, 2.0 * frame.t_period, v.t_points)
+    if frame.s > FRAME_EQUIVALENCE_S_MAX:
+        return (f"s = {frame.s:.4g} > {FRAME_EQUIVALENCE_S_MAX}: lab-frame "
+                "preparation out of reach, check skipped (frame restriction)")
+    t_grid = np.linspace(0.0, 2.0 * frame.t_period, T_POINTS)
     [lab], lab_rep = fock.converge_cutoff(
-        [(params, init, t_grid, "lab")], fock_tail, max(v.fock_n, 128), 512)
+        [(params, init, t_grid, "lab")], fock.TAIL_TOL, 128, 512)
     [sq], sq_rep = fock.converge_cutoff(
-        [(params, init, t_grid, "squeezed")], fock_tail, v.fock_n, 512)
+        [(params, init, t_grid, "squeezed")], fock.TAIL_TOL, FOCK_N, 512)
     dev = float(np.max(np.abs(lab["tp_qubit"] - sq["tp_qubit"])))
-    return dev, v.en_tol, f"N = {lab_rep.n[0]} lab, {sq_rep.n[0]} squeezed"
+    return dev, EN_TOL, f"N = {lab_rep.n[0]} lab, {sq_rep.n[0]} squeezed"
 
 
 def run_validation(cfg: RunConfig) -> Report:
     """Run the whole suite against the configured base system."""
-    v = cfg.validate if cfg.validate is not None else ValidateSection()
     params = _base_params(cfg)
-    init = cfg.mediator
-    tail, conv = cfg.tolerances.fock_tail, cfg.tolerances.en_convergence
     frame = derive_squeezed_frame(params)
     return Report((
-        check_overlap_closed_form(v),
-        check_pt_matrix(v),
-        check_en_timeseries(params, init, v, tail, conv),
-        check_decoupling(params, init, v, tail, conv),
-        check_closed_form_at_tn(params, init),
-        check_epsilon_irrelevance(params, init, v, tail),
-        check_frame_equivalence(params, init, v, tail),
+        check_overlap_closed_form(),
+        check_pt_matrix(),
+        *(check(params, cfg.mediator) for check in (
+            check_en_timeseries, check_decoupling, check_closed_form_at_tn,
+            check_epsilon_irrelevance, check_frame_equivalence)),
     ), {"g_a": params.g_a, "g_b": params.g_b, "F": params.F, "s": frame.s,
-        "omega_s": frame.omega_s, "seed": v.seed})
+        "omega_s": frame.omega_s, "seed": SEED})
 
 
 __all__ = [

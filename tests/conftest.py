@@ -42,6 +42,16 @@ def prepare_one(init, n, params=None, tail_tol=1e-8, lab_mode=False):
     return psi
 
 
+def small_validation(monkeypatch):
+    """Shrink validate's fixed policy to a unit-test run: four overlap
+    tuples, two partial-transpose frames, cutoff searches from N = 16 and
+    seven times per EN curve."""
+    from gravent import validate
+    for name, value in (("SEED", 5), ("OVERLAP_SAMPLES", 4),
+                        ("PT_SAMPLES", 2), ("FOCK_N", 16), ("T_POINTS", 7)):
+        monkeypatch.setattr(validate, name, value)
+
+
 def displacement_matrix(alpha, n):
     """Dense D(alpha) on the cutoff: the reference for `ladder_exp`."""
     a = destroy(n)

@@ -7,7 +7,6 @@ without numeric tables.
 """
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +17,9 @@ from gravent import (AxisSpec, MediatorInit, ModelParams, SweepSection,
                      en_timeseries, load_preset,
                      log_negativity_from_partial_transpose,
                      partial_transpose_matrix, run_sweep)
-from gravent import fock
+from gravent import fock, validate
 from gravent.cli import main
-from gravent.config import ValidateSection, resolve_si
+from gravent.config import resolve_si
 from gravent.dynamics import branch_state
 from gravent.params import regime_report
 from gravent.presets import SEC5_GOLDEN, golden_check
@@ -138,22 +137,30 @@ class TestFrameShorthand:
             assert abs(f.omega_s - ws_expect) <= 5e-5
 
 
+@pytest.mark.parametrize("module,name,ceiling", [
+    (validate, "OVERLAP_TOL", 1e-8), (validate, "PT_TOL", 1e-9),
+    (validate, "EN_TOL", 1e-3), (fock, "TAIL_TOL", 1e-8),
+    (fock, "EN_CONVERGENCE", 1e-4)])
+def test_validate_tolerances_only_tighten(module, name, ceiling):
+    """validate's policy is fixed in code; a tolerance may go down, and
+    this ceiling with it, never up."""
+    assert 0.0 < getattr(module, name) <= ceiling
+
+
 class TestOverlapOracle:
     """Closed-form overlaps and the 4x4 transposed matrix vs brute force."""
 
     def test_displaced_overlaps(self):
-        v = ValidateSection()
-        assert v.overlap_samples >= 200
-        result = check_overlap_closed_form(v)
+        assert validate.OVERLAP_SAMPLES >= 200
+        result = check_overlap_closed_form()
         assert result.passed, f"max dev {result.max_dev:.3e}"
         assert result.max_dev <= 1e-8
 
     def test_transposed_matrix_entrywise(self):
-        v = ValidateSection()
-        assert v.pt_samples >= 20
-        result = check_pt_matrix(v)
+        assert validate.PT_SAMPLES >= 20
+        result = check_pt_matrix()
         assert result.passed, f"max dev {result.max_dev:.3e}"
-        assert result.max_dev <= 1e-6
+        assert result.max_dev <= 1e-9
 
 
 class TestValidateFig3a:
@@ -172,12 +179,13 @@ class TestValidateFig3a:
         "frame_equivalence": "N = 128 lab, 64 squeezed",
     }
 
-    def test_decoupling_settles_at_the_configured_en_convergence(self):
-        """At the default 1e-4 the mediator curves settle at N = 32."""
-        cfg = load_preset("fig3a")
-        cfg = replace(cfg, tolerances=replace(cfg.tolerances,
-                                              en_convergence=1e-12))
-        checks = {c.name: c for c in run_validation(cfg).checks}
+    def test_decoupling_settles_at_the_configured_en_convergence(
+            self, monkeypatch):
+        """At fock.EN_CONVERGENCE = 1e-4 the mediator curves settle at
+        N = 32."""
+        monkeypatch.setattr(fock, "EN_CONVERGENCE", 1e-12)
+        checks = {c.name: c for c in run_validation(
+            load_preset("fig3a")).checks}
         assert checks["mediator_decoupling_at_tn"].note.startswith(
             "N = 64, ")
 
@@ -228,8 +236,7 @@ class TestLinearDriveIrrelevance:
     def test_three_drives_coincide(self):
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
         init = MediatorInit(alpha0=1.0 + 0.0j, xi_mag=0.0)
-        result = check_epsilon_irrelevance(params, init, ValidateSection(),
-                                           fock_tail=1e-8)
+        result = check_epsilon_irrelevance(params, init)
         assert not result.skipped
         assert result.passed, f"max dev {result.max_dev:.3e}"
         assert result.max_dev <= 1e-3
@@ -243,9 +250,7 @@ class TestLinearDriveIrrelevance:
         cfg = load_preset("fig3a")
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0,
                                            delta=delta)
-        result = check_epsilon_irrelevance(params, cfg.mediator,
-                                           ValidateSection(),
-                                           cfg.tolerances.fock_tail)
+        result = check_epsilon_irrelevance(params, cfg.mediator)
         assert not result.skipped
         if delta == 0.5:
             assert result.passed

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_validation
 import gravent
 import gravent.config
 import gravent.sweep
@@ -21,8 +22,7 @@ from gravent import (AxisSpec, ConfigError, DynamicsSection, RateSection,
                      SweepSection, TimeRule, config_hash, load_config,
                      load_preset, parse_config, serialize_config)
 from gravent.cli import main
-from gravent.config import (FeasibilitySection, ToleranceBlock,
-                            ValidateSection, base_cell,
+from gravent.config import (FeasibilitySection, base_cell,
                             resolve_dimensionless, resolve_si)
 from gravent.presets import PRESET_NAMES, SEC5_GOLDEN, golden_check
 
@@ -35,10 +35,10 @@ MINIMAL = {
 
 # every preset's config_hash, which each result file's provenance carries
 PRESET_HASHES = {
-    "fig2": "190447f35560c3bb", "fig3a": "278cdc2ab7399329",
-    "fig3b": "8fd7647bae55dd52", "fig4": "54947d380e9e5d77",
-    "fig5": "0bceb45baddf9ccc", "fig6": "c3178ae68deacdb5",
-    "sec5-feasibility": "6da2e509c7df082c"}
+    "fig2": "5acc84bc91d6d404", "fig3a": "20b57100b2b7cd11",
+    "fig3b": "911243a9522594a0", "fig4": "88657a966b706199",
+    "fig5": "bb9fd701c491f6e3", "fig6": "c4ce0a6d5af89e9e",
+    "sec5-feasibility": "99e73aee708e840d"}
 
 
 def cfg_with(**sections):
@@ -59,6 +59,19 @@ class TestParsing:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match=r"\.systm"):
             parse_config(cfg_with(systm={}))
+
+    @pytest.mark.parametrize("section,key", [
+        *(("validate", key) for key in (
+            "seed", "overlap_samples", "pt_samples", "fock_n", "t_points",
+            "overlap_tol", "pt_tol", "en_tol")),
+        ("tolerances", "fock_tail"), ("tolerances", "en_convergence")])
+    def test_validate_and_tolerances_are_unknown_keys(self, section, key):
+        """validate's policy is fixed in validate.py and the Fock tail in
+        fock.py: no field of the deleted sections parses."""
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg_with(**{section: {key: 0.5}}))
+        assert (exc.value.path, exc.value.message) == (
+            f"<config>.{section}", "unknown key")
 
     def test_unknown_nested_key_reports_path(self):
         bad = cfg_with(system={"g_a": 0.02, "g_b": 1.0, "F": 0.1,
@@ -244,10 +257,6 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("field,edit", [
         ("<config>.system", {"system": {"g_a": 0.02, "g_b": 1.0,
                                         "delta": 1.5}}),
-        ("<config>.validate.seed", {"validate": {"seed": -1}}),
-        ("<config>.validate.t_points", {"validate": {"t_points": 0}}),
-        ("<config>.validate.fock_n", {"validate": {"fock_n": 0}}),
-        ("<config>.validate.fock_n", {"validate": {"fock_n": 1025}}),
         ("<config>.system.g_a", {"system": {"g_a": 10 ** 400, "g_b": 1.0,
                                             "F": 0.1}}),
         ("<config>.dynamics.fock_n", {"dynamics": {
@@ -320,19 +329,12 @@ class TestConfigBoundary:
             "t_stop": 1.0, "points": 5, "backend": "magic"}}),
         ("<config>.dynamics.hamiltonian", {"dynamics": {
             "t_stop": 1.0, "points": 5, "hamiltonian": "rotating"}}),
-        ("<config>.validate.overlap_samples",
-         {"validate": {"overlap_samples": 0}}),
-        ("<config>.validate.pt_samples", {"validate": {"pt_samples": 0}}),
-        ("<config>.tolerances.fock_tail", {"tolerances": {"fock_tail": 0.0}}),
-        ("<config>.tolerances.en_convergence",
-         {"tolerances": {"en_convergence": 0.0}}),
         ("<config>.feasibility.gamma_window[0]",
          {"feasibility": {"gamma_window": [-5.0, 0.0]}}),
         ("<config>.sweep.time.t", {"sweep": {
             "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
             "time": {"kind": "phase", "t": 5.0}}}),
-    ], ids=["negative-drive", "seed", "t_points", "fock_n",
-            "fock_n-past-the-ceiling", "float-overflow", "dynamics.fock_n",
+    ], ids=["negative-drive", "float-overflow", "dynamics.fock_n",
             "sweep.fock_n", "dynamics.fock_n-past-the-ceiling",
             "sweep.fock_n-past-the-ceiling",
             "variant-xi_mag", "variant-delta", "variant-unknown-key",
@@ -342,7 +344,6 @@ class TestConfigBoundary:
             "sweep-two-drives",
             "dephased-mediator-cut", "variant-dephased-mediator-cut",
             "sweep-backend", "dynamics-backend", "dynamics-hamiltonian",
-            "overlap_samples", "pt_samples", "fock_tail", "en_convergence",
             "gamma_window", "phase-rule-with-t"])
     def test_out_of_domain_values_name_the_field(self, field, edit):
         with pytest.raises(ConfigError) as exc:
@@ -476,6 +477,51 @@ class TestConfigBoundary:
         data["sweep"]["time"]["cycles"] = 1.0
         parse_config(data)
 
+    @staticmethod
+    def _with_gap(preset: str, delta: float) -> dict:
+        """The preset's config with the gap delta on its system, or on
+        fig3b's second dynamics variant."""
+        data = serialize_config(load_preset(preset))
+        if preset == "fig3b":
+            data["dynamics"]["variants"][1][1]["delta"] = delta
+        elif preset == "fig3a":
+            data["system"] = dict(data["system"], delta=delta)
+            del data["system"]["F"]
+        else:
+            data["si_system"]["delta"] = delta
+        return data
+
+    @pytest.mark.parametrize("delta", [1e-250, 1e-300, 5e-324])
+    @pytest.mark.parametrize("preset,field", [
+        ("fig3a", "system.delta"), ("fig3b", "dynamics.variants[1]"),
+        ("sec5-feasibility", "si_system")])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_gap_too_small_for_float64_is_rejected(
+            self, tmp_path, capsys, preset, field, delta):
+        """One mediator cycle takes g_eff t past the largest float.  On
+        fig3a, validate exited 2 with "Eigenvalues did not converge"
+        after overflow warnings at 1e-300 and 1 on a ValueError from
+        eig_banded at 5e-324, where dynamics exited 2 the same way."""
+        data = self._with_gap(preset, delta)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        assert exc.value.path == f"<config>.{field}"
+        assert "1 periods take t or the phase g_eff t past the largest " \
+            "float" in str(exc.value)
+        cfg_path = tmp_path / "gap.json"
+        cfg_path.write_text(json.dumps(data))
+        for command in ("validate", "dynamics"):
+            assert main([command, "--config", str(cfg_path), "--out",
+                         str(tmp_path / "out")]) == 2
+            assert f"error: {cfg_path}.{field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("preset", ["fig3a", "fig3b",
+                                        "sec5-feasibility"])
+    def test_a_gap_of_1e_200_still_parses(self, preset):
+        """One cycle keeps g_eff t finite there: 2.6e299 on fig3a."""
+        parse_config(self._with_gap(preset, 1e-200))
+
     @pytest.mark.parametrize("dynamics", [
         {"t_stop": 1.0, "points": 5, "backend": "fock"},
         {"t_stop": 1.0, "points": 5, "backend": "analytic",
@@ -546,8 +592,6 @@ RULED_BLOCKS = {
     SweepSection: SweepSection((AxisSpec("F", 0.0, 0.2, 3),)),
     RateSection: RateSection("g_b", AxisSpec("g_b", 0.1, 1.0, 5)),
     FeasibilitySection: FeasibilitySection(),
-    ValidateSection: ValidateSection(),
-    ToleranceBlock: ToleranceBlock(),
     gravent.config.RunConfig: parse_config(MINIMAL),
 }
 
@@ -558,17 +602,16 @@ def _ruled_fields():
               if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
     return [(cls, f) for cls in sorted(blocks, key=lambda c: c.__name__)
             for f in dataclasses.fields(cls)
-            if {"choices", "min", "above", "below"} & set(f.metadata)]
+            if {"choices", "min"} & set(f.metadata)]
 
 
 @pytest.mark.parametrize("cls,f", _ruled_fields(),
                          ids=lambda x: getattr(x, "__name__", None)
                          or getattr(x, "name", None))
 def test_value_just_outside_a_field_rule_names_the_field(cls, f):
-    """Every "choices", "min", "above" or "below" rule of every section is
-    checked when the block is built, and names its field; a "min" value
-    itself passes, an "above" or "below" bound itself fails, NaN fails
-    every bound."""
+    """Every "choices" or "min" rule of every section is checked when the
+    block is built, and names its field; a "min" value itself passes, NaN
+    fails every bound."""
     valid, rule = RULED_BLOCKS[cls], f.metadata
     many = isinstance(getattr(valid, f.name), tuple)
 
@@ -578,17 +621,11 @@ def test_value_just_outside_a_field_rule_names_the_field(cls, f):
 
     if "choices" in rule:
         bads = ["not-a-choice"]
-    elif "min" in rule:
+    else:
         least = rule["min"]
         build(least)
         bads = [least - 1 if isinstance(least, int)
                 else math.nextafter(least, -math.inf), math.nan]
-    else:
-        bads = [math.nan]
-        for key, inward in (("above", math.inf), ("below", -math.inf)):
-            if key in rule:
-                build(math.nextafter(rule[key], inward))
-                bads.append(rule[key])
     for bad in bads:
         with pytest.raises(ConfigError) as exc:
             build(bad)
@@ -609,8 +646,7 @@ class TestRoundTrip:
             dynamics={"t_stop": 5.0, "points": 11, "backend": "both",
                       "variants": [["v", {"gamma": 0.2}]]},
             sweep={"axes": [{"name": "F", "start": 0.0, "stop": 0.2,
-                             "count": 5}]},
-            validate={"seed": 1, "overlap_samples": 3})
+                             "count": 5}]})
         cfg = parse_config(data)
         assert parse_config(serialize_config(cfg)) == cfg
 
@@ -745,6 +781,15 @@ def read_csv(path):
 
 
 class TestCliDynamics:
+    def test_provenance_carries_the_oracle_tolerances(self, monkeypatch):
+        """Read from fock.TAIL_TOL and fock.EN_CONVERGENCE at each write."""
+        from gravent import fock, io
+        assert io.provenance(parse_config(MINIMAL))["tolerances"] == {
+            "fock_tail": 1e-8, "en_convergence": 1e-4}
+        monkeypatch.setattr(fock, "TAIL_TOL", 1e-12)
+        assert io.provenance(parse_config(MINIMAL))["tolerances"][
+            "fock_tail"] == 1e-12
+
     def test_writes_tables_with_provenance(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg_with(
@@ -788,22 +833,6 @@ class TestCliDynamics:
         assert rc == 2
         assert "trajectory leaks at N = 24 in one parity group (tail mass " \
             "3.6" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("fock_tail", [1.0, -1.0])
-    def test_fock_tail_outside_0_1_exits_2(self, tmp_path, capsys,
-                                           fock_tail):
-        """fock_tail = 1 accepted every N = 2 trajectory, whose Fock column
-        read 0 beside an analytic 0.4615 at t = 6; fock_tail = -1 failed
-        as a coherent amplitude that did not fit."""
-        data = cfg_with(tolerances={"fock_tail": fock_tail}, dynamics={
-            "t_stop": 6.0, "points": 3, "backend": "both", "fock_n": 2})
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(data))
-        rc = main(["dynamics", "--config", str(cfg_path), "--out",
-                   str(tmp_path / "out")])
-        assert rc == 2
-        assert f"error: {cfg_path}.tolerances.fock_tail: " in \
-            capsys.readouterr().err
 
 
 class TestCliSweep:
@@ -884,15 +913,18 @@ class TestCliSweep:
                      str(tmp_path / "out")]) == 0
 
 
-    def test_fock_tail_tolerance_reaches_the_cells(self, tmp_path):
+    def test_fock_tail_tolerance_reaches_the_cells(self, tmp_path,
+                                                   monkeypatch):
         # at F = 0.2 the N = 64 trajectory leaks 7.6e-4 into its top two
         # levels
+        from gravent import fock
         valid = {}
         for tail in (1e-8, 1e-3):
+            monkeypatch.setattr(fock, "TAIL_TOL", tail)
             cfg_path = tmp_path / "run.json"
             data = cfg_with(
                 system={"g_a": 1.0 / 48.0, "g_b": 1.0, "F": 0.1},
-                mediator={"xi_mag": 0.0}, tolerances={"fock_tail": tail},
+                mediator={"xi_mag": 0.0},
                 sweep={"axes": [{"name": "F", "start": 0.0, "stop": 0.2,
                                  "count": 3}],
                        "backend": "both", "fock_n": 64})
@@ -925,14 +957,13 @@ class TestCliRate:
 
 
 class TestCliValidate:
-    def _tiny_validate_config(self):
-        return cfg_with(validate={"seed": 5, "overlap_samples": 4,
-                                  "pt_samples": 2, "fock_n": 16,
-                                  "t_points": 7})
+    @pytest.fixture
+    def small(self, monkeypatch):
+        small_validation(monkeypatch)
 
-    def test_passes_and_exits_zero(self, tmp_path):
+    def test_passes_and_exits_zero(self, tmp_path, small):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(self._tiny_validate_config()))
+        cfg_path.write_text(json.dumps(MINIMAL))
         rc = main(["validate", "--config", str(cfg_path), "--out",
                    str(tmp_path / "out")])
         assert rc == 0
@@ -941,13 +972,14 @@ class TestCliValidate:
         assert blob["all_pass"] is True
         assert len(blob["checks"]) == 7
 
-    def test_corrupted_overlap_flags_the_check(self, tmp_path, monkeypatch):
+    def test_corrupted_overlap_flags_the_check(self, tmp_path, monkeypatch,
+                                               small):
         import gravent.validate as validate_mod
         exact = validate_mod.displaced_overlap
         monkeypatch.setattr(validate_mod, "displaced_overlap",
                             lambda *a, **k: exact(*a, **k).conjugate())
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(self._tiny_validate_config()))
+        cfg_path.write_text(json.dumps(MINIMAL))
         rc = main(["validate", "--config", str(cfg_path), "--out",
                    str(tmp_path / "out")])
         assert rc == 1
@@ -958,7 +990,8 @@ class TestCliValidate:
         assert by_name["pt_matrix_vs_fock"]["passed"]
 
     def test_oracle_that_finds_no_cutoff_fails_its_checks(self, tmp_path,
-                                                          monkeypatch):
+                                                          monkeypatch,
+                                                          small):
         """The search gives up inside every oracle check; none crashes."""
         from gravent import CutoffTooSmall, fock
 
@@ -973,7 +1006,7 @@ class TestCliValidate:
                             lambda shifts, inits, n, *a, **k: never_fits(
                                 np.zeros(np.shape(shifts) + (n,)), n))
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(self._tiny_validate_config()))
+        cfg_path.write_text(json.dumps(MINIMAL))
         rc = main(["validate", "--config", str(cfg_path), "--out",
                    str(tmp_path / "out")])
         assert rc == 1
@@ -993,45 +1026,25 @@ class TestCliValidate:
             assert "no room at N = " in check["note"]
         assert by_name["closed_form_at_tn"]["passed"]
 
-    @pytest.mark.parametrize("tol", [1e9, 0.0, -1.0, math.nan])
-    @pytest.mark.parametrize("name", ["overlap_tol", "pt_tol", "en_tol"])
-    def test_tolerance_outside_0_1_exits_2(self, tmp_path, capsys, name,
-                                           tol):
-        """At 1e9 all seven checks passed vacuously and the run exited 0;
-        at -1 four checks failed and it exited 1."""
-        data = self._tiny_validate_config()
-        data["validate"][name] = tol
+    @pytest.mark.parametrize("command", ["validate", "dynamics"])
+    @pytest.mark.parametrize("section", [
+        {"validate": {"pt_tol": 0.99, "en_tol": 0.99, "pt_samples": 1}},
+        {"tolerances": {"fock_tail": 1.0}}], ids=["validate", "tolerances"])
+    def test_a_validate_or_tolerances_section_exits_2(
+            self, tmp_path, capsys, command, section):
+        """Such sections once parsed: validate tolerances of 0.99 passed
+        every check vacuously, and fock_tail = 1 accepted every N = 2
+        trajectory, whose Fock column read 0 beside an analytic 0.4615 at
+        t = 6.  Now any config that carries one exits 2, before a run."""
+        data = cfg_with(**section, dynamics={
+            "t_stop": 6.0, "points": 3, "backend": "both", "fock_n": 2})
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(data))
-        rc = main(["validate", "--config", str(cfg_path), "--out",
+        rc = main([command, "--config", str(cfg_path), "--out",
                    str(tmp_path / "out")])
         assert rc == 2
-        assert f"error: {cfg_path}.validate.{name}: " in \
+        assert f"error: {cfg_path}.{next(iter(section))}: unknown key" in \
             capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_fock_n_past_the_ceiling_exits_2_before_any_check(
-            self, tmp_path, capsys, monkeypatch):
-        """The searches' largest ceiling is N = 1024 and each tries its
-        start N, so a larger start is refused at parse time."""
-        from gravent import fock
-
-        def no_search(*args, **kwargs):
-            raise AssertionError("a cutoff search ran")
-
-        monkeypatch.setattr(fock, "search_cutoff", no_search)
-        data = self._tiny_validate_config()
-        assert parse_config(data).validate.fock_n == 16
-        data["validate"]["fock_n"] = 1024
-        assert parse_config(data).validate.fock_n == 1024
-        data["validate"]["fock_n"] = 1025
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(data))
-        rc = main(["validate", "--config", str(cfg_path), "--out",
-                   str(tmp_path / "out")])
-        assert rc == 2
-        assert (f"error: {cfg_path}.validate.fock_n: must be at most 1024"
-                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_sec5_feasibility_outcomes_are_pinned(self, tmp_path):
@@ -1068,14 +1081,15 @@ class TestCliValidate:
         assert closed["note"] == "first three decoupling times"
         assert closed["max_dev"] > closed["tol"]
 
-    def test_strong_squeezing_restricts_the_frame(self, capsys):
+    def test_strong_squeezing_restricts_the_frame(self, monkeypatch):
         """Far past lab reach: oracle checks fail honestly, lab ones skip."""
-        from gravent.validate import run_validation
+        from gravent import validate
         data = json.loads(json.dumps(MINIMAL))
         data["system"] = {"g_a": 0.02, "g_b": 1.0, "delta": 1e-6}
-        data["validate"] = {"overlap_samples": 2, "pt_samples": 1,
-                            "t_points": 5}
-        report = run_validation(parse_config(data))
+        for name, value in (("OVERLAP_SAMPLES", 2), ("PT_SAMPLES", 1),
+                            ("T_POINTS", 5)):
+            monkeypatch.setattr(validate, name, value)
+        report = validate.run_validation(parse_config(data))
         by_name = {c.name: c for c in report.checks}
         assert by_name["epsilon_irrelevance"].skipped
         assert by_name["frame_equivalence"].skipped

@@ -239,7 +239,6 @@ class TestOverlapOracle:
         N, and each tuple's overlap and accepted N as in a call of its
         own (146 tuples fit at N = 64, 48 at 128 and 6 at 256)."""
         from gravent import validate
-        from gravent.config import ValidateSection
         batch, calls = {}, []
         overlap, prepare = fock.fock_overlap, fock.displaced_squeezed_vector
 
@@ -255,7 +254,7 @@ class TestOverlapOracle:
         monkeypatch.setattr(fock, "fock_overlap", recording_overlap)
         monkeypatch.setattr(fock, "displaced_squeezed_vector",
                             recording_prepare)
-        assert validate.check_overlap_closed_form(ValidateSection()).passed
+        assert validate.check_overlap_closed_form().passed
         assert [n for n, _ in calls] == [64, 128, 256]
 
         def accepted(pair):
@@ -279,11 +278,12 @@ class TestOverlapOracle:
         assert [s["n"] for s in exc.value.report.steps] == [16, 32, 64]
 
 
-def _pt_frames(v):
+def _pt_frames():
     """validate's partial-transpose frames, drawn one by one as a check
     per frame drew them: (params, frame, init, t) each."""
-    rng = np.random.default_rng(v.seed + 1)
-    for _ in range(v.pt_samples):
+    from gravent import validate
+    rng = np.random.default_rng(validate.SEED + 1)
+    for _ in range(validate.PT_SAMPLES):
         s = rng.uniform(0.0, 0.5)
         params = ModelParams.dimensionless(
             g_a=rng.uniform(0.005, 0.05), g_b=rng.uniform(0.3, 1.2), s=s)
@@ -320,10 +320,8 @@ class TestPtMatrixOracle:
         """validate's 20 frames in one search: each frame's accepted N and
         matrix as in a search of its own over one-row `fock.trajectories`
         (9 frames fit at N = 64, 6 at 128 and 5 at 256)."""
-        from gravent.config import ValidateSection
         validate, calls, batch = _record_pt_batch(monkeypatch)
-        v = ValidateSection()
-        assert validate.check_pt_matrix(v).passed
+        assert validate.check_pt_matrix().passed
         assert [n for n, _ in calls] == [64, 128, 256]
         prepared, got = calls[:], []
 
@@ -334,7 +332,7 @@ class TestPtMatrixOracle:
                     run["states"], n, "tp_qubit")[0] for run in runs], why
             return attempt
 
-        for (params, _, init, t), pt in zip(_pt_frames(v), batch["out"]):
+        for (params, _, init, t), pt in zip(_pt_frames(), batch["out"]):
             [want], report = fock.search_cutoff(
                 own_row((params, init, [t], "squeezed")), 1, 64, 1024)
             got.append(max(n for n, rows in prepared
@@ -348,9 +346,9 @@ class TestPtMatrixOracle:
                                                           monkeypatch):
         """A tail tolerance between the largest-coupling group's tail and
         the whole state's: both groups are solved and N is rejected."""
-        from gravent.config import ValidateSection
-        v = ValidateSection(pt_samples=1)
-        params, _, init, t = next(_pt_frames(v))
+        from gravent import validate
+        monkeypatch.setattr(validate, "PT_SAMPLES", 1)
+        params, _, init, t = next(_pt_frames())
         prop = fock.ExactPropagator(
             fock.build_hamiltonian_squeezed(params, 64))
         states = prop.evolve_grid(prepare_one(init, 64, params, 1e-14), [t])
@@ -361,7 +359,7 @@ class TestPtMatrixOracle:
         validate, calls, _ = _record_pt_batch(monkeypatch)
         monkeypatch.setattr(validate, "PT_TAIL", tol)
         solves = _count_eig_banded(monkeypatch)
-        assert validate.check_pt_matrix(v).passed
+        assert validate.check_pt_matrix().passed
         assert [n for n, _ in calls] == [64, 128]
         assert solves == [(2, 64)] * 2 + [(2, 128)] * 2
 
@@ -373,8 +371,7 @@ class TestPtMatrixOracle:
         import tracemalloc
 
         from gravent import validate
-        from gravent.config import ValidateSection
-        validate.check_pt_matrix(ValidateSection())
+        validate.check_pt_matrix()
         gc.collect()
         gc.disable()
         tracing = tracemalloc.is_tracing()
@@ -382,7 +379,7 @@ class TestPtMatrixOracle:
             tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            validate.check_pt_matrix(ValidateSection())
+            validate.check_pt_matrix()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             if not tracing:
@@ -397,17 +394,16 @@ class TestPtMatrixOracle:
         import gc
 
         from gravent import validate
-        from gravent.config import ValidateSection
         checks = (validate.check_overlap_closed_form,
                   validate.check_pt_matrix)
         for check in checks:
-            check(ValidateSection())
+            check()
         gc.collect()
         gc.disable()
         try:
             found = []
             for check in checks:
-                assert check(ValidateSection()).passed
+                assert check().passed
                 found.append(gc.collect())
         finally:
             gc.enable()
@@ -418,12 +414,11 @@ class TestPtMatrixOracle:
         at N = 64, 17 at 128 and 10 at 256, with the ladder modes of the
         state preparation cached."""
         from gravent import validate
-        from gravent.config import ValidateSection
-        validate.check_pt_matrix(ValidateSection())
+        validate.check_pt_matrix()
         calls, solve = [], fock.eig_banded
         monkeypatch.setattr(fock, "eig_banded", lambda band: (
             calls.append(band.shape[1]) or solve(band)))
-        assert validate.check_pt_matrix(ValidateSection()).passed
+        assert validate.check_pt_matrix().passed
         assert {n: calls.count(n) for n in set(calls)} == {64: 29, 128: 17,
                                                            256: 10}
 
@@ -718,7 +713,6 @@ class TestEnCurves:
     def test_oracle_reduces_states_without_the_reference(self, monkeypatch):
         import sys
 
-        from gravent.config import ValidateSection
         from gravent.validate import check_decoupling
 
         def no_reference(*args, **kwargs):
@@ -734,8 +728,7 @@ class TestEnCurves:
             bipartitions=tuple(fock.BIPARTITIONS)), fixed)
         assert len(res.curves) == 3
         params = ModelParams.dimensionless(**fixed)
-        check = check_decoupling(params, MediatorInit(), ValidateSection(),
-                                 1e-8, 1e-4)
+        check = check_decoupling(params, MediatorInit())
         assert check.passed and check.max_dev < 1e-6
 
     def test_requested_cuts_plus_states(self):
@@ -788,8 +781,7 @@ class TestConvergeCutoff:
         assert exc.value.report.steps
 
     def test_oracle_pt_matrix_stops_at_the_ceiling(self, monkeypatch):
-        from gravent.config import ValidateSection
-        from gravent.validate import check_pt_matrix
+        from gravent import validate
         tried = []
 
         def never_fits(inits, n, *args, **kwargs):
@@ -798,16 +790,15 @@ class TestConvergeCutoff:
                     [CutoffTooSmall(f"no room at N = {n}", 1.0)] * len(inits))
 
         monkeypatch.setattr(fock, "prepare_initial", never_fits)
-        result = check_pt_matrix(ValidateSection(pt_samples=3))
+        monkeypatch.setattr(validate, "PT_SAMPLES", 3)
+        result = validate.check_pt_matrix()
         assert not result.passed and not result.skipped
         assert "ceiling N = 1024" in result.note
         # one preparation of all samples per N, up to the ceiling
         assert tried == [64, 128, 256, 512, 1024]
 
-    def test_curve_checks_try_a_start_above_their_ceiling(self,
-                                                          monkeypatch):
-        from gravent.config import ValidateSection
-        from gravent.validate import check_epsilon_irrelevance
+    def test_a_start_above_the_ceiling_is_tried(self, monkeypatch):
+        from gravent import validate
         tried = []
 
         def never_fits(rows, n, *args, **kwargs):
@@ -816,12 +807,11 @@ class TestConvergeCutoff:
                     [CutoffTooSmall(f"no room at N = {n}", 1.0)] * len(rows))
 
         monkeypatch.setattr(fock, "trajectories", never_fits)
-        params = ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.1)
-        result = check_epsilon_irrelevance(
-            params, MediatorInit(), ValidateSection(fock_n=600), 1e-8)
+        monkeypatch.setattr(validate, "FOCK_N", 2048)
+        result = validate.check_pt_matrix()
         assert not result.passed and not result.skipped
-        assert "ceiling N = 512 passes (N = 600: no room" in result.note
-        assert tried == [600]
+        assert "ceiling N = 1024 passes (N = 2048: no room" in result.note
+        assert tried == [2048]
 
     def test_unknown_hamiltonian_label(self):
         params = ModelParams.dimensionless(g_a=0.01, g_b=1.0, F=0.0)

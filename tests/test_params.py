@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_validation
 from gravent import (Check, ModelParams, PhysicalSetup, Report, UnstableFrame,
                      derive_model_params, derive_squeezed_frame,
                      regime_report)
@@ -297,20 +298,16 @@ class TestCheckRecord:
 
     @pytest.fixture(scope="class")
     def every_check(self, sec5_config):
-        import dataclasses
-
         from gravent import load_preset, run_validation
-        from gravent.config import ValidateSection, resolve_si
+        from gravent.config import resolve_si
         from gravent.presets import SEC5_GOLDEN, golden_check
-        small = dataclasses.replace(
-            load_preset("fig3a"), validate=ValidateSection(
-                seed=5, overlap_samples=4, pt_samples=2, fock_n=16,
-                t_points=7))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            small_validation(monkeypatch)
+            checks = run_validation(load_preset("fig3a")).checks
         setup, _, frame = resolve_si(sec5_config)
         golden = [golden_check(key, value) for key, (value, _, _)
                   in SEC5_GOLDEN.items()]
-        return [*run_validation(small).checks,
-                *regime_report(setup, frame).checks, *golden]
+        return [*checks, *regime_report(setup, frame).checks, *golden]
 
     def test_every_leg_serializes_the_same_fields(self, every_check):
         assert len(every_check) == 7 + 3 + 10

@@ -291,10 +291,11 @@ class TestRunSweep:
         assert note == ("Fock backend: trajectory leaks at N = 64 in one "
                         "parity group (tail mass 6.400e-04)")
 
-    def test_tail_tolerance_reaches_the_fock_cell(self):
+    def test_tail_tolerance_reaches_the_fock_cell(self, monkeypatch):
+        monkeypatch.setattr(fock, "TAIL_TOL", 1e-3)
         spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.2, 3),),
                             backend="both", fock_n=64)
-        res = run_sweep(spec, dict(BASE, xi_mag=0.0), tail_tol=1e-3)
+        res = run_sweep(spec, dict(BASE, xi_mag=0.0))
         assert res.valid.all()
 
     def test_state_beyond_the_cutoff_marks_the_cell_invalid(self):
@@ -358,7 +359,7 @@ class TestRunSweep:
 EXTRA_NAMES = ("s", "omega_s", "g_a_s", "g_b_s", "g_eff", "t_eval")
 
 
-def per_cell_sweep(spec, fixed, tail_tol=1e-8):
+def per_cell_sweep(spec, fixed):
     """The grid one cell at a time through resolve_cell, the kernel and
     EN, with the Fock column of the "both" backend: the reference that the
     grouped run_sweep must equal bit for bit."""
@@ -377,7 +378,7 @@ def per_cell_sweep(spec, fixed, tail_tol=1e-8):
             if spec.backend == "both":
                 [run], [why] = fock.trajectories(
                     [(params, init, [t], "squeezed")], spec.fock_n, (),
-                    tail_tol)
+                    fock.TAIL_TOL)
                 if why is not None:
                     raise why
                 extras["en_fock"][idx] = log_negativity_from_partial_transpose(
@@ -482,6 +483,21 @@ class TestGroupedSweep:
                                             fock_n=64), base_cell(cfg))
         assert calls == {"resolve_cell": 49, "cut_pt": 1}
         assert res.valid.sum() == 1312
+
+    def test_cells_without_a_coupling_axis_share_their_params(
+            self, monkeypatch):
+        """fig4's grid on backend "both" at N = 64 copied ModelParams for
+        each of its 2,009 cells; no axis moves g_a or g_b, so each Fock
+        row now takes its group's params itself."""
+        rows, trajectories = [], fock.trajectories
+        monkeypatch.setattr(gravent.sweep, "replace", None)
+        monkeypatch.setattr(fock, "trajectories", lambda batch, *args: (
+            rows.extend(batch) or trajectories(batch, *args)))
+        cfg = load_preset("fig4")
+        run_sweep(dataclasses.replace(cfg.sweep, backend="both", fock_n=64),
+                  base_cell(cfg))
+        assert len(rows) == 2009
+        assert len({id(row[0]) for row in rows}) == 49
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
