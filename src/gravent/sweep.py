@@ -316,9 +316,8 @@ def run_sweep(spec: SweepSection, fixed: dict) -> SweepResult:
         if spec.backend != "analytic":  # a Fock row per cell of the group
             cols.append([np.ravel(c) for c in np.broadcast_arrays(
                 flat[sel], params.g_a, params.g_b, gamma, gamma_tp, t)])
-            same = np.ndim(params.g_a) == np.ndim(params.g_b) == 0
-            rows += [(params if same else replace(params, g_a=a, g_b=b), init,
-                      [u], "squeezed") for _, a, b, _, _, u in zip(*cols[-1])]
+            rows += [(replace(params, g_a=a, g_b=b), init, [u], "squeezed")
+                     for _, a, b, _, _, u in zip(*cols[-1])]
     if rows:  # one oracle batch, and one reduction of its accepted cells
         runs, why = fock.trajectories(rows, spec.fock_n, (), fock.TAIL_TOL)
         k, _, _, gamma, gamma_tp, t = map(np.concatenate, zip(*cols))

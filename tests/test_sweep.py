@@ -484,21 +484,6 @@ class TestGroupedSweep:
         assert calls == {"resolve_cell": 49, "cut_pt": 1}
         assert res.valid.sum() == 1312
 
-    def test_cells_without_a_coupling_axis_share_their_params(
-            self, monkeypatch):
-        """fig4's grid on backend "both" at N = 64 copied ModelParams for
-        each of its 2,009 cells; no axis moves g_a or g_b, so each Fock
-        row now takes its group's params itself."""
-        rows, trajectories = [], fock.trajectories
-        monkeypatch.setattr(gravent.sweep, "replace", None)
-        monkeypatch.setattr(fock, "trajectories", lambda batch, *args: (
-            rows.extend(batch) or trajectories(batch, *args)))
-        cfg = load_preset("fig4")
-        run_sweep(dataclasses.replace(cfg.sweep, backend="both", fock_n=64),
-                  base_cell(cfg))
-        assert len(rows) == 2009
-        assert len({id(row[0]) for row in rows}) == 49
-
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         """The argument tuples of every kernel call run_sweep makes."""
