@@ -29,18 +29,17 @@ a stack of states to any bipartition at once: the TP-qubit matrix is the
 mediator onto the span of those blocks by a batched QR, a local isometry
 that leaves EN unchanged, so no cut is larger than 8 x 8.
 
-The truncation budget is what limits this oracle: a frame squeezing
-parameter s enlarges the initial occupation like e^{2s} (and like e^{4s}
-when mapping squeezed-frame states to the lab mode), so lab-frame checks
-are only sensible for s up to about 1 and the strongly driven regimes
-must be validated in the squeezed frame or in closed form.
-
-Every entry point takes a batch of rows (`prepare_initial` a lone row
-too), and one bounded search over a batch, `search_cutoff`, chooses
-every cutoff; its NoConvergence is the only way the oracle gives up.
-Its rows are the tuples of `fock_overlap` or, by `converge_cutoff`, the
-rows (params, init, t_grid, hamiltonian) of `trajectories`, run at one N
-in the lab or the squeezed frame; an attempt returns, never raises, the
+The truncation budget limits this oracle: a frame squeezing parameter s
+enlarges the initial occupation like e^{2s}, and like e^{4s} in the lab
+mode, so lab-frame checks reach s up to about 1 and the strongly driven
+regimes need the squeezed frame or the closed form.  Every entry point
+takes a batch of rows (`prepare_initial` a lone row too), and one search
+policy, fixed here, chooses every cutoff: `search_cutoff` starts at
+N_START, or at N_START_LAB for a batch with a lab-frame row, doubles N
+up to the one ceiling N_MAX and past it raises NoConvergence, the only
+way the oracle gives up.  Its rows are the tuples of `fock_overlap` or
+the rows (params, init, t_grid, hamiltonian) of `trajectories`, run at
+one N by `converge_cutoff`; an attempt returns, never raises, the
 CutoffTooSmall of a row whose displaced, prepared or evolved state
 leaks.  A frame reaches this module only as the `ModelParams` it is
 derived from.  scipy, needed by this oracle alone, loads on the first
@@ -181,8 +180,8 @@ def displaced_squeezed_vector(shifts, inits: list[MediatorInit], n: int,
     return vecs, why
 
 
-def fock_overlap(a_i, a_j, inits: list[MediatorInit], tail_tol: float,
-                 n_start: int = 64, n_max: int = 1024) -> np.ndarray:
+def fock_overlap(a_i, a_j, inits: list[MediatorInit],
+                 tail_tol: float) -> np.ndarray:
     """Inner products <a_i, zeta | a_j, zeta> by brute truncation of
     equal-length sequences a_i, a_j and inits, each at the first N of one
     `search_cutoff` where both its vectors pass the tail criterion."""
@@ -193,7 +192,7 @@ def fock_overlap(a_i, a_j, inits: list[MediatorInit], tail_tol: float,
             shifts[todo], [inits[r] for r in todo], n, tail_tol)
         return np.sum(vecs[:, 0].conj() * vecs[:, 1], -1), why
 
-    return np.array(search_cutoff(attempt, len(inits), n_start, n_max)[0])
+    return np.array(search_cutoff(attempt, len(inits), N_START)[0])
 
 
 def _spin_blocks(n: int, spin_energy: np.ndarray, level: float,
@@ -373,6 +372,12 @@ def trajectories(rows, n: int, cuts: tuple[str, ...], tail_tol: float):
 
 TAIL_TOL = 1e-8  # occupation a trajectory's top two Fock levels may hold
 EN_CONVERGENCE = 1e-4  # of a TP-qubit EN curve against the one at 2N
+# The one cutoff-search policy.  At a start of 32 the tail test at 1e-10
+# accepts overlap rows off by 5.3e-7, past validate's 1e-8, so the start
+# of 64 is load-bearing until a rule bounds an accepted row's error.
+N_START = 64
+N_START_LAB = 96  # from 64, fig3b's epsilon_irrelevance settles at 256
+N_MAX = 512  # the one ceiling
 
 
 @dataclass
@@ -384,10 +389,9 @@ class ConvergenceReport:
     steps: list[dict] = field(default_factory=list)
 
 
-def search_cutoff(attempt, rows: int, n_start: int, n_max: int,
-                  settled=None):
+def search_cutoff(attempt, rows: int, n_start: int, settled=None):
     """The one bounded cutoff search, for a batch of rows: N = n_start,
-    2 n_start, ... <= n_max, and n_start always, even above n_max.
+    2 n_start, ... up to the ceiling N_MAX.
 
     attempt(N, todo) returns the results of the rows todo at N and, per
     row, the CutoffTooSmall that rejects N for it or None: the one way a
@@ -395,14 +399,14 @@ def search_cutoff(attempt, rows: int, n_start: int, n_max: int,
     with settled, where settled(prev, cur) of its results at N and 2N
     gives None, not their deviation, which the rejection quotes.
     Returns (results, report), report.n each row's accepted N.  Past
-    n_max raises NoConvergence carrying the report; its message names the
+    N_MAX raises NoConvergence carrying the report; its message names the
     ceiling and each N tried with the first row still left's rejection.
     """
     report = ConvergenceReport(n=[0] * rows)
     out, prev, todo = [None] * rows, [None] * rows, list(range(rows))
     why_at = []  # per N tried, {row: the reason it was rejected there}
     n = n_start
-    while n <= max(n_start, n_max):
+    while n <= N_MAX:
         results, why = attempt(n, todo)
         report.steps.append({"n": n})
         why_at.append({})
@@ -428,12 +432,11 @@ def search_cutoff(attempt, rows: int, n_start: int, n_max: int,
     tried = "; ".join(
         f"N = {s['n']}: {s.get('rejected', 'not confirmed at a larger N')}"
         for s in report.steps)
-    raise NoConvergence(f"no cutoff up to the ceiling N = {n_max} passes "
+    raise NoConvergence(f"no cutoff up to the ceiling N = {N_MAX} passes "
                         f"({tried})", report)
 
 
-def converge_cutoff(rows, tail_tol: float, n_start: int, n_max: int,
-                    en_tol: float | None = None,
+def converge_cutoff(rows, tail_tol: float, en_tol: float | None = None,
                     cuts: tuple[str, ...] = ("tp_qubit",)):
     """`search_cutoff` over rows (params, init, t_grid, hamiltonian) of
     `trajectories`: each row's run where it first fits tail_tol or, with
@@ -447,7 +450,8 @@ def converge_cutoff(rows, tail_tol: float, n_start: int, n_max: int,
         dev = float(np.max(np.abs(cur["tp_qubit"] - prev["tp_qubit"])))
         return None if dev < en_tol else dev
 
-    return search_cutoff(attempt, len(rows), n_start, n_max,
+    lab = any(row[3] == "lab" for row in rows)
+    return search_cutoff(attempt, len(rows), N_START_LAB if lab else N_START,
                          None if en_tol is None else deviation)
 
 
@@ -455,7 +459,7 @@ __all__ = [
     "coherent_vector", "ladder_exp", "displaced_squeezed_vector",
     "fock_overlap", "build_hamiltonian_lab", "build_hamiltonian_squeezed",
     "prepare_initial", "ExactPropagator", "cut_pt", "en_curves",
-    "trajectories",
+    "trajectories", "N_START", "N_START_LAB", "N_MAX",
     "ConvergenceReport", "search_cutoff", "converge_cutoff",
     "BIPARTITIONS", "SIGMA_Z", "TAIL_TOL", "EN_CONVERGENCE",
 ]

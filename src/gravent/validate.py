@@ -9,16 +9,15 @@ deviation of at most a tolerance, and `run_validation` gathers them in a
 `params.Report` over the base system.  The constants below, and the
 oracle's `fock.TAIL_TOL` and `fock.EN_CONVERGENCE`, fix the policy.
 
-Every oracle cutoff comes from the one bounded row search
-`fock.search_cutoff`: it starts at a given N, which it always tries, and
-doubles it up to a ceiling, 512 for EN curves and 1024 for overlaps and
-the partial-transpose matrix, then raises NoConvergence with the history
-of every N tried.  Each check reports that as a failed check whose note
-is the search's message, never as a crash; checks that need the
-lab-frame oracle are skipped with a note once the squeezing parameter
-puts lab occupations out of reach.  Apart from the overlap tuples, every
-row is a `fock.converge_cutoff` trajectory; the partial-transpose frames
-share one search, and so do the three linear drives.
+Every oracle cutoff comes from `fock.search_cutoff` under the one policy
+`fock` fixes: from `fock.N_START`, or `fock.N_START_LAB` for lab-frame
+rows, N doubles up to the ceiling `fock.N_MAX`, past which NoConvergence
+names every N tried.  Each check reports that, or any other numerical
+error, as a failed check whose note names it, never as a crash; checks
+that need the lab-frame oracle are skipped with a note once the
+squeezing parameter puts lab occupations out of reach.  Apart from the
+overlap tuples, every row is a `fock.converge_cutoff` trajectory; the
+partial-transpose frames share one search, and so do the three drives.
 """
 
 from __future__ import annotations
@@ -30,27 +29,24 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import fock
-from .config import RunConfig
+from .config import RunConfig, resolve_dimensionless, resolve_si
 from .dynamics import (MediatorInit, displaced_overlap, en_at_decoupling,
                        en_timeseries, partial_transpose_matrix)
-from .errors import NoConvergence
+from .errors import GraventError, NoConvergence
 from .negativity import log_negativity_from_partial_transpose
 from .params import Check, ModelParams, Report, derive_squeezed_frame
 
-# Lab-frame state preparation costs an extra squeeze on top of the frame
-# transformation, so occupations scale like e^{4s}; past this value the
-# lab oracle cannot represent the initial state at any sane cutoff.
+# Lab-frame preparation adds a squeeze to the frame's, so occupations grow
+# like e^{4s}: past this s no cutoff up to fock.N_MAX holds the state.
 LAB_FRAME_S_MAX = 1.0
 FRAME_EQUIVALENCE_S_MAX = 0.5  # the same bound, tighter, of frame_equivalence
 PT_TAIL = 1e-14  # Fock tail tolerance of check_pt_matrix
 OVERLAP_TAIL = 1e-10  # Fock tail tolerance of check_overlap_closed_form
-# Seed and sample counts of the base-independent checks, start N of the
-# pt-matrix and squeezed frame-equivalence searches, times per EN curve
-# and the tolerances; PT_TOL is 1,000 times the 9.4e-13 every base reads
+# Seed and sample counts of the base-independent checks, times per EN
+# curve and the tolerances; PT_TOL is 1,000 times pt_matrix's 9.4e-13
 SEED = 20240811
 OVERLAP_SAMPLES = 200
 PT_SAMPLES = 20
-FOCK_N = 64
 T_POINTS = 25
 OVERLAP_TOL = 1e-8
 PT_TOL = 1e-9
@@ -62,15 +58,17 @@ def _check(name: str):
     note), or a note when the point is out of the oracle's reach.
 
     A cutoff search that finds no cutoff makes a failed check whose note
-    is the search's message.
+    is its message, any other numerical error one whose note names it.
     """
     def wrap(measure):
         @functools.wraps(measure)
         def check(*args, **kwargs) -> Check:
             try:
                 result = measure(*args, **kwargs)
-            except NoConvergence as exc:
-                return Check(name, False, note=str(exc))
+            except (GraventError, ArithmeticError, np.linalg.LinAlgError,
+                    RuntimeWarning) as exc:
+                return Check(name, False, note=str(exc) if isinstance(
+                    exc, NoConvergence) else f"{type(exc).__name__}: {exc}")
             if isinstance(result, str):
                 return Check(name, True, skipped=True, note=result)
             return Check.bound(name, *result)
@@ -84,7 +82,6 @@ def _base_params(cfg: RunConfig) -> ModelParams:
     SI systems are rescaled by omega_tilde; the dynamics is covariant
     under this, so the comparison loses nothing.
     """
-    from .config import resolve_dimensionless, resolve_si
     if cfg.mode == "dimensionless":
         return resolve_dimensionless(cfg)
     _, p, _ = resolve_si(cfg)
@@ -129,7 +126,7 @@ def check_pt_matrix() -> Check:
         t = rng.uniform(0.1, 1.9) * frame.t_period
         rows.append((params, init, [t], "squeezed"))
         ana.append(partial_transpose_matrix(frame, init, t))
-    curves, rep = fock.converge_cutoff(rows, PT_TAIL, FOCK_N, 1024, cuts=())
+    curves, rep = fock.converge_cutoff(rows, PT_TAIL, cuts=())
     orc = [fock.cut_pt(c["states"], n, "tp_qubit")[0]
            for c, n in zip(curves, rep.n)]
     worst = float(np.max(np.abs(np.subtract(ana, orc))))
@@ -141,7 +138,7 @@ def check_en_timeseries(params: ModelParams, init: MediatorInit) -> Check:
     frame = derive_squeezed_frame(params)
     t_grid = np.linspace(0.0, 2.0 * frame.t_period, T_POINTS)
     [curves], rep = fock.converge_cutoff(
-        [(params, init, t_grid, "squeezed")], fock.TAIL_TOL, 2, 512,
+        [(params, init, t_grid, "squeezed")], fock.TAIL_TOL,
         fock.EN_CONVERGENCE)
     ana = en_timeseries(frame, init, t_grid)
     dev = float(np.max(np.abs(ana - curves["tp_qubit"])))
@@ -156,8 +153,7 @@ def check_decoupling(params: ModelParams, init: MediatorInit) -> Check:
     frame = derive_squeezed_frame(params)
     t_n = [frame.decoupling_time(1), frame.decoupling_time(2)]
     [curves], rep = fock.converge_cutoff(
-        [(params, init, t_n, "squeezed")], fock.TAIL_TOL, 2, 512,
-        fock.EN_CONVERGENCE)
+        [(params, init, t_n, "squeezed")], fock.TAIL_TOL, fock.EN_CONVERGENCE)
     dev = float(np.max([log_negativity_from_partial_transpose(
         fock.cut_pt(curves["states"], rep.n[0], cut))
         for cut in ("tp_mediator", "qubit_mediator")]))
@@ -189,7 +185,7 @@ def check_epsilon_irrelevance(params: ModelParams,
     curves, rep = fock.converge_cutoff(
         [(replace(params, epsilon=eps), init, t_grid, "lab")
          for eps in (0.0, 0.1 * params.omega_tilde, params.omega_tilde)],
-        fock.TAIL_TOL, 96, 512)
+        fock.TAIL_TOL)
     dev = max(float(np.max(np.abs(c["tp_qubit"] - curves[0]["tp_qubit"])))
               for c in curves[1:])
     return dev, EN_TOL, (f"N = {rep.n[-1]}, lab-frame drive 0, 0.1, 1 in "
@@ -205,9 +201,9 @@ def check_frame_equivalence(params: ModelParams, init: MediatorInit) -> Check:
                 "preparation out of reach, check skipped (frame restriction)")
     t_grid = np.linspace(0.0, 2.0 * frame.t_period, T_POINTS)
     [lab], lab_rep = fock.converge_cutoff(
-        [(params, init, t_grid, "lab")], fock.TAIL_TOL, 128, 512)
+        [(params, init, t_grid, "lab")], fock.TAIL_TOL)
     [sq], sq_rep = fock.converge_cutoff(
-        [(params, init, t_grid, "squeezed")], fock.TAIL_TOL, FOCK_N, 512)
+        [(params, init, t_grid, "squeezed")], fock.TAIL_TOL)
     dev = float(np.max(np.abs(lab["tp_qubit"] - sq["tp_qubit"])))
     return dev, EN_TOL, f"N = {lab_rep.n[0]} lab, {sq_rep.n[0]} squeezed"
 

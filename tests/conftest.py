@@ -44,12 +44,14 @@ def prepare_one(init, n, params=None, tail_tol=1e-8, lab_mode=False):
 
 def small_validation(monkeypatch):
     """Shrink validate's fixed policy to a unit-test run: four overlap
-    tuples, two partial-transpose frames, cutoff searches from N = 16 and
-    seven times per EN curve."""
-    from gravent import validate
+    tuples, two partial-transpose frames, seven times per EN curve and
+    every cutoff search of the oracle from N = 16."""
+    from gravent import fock, validate
     for name, value in (("SEED", 5), ("OVERLAP_SAMPLES", 4),
-                        ("PT_SAMPLES", 2), ("FOCK_N", 16), ("T_POINTS", 7)):
+                        ("PT_SAMPLES", 2), ("T_POINTS", 7)):
         monkeypatch.setattr(validate, name, value)
+    for name in ("N_START", "N_START_LAB"):
+        monkeypatch.setattr(fock, name, 16)
 
 
 def displacement_matrix(alpha, n):

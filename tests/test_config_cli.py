@@ -1013,18 +1013,85 @@ class TestCliValidate:
         blob = json.loads((tmp_path / "out"
                            / "unit_validate.json").read_text())
         by_name = {c["name"]: c for c in blob["checks"]}
-        ceilings = {"overlap_closed_form_vs_fock": 1024,
-                    "pt_matrix_vs_fock": 1024,
-                    "en_timeseries_analytic_vs_fock": 512,
-                    "mediator_decoupling_at_tn": 512,
-                    "epsilon_irrelevance": 512, "frame_equivalence": 512}
-        for name, ceiling in ceilings.items():
+        for name in ("overlap_closed_form_vs_fock", "pt_matrix_vs_fock",
+                     "en_timeseries_analytic_vs_fock",
+                     "mediator_decoupling_at_tn", "epsilon_irrelevance",
+                     "frame_equivalence"):
             check = by_name[name]
             assert not check["passed"] and not check["skipped"]
             assert check["note"].startswith(
-                f"no cutoff up to the ceiling N = {ceiling} passes (")
+                f"no cutoff up to the ceiling N = {fock.N_MAX} passes (")
             assert "no room at N = " in check["note"]
         assert by_name["closed_form_at_tn"]["passed"]
+
+    def test_every_search_starts_where_the_oracle_says(self, monkeypatch):
+        """fig3b runs all seven checks, in seven cutoff searches: each
+        tries N = 96 first when it holds lab-frame rows and N = 64
+        otherwise, whatever the check."""
+        from gravent import fock, validate
+        search, trajectories = fock.search_cutoff, fock.trajectories
+        starts = []  # per search: [the first N tried, frames of its rows]
+
+        def recording_search(attempt, *args, **kwargs):
+            starts.append([None, {"overlap"}])
+
+            def first(n, todo):
+                starts[-1][0] = starts[-1][0] or n
+                return attempt(n, todo)
+            return search(first, *args, **kwargs)
+
+        def recording_trajectories(rows, *args, **kwargs):
+            starts[-1][1] = {row[3] for row in rows}
+            return trajectories(rows, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "search_cutoff", recording_search)
+        monkeypatch.setattr(fock, "trajectories", recording_trajectories)
+        assert validate.run_validation(load_preset("fig3b")).all_pass
+        assert [(n, sorted(frames)) for n, frames in starts] == [
+            (64, ["overlap"]), (64, ["squeezed"]), (64, ["squeezed"]),
+            (64, ["squeezed"]), (96, ["lab"]), (96, ["lab"]),
+            (64, ["squeezed"])]
+
+    def test_a_float_edge_gap_fails_its_checks_under_w_error(
+            self, tmp_path, monkeypatch):
+        """fig3a at delta = 1e-200 (s = 115) with warnings as errors: the
+        closed form's overflow RuntimeWarning is a failed check, as the
+        searches that find no cutoff are, and the report is written."""
+        from gravent import validate
+        for name, value in (("OVERLAP_SAMPLES", 2), ("PT_SAMPLES", 1),
+                            ("T_POINTS", 5)):
+            monkeypatch.setattr(validate, name, value)
+        data = serialize_config(load_preset("fig3a"))
+        data["system"].pop("F")
+        data["system"]["delta"] = 1e-200
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        rc = main(["validate", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 1
+        blob = json.loads((tmp_path / "out"
+                           / "fig3a_validate.json").read_text())
+        by_name = {c["name"]: c for c in blob["checks"]}
+        for name in ("en_timeseries_analytic_vs_fock",
+                     "mediator_decoupling_at_tn"):
+            assert not by_name[name]["passed"]
+            assert by_name[name]["note"].startswith("no cutoff up to the ")
+        closed = by_name["closed_form_at_tn"]
+        assert not closed["passed"] and not closed["skipped"]
+        assert closed["note"].startswith("RuntimeWarning: overflow")
+        assert by_name["epsilon_irrelevance"]["skipped"]
+        assert by_name["frame_equivalence"]["skipped"]
+
+    def test_a_programming_error_in_a_check_propagates(self, monkeypatch):
+        from gravent import MediatorInit, ModelParams, validate
+
+        def broken(g_eff, t_n):
+            raise TypeError("not a numerical error")
+
+        monkeypatch.setattr(validate, "en_at_decoupling", broken)
+        params = ModelParams.dimensionless(g_a=0.02, g_b=1.0, F=0.0)
+        with pytest.raises(TypeError, match="not a numerical error"):
+            validate.check_closed_form_at_tn(params, MediatorInit())
 
     @pytest.mark.parametrize("command", ["validate", "dynamics"])
     @pytest.mark.parametrize("section", [

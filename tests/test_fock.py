@@ -270,12 +270,12 @@ class TestOverlapOracle:
             assert calls[-1][0] == n
             assert abs(single - value) <= 1e-14
 
-    def test_gives_up_past_the_cap(self):
+    def test_gives_up_past_the_cap(self, monkeypatch):
         init = MediatorInit(alpha0=12.0, xi_mag=1.5, theta=0.0)
+        monkeypatch.setattr(fock, "N_MAX", 128)
         with pytest.raises(NoConvergence) as exc:
-            fock.fock_overlap([20.0], [-20.0], [init], tail_tol=1e-10,
-                              n_start=16, n_max=64)
-        assert [s["n"] for s in exc.value.report.steps] == [16, 32, 64]
+            fock.fock_overlap([20.0], [-20.0], [init], tail_tol=1e-10)
+        assert [s["n"] for s in exc.value.report.steps] == [64, 128]
 
 
 def _pt_frames():
@@ -334,7 +334,7 @@ class TestPtMatrixOracle:
 
         for (params, _, init, t), pt in zip(_pt_frames(), batch["out"]):
             [want], report = fock.search_cutoff(
-                own_row((params, init, [t], "squeezed")), 1, 64, 1024)
+                own_row((params, init, [t], "squeezed")), 1, fock.N_START)
             got.append(max(n for n, rows in prepared
                             if init.alpha0 in rows))
             assert [got[-1]] == report.n
@@ -664,12 +664,15 @@ class TestParityPairing:
             signs = np.sign(np.sum(got_v * v, axis=0))
             np.testing.assert_allclose(got_v * signs, v, rtol=0, atol=1e-10)
 
-    def test_validate_fig3a_makes_82_eigensolves(self, tmp_path,
+    def test_validate_fig3a_makes_78_eigensolves(self, tmp_path,
                                                  monkeypatch):
-        """48 propagators: 192 eigensolves before partners were paired,
-        100 before the partial-transpose check dropped a frame whose
-        first group leaks without solving its second, and 84 before every
-        trajectory did."""
+        """45 propagators.  There were 48 before every search started at
+        fock.N_START, or fock.N_START_LAB with lab rows, where the
+        decoupling search had started at N = 2 and the lab leg of
+        frame_equivalence at 128; and 192 eigensolves before partners
+        were paired, 100 before the partial-transpose check dropped a
+        frame whose first group leaks without solving its second, 84
+        before every trajectory did, and 82 before the one start."""
         from gravent.cli import main
         calls = _count_eig_banded(monkeypatch)
         built = []
@@ -678,7 +681,7 @@ class TestParityPairing:
                             lambda self, h: built.append(0) or init(self, h))
         assert main(["validate", "--preset", "fig3a", "--out",
                      str(tmp_path)]) == 0
-        assert (len(built), len(calls)) == (48, 82)
+        assert (len(built), len(calls)) == (45, 78)
 
 
 class TestEnCurves:
@@ -751,32 +754,33 @@ class TestConvergeCutoff:
         frame = derive_squeezed_frame(params)
         ts = np.linspace(0.0, frame.t_period, 9)
         [curves], rep = fock.converge_cutoff(
-            [(params, MediatorInit(), ts, "squeezed")], 1e-8, 2, 512, 1e-4)
+            [(params, MediatorInit(), ts, "squeezed")], 1e-8, 1e-4)
         assert rep.n[0] <= 64
         assert len(curves["tp_qubit"]) == 9
 
     def test_states_belong_to_the_accepted_cutoff(self):
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
         [curves], rep = fock.converge_cutoff(
-            [(params, MediatorInit(), [0.0, 1.0], "squeezed")], 1e-8, 2, 512,
-            1e-4)
+            [(params, MediatorInit(), [0.0, 1.0], "squeezed")], 1e-8, 1e-4)
         assert curves["states"].shape == (2, 4 * rep.n[0])
 
-    def test_unsettled_curves_report_their_deviation(self):
+    def test_unsettled_curves_report_their_deviation(self, monkeypatch):
         params = ModelParams.dimensionless(g_a=1.0 / 48.0, g_b=1.0, F=0.0)
+        monkeypatch.setattr(fock, "N_MAX", 128)
         with pytest.raises(NoConvergence) as exc:
             fock.converge_cutoff(
-                [(params, MediatorInit(), [0.0, 3.0], "squeezed")], 1e-8, 48,
-                96, en_tol=0.0)
-        assert "N = 48: differs from N = 96 by " in str(exc.value)
+                [(params, MediatorInit(), [0.0, 3.0], "squeezed")], 1e-8,
+                en_tol=0.0)
+        assert "N = 64: differs from N = 128 by " in str(exc.value)
 
-    def test_strong_squeezing_is_out_of_reach(self):
+    def test_strong_squeezing_is_out_of_reach(self, monkeypatch):
         params = ModelParams.dimensionless(
             g_a=0.01, g_b=1.0, F=0.25 * (1.0 - math.exp(-4.0 * 3.0)))
+        monkeypatch.setattr(fock, "N_MAX", 128)
         with pytest.raises(NoConvergence) as exc:
             fock.converge_cutoff(
-                [(params, MediatorInit(), [0.0, 1.0], "squeezed")], 1e-8, 2,
-                64, 1e-4)
+                [(params, MediatorInit(), [0.0, 1.0], "squeezed")], 1e-8,
+                1e-4)
         assert exc.value.report is not None
         assert exc.value.report.steps
 
@@ -793,31 +797,15 @@ class TestConvergeCutoff:
         monkeypatch.setattr(validate, "PT_SAMPLES", 3)
         result = validate.check_pt_matrix()
         assert not result.passed and not result.skipped
-        assert "ceiling N = 1024" in result.note
+        assert "ceiling N = 512" in result.note
         # one preparation of all samples per N, up to the ceiling
-        assert tried == [64, 128, 256, 512, 1024]
-
-    def test_a_start_above_the_ceiling_is_tried(self, monkeypatch):
-        from gravent import validate
-        tried = []
-
-        def never_fits(rows, n, *args, **kwargs):
-            tried.append(n)
-            return ([None] * len(rows),
-                    [CutoffTooSmall(f"no room at N = {n}", 1.0)] * len(rows))
-
-        monkeypatch.setattr(fock, "trajectories", never_fits)
-        monkeypatch.setattr(validate, "FOCK_N", 2048)
-        result = validate.check_pt_matrix()
-        assert not result.passed and not result.skipped
-        assert "ceiling N = 1024 passes (N = 2048: no room" in result.note
-        assert tried == [2048]
+        assert tried == [64, 128, 256, 512]
 
     def test_unknown_hamiltonian_label(self):
         params = ModelParams.dimensionless(g_a=0.01, g_b=1.0, F=0.0)
         with pytest.raises(ValueError, match="squeezed"):
             fock.converge_cutoff([(params, MediatorInit(), [0.0], "exact")],
-                                 1e-8, 2, 512, 1e-4)
+                                 1e-8, 1e-4)
 
 
 class TestSearchCutoff:
@@ -843,8 +831,7 @@ class TestSearchCutoff:
 
     def test_first_fit_is_accepted(self):
         tried = []
-        result, rep = fock.search_cutoff(self.fits_from(20, tried), 1, 4,
-                                         512)
+        result, rep = fock.search_cutoff(self.fits_from(20, tried), 1, 4)
         assert (result, rep.n) == ([32], [32])
         assert tried == [4, 8, 16, 32]
         assert [s["n"] for s in rep.steps] == tried
@@ -853,7 +840,7 @@ class TestSearchCutoff:
     def test_settled_returns_the_smaller_cutoff(self):
         tried = []
         result, rep = fock.search_cutoff(
-            self.fits_from(8, tried), 1, 2, 512,
+            self.fits_from(8, tried), 1, 2,
             settled=lambda prev, cur: None if cur >= 32 else 0.25)
         assert (result, rep.n) == ([16], [16])
         assert tried == [2, 4, 8, 16, 32]
@@ -862,47 +849,45 @@ class TestSearchCutoff:
     def test_ceiling_is_tried_then_the_search_gives_up(self):
         tried = []
         with pytest.raises(NoConvergence) as exc:
-            fock.search_cutoff(self.fits_from(10 ** 6, tried), 1, 64, 1024)
-        assert tried == [64, 128, 256, 512, 1024]
+            fock.search_cutoff(self.fits_from(10 ** 6, tried), 1, 64)
+        assert tried == [64, 128, 256, 512] and fock.N_MAX == 512
         msg = str(exc.value)
-        assert msg.startswith("no cutoff up to the ceiling N = 1024 passes")
+        assert msg.startswith("no cutoff up to the ceiling N = 512 passes")
         for n in tried:
             assert f"N = {n}: too small at N = {n} (tail mass" in msg
 
-    def test_unsettled_ceiling_is_named(self):
+    def test_unsettled_ceiling_is_named(self, monkeypatch):
+        monkeypatch.setattr(fock, "N_MAX", 8)
         with pytest.raises(NoConvergence) as exc:
-            fock.search_cutoff(self.fits_from(1, []), 1, 2, 8,
+            fock.search_cutoff(self.fits_from(1, []), 1, 2,
                                settled=lambda prev, cur: 1.0)
         assert str(exc.value).endswith(
             "(N = 2: differs from N = 4 by 1.00e+00; "
             "N = 4: differs from N = 8 by 1.00e+00; "
             "N = 8: not confirmed at a larger N)")
 
-    def test_start_above_the_ceiling_is_tried_once(self):
+    def test_a_start_above_the_ceiling_is_not_tried(self):
         tried = []
-        result, rep = fock.search_cutoff(self.fits_from(1, tried), 1, 600,
-                                         512)
-        assert (result, rep.n, tried) == ([600], [600], [600])
-        with pytest.raises(NoConvergence, match="ceiling N = 512 passes "
-                                                r"\(N = 600: too small"):
-            fock.search_cutoff(self.fits_from(10 ** 6, []), 1, 600, 512)
+        with pytest.raises(NoConvergence) as exc:
+            fock.search_cutoff(self.fits_from(1, tried), 3, 600)
+        assert tried == [] and exc.value.report.n == [0, 0, 0]
 
     def test_doublings_stop_at_the_ceiling(self):
         tried = []
         with pytest.raises(NoConvergence):
-            fock.search_cutoff(self.fits_from(10 ** 6, tried), 1, 96, 1024)
-        assert tried == [96, 192, 384, 768]
+            fock.search_cutoff(self.fits_from(10 ** 6, tried), 1, 96)
+        assert tried == [96, 192, 384]
 
     def test_other_errors_propagate(self):
         def broken(n, todo):
             raise ValueError("not a cutoff problem")
         with pytest.raises(ValueError, match="not a cutoff problem"):
-            fock.search_cutoff(broken, 1, 2, 64)
+            fock.search_cutoff(broken, 1, 2)
 
     def test_rows_are_accepted_at_different_n(self):
         tried, todos = [], []
         result, rep = fock.search_cutoff(self.logging_todo(
-            self.fits_from([4, 16, 8], tried), todos), 3, 2, 64)
+            self.fits_from([4, 16, 8], tried), todos), 3, 2)
         assert result == rep.n == [4, 16, 8]
         assert tried == [2, 4, 8, 16]
         assert todos == [[0, 1, 2], [0, 1, 2], [1, 2], [1]]
@@ -919,7 +904,7 @@ class TestSearchCutoff:
             return [min(n, 16) * r for r in todo], [None] * len(todo)
 
         result, rep = fock.search_cutoff(
-            self.logging_todo(attempt, todos), 2, 2, 64,
+            self.logging_todo(attempt, todos), 2, 2,
             settled=lambda prev, cur: None if prev == cur else cur - prev)
         assert (result, rep.n) == ([0, 16], [2, 16])
         assert todos == [[0, 1], [0, 1], [1], [1], [1]]
@@ -928,19 +913,9 @@ class TestSearchCutoff:
             "differs from N = 8 by 4.00e+00",
             "differs from N = 16 by 8.00e+00", None, None]
 
-    def test_start_above_the_ceiling_with_several_rows(self):
-        tried = []
-        result, rep = fock.search_cutoff(self.fits_from(1, tried), 3, 600,
-                                         512)
-        assert (result, rep.n, tried) == ([600] * 3, [600] * 3, [600])
-        tried.clear()
-        with pytest.raises(NoConvergence, match="ceiling N = 512 passes "
-                                                r"\(N = 600: too small"):
-            fock.search_cutoff(self.fits_from([1, 10 ** 6], tried), 2, 600,
-                               512)
-        assert tried == [600]
+    def test_no_convergence_names_the_first_row_left(self, monkeypatch):
+        monkeypatch.setattr(fock, "N_MAX", 8)
 
-    def test_no_convergence_names_the_first_row_left(self):
         def attempt(n, todo):
             return [n] * len(todo), [
                 None if r == 0 and n >= 4 else
@@ -948,7 +923,7 @@ class TestSearchCutoff:
                 for r in todo]
 
         with pytest.raises(NoConvergence) as exc:
-            fock.search_cutoff(attempt, 3, 2, 8)
+            fock.search_cutoff(attempt, 3, 2)
         assert str(exc.value) == (
             "no cutoff up to the ceiling N = 8 passes ("
             "N = 2: row 0 too small at N = 2 (tail mass 5.000e-01); "
