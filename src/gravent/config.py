@@ -58,7 +58,6 @@ class FeasibilitySection:
 @dataclass(frozen=True)
 class RunConfig:
     label: str = field(metadata={"label": True})
-    mode: str = field(metadata={"choices": ("dimensionless", "si")})
     system: DimensionlessSystem | None = None
     si_system: PhysicalSetup | None = None
     mediator: MediatorInit = field(default_factory=MediatorInit)
@@ -70,11 +69,10 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if (self.mode == "dimensionless") != (self.system is not None) or \
-                (self.mode == "si") != (self.si_system is not None):
-            raise ConfigError("mode", "dimensionless mode requires the "
-                              "'system' block, si mode the 'si_system' "
-                              "block, never both")
+        if (self.system is None) == (self.si_system is None):
+            raise ConfigError("system", "give exactly one of the "
+                              "dimensionless 'system' block and the "
+                              "'si_system' block")
         if self.system is not None:
             _check_cells(self)
             return

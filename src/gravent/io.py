@@ -3,9 +3,12 @@
 Every file starts with a provenance block ('#' comments in CSV, a
 "provenance" object in JSON) carrying the config label, the canonical
 config hash, the package version, and the tolerance set, so any table can
-be traced back to the exact run that produced it.  CSV numbers have 17
-significant digits, JSON numbers are the shortest repr that round-trips
-(NaN and Infinity included), and both read back as the same float.
+be traced back to the exact run that produced it.  Tables of numbers go
+to CSV with 17 significant digits, each distinct number formatted once;
+reports, and what a table cannot hold, go to JSON through
+json.dump(indent=2), whose numbers are the shortest repr that
+round-trips (NaN and Infinity included).  Both read back as the same
+float.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ def provenance(cfg: RunConfig, **extra) -> dict:
     return info
 
 
-def _comment_block(info: dict) -> list[str]:
+def _comment_lines(info: dict) -> list[str]:
     lines = []
     for key, val in info.items():
         if isinstance(val, dict):
@@ -41,7 +44,7 @@ def _comment_block(info: dict) -> list[str]:
 def write_csv(path: Path, info: dict, names: list[str], columns) -> Path:
     """One CSV column per name from equal-size arrays of numbers or
     booleans, read in C order; booleans are written as 1/0."""
-    return _write_rows(path, info, names, [_csv_texts(c) for c in columns])
+    return _write_rows(path, info, names, [_texts(c) for c in columns])
 
 
 def _write_rows(path: Path, info: dict, names: list[str], texts) -> Path:
@@ -49,74 +52,33 @@ def _write_rows(path: Path, info: dict, names: list[str], texts) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     row = ",".join(["{}"] * len(names)) + "\n"
     with open(path, "w") as fh:
-        for line in _comment_block(info):
+        for line in _comment_lines(info):
             fh.write(line + "\n")
         fh.write(",".join(names) + "\n")
         fh.writelines(starmap(row.format, zip(*texts)))
     return path
 
 
-def _csv_texts(values) -> np.ndarray:
-    return _texts(values, lambda v: ("%.17g " * len(v) % tuple(v)).split())
-
-
-def _texts(values, fmt) -> np.ndarray:
-    """Object array of the strings of values in C order, from one call of
-    fmt(list of numbers) on its distinct entries; floats are told apart
-    by bit pattern, so -0.0 keeps its sign."""
+def _texts(values) -> np.ndarray:
+    """Object array of the "%.17g" strings of values in C order, from one
+    formatting of their distinct entries; floats are told apart by bit
+    pattern, so -0.0 keeps its sign."""
     flat = np.ravel(values)
     key = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return np.array(fmt(flat[first].tolist()), dtype=object)[inverse]
+    distinct = flat[first].tolist()
+    return np.array(("%.17g " * len(distinct) % tuple(distinct)).split(),
+                    dtype=object)[inverse]
 
 
 def write_json(path: Path, info: dict, payload: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.writelines(_encode({"provenance": info, **payload}))
+        json.dump({"provenance": info, **payload}, fh, indent=2,
+                  default=_json_default)
         fh.write("\n")
     return path
-
-
-def _encode(obj, level: int = 0):
-    """json.dump(obj, indent=2, default=_json_default) in chunks, with the
-    distinct numbers of each numeric array formatted by one json.dumps
-    call and the array laid out in one chunk."""
-    if isinstance(obj, np.ndarray) and obj.dtype.kind in "biuf":
-        text = _texts(obj, lambda v: json.dumps(v)[1:-1].split(", "))
-        text = text.reshape(obj.shape).tolist()
-        yield text if isinstance(text, str) else _nest(text, level)
-    elif isinstance(obj, dict):
-        yield from _block([(f"{json.dumps({k: 0})[1:-4]}: ", v)
-                           for k, v in obj.items()], level, "{}")
-    elif isinstance(obj, (list, tuple)):
-        yield from _block([("", v) for v in obj], level, "[]")
-    elif obj is None or isinstance(obj, (str, int, float)):
-        yield json.dumps(obj)
-    else:
-        yield from _encode(_json_default(obj), level)
-
-
-def _block(items: list, level: int, brackets: str):
-    """The (prefix, value) items of an object or array at depth level,
-    one per line."""
-    sep, inner = brackets[0], "\n" + "  " * (level + 1)
-    for prefix, value in items:
-        yield sep + inner + prefix
-        yield from _encode(value, level + 1)
-        sep = ","
-    yield "\n" + "  " * level + brackets[1] if items else brackets
-
-
-def _nest(text: list, level: int) -> str:
-    """A JSON array of the strings in the nested list text at depth level."""
-    if text and isinstance(text[0], list):
-        text = [_nest(row, level + 1) for row in text]
-    if not text:
-        return "[]"
-    inner = "\n" + "  " * (level + 1)
-    return f"[{inner}{(',' + inner).join(text)}\n{'  ' * level}]"
 
 
 def _json_default(obj):
@@ -133,7 +95,7 @@ def write_timeseries(outdir: Path, stem: str, result, info: dict):
     """CSV with t + one column per curve, two-column .dat per curve, and a
     .gp script that plots them all."""
     outdir = Path(outdir)
-    t, *curves = map(_csv_texts, (result.t, *result.curves.values()))
+    t, *curves = map(_texts, (result.t, *result.curves.values()))
     paths = [_write_rows(outdir / f"{stem}.csv", info, ["t", *result.curves],
                          [t, *curves])]
     for curve, text in zip(result.curves, curves):
@@ -152,7 +114,9 @@ def write_timeseries(outdir: Path, stem: str, result, info: dict):
 
 
 def write_sweep(outdir: Path, stem: str, result, info: dict):
-    """One CSV row per grid cell, in C order, plus a JSON dump."""
+    """One CSV row per grid cell, in C order, an invalid cell's numbers as
+    nan, plus a JSON of what a row cannot hold: the axes, the meta and
+    the index and reason of each invalid cell."""
     outdir = Path(outdir)
     names = [ax.name for ax in result.spec.axes] + ["en", "valid"] \
         + list(result.extras)
@@ -162,8 +126,7 @@ def write_sweep(outdir: Path, stem: str, result, info: dict):
     payload = {
         "axes": [{"name": ax.name, "values": result.axis_values[k]}
                  for k, ax in enumerate(result.spec.axes)],
-        "en": result.en, "valid": result.valid,
-        "extras": result.extras, "meta": result.meta,
+        "meta": result.meta,
         "invalid_cells": [{"index": list(i), "note": n}
                           for i, n in result.invalid_cells]}
     json_path = write_json(outdir / f"{stem}.json", info, payload)

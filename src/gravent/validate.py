@@ -82,7 +82,7 @@ def _base_params(cfg: RunConfig) -> ModelParams:
     SI systems are rescaled by omega_tilde; the dynamics is covariant
     under this, so the comparison loses nothing.
     """
-    if cfg.mode == "dimensionless":
+    if cfg.system is not None:
         return resolve_dimensionless(cfg)
     _, p, _ = resolve_si(cfg)
     w = p.omega_tilde

@@ -28,17 +28,16 @@ from gravent.presets import PRESET_NAMES, SEC5_GOLDEN, golden_check
 
 MINIMAL = {
     "label": "unit",
-    "mode": "dimensionless",
     "system": {"g_a": 0.02, "g_b": 1.0, "F": 0.1},
 }
 
 
 # every preset's config_hash, which each result file's provenance carries
 PRESET_HASHES = {
-    "fig2": "5acc84bc91d6d404", "fig3a": "20b57100b2b7cd11",
-    "fig3b": "911243a9522594a0", "fig4": "88657a966b706199",
-    "fig5": "bb9fd701c491f6e3", "fig6": "c4ce0a6d5af89e9e",
-    "sec5-feasibility": "99e73aee708e840d"}
+    "fig2": "5cb58635cd7f43a2", "fig3a": "4e0ff6fe04350a99",
+    "fig3b": "7c99cc554e1cb1d8", "fig4": "87c58bff0e0b8398",
+    "fig5": "e0955a5aff126ef4", "fig6": "96845d8878375689",
+    "sec5-feasibility": "508657ab45d04f84"}
 
 
 def cfg_with(**sections):
@@ -79,15 +78,26 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"\.system\.drive"):
             parse_config(bad)
 
-    def test_mode_block_consistency(self):
-        with pytest.raises(ConfigError, match="mode"):
-            parse_config({"label": "x", "mode": "si",
-                          "system": MINIMAL["system"]})
+    def test_exactly_one_system_block(self):
         both = cfg_with(si_system={"m_a": 1e-18, "m_c": 1e-14, "d": 1e-4,
                                    "d0": 1e-7, "omega_c": 1e4,
                                    "omega_b": 1e9, "chi": 1e15})
-        with pytest.raises(ConfigError, match="mode"):
-            parse_config(both)
+        for data in ({"label": "x"}, both):
+            with pytest.raises(ConfigError, match="exactly one") as exc:
+                parse_config(data)
+            assert exc.value.path == "<config>.system"
+
+    def test_mode_is_an_unknown_key(self, tmp_path, capsys):
+        """The system block present says whether a run is dimensionless
+        or SI, so a config that still names a mode exits 2, before a
+        run."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg_with(mode="dimensionless")))
+        assert main(["validate", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert f"error: {cfg_path}.mode: unknown key" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_exactly_one_dimensionless_drive(self):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -100,17 +110,17 @@ class TestParsing:
         si = {"m_a": 1e-18, "m_c": 1e-14, "d": 1e-4, "d0": 1e-7,
               "omega_c": 1e4, "omega_b": 1e9, "chi": 1e15, "delta": 1.0}
         with pytest.raises(ConfigError, match="charges"):
-            parse_config({"label": "x", "mode": "si", "si_system": si})
+            parse_config({"label": "x", "si_system": si})
 
     def test_si_charged_needs_one_drive(self):
         si = {"m_a": 1e-18, "m_c": 1e-14, "d": 1e-4, "d0": 1e-7,
               "omega_c": 1e4, "omega_b": 1e9, "chi": 1e15,
               "Q1": 1e-15, "Q2": -1e-9}
         with pytest.raises(ConfigError, match="exactly one"):
-            parse_config({"label": "x", "mode": "si", "si_system": si})
+            parse_config({"label": "x", "si_system": si})
         si2 = dict(si, r0=1e-3, delta=1.0)
         with pytest.raises(ConfigError, match="exactly one"):
-            parse_config({"label": "x", "mode": "si", "si_system": si2})
+            parse_config({"label": "x", "si_system": si2})
 
     def test_type_errors(self):
         with pytest.raises(ConfigError, match="number"):
@@ -592,7 +602,6 @@ RULED_BLOCKS = {
     SweepSection: SweepSection((AxisSpec("F", 0.0, 0.2, 3),)),
     RateSection: RateSection("g_b", AxisSpec("g_b", 0.1, 1.0, 5)),
     FeasibilitySection: FeasibilitySection(),
-    gravent.config.RunConfig: parse_config(MINIMAL),
 }
 
 
@@ -849,8 +858,9 @@ class TestCliSweep:
         assert names[:4] == ["F", "gamma", "en", "valid"]
         assert len(rows) == 15
         blob = json.loads((tmp_path / "out" / "unit_sweep.json").read_text())
+        assert set(blob) == {"provenance", "axes", "meta", "invalid_cells"}
         assert blob["provenance"]["label"] == "unit"
-        assert np.array(blob["en"]).shape == (5, 3)
+        assert [len(a["values"]) for a in blob["axes"]] == [5, 3]
 
     def test_rows_follow_the_cells_in_c_order(self, tmp_path):
         """Each CSV row is one cell in np.ndindex order: axis values, en,
@@ -876,8 +886,9 @@ class TestCliSweep:
         assert "nan" in rows[1]
 
     def test_invalid_cells_round_trip_as_nan(self, tmp_path):
-        """Cells past the instability come back from the JSON as NaN and
-        from the CSV as nan; every valid number comes back exactly."""
+        """Cells past the instability come back from the CSV as nan and
+        are listed, in C order, in the JSON; every valid number comes back
+        exactly."""
         data = cfg_with(sweep={"axes": [
             {"name": "F", "start": 0.1, "stop": 0.3, "count": 5},
             {"name": "g_b", "start": 0.5, "stop": 1.0, "count": 2}]})
@@ -888,13 +899,9 @@ class TestCliSweep:
         assert main(["sweep", "--config", str(cfg_path), "--out",
                      str(tmp_path / "out")]) == 0
         blob = json.loads((tmp_path / "out" / "unit_sweep.json").read_text())
-        assert blob["valid"] == res.valid.tolist()
-        assert blob["valid"] == [[True] * 2] * 3 + [[False] * 2] * 2
-        en = np.array(blob["en"])
-        np.testing.assert_array_equal(en, res.en)
-        assert np.isnan(en).tolist() == (~res.valid).tolist()
-        for name, values in res.extras.items():
-            np.testing.assert_array_equal(blob["extras"][name], values)
+        assert res.valid.tolist() == [[True] * 2] * 3 + [[False] * 2] * 2
+        assert [c["index"] for c in blob["invalid_cells"]] == \
+            np.argwhere(~res.valid).tolist()
         _, names, rows = read_csv(tmp_path / "out" / "unit_sweep.csv")
         cells = {name: [row[k] for row in rows]
                  for k, name in enumerate(names)}
@@ -902,6 +909,39 @@ class TestCliSweep:
             [v == "0" for v in cells["valid"]]
         np.testing.assert_array_equal(
             np.array(cells["en"], float), res.en.ravel())
+
+    def test_fock_column_round_trips_through_the_csv(self, tmp_path):
+        """On backend "both" at N = 32 the oracle rejects three of six
+        cells: the CSV gives back en, valid and every extra, en_fock
+        among them, bit for bit with nan in each invalid cell, and the
+        JSON lists each rejected cell with the oracle's reason."""
+        from gravent import AxisSpec, SweepSection, io, run_sweep
+        res = run_sweep(SweepSection((AxisSpec("F", 0.0, 0.2, 3),
+                                      AxisSpec("g_b", 0.5, 1.0, 2)),
+                                     backend="both", fock_n=32),
+                        {"g_a": 1.0 / 48.0, "g_b": 1.0})
+        assert res.valid.tolist() == [[True, True], [True, False],
+                                      [False, False]]
+        assert "en_fock" in res.extras
+        io.write_sweep(tmp_path, "fock", res, {"label": "fock"})
+        _, names, rows = read_csv(tmp_path / "fock.csv")
+        cells = {name: np.array([row[k] for row in rows], float)
+                 for k, name in enumerate(names)}
+
+        def bits(values):  # every NaN as the one "nan" reads back as
+            values = np.ravel(values).astype(float)
+            return np.where(np.isnan(values), np.nan, values).view(np.uint64)
+
+        np.testing.assert_array_equal(cells["valid"], res.valid.ravel())
+        for name, values in {"en": res.en, **res.extras}.items():
+            np.testing.assert_array_equal(bits(cells[name]), bits(values))
+        for name in ("en", "en_fock"):
+            assert np.isnan(cells[name]).tolist() == \
+                (~res.valid).ravel().tolist()
+        blob = json.loads((tmp_path / "fock.json").read_text())
+        assert [(tuple(c["index"]), c["note"])
+                for c in blob["invalid_cells"]] == res.invalid_cells
+        assert blob["meta"] == {"backend": "both", "fock_n": 32}
 
     def test_axis_overrides_fixed_drive(self, tmp_path):
         # the system block pins F; the sweep axis takes it over

@@ -1,9 +1,10 @@
-"""The result writers against the plain stdlib writers they replaced.
+"""The byte format of the result writers.
 
-write_json must give json.dump(indent=2, default=_json_default) byte for
-byte, and write_csv the row writer that formatted every cell with
-"{:.17g}", whatever mix of signed zeros, NaNs, infinities, booleans,
-integers, shapes and empty containers the payload holds.
+write_json is json.dump(indent=2, default=_json_default) plus a newline,
+and TestWriteJson pins that text, numpy scalars and arrays included.
+write_csv must give the row writer that formatted every cell with
+"{:.17g}" byte for byte, whatever mix of signed zeros, NaNs, infinities,
+booleans, integers, shapes and empty containers the payload holds.
 """
 
 import json

@@ -15,7 +15,7 @@ from gravent import (AxisSpec, ConfigError, CutoffTooSmall, DynamicsSection,
                      entanglement_rate, fock, load_preset,
                      log_negativity_from_partial_transpose,
                      partial_transpose_matrix, run_sweep, timeseries_figure)
-from gravent.config import RunConfig, base_cell
+from gravent.config import base_cell
 from gravent.dynamics import dephasing_mask
 from gravent.sweep import _sign_changes, merge_cell, resolve_cell
 
@@ -139,9 +139,8 @@ class TestSections:
          "bipartitions[1]"),
         (lambda: RateSection("gamma", AxisSpec("gamma", 0.0, 1.0, 3)),
          "which"),
-        (lambda: RunConfig("x", mode="lab"), "mode"),
     ], ids=["sweep-backend", "dynamics-backend", "hamiltonian",
-            "bipartition", "rate-which", "mode"])
+            "bipartition", "rate-which"])
     def test_choices_name_their_field(self, make, path):
         """A value outside a field's choices is a ConfigError from Python
         too, not only from the config walker."""
