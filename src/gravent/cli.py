@@ -86,8 +86,9 @@ def cmd_feasibility(cfg: RunConfig, args) -> int:
 def cmd_dynamics(cfg: RunConfig, args) -> int:
     d = cfg.dynamics
     result = timeseries_figure(d, base_cell(cfg))
+    cutoff = {} if d.backend == "analytic" else {"fock_n": d.fock_n}
     info = io.provenance(cfg, command="dynamics", hamiltonian=d.hamiltonian,
-                         backend=d.backend)
+                         backend=d.backend, **cutoff)
     paths = io.write_timeseries(Path(args.out), f"{cfg.label}_dynamics",
                                 result, info)
     print(f"{len(result.curves)} curves over {len(result.t)} times")
@@ -99,7 +100,8 @@ def cmd_dynamics(cfg: RunConfig, args) -> int:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     sw = cfg.sweep
     result = run_sweep(sw, base_cell(cfg))
-    info = io.provenance(cfg, command="sweep", backend=sw.backend)
+    cutoff = {} if sw.backend == "analytic" else {"fock_n": sw.fock_n}
+    info = io.provenance(cfg, command="sweep", backend=sw.backend, **cutoff)
     paths = io.write_sweep(Path(args.out), f"{cfg.label}_sweep", result,
                            info)
     valid = result.valid.sum()

@@ -76,6 +76,9 @@ class RunConfig:
         if self.system is not None:
             _check_cells(self)
             return
+        if self.dephasing != DephasingBlock():
+            raise ConfigError("dephasing", "an SI system takes its rates "
+                              "from feasibility.gamma_window")
         # one cycle rejects a gap too small for float64
         cycles = {"si_system": 1.0}
         if self.feasibility is not None:

@@ -42,7 +42,6 @@ from .params import SqueezedFrame
 
 # Slot order |R,0>, |R,1>, |L,0>, |L,1>: TP and qubit index per slot, and
 # spin signs with sigma_a^z = |L><L| - |R><R|, sigma_b^z = |1><1| - |0><0|.
-SLOT_LABELS = ("R0", "R1", "L0", "L1")
 _TP = np.array([0, 0, 1, 1])
 _QUBIT = np.array([0, 1, 0, 1])
 _SIGMA_A = 2.0 * _TP - 1.0
@@ -102,7 +101,7 @@ class BranchState:
     """Per-configuration mediator data at times t.
 
     alpha_t has the shape of t, phi that of t broadcast with the couplings;
-    displacements add a last axis over the four slots, in SLOT_LABELS order.
+    displacements add a last axis over the four slots, in slot order.
     """
 
     t: np.ndarray
@@ -208,5 +207,5 @@ def en_timeseries(frame: SqueezedFrame, init: MediatorInit,
 __all__ = [
     "MediatorInit", "DephasingBlock", "BranchState", "branch_state",
     "displaced_overlap", "partial_transpose_matrix", "dephasing_mask",
-    "en_at_decoupling", "en_timeseries", "SLOT_LABELS",
+    "en_at_decoupling", "en_timeseries",
 ]

@@ -1,14 +1,14 @@
 """Result emission: CSV tables, JSON reports, gnuplot companions.
 
-Every file starts with a provenance block ('#' comments in CSV, a
-"provenance" object in JSON) carrying the config label, the canonical
-config hash, the package version, and the tolerance set, so any table can
-be traced back to the exact run that produced it.  Tables of numbers go
-to CSV with 17 significant digits, each distinct number formatted once;
-reports, and what a table cannot hold, go to JSON through
-json.dump(indent=2), whose numbers are the shortest repr that
-round-trips (NaN and Infinity included).  Both read back as the same
-float.
+Every file starts with a provenance block ('#' comments in CSV and .dat
+files, a "provenance" object in JSON) carrying the config label, hash,
+package version, tolerances and the command's settings, a Fock run's
+cutoff among them, so any table traces back to the run that made it.
+Tables of numbers go to CSV with 17 significant digits, each distinct
+number formatted once; reports, and what a table cannot hold, go to
+JSON through json.dump(indent=2), whose numbers are the shortest repr
+that round-trips (NaN and Infinity included).  Both read back as the
+same float.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def _json_default(obj):
 
 
 def write_timeseries(outdir: Path, stem: str, result, info: dict):
-    """CSV with t + one column per curve, two-column .dat per curve, and a
-    .gp script that plots them all."""
+    """CSV with t + one column per curve, comma-separated two-column .dat
+    per curve, and a .gp script that plots them all."""
     outdir = Path(outdir)
     t, *curves = map(_texts, (result.t, *result.curves.values()))
     paths = [_write_rows(outdir / f"{stem}.csv", info, ["t", *result.curves],
@@ -102,8 +102,8 @@ def write_timeseries(outdir: Path, stem: str, result, info: dict):
         safe = curve.replace(":", "_")
         paths.append(_write_rows(outdir / f"{stem}_{safe}.dat", info,
                                  ["t", curve], [t, text]))
-    gp = [f"# gnuplot script for {stem}", "set xlabel 't'",
-          "set ylabel 'EN'", "set key outside", "plot \\"]
+    gp = [f"# gnuplot script for {stem}", "set datafile separator ','",
+          "set xlabel 't'", "set ylabel 'EN'", "set key outside", "plot \\"]
     parts = [f"  '{stem}_{c.replace(':', '_')}.dat' using 1:2 "
              f"with lines title '{c}'" for c in result.curves]
     gp.append(", \\\n".join(parts))
@@ -115,8 +115,8 @@ def write_timeseries(outdir: Path, stem: str, result, info: dict):
 
 def write_sweep(outdir: Path, stem: str, result, info: dict):
     """One CSV row per grid cell, in C order, an invalid cell's numbers as
-    nan, plus a JSON of what a row cannot hold: the axes, the meta and
-    the index and reason of each invalid cell."""
+    nan, plus a JSON of what a row cannot hold: the axes and the index
+    and reason of each invalid cell."""
     outdir = Path(outdir)
     names = [ax.name for ax in result.spec.axes] + ["en", "valid"] \
         + list(result.extras)
@@ -126,7 +126,6 @@ def write_sweep(outdir: Path, stem: str, result, info: dict):
     payload = {
         "axes": [{"name": ax.name, "values": result.axis_values[k]}
                  for k, ax in enumerate(result.spec.axes)],
-        "meta": result.meta,
         "invalid_cells": [{"index": list(i), "note": n}
                           for i, n in result.invalid_cells]}
     json_path = write_json(outdir / f"{stem}.json", info, payload)
@@ -145,8 +144,7 @@ def write_rate(outdir: Path, stem: str, results: dict, info: dict):
         cols += [results[label].en, results[label].eta]
     csv_path = write_csv(outdir / f"{stem}.csv", info, names, cols)
     payload = {"zero_crossings": {l: results[l].zero_crossings
-                                  for l in labels},
-               "meta": {l: results[l].meta for l in labels}}
+                                  for l in labels}}
     json_path = write_json(outdir / f"{stem}.json", info, payload)
     return [csv_path, json_path]
 

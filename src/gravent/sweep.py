@@ -90,22 +90,18 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class TimeRule:
-    """When to evaluate EN in each cell.
+    """When to evaluate EN in each cell: at the absolute time t when the
+    rule gives one, else at t = cycles * 2 pi / omega_s (one period when
+    cycles is None), re-derived per cell so the sweep tracks the
+    decoupling comb as the frame shifts.  A rule gives one of the two."""
 
-    kind = "phase": t = cycles * 2 pi / omega_s, re-derived per cell so
-    the sweep tracks the decoupling comb as the frame shifts.
-    kind = "fixed": absolute time t.
-    """
-
-    kind: str = field(default="phase",
-                      metadata={"choices": ("phase", "fixed")})
-    cycles: float = field(default=1.0, metadata={"min": 0.0})
+    cycles: float | None = field(default=None, metadata={"min": 0.0})
     t: float | None = field(default=None, metadata={"min": 0.0})
 
     def __post_init__(self):
         check_fields(self)
-        if (self.kind == "fixed") != (self.t is not None):
-            raise ConfigError("t", "only a fixed rule takes t, and needs it")
+        if self.cycles is not None and self.t is not None:
+            raise ConfigError("t", "a rule gives cycles or t, not both")
 
 
 Variants = tuple[tuple[str, dict[str, float | None]], ...]
@@ -127,6 +123,12 @@ class DynamicsSection:
 
     def __post_init__(self):
         check_fields(self)
+        if self.backend == "analytic":  # the closed form's TP-qubit EN
+            if self.hamiltonian != "squeezed":
+                raise ConfigError("hamiltonian", "'lab' needs a Fock backend")
+            if not set(self.bipartitions) <= {"tp_qubit"}:
+                raise ConfigError("bipartitions", "a mediator cut needs a "
+                                  "Fock backend")
         for i, (_, overrides) in enumerate(self.variants):
             if "t" in overrides:
                 raise ConfigError(f"variants[{i}]", "the time grid sets t")
@@ -187,7 +189,7 @@ def merge_cell(base: dict, overrides: dict) -> dict:
 def check_fock_cuts(spec: DynamicsSection, fixed: dict) -> None:
     """The Fock mediator cuts are of the undamped pure state, so they
     refuse a variant with gamma or gamma_tp set."""
-    if spec.backend == "analytic" or set(spec.bipartitions) <= {"tp_qubit"}:
+    if set(spec.bipartitions) <= {"tp_qubit"}:
         return
     for label, overrides in spec.variants or (("base", {}),):
         cell = merge_cell(fixed, overrides)
@@ -230,10 +232,11 @@ def resolve_cell(cell: dict, time_rule: TimeRule | None = None):
             raise ConfigError("t", f"must be non-negative, got {np.min(t)}")
     elif time_rule is None:
         t = None
-    elif time_rule.kind == "fixed":  # TimeRule keeps its t and cycles >= 0
+    elif time_rule.t is not None:  # TimeRule keeps its t and cycles >= 0
         t = float(time_rule.t)
     else:
-        t = phase_time(time_rule.cycles, frame)
+        t = phase_time(1.0 if time_rule.cycles is None else time_rule.cycles,
+                       frame)
     return params, frame, init, deph.gamma, deph.gamma_tp, t
 
 
@@ -263,7 +266,6 @@ class SweepResult:
     valid: np.ndarray
     extras: dict[str, np.ndarray]
     invalid_cells: list[tuple[tuple[int, ...], str]]
-    meta: dict = field(default_factory=dict)
 
 
 def _groups(axes: tuple[AxisSpec, ...], axes_vals):
@@ -331,9 +333,7 @@ def run_sweep(spec: SweepSection, fixed: dict) -> SweepResult:
         values[~valid] = np.nan
     invalid = [(idx, notes[idx]) for idx in np.ndindex(*shape) if notes[idx]]
     return SweepResult(spec=spec, axis_values=axes_vals, en=en, valid=valid,
-                       extras=extras, invalid_cells=invalid,
-                       meta={"backend": spec.backend,
-                             "fock_n": spec.fock_n if spec.backend != "analytic" else None})
+                       extras=extras, invalid_cells=invalid)
 
 
 @dataclass
@@ -342,7 +342,6 @@ class RateResult:
     en: np.ndarray
     eta: np.ndarray
     zero_crossings: list[float]
-    meta: dict = field(default_factory=dict)
 
 
 def entanglement_rate(spec: RateSection, fixed: dict) -> RateResult:
@@ -360,8 +359,7 @@ def entanglement_rate(spec: RateSection, fixed: dict) -> RateResult:
                             "the axis range")
     eta = np.gradient(en, g)
     return RateResult(g_values=g, en=en, eta=eta,
-                      zero_crossings=_sign_changes(g, eta),
-                      meta={"axis": spec.which})
+                      zero_crossings=_sign_changes(g, eta))
 
 
 def _sign_changes(g: np.ndarray, eta: np.ndarray) -> list[float]:
@@ -388,7 +386,6 @@ def _sign_changes(g: np.ndarray, eta: np.ndarray) -> list[float]:
 class TimeseriesResult:
     t: np.ndarray
     curves: dict[str, np.ndarray]
-    meta: dict = field(default_factory=dict)
 
 
 def timeseries_figure(spec: DynamicsSection, fixed: dict) -> TimeseriesResult:
@@ -403,7 +400,6 @@ def timeseries_figure(spec: DynamicsSection, fixed: dict) -> TimeseriesResult:
     check_fock_cuts(spec, fixed)
     ts = np.linspace(spec.t_start, spec.t_stop, spec.points)
     curves: dict[str, np.ndarray] = {}
-    meta: dict = {"hamiltonian": spec.hamiltonian, "variants": []}
 
     variants = [(label, *resolve_cell(merge_cell(fixed, overrides)))
                 for label, overrides in spec.variants or (("base", {}),)]
@@ -417,11 +413,8 @@ def timeseries_figure(spec: DynamicsSection, fixed: dict) -> TimeseriesResult:
         why = list(dict.fromkeys(filter(None, why)))  # a shared one once
         if why:
             raise why.pop(0)  # not held in a cycle by this frame
-        meta["fock_n"] = spec.fock_n
     for (label, _, frame, init, gamma, gamma_tp, _), data in zip(variants,
                                                                 runs):
-        meta["variants"].append({"label": label, "s": frame.s,
-                                 "omega_s": frame.omega_s})
         if spec.backend != "fock":
             curves[f"{label}:tp_qubit:analytic"] = en_timeseries(
                 frame, init, ts, gamma, gamma_tp)
@@ -430,7 +423,7 @@ def timeseries_figure(spec: DynamicsSection, fixed: dict) -> TimeseriesResult:
                 data["states"], spec.fock_n, ts, gamma, gamma_tp)
             for name in spec.bipartitions:
                 curves[f"{label}:{name}:fock"] = data[name]
-    return TimeseriesResult(t=ts, curves=curves, meta=meta)
+    return TimeseriesResult(t=ts, curves=curves)
 
 
 __all__ = [

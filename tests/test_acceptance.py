@@ -327,7 +327,7 @@ class TestPropertySuite:
     def test_drive_response_is_not_monotone(self):
         """EN against the drive at zero dephasing has an interior turn."""
         spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.24, 49),),
-                            time=TimeRule("phase", cycles=1.0))
+                            time=TimeRule(cycles=1.0))
         res = run_sweep(spec, {"g_a": 0.020833333333333332, "g_b": 1.0,
                                "gamma": 0.0})
         assert res.valid.all()
@@ -341,7 +341,7 @@ class TestPropertySuite:
         """Shape of the drive-dephasing map: each row falls with gamma."""
         spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.24, 13),
                                   AxisSpec("gamma", 0.0, 0.4, 11)),
-                            time=TimeRule("phase", cycles=1.0))
+                            time=TimeRule(cycles=1.0))
         res = run_sweep(spec, {"g_a": 0.020833333333333332, "g_b": 1.0})
         assert res.valid.all()
         rows = res.en

@@ -34,9 +34,9 @@ MINIMAL = {
 
 # every preset's config_hash, which each result file's provenance carries
 PRESET_HASHES = {
-    "fig2": "5cb58635cd7f43a2", "fig3a": "4e0ff6fe04350a99",
-    "fig3b": "7c99cc554e1cb1d8", "fig4": "87c58bff0e0b8398",
-    "fig5": "e0955a5aff126ef4", "fig6": "96845d8878375689",
+    "fig2": "6b0ed9ad660631a1", "fig3a": "4e0ff6fe04350a99",
+    "fig3b": "7c99cc554e1cb1d8", "fig4": "e0bf729bbe2c80d4",
+    "fig5": "a4fb74d40b6f8bd0", "fig6": "96845d8878375689",
     "sec5-feasibility": "508657ab45d04f84"}
 
 
@@ -238,9 +238,9 @@ class TestConfigBoundary:
         ("sweep.axes[0].scale",
          lambda d: d["sweep"]["axes"][0].update(scale="sqrt")),
         ("sweep.time.kind",
-         lambda d: d["sweep"].update(time={"kind": "cycles"})),
+         lambda d: d["sweep"].update(time={"kind": "phase"})),
         ("sweep.time.t",
-         lambda d: d["sweep"].update(time={"kind": "fixed"})),
+         lambda d: d["sweep"].update(time={"cycles": 2.0, "t": 5.0})),
         ("dynamics.bipartitions",
          lambda d: d["dynamics"].update(bipartitions="tp_qubit")),
         ("dynamics.variants[0]",
@@ -332,6 +332,12 @@ class TestConfigBoundary:
             "t_stop": 1.0, "points": 5, "backend": "both",
             "bipartitions": ["qubit_mediator"],
             "variants": [["ok", {}], ["v", {"gamma_tp": 0.2}]]}}),
+        ("<config>.dynamics.bipartitions", {
+            "dephasing": {"gamma": 0.1},
+            "dynamics": {"t_stop": 1.0, "points": 5, "backend": "analytic",
+                         "bipartitions": ["tp_qubit", "tp_mediator"]}}),
+        ("<config>.dynamics.hamiltonian", {"dynamics": {
+            "t_stop": 1.0, "points": 5, "hamiltonian": "lab"}}),
         ("<config>.sweep.backend", {"sweep": {
             "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
             "backend": "magic"}}),
@@ -343,7 +349,7 @@ class TestConfigBoundary:
          {"feasibility": {"gamma_window": [-5.0, 0.0]}}),
         ("<config>.sweep.time.t", {"sweep": {
             "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
-            "time": {"kind": "phase", "t": 5.0}}}),
+            "time": {"cycles": 1.0, "t": 5.0}}}),
     ], ids=["negative-drive", "float-overflow", "dynamics.fock_n",
             "sweep.fock_n", "dynamics.fock_n-past-the-ceiling",
             "sweep.fock_n-past-the-ceiling",
@@ -353,8 +359,9 @@ class TestConfigBoundary:
             "rate-axis-count", "rate-axis-width", "sweep-three-axes",
             "sweep-two-drives",
             "dephased-mediator-cut", "variant-dephased-mediator-cut",
-            "sweep-backend", "dynamics-backend", "dynamics-hamiltonian",
-            "gamma_window", "phase-rule-with-t"])
+            "analytic-mediator-cut", "analytic-lab", "sweep-backend",
+            "dynamics-backend", "dynamics-hamiltonian", "gamma_window",
+            "rule-with-cycles-and-t"])
     def test_out_of_domain_values_name_the_field(self, field, edit):
         with pytest.raises(ConfigError) as exc:
             parse_config(cfg_with(**edit))
@@ -402,7 +409,7 @@ class TestConfigBoundary:
             "t_stop": 1.0, "points": 5, "variants": [["v", {"t": -1.0}]]}}),
         ("sweep.time.t", {"sweep": {
             "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
-            "time": {"kind": "fixed", "t": -20.0}}}),
+            "time": {"t": -20.0}}}),
         ("sweep.time.cycles", {"sweep": {
             "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
             "time": {"cycles": -1.0}}}),
@@ -411,7 +418,7 @@ class TestConfigBoundary:
         ("rate.time.t", {"rate": {
             "which": "g_b",
             "axis": {"name": "g_b", "start": 0.1, "stop": 1.0, "count": 5},
-            "time": {"kind": "fixed", "t": -1.0}}}),
+            "time": {"t": -1.0}}}),
         ("rate.variants[0]", {"rate": {
             "which": "g_b",
             "axis": {"name": "g_b", "start": 0.1, "stop": 1.0, "count": 5},
@@ -534,14 +541,42 @@ class TestConfigBoundary:
 
     @pytest.mark.parametrize("dynamics", [
         {"t_stop": 1.0, "points": 5, "backend": "fock"},
-        {"t_stop": 1.0, "points": 5, "backend": "analytic",
-         "bipartitions": ["tp_qubit", "tp_mediator"]},
         {"t_stop": 1.0, "points": 5, "backend": "both",
          "bipartitions": ["tp_qubit", "tp_mediator"],
          "variants": [["undamped", {"gamma": 0.0, "gamma_tp": 0.0}]]},
-    ], ids=["tp_qubit-only", "analytic-backend", "undamped-variant"])
+    ], ids=["tp_qubit-only", "undamped-variant"])
     def test_dephasing_without_a_fock_mediator_cut_parses(self, dynamics):
         parse_config(cfg_with(dephasing={"gamma": 0.1}, dynamics=dynamics))
+
+    @pytest.mark.parametrize("preset,edit,error", [
+        ("fig2", lambda d: d["sweep"].update(time={"kind": "phase"}),
+         "sweep.time.kind: unknown key"),
+        ("fig3b", lambda d: d["dynamics"].update(hamiltonian="lab"),
+         "dynamics.hamiltonian: "),
+        ("fig3b", lambda d: d["dynamics"].update(
+            bipartitions=["tp_qubit", "tp_mediator"]),
+         "dynamics.bipartitions: "),
+        ("sec5-feasibility",
+         lambda d: d.update(dephasing={"gamma": 5.0, "gamma_tp": 2.0}),
+         "dephasing: "),
+    ], ids=["kind", "analytic-lab", "analytic-mediator-cut", "si-dephasing"])
+    def test_a_setting_the_run_would_not_read_exits_2(
+            self, tmp_path, capsys, preset, edit, error):
+        """A time rule is read from its cycles or t alone, the analytic
+        backend is the squeezed frame's TP-qubit EN, and an SI run takes
+        its rates from feasibility.gamma_window and validates undamped:
+        a config that sets what the run would not read exits 2 naming
+        the field, before any output."""
+        command = {"fig2": "sweep", "fig3b": "dynamics",
+                   "sec5-feasibility": "feasibility"}[preset]
+        data = serialize_config(load_preset(preset))
+        edit(data)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main([command, "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert f"error: {cfg_path}.{error}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_axis_past_the_instability_parses(self):
         cfg = parse_config(cfg_with(sweep={"axes": [
@@ -597,7 +632,7 @@ class TestConfigBoundary:
 # one valid instance of each block whose fields carry rules
 RULED_BLOCKS = {
     AxisSpec: AxisSpec("F", 0.0, 0.2, 3),
-    TimeRule: TimeRule("fixed", t=1.0),
+    TimeRule: TimeRule(),
     DynamicsSection: DynamicsSection(1.0, 5),
     SweepSection: SweepSection((AxisSpec("F", 0.0, 0.2, 3),)),
     RateSection: RateSection("g_b", AxisSpec("g_b", 0.1, 1.0, 5)),
@@ -814,9 +849,35 @@ class TestCliDynamics:
         assert "config_hash" in joined and "fock_tail" in joined
         # numbers round-trip through float
         assert float(rows[-1][0]) == 6.283185307179586
-        assert (tmp_path / "out" / "unit_dynamics.gp").exists()
+        # the .dat files are comma-separated, as the script must say
+        gp = (tmp_path / "out" / "unit_dynamics.gp").read_text()
+        assert "set datafile separator ','" in gp.splitlines()
         assert (tmp_path / "out"
                 / "unit_dynamics_base_tp_qubit_analytic.dat").exists()
+
+    @pytest.mark.parametrize("backend", ["analytic", "both"])
+    def test_a_fock_run_records_its_cutoff_in_every_table(self, tmp_path,
+                                                          backend):
+        """The cutoff is a setting of the Fock oracle alone: each table
+        of a Fock run gives it once, after the backend, and an analytic
+        run's tables do not."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg_with(dynamics={
+            "t_stop": 1.0, "points": 3, "backend": backend, "fock_n": 32})))
+        assert main(["dynamics", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")]) == 0
+        tables = sorted(p for p in (tmp_path / "out").iterdir()
+                        if p.suffix in (".csv", ".dat"))
+        assert len(tables) == (2 if backend == "analytic" else 3)
+        for path in tables:
+            header = read_csv(path)[0]
+            cutoff = [line for line in header if "fock_n" in line]
+            if backend == "analytic":
+                assert cutoff == []
+            else:
+                assert cutoff == ["# fock_n: 32"]
+                assert header.index(cutoff[0]) - 1 == \
+                    header.index(f"# backend: {backend}")
 
     def test_section_missing(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -858,8 +919,9 @@ class TestCliSweep:
         assert names[:4] == ["F", "gamma", "en", "valid"]
         assert len(rows) == 15
         blob = json.loads((tmp_path / "out" / "unit_sweep.json").read_text())
-        assert set(blob) == {"provenance", "axes", "meta", "invalid_cells"}
+        assert set(blob) == {"provenance", "axes", "invalid_cells"}
         assert blob["provenance"]["label"] == "unit"
+        assert "fock_n" not in blob["provenance"]
         assert [len(a["values"]) for a in blob["axes"]] == [5, 3]
 
     def test_rows_follow_the_cells_in_c_order(self, tmp_path):
@@ -914,17 +976,25 @@ class TestCliSweep:
         """On backend "both" at N = 32 the oracle rejects three of six
         cells: the CSV gives back en, valid and every extra, en_fock
         among them, bit for bit with nan in each invalid cell, and the
-        JSON lists each rejected cell with the oracle's reason."""
-        from gravent import AxisSpec, SweepSection, io, run_sweep
-        res = run_sweep(SweepSection((AxisSpec("F", 0.0, 0.2, 3),
-                                      AxisSpec("g_b", 0.5, 1.0, 2)),
-                                     backend="both", fock_n=32),
-                        {"g_a": 1.0 / 48.0, "g_b": 1.0})
+        JSON lists each rejected cell with the oracle's reason; both
+        files' provenance carries the backend and its cutoff."""
+        data = cfg_with(
+            system={"g_a": 1.0 / 48.0, "g_b": 1.0, "F": 0.0},
+            sweep={"axes": [
+                {"name": "F", "start": 0.0, "stop": 0.2, "count": 3},
+                {"name": "g_b", "start": 0.5, "stop": 1.0, "count": 2}],
+                "backend": "both", "fock_n": 32})
+        cfg = parse_config(data)
+        res = gravent.sweep.run_sweep(cfg.sweep, base_cell(cfg))
         assert res.valid.tolist() == [[True, True], [True, False],
                                       [False, False]]
         assert "en_fock" in res.extras
-        io.write_sweep(tmp_path, "fock", res, {"label": "fock"})
-        _, names, rows = read_csv(tmp_path / "fock.csv")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(cfg_path), "--out",
+                     str(tmp_path)]) == 0
+        header, names, rows = read_csv(tmp_path / "unit_sweep.csv")
+        assert header[header.index("# backend: both") + 1] == "# fock_n: 32"
         cells = {name: np.array([row[k] for row in rows], float)
                  for k, name in enumerate(names)}
 
@@ -938,10 +1008,11 @@ class TestCliSweep:
         for name in ("en", "en_fock"):
             assert np.isnan(cells[name]).tolist() == \
                 (~res.valid).ravel().tolist()
-        blob = json.loads((tmp_path / "fock.json").read_text())
+        blob = json.loads((tmp_path / "unit_sweep.json").read_text())
         assert [(tuple(c["index"]), c["note"])
                 for c in blob["invalid_cells"]] == res.invalid_cells
-        assert blob["meta"] == {"backend": "both", "fock_n": 32}
+        assert blob["provenance"]["backend"] == "both"
+        assert blob["provenance"]["fock_n"] == 32
 
     def test_axis_overrides_fixed_drive(self, tmp_path):
         # the system block pins F; the sweep axis takes it over
@@ -993,6 +1064,7 @@ class TestCliRate:
                          "eta_driven"]
         assert len(rows) == 17
         blob = json.loads((tmp_path / "out" / "unit_rate.json").read_text())
+        assert set(blob) == {"provenance", "zero_crossings"}
         assert set(blob["zero_crossings"]) == {"flat", "driven"}
 
 

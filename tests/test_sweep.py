@@ -16,7 +16,7 @@ from gravent import (AxisSpec, ConfigError, CutoffTooSmall, DynamicsSection,
                      log_negativity_from_partial_transpose,
                      partial_transpose_matrix, run_sweep, timeseries_figure)
 from gravent.config import base_cell
-from gravent.dynamics import dephasing_mask
+from gravent.dynamics import dephasing_mask, en_timeseries
 from gravent.sweep import _sign_changes, merge_cell, resolve_cell
 
 BASE = {"g_a": 1.0 / 48.0, "g_b": 1.0}
@@ -57,22 +57,24 @@ class TestAxisSpec:
 
 
 class TestTimeRule:
-    def test_fixed_needs_a_time(self):
-        with pytest.raises(ConfigError) as exc:
-            TimeRule("fixed")
-        assert exc.value.path == "t"
+    def test_a_rule_without_cycles_or_t_is_one_period(self):
+        axes = (f_axis(count=5),)
+        once, one = (run_sweep(SweepSection(axes, time=rule), BASE)
+                     for rule in (TimeRule(), TimeRule(cycles=1.0)))
+        assert np.array_equal(once.extras["t_eval"], one.extras["t_eval"])
 
-    def test_phase_rule_takes_no_t(self):
-        """A phase rule evaluates at cycles periods: a t beside it was
-        dropped, and the sweep wrote the rows it writes without one."""
-        with pytest.raises(ConfigError) as exc:
-            TimeRule("phase", t=5.0)
-        assert exc.value.path == "t"
+    def test_zero_cycles_is_t_zero(self):
+        """cycles = 0 is the start of the evolution, not a default."""
+        res = run_sweep(SweepSection((f_axis(count=5),),
+                                     time=TimeRule(cycles=0.0)), BASE)
+        assert np.all(res.extras["t_eval"] == 0.0)
 
-    def test_unknown_kind(self):
+    def test_cycles_and_t_together_are_refused(self):
+        """A rule evaluates at cycles periods or at t: a t beside cycles
+        would leave one of the two unread."""
         with pytest.raises(ConfigError) as exc:
-            TimeRule("cycles")
-        assert exc.value.path == "kind"
+            TimeRule(cycles=2.0, t=5.0)
+        assert exc.value.path == "t"
 
 
 class TestSections:
@@ -112,7 +114,7 @@ class TestSections:
                 (lambda: DynamicsSection(1.0, 1), "points"),
                 (lambda: DynamicsSection(1.0, 5, fock_n=0), "fock_n"),
                 (lambda: DynamicsSection(1.0, 5, t_start=-1.0), "t_start"),
-                (lambda: TimeRule("fixed", t=-1.0), "t"),
+                (lambda: TimeRule(t=-1.0), "t"),
                 (lambda: TimeRule(cycles=-1.0), "cycles")):
             with pytest.raises(ConfigError) as exc:
                 make()
@@ -228,7 +230,7 @@ class TestRunSweep:
 
     def test_phase_rule_tracks_the_frame(self):
         spec = SweepSection(axes=(f_axis(count=5),),
-                            time=TimeRule("phase", cycles=1.0))
+                            time=TimeRule(cycles=1.0))
         res = run_sweep(spec, BASE)
         want = 2.0 * math.pi / res.extras["omega_s"]
         assert np.allclose(res.extras["t_eval"], want, rtol=1e-12)
@@ -237,7 +239,7 @@ class TestRunSweep:
 
     def test_fixed_rule_is_flat(self):
         spec = SweepSection(axes=(f_axis(count=5),),
-                            time=TimeRule("fixed", t=3.0))
+                            time=TimeRule(t=3.0))
         res = run_sweep(spec, BASE)
         assert np.all(res.extras["t_eval"] == 3.0)
 
@@ -432,7 +434,7 @@ class TestGroupedSweep:
     ], ids=["F-gamma", "gamma-F", "F-g_a", "g_b-F", "F-t", "g_a-g_b",
             "t-gamma", "alpha0-g_b", "g_b", "s"])
     def test_equals_the_per_cell_loop(self, axes, fixed):
-        spec = SweepSection(axes=axes, time=TimeRule("phase", cycles=1.3))
+        spec = SweepSection(axes=axes, time=TimeRule(cycles=1.3))
         fixed = dict(BASE, **fixed)
         res = run_sweep(spec, fixed)
         assert_same_sweep(res, *per_cell_sweep(spec, fixed))
@@ -578,7 +580,6 @@ class TestTimeseriesFigure:
         assert set(res.curves) == {"base:tp_qubit:analytic",
                                    "base:tp_qubit:fock",
                                    "base:tp_mediator:fock"}
-        assert res.meta["fock_n"] == 64
         dev = np.max(np.abs(res.curves["base:tp_qubit:analytic"]
                             - res.curves["base:tp_qubit:fock"]))
         assert dev < 1e-3
@@ -702,7 +703,7 @@ class TestTimeseriesFigure:
             fixed).curves["base:tp_qubit:fock"][1]
         cells = run_sweep(SweepSection(
             axes=(AxisSpec("gamma", 0.0, 0.2, 2),),
-            time=TimeRule("fixed", t=t_1), backend="fock", fock_n=64), fixed)
+            time=TimeRule(t=t_1), backend="fock", fock_n=64), fixed)
         assert cells.en[1] == pytest.approx(column, abs=1e-12)
         assert cells.en[0] > column
 
@@ -712,9 +713,16 @@ class TestTimeseriesFigure:
         res = timeseries_figure(spec, dict(BASE, F=0.05))
         assert set(res.curves) == {"a:tp_qubit:analytic",
                                    "b:tp_qubit:analytic"}
-        labels = {v["label"]: v for v in res.meta["variants"]}
-        assert labels["a"]["s"] == pytest.approx(0.0)
-        assert labels["b"]["s"] == pytest.approx(0.25 * math.log(2.0))
+        # delta = 1 is the undriven frame, delta = 0.5 squeezes by ln 2 / 4
+        ts = np.linspace(0.0, 6.0, 7)
+        for label, delta, s in (("a", 1.0, 0.0),
+                                ("b", 0.5, 0.25 * math.log(2.0))):
+            _, frame, init, gamma, gamma_tp, _ = resolve_cell(
+                dict(BASE, delta=delta))
+            assert frame.s == pytest.approx(s)
+            assert np.array_equal(res.curves[f"{label}:tp_qubit:analytic"],
+                                  en_timeseries(frame, init, ts, gamma,
+                                                gamma_tp))
 
     def test_lab_hamiltonian_with_drive_term(self):
         spec = DynamicsSection(2.0, 5, backend="fock", hamiltonian="lab",
