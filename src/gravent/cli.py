@@ -188,7 +188,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"{cfg.label}.{section}",
                               f"this command needs a {section} section")
         return command(cfg, args)
-    except GraventError as exc:
+    except (GraventError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

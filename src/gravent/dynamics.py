@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,8 @@ _TP_COHERENCE = (_TP[:, None] != _TP).astype(float)
 _I, _J = np.triu_indices(4, 1)
 _KET = 2 * _TP[_I] + _QUBIT[_J]
 _BRA = 2 * _TP[_J] + _QUBIT[_I]
+# the largest squeezing magnitude whose cosh and sinh are finite floats
+XI_MAG_MAX = math.acosh(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,14 @@ class MediatorInit:
     theta: float = math.pi
 
     def __post_init__(self):
-        if self.xi_mag is not None and self.xi_mag < 0:
+        if self.xi_mag is None:
+            return
+        if self.xi_mag < 0:
             raise ValueError("xi_mag must be non-negative; use theta for "
                              "the squeezing phase")
+        if not self.xi_mag <= XI_MAG_MAX:  # NaN included
+            raise ValueError(f"xi_mag must be at most {XI_MAG_MAX:.6f}, "
+                             "where cosh(xi_mag) reaches the largest float")
 
     def xi(self, frame: SqueezedFrame | None = None) -> complex:
         mag = self.xi_mag

@@ -8,13 +8,13 @@ Tables of numbers go to CSV with 17 significant digits, each distinct
 number formatted once; reports, and what a table cannot hold, go to
 JSON through json.dump(indent=2), whose numbers are the shortest repr
 that round-trips (NaN and Infinity included).  Both read back as the
-same float.
+same float.  write_json takes plain Python values only: a caller turns
+its arrays into lists first.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -50,45 +50,33 @@ def write_csv(path: Path, info: dict, names: list[str], columns) -> Path:
 def _write_rows(path: Path, info: dict, names: list[str], texts) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    row = ",".join(["{}"] * len(names)) + "\n"
     with open(path, "w") as fh:
         for line in _comment_lines(info):
             fh.write(line + "\n")
         fh.write(",".join(names) + "\n")
-        fh.writelines(starmap(row.format, zip(*texts)))
+        fh.writelines(",".join(row) + "\n" for row in zip(*texts))
     return path
 
 
-def _texts(values) -> np.ndarray:
-    """Object array of the "%.17g" strings of values in C order, from one
-    formatting of their distinct entries; floats are told apart by bit
-    pattern, so -0.0 keeps its sign."""
+def _texts(values) -> list[str]:
+    """The "%.17g" strings of values in C order, from one formatting of
+    their distinct entries; floats are told apart by bit pattern, so -0.0
+    keeps its sign."""
     flat = np.ravel(values)
     key = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     distinct = flat[first].tolist()
     return np.array(("%.17g " * len(distinct) % tuple(distinct)).split(),
-                    dtype=object)[inverse]
+                    dtype=object)[inverse].tolist()
 
 
 def write_json(path: Path, info: dict, payload: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump({"provenance": info, **payload}, fh, indent=2,
-                  default=_json_default)
+        json.dump({"provenance": info, **payload}, fh, indent=2)
         fh.write("\n")
     return path
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 def write_timeseries(outdir: Path, stem: str, result, info: dict):
@@ -124,8 +112,8 @@ def write_sweep(outdir: Path, stem: str, result, info: dict):
                result.valid, *result.extras.values()]
     csv_path = write_csv(outdir / f"{stem}.csv", info, names, columns)
     payload = {
-        "axes": [{"name": ax.name, "values": result.axis_values[k]}
-                 for k, ax in enumerate(result.spec.axes)],
+        "axes": [{"name": ax.name, "values": values.tolist()}
+                 for ax, values in zip(result.spec.axes, result.axis_values)],
         "invalid_cells": [{"index": list(i), "note": n}
                           for i, n in result.invalid_cells]}
     json_path = write_json(outdir / f"{stem}.json", info, payload)

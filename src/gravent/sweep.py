@@ -331,7 +331,8 @@ def run_sweep(spec: SweepSection, fixed: dict) -> SweepResult:
     valid = notes == ""
     for values in (en, *extras.values()):
         values[~valid] = np.nan
-    invalid = [(idx, notes[idx]) for idx in np.ndindex(*shape) if notes[idx]]
+    invalid = list(zip(map(tuple, np.argwhere(~valid).tolist()),
+                       notes[~valid]))
     return SweepResult(spec=spec, axis_values=axes_vals, en=en, valid=valid,
                        extras=extras, invalid_cells=invalid)
 

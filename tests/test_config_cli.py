@@ -539,6 +539,38 @@ class TestConfigBoundary:
         """One cycle keeps g_eff t finite there: 2.6e299 on fig3a."""
         parse_config(self._with_gap(preset, 1e-200))
 
+    @pytest.mark.parametrize("field,edit", [
+        ("mediator", lambda d: d.update(mediator={"xi_mag": 711})),
+        ("dynamics.variants[0]", lambda d: d["dynamics"].update(
+            variants=[["v", {"xi_mag": 711.0}]])),
+    ], ids=["mediator", "variant"])
+    def test_a_squeeze_past_the_float_range_exits_2(
+            self, tmp_path, capsys, field, edit):
+        """cosh(711) is past the largest float: dynamics and sweep died
+        with an OverflowError from the overlap's math.cosh."""
+        data = cfg_with(
+            dynamics={"t_stop": 1.0, "points": 5},
+            sweep={"axes": [{"name": "F", "start": 0.0, "stop": 0.2,
+                             "count": 3}]})
+        edit(data)
+        cfg_path = tmp_path / "squeeze.json"
+        cfg_path.write_text(json.dumps(data))
+        for command in ("dynamics", "sweep"):
+            assert main([command, "--config", str(cfg_path), "--out",
+                         str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {cfg_path}.{field}: xi_mag "
+                                  "must be at most 710.475860")
+            assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_a_squeeze_of_710_still_parses(self):
+        cfg = parse_config(cfg_with(
+            mediator={"xi_mag": 710},
+            dynamics={"t_stop": 1.0, "points": 5,
+                      "variants": [["v", {"xi_mag": 710.0}]]}))
+        assert cfg.mediator.xi_mag == 710.0
+
     @pytest.mark.parametrize("dynamics", [
         {"t_stop": 1.0, "points": 5, "backend": "fock"},
         {"t_stop": 1.0, "points": 5, "backend": "both",
@@ -1320,6 +1352,21 @@ class TestCliTopLevel:
         assert "unrecognized arguments: --golden" in capsys.readouterr().err
         assert main(["feasibility", "--preset", "sec5-feasibility",
                      "--golden", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"],
+                             ids=["a-regular-file", "under-a-regular-file"])
+    def test_an_unwritable_out_exits_2(self, tmp_path, capsys, out):
+        """A FileExistsError or NotADirectoryError from making the output
+        directory is one error line and exit 2, not a traceback and the
+        exit code of a failed check."""
+        (tmp_path / "file").write_text("kept\n")
+        rc = main(["sweep", "--preset", "fig2", "--out",
+                   str(tmp_path / out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+        assert str(tmp_path / out) in err
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["dynamics", "--config", str(tmp_path / "nope.json"),

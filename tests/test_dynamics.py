@@ -17,7 +17,7 @@ from gravent import (MediatorInit, ModelParams, dephasing_mask,
                      partial_transpose, partial_transpose_matrix)
 from gravent import dynamics
 from gravent.config import resolve_si
-from gravent.dynamics import branch_state
+from gravent.dynamics import XI_MAG_MAX, branch_state
 
 complex_amp = st.complex_numbers(max_magnitude=2.5, allow_nan=False,
                                  allow_infinity=False)
@@ -62,6 +62,18 @@ class TestMediatorInit:
     def test_rejects_negative_magnitude(self):
         with pytest.raises(ValueError, match="non-negative"):
             MediatorInit(xi_mag=-0.5)
+
+    @pytest.mark.parametrize("mag", [711.0, math.inf, math.nan])
+    def test_rejects_a_magnitude_whose_cosh_overflows(self, mag):
+        with pytest.raises(ValueError, match="xi_mag must be at most "
+                                             "710.475860"):
+            MediatorInit(xi_mag=mag)
+
+    def test_takes_the_largest_magnitude_with_a_finite_cosh(self):
+        init = MediatorInit(xi_mag=XI_MAG_MAX)
+        assert math.isfinite(math.cosh(init.xi_mag))
+        with pytest.raises(OverflowError):
+            math.cosh(math.nextafter(XI_MAG_MAX, math.inf))
 
     def test_tracking_needs_a_frame(self):
         init = MediatorInit()

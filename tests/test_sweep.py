@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import gravent.sweep
 from gravent import (AxisSpec, ConfigError, CutoffTooSmall, DynamicsSection,
                      RateSection, SweepSection, TimeRule, UnstableFrame,
-                     entanglement_rate, fock, load_preset,
+                     entanglement_rate, fock, io, load_preset,
                      log_negativity_from_partial_transpose,
                      partial_transpose_matrix, run_sweep, timeseries_figure)
 from gravent.config import base_cell
@@ -513,6 +514,46 @@ class TestGroupedSweep:
             entanglement_rate(cfg.rate, merge_cell(base_cell(cfg), overrides))
             assert len(kernel_calls) == 1
             kernel_calls.clear()
+
+
+class TestInvalidCells:
+    """invalid_cells lists every invalid cell once, in C order, with
+    Python int indices and str notes, and the sweep JSON holds them as
+    plain lists."""
+
+    @pytest.mark.parametrize("axes,backend", [
+        ((F_ACROSS, AxisSpec("g_b", 0.5, 1.0, 3)), "analytic"),
+        ((AxisSpec("g_b", 0.5, 1.0, 3), F_ACROSS), "analytic"),
+        ((AxisSpec("g_b", 0.5, 1.0, 2), F_LEAKS), "both"),
+    ], ids=["F-g_b", "g_b-F", "g_b-F-both"])
+    def test_c_order_with_int_indices(self, tmp_path, axes, backend):
+        """F past 1/4 is unstable at every g_b; on "both" at N = 32 the
+        middle drive leaks at the larger g_b only, so the invalid cells
+        spread along both axes."""
+        spec = SweepSection(axes=axes, backend=backend, fock_n=32)
+        res = run_sweep(spec, dict(BASE, xi_mag=0.0))
+        walk = [idx for idx in np.ndindex(*res.valid.shape)
+                if not res.valid[idx]]
+        assert [idx for idx, _ in res.invalid_cells] == walk
+        assert all(len({idx[k] for idx in walk}) > 1 for k in (0, 1))
+        for idx, note in res.invalid_cells:
+            assert type(idx) is tuple and type(note) is str
+            assert all(type(i) is int for i in idx)
+        notes = [note for _, note in res.invalid_cells]
+        assert any("inverted" in note for note in notes)
+        assert any(note.startswith("Fock backend: ") for note in notes) \
+            == (backend == "both")
+
+        info = {"label": "unit", "backend": backend}
+        io.write_sweep(tmp_path, "unit", res, info)
+        want = {"provenance": info,
+                "axes": [{"name": ax.name,
+                          "values": [float(v) for v in ax.values()]}
+                         for ax in axes],
+                "invalid_cells": [{"index": list(idx), "note": note}
+                                  for idx, note in zip(walk, notes)]}
+        text = (tmp_path / "unit.json").read_text()
+        assert text == json.dumps(want, indent=2) + "\n"
 
 
 class TestEntanglementRate:
