@@ -86,7 +86,7 @@ def cmd_feasibility(cfg: RunConfig, args) -> int:
 def cmd_dynamics(cfg: RunConfig, args) -> int:
     d = cfg.dynamics
     result = timeseries_figure(d, base_cell(cfg))
-    cutoff = {} if d.backend == "analytic" else {"fock_n": d.fock_n}
+    cutoff = {"fock_n": result.fock_n} if result.fock_n else {}
     info = io.provenance(cfg, command="dynamics", hamiltonian=d.hamiltonian,
                          backend=d.backend, **cutoff)
     paths = io.write_timeseries(Path(args.out), f"{cfg.label}_dynamics",
@@ -100,17 +100,14 @@ def cmd_dynamics(cfg: RunConfig, args) -> int:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     sw = cfg.sweep
     result = run_sweep(sw, base_cell(cfg))
-    cutoff = {} if sw.backend == "analytic" else {"fock_n": sw.fock_n}
-    info = io.provenance(cfg, command="sweep", backend=sw.backend, **cutoff)
+    info = io.provenance(cfg, command="sweep", backend=sw.backend)
     paths = io.write_sweep(Path(args.out), f"{cfg.label}_sweep", result,
                            info)
-    valid = result.valid.sum()
-    print(f"grid {result.en.shape}, {valid} valid cells, "
+    en = result.en[result.valid]
+    print(f"grid {result.en.shape}, {en.size} valid cells, "
           f"{len(result.invalid_cells)} invalid")
-    if valid:
-        import numpy as np
-        print(f"EN range [{np.nanmin(result.en[result.valid]):.6g}, "
-              f"{np.nanmax(result.en[result.valid]):.6g}]")
+    if en.size:
+        print(f"EN range [{en.min():.6g}, {en.max():.6g}]")
     for p in paths:
         print(f"wrote {p}")
     return 0

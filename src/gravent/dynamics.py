@@ -131,6 +131,7 @@ def branch_state(frame: SqueezedFrame, t) -> BranchState:
     return BranchState(t, alpha_t, phi, -lam * np.conj(alpha_t)[..., None])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _overlap(beta, alpha0: complex, xi: complex, weyl=0.0):
     """<a_i, zeta | a_j, zeta> with |a, zeta> = D(a) S(xi) |alpha0>.
 
@@ -139,14 +140,17 @@ def _overlap(beta, alpha0: complex, xi: complex, weyl=0.0):
     beta through the squeeze maps it to beta' = beta cosh|xi| + conj(beta)
     e^{i arg xi} sinh|xi|, and the coherent-state expectation of D(beta'),
     e^{-|beta'|^2/2 + 2i Im(beta' conj(alpha0))}, closes the formula.
-    Broadcasts over beta and weyl.
+    Its terms are added scaled by a power of two, exactly, so no inf - inf;
+    an infinite |beta'|^2 gives the limit, 0.  Broadcasts over beta, weyl.
     """
     mag = abs(xi)
     if mag:
-        beta = beta * math.cosh(mag) \
-            + np.conj(beta) * (xi / mag * math.sinh(mag))
+        e = math.frexp(math.cosh(mag))[1] - 1  # 2^-e cosh|xi| in [1, 2)
+        beta = (beta * math.ldexp(math.cosh(mag), -e) + np.conj(beta)
+                * (xi / mag * math.ldexp(math.sinh(mag), -e))) * 2.0 ** e
     phase = weyl + 2.0 * (beta * alpha0.conjugate()).imag
-    return np.exp(-0.5 * np.abs(beta) ** 2 + 1j * phase)
+    norm = np.abs(beta) ** 2
+    return np.where(np.isinf(norm), 0.0, np.exp(-0.5 * norm + 1j * phase))
 
 
 def displaced_overlap(a_i: complex, a_j: complex, init: MediatorInit,

@@ -45,10 +45,10 @@ class EigenFailure(GraventError):
 
 
 class NoConvergence(GraventError):
-    """Cutoff doubling hit the ceiling without meeting tolerances."""
+    """Cutoff doubling hit the ceiling: the report and settled results."""
 
-    def __init__(self, message: str, report=None):
-        self.report = report
+    def __init__(self, message: str, report=None, results=None):
+        self.report, self.results = report, results
         super().__init__(message)
 
 

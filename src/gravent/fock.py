@@ -32,18 +32,11 @@ that leaves EN unchanged, so no cut is larger than 8 x 8.
 The truncation budget limits this oracle: a frame squeezing parameter s
 enlarges the initial occupation like e^{2s}, and like e^{4s} in the lab
 mode, so lab-frame checks reach s up to about 1 and the strongly driven
-regimes need the squeezed frame or the closed form.  Every entry point
-takes a batch of rows (`prepare_initial` a lone row too), and one search
-policy, fixed here, chooses every cutoff: `search_cutoff` starts at
-N_START, or at N_START_LAB for a batch with a lab-frame row, doubles N
-up to the one ceiling N_MAX and past it raises NoConvergence, the only
-way the oracle gives up.  Its rows are the tuples of `fock_overlap` or
-the rows (params, init, t_grid, hamiltonian) of `trajectories`, run at
-one N by `converge_cutoff`; an attempt returns, never raises, the
-CutoffTooSmall of a row whose displaced, prepared or evolved state
-leaks.  A frame reaches this module only as the `ModelParams` it is
-derived from.  scipy, needed by this oracle alone, loads on the first
-`expm` or `eig_banded` call.
+regimes need the squeezed frame or the closed form.  One search policy,
+fixed here, chooses every cutoff of validate, sweep and dynamics (see
+`search_cutoff`).  A frame reaches this module only as the `ModelParams`
+it is derived from.  scipy, needed by this oracle alone, loads on the
+first `expm` or `eig_banded` call.
 """
 
 from __future__ import annotations
@@ -313,10 +306,10 @@ class ExactPropagator:
         return _fits(out, n, tail_tol).reshape(ts.size, 4 * n)
 
 
-def cut_pt(states: np.ndarray, n: int, cut: str) -> np.ndarray:
+def cut_pt(states: np.ndarray, cut: str) -> np.ndarray:
     """(T, d, d) stack of the reduced matrices of 4N-vector states, one per
     row, across a cut of BIPARTITIONS, its second side transposed."""
-    x = states.reshape(len(states), 4, n)
+    x = states.reshape(len(states), 4, states.shape[-1] // 4)
     if cut != "tp_qubit":  # mediator coordinates on its support: R of QR
         x = np.linalg.qr(x.swapaxes(1, 2), mode="r").swapaxes(1, 2)
     psi = x.reshape(len(x), 2, 2, x.shape[2]).transpose(0, *BIPARTITIONS[cut])
@@ -326,13 +319,13 @@ def cut_pt(states: np.ndarray, n: int, cut: str) -> np.ndarray:
     return rho.swapaxes(2, 4).reshape(len(x), 2 * d, 2 * d)
 
 
-def en_curves(h: np.ndarray, psi0: np.ndarray, t_grid, n: int,
+def en_curves(h: np.ndarray, psi0: np.ndarray, t_grid,
               cuts: tuple[str, ...] = ("tp_qubit",),
               tail_tol: float = math.inf) -> dict[str, np.ndarray]:
     """EN along a trajectory for each of cuts, plus the states under
     "states", per time; CutoffTooSmall past tail_tol (`evolve_grid`)."""
     states = ExactPropagator(h).evolve_grid(psi0, t_grid, tail_tol)
-    out = {cut: log_negativity_from_partial_transpose(cut_pt(states, n, cut))
+    out = {cut: log_negativity_from_partial_transpose(cut_pt(states, cut))
            for cut in cuts}
     out["states"] = states
     return out
@@ -362,7 +355,7 @@ def trajectories(rows, n: int, cuts: tuple[str, ...], tail_tol: float):
             build = build_hamiltonian_lab if ham == "lab" else \
                 build_hamiltonian_squeezed
             try:
-                out[k] = en_curves(build(params, n), psi0[k], t_grid, n, cuts,
+                out[k] = en_curves(build(params, n), psi0[k], t_grid, cuts,
                                    tail_tol)
             except CutoffTooSmall as exc:
                 # its traceback would pin the evolution's arrays in a cycle
@@ -382,11 +375,13 @@ N_MAX = 512  # the one ceiling
 
 @dataclass
 class ConvergenceReport:
-    """Outcome of a cutoff search: each row's accepted N (0 for none) and
-    every N tried, each with the first row still left's rejection, if any."""
+    """Outcome of a cutoff search: each row's accepted N (0 for none),
+    every N tried with the first row still left's rejection, if any, and
+    each row left past N_MAX with its rejection at the last N."""
 
     n: list[int]
     steps: list[dict] = field(default_factory=list)
+    left: dict[int, str] = field(default_factory=dict)
 
 
 def search_cutoff(attempt, rows: int, n_start: int, settled=None):
@@ -399,8 +394,8 @@ def search_cutoff(attempt, rows: int, n_start: int, settled=None):
     with settled, where settled(prev, cur) of its results at N and 2N
     gives None, not their deviation, which the rejection quotes.
     Returns (results, report), report.n each row's accepted N.  Past
-    N_MAX raises NoConvergence carrying the report; its message names the
-    ceiling and each N tried with the first row still left's rejection.
+    N_MAX raises NoConvergence with both, None the result of each row of
+    report.left, naming each N tried with the first row left's rejection.
     """
     report = ConvergenceReport(n=[0] * rows)
     out, prev, todo = [None] * rows, [None] * rows, list(range(rows))
@@ -429,16 +424,19 @@ def search_cutoff(attempt, rows: int, n_start: int, settled=None):
         if not todo:
             return out, report
         n *= 2
+    report.left = {r: (why_at or [{}])[-1].get(
+        r, "not confirmed at a larger N") for r in todo}
     tried = "; ".join(
         f"N = {s['n']}: {s.get('rejected', 'not confirmed at a larger N')}"
         for s in report.steps)
     raise NoConvergence(f"no cutoff up to the ceiling N = {N_MAX} passes "
-                        f"({tried})", report)
+                        f"({tried})", report, out)
 
 
 def converge_cutoff(rows, tail_tol: float, en_tol: float | None = None,
                     cuts: tuple[str, ...] = ("tp_qubit",)):
-    """`search_cutoff` over rows (params, init, t_grid, hamiltonian) of
+    """`search_cutoff` from N_START, or N_START_LAB for a batch with a
+    lab-frame row, over rows (params, init, t_grid, hamiltonian) of
     `trajectories`: each row's run where it first fits tail_tol or, with
     en_tol, where its TP-qubit EN curve also agrees with the one at 2N
     within en_tol at every time, and the report."""

@@ -3,7 +3,7 @@
 Every file starts with a provenance block ('#' comments in CSV and .dat
 files, a "provenance" object in JSON) carrying the config label, hash,
 package version, tolerances and the command's settings, a Fock run's
-cutoff among them, so any table traces back to the run that made it.
+cutoffs among them, so any table traces back to the run that made it.
 Tables of numbers go to CSV with 17 significant digits, each distinct
 number formatted once; reports, and what a table cannot hold, go to
 JSON through json.dump(indent=2), whose numbers are the shortest repr

@@ -4,9 +4,8 @@ Grids are specified in units of the modified mediator frequency
 (omega_tilde = 1).  Axes may move the drive itself; cells that land at or
 beyond the instability are marked invalid rather than zeroed, and the
 sweep keeps going.  Cells that share the drive and the initial state are
-resolved once, as a group, for one closed-form kernel call; the Fock
-backend takes one row per cell from those groups into one oracle batch
-and one EN call, and marks invalid a cell that does not fit its cutoff.
+resolved once, as a group, for one closed-form kernel call, and the Fock
+backend takes its rows from those groups.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 from . import fock
 from .dynamics import (DephasingBlock, MediatorInit, dephasing_mask,
                        en_timeseries, partial_transpose_matrix)
-from .errors import ConfigError, UnstableFrame
+from .errors import ConfigError, NoConvergence, UnstableFrame
 from .negativity import log_negativity_from_partial_transpose
 from .params import DRIVE_KEYS, ModelParams, derive_squeezed_frame
 
@@ -45,9 +44,9 @@ _LABEL = re.compile(r"(?!\.\.?$)[A-Za-z0-9._=+-]+")
 def check_fields(block) -> None:
     """ConfigError naming the first field of dataclass block, or item of a
     tuple field, that breaks a rule of its metadata: "choices", the values
-    it may take, the bounds "min" and "max", or "label", a name safe in
-    file names and CSV headers (of a variant, its first item).  None
-    breaks no rule; NaN breaks every bound."""
+    it may take, the bound "min", or "label", a name safe in file names
+    and CSV headers (of a variant, its first item).  None breaks no rule;
+    NaN breaks the bound."""
     for f in (f for f in fields(block) if f.metadata):
         rule, value = f.metadata, getattr(block, f.name)
         many = isinstance(value, tuple)
@@ -63,8 +62,6 @@ def check_fields(block) -> None:
                 raise ConfigError(where, f"must be one of {rule['choices']}")
             if "min" in rule and not v >= rule["min"]:
                 raise ConfigError(where, f"must be at least {rule['min']}")
-            if "max" in rule and not v <= rule["max"]:
-                raise ConfigError(where, f"must be at most {rule['max']}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,6 @@ class DynamicsSection:
     backend: str = field(default="analytic", metadata={"choices": BACKENDS})
     hamiltonian: str = field(default="squeezed",
                              metadata={"choices": ("squeezed", "lab")})
-    fock_n: int = field(default=64, metadata={"min": 1, "max": 1024})
     bipartitions: tuple[str, ...] = field(
         default=("tp_qubit",),
         metadata={"choices": tuple(fock.BIPARTITIONS)})
@@ -139,7 +135,6 @@ class SweepSection:
     axes: tuple[AxisSpec, ...]
     time: TimeRule = TimeRule()
     backend: str = field(default="analytic", metadata={"choices": BACKENDS})
-    fock_n: int = field(default=64, metadata={"min": 1, "max": 1024})
 
     def __post_init__(self):
         check_fields(self)
@@ -251,11 +246,15 @@ def phase_time(cycles: float, frame):
                       "g_eff t past the largest float")
 
 
-def _fock_tp_qubit_en(states, n: int, ts, gamma, gamma_tp) -> np.ndarray:
-    """Dephased TP-qubit EN of each Fock state at its time and rates."""
+def _fock_tp_qubit_en(states, ts, gamma, gamma_tp) -> np.ndarray:
+    """Dephased TP-qubit EN of Fock states, 4N vectors whose N may differ,
+    each at its time and rates: one reduction per N, one EN call."""
+    pt = np.empty((len(states), 4, 4), complex)
+    for n in {len(x) for x in states}:
+        pt[[len(x) == n for x in states]] = fock.cut_pt(
+            np.asarray([x for x in states if len(x) == n]), "tp_qubit")
     return log_negativity_from_partial_transpose(
-        fock.cut_pt(states, n, "tp_qubit")
-        * dephasing_mask(ts, gamma, gamma_tp))
+        pt * dephasing_mask(ts, gamma, gamma_tp))
 
 
 @dataclass
@@ -290,8 +289,9 @@ def run_sweep(spec: SweepSection, fixed: dict) -> SweepResult:
     evicts its drive.  One resolve and one kernel call per group of cells
     that differ only along BROADCAST_AXES give EN and the frame extras;
     the Fock backend splits those groups into a row per cell, for one
-    `fock.trajectories` batch and one EN call, and marks a cell invalid
-    once its state holds more than `fock.TAIL_TOL` in its top two levels.
+    `fock.converge_cutoff` search and one EN call, records each cell's
+    accepted N as "fock_n" and marks a cell that no N fits invalid, with
+    its rejection at `fock.N_MAX` for a note.
     """
     axes_vals = tuple(ax.values() for ax in spec.axes)
     shape = tuple(len(v) for v in axes_vals)
@@ -301,6 +301,8 @@ def run_sweep(spec: SweepSection, fixed: dict) -> SweepResult:
     extras = {name: np.full(shape, np.nan) for name in extra_names}
     if spec.backend == "both":
         extras["en_fock"] = np.full(shape, np.nan)
+    if spec.backend != "analytic":
+        extras["fock_n"] = np.full(shape, np.nan)
     flat = np.arange(en.size).reshape(shape)
     rows, cols = [], []  # per cell its Fock row, per group its columns
     for sel, overrides in _groups(spec.axes, axes_vals):
@@ -320,14 +322,18 @@ def run_sweep(spec: SweepSection, fixed: dict) -> SweepResult:
                 flat[sel], params.g_a, params.g_b, gamma, gamma_tp, t)])
             rows += [(replace(params, g_a=a, g_b=b), init, [u], "squeezed")
                      for _, a, b, _, _, u in zip(*cols[-1])]
-    if rows:  # one oracle batch, and one reduction of its accepted cells
-        runs, why = fock.trajectories(rows, spec.fock_n, (), fock.TAIL_TOL)
+    if rows:  # one search, and the EN of every cell it settles
+        try:
+            runs, rep = fock.converge_cutoff(rows, fock.TAIL_TOL, cuts=())
+        except NoConvergence as exc:
+            runs, rep = exc.results, exc.report
         k, _, _, gamma, gamma_tp, t = map(np.concatenate, zip(*cols))
-        notes.flat[k] = [f"Fock backend: {e}" if e else "" for e in why]
-        ok = notes.flat[k] == ""
+        extras["fock_n"].flat[k] = rep.n
+        ok = extras["fock_n"].flat[k] > 0  # ~ok: rep.left's rows, in order
+        notes.flat[k[~ok]] = [f"Fock backend: {w}" for w in rep.left.values()]
         extras.get("en_fock", en).flat[k[ok]] = _fock_tp_qubit_en(
-            np.array([run["states"][0] for run in runs if run]),
-            spec.fock_n, t[ok], gamma[ok], gamma_tp[ok])
+            [run["states"][0] for run in runs if run], t[ok], gamma[ok],
+            gamma_tp[ok])
     valid = notes == ""
     for values in (en, *extras.values()):
         values[~valid] = np.nan
@@ -387,6 +393,7 @@ def _sign_changes(g: np.ndarray, eta: np.ndarray) -> list[float]:
 class TimeseriesResult:
     t: np.ndarray
     curves: dict[str, np.ndarray]
+    fock_n: dict[str, int] = field(default_factory=dict)  # N per variant
 
 
 def timeseries_figure(spec: DynamicsSection, fixed: dict) -> TimeseriesResult:
@@ -394,9 +401,10 @@ def timeseries_figure(spec: DynamicsSection, fixed: dict) -> TimeseriesResult:
 
     The analytic backend contributes a TP-qubit column per variant; the
     Fock backend adds the requested bipartitions (mediator cuts only for
-    undamped variants) in one oracle batch, or raises the first rejected
-    variant's CutoffTooSmall at `fock.TAIL_TOL`; TP-qubit columns are dephased.
-    Columns, variant by variant: "<label>:<bipartition>:<backend>".
+    undamped variants) from one `fock.converge_cutoff` search under the
+    tail test alone, recording each variant's accepted N in fock_n, or
+    raises its NoConvergence; TP-qubit columns are dephased.  Columns,
+    variant by variant: "<label>:<bipartition>:<backend>".
     """
     check_fock_cuts(spec, fixed)
     ts = np.linspace(spec.t_start, spec.t_stop, spec.points)
@@ -404,16 +412,14 @@ def timeseries_figure(spec: DynamicsSection, fixed: dict) -> TimeseriesResult:
 
     variants = [(label, *resolve_cell(merge_cell(fixed, overrides)))
                 for label, overrides in spec.variants or (("base", {}),)]
-    runs = [None] * len(variants)
+    runs, fock_n = [None] * len(variants), {}
     if spec.backend != "analytic":
-        runs, why = fock.trajectories(
+        runs, rep = fock.converge_cutoff(
             [(params, init, ts, spec.hamiltonian)
-             for _, params, _, init, *_ in variants], spec.fock_n,
-            tuple(name for name in spec.bipartitions if name != "tp_qubit"),
-            fock.TAIL_TOL)
-        why = list(dict.fromkeys(filter(None, why)))  # a shared one once
-        if why:
-            raise why.pop(0)  # not held in a cycle by this frame
+             for _, params, _, init, *_ in variants], fock.TAIL_TOL,
+            cuts=tuple(name for name in spec.bipartitions
+                       if name != "tp_qubit"))
+        fock_n = {label: n for (label, *_), n in zip(variants, rep.n)}
     for (label, _, frame, init, gamma, gamma_tp, _), data in zip(variants,
                                                                 runs):
         if spec.backend != "fock":
@@ -421,10 +427,10 @@ def timeseries_figure(spec: DynamicsSection, fixed: dict) -> TimeseriesResult:
                 frame, init, ts, gamma, gamma_tp)
         if data is not None:
             data["tp_qubit"] = _fock_tp_qubit_en(
-                data["states"], spec.fock_n, ts, gamma, gamma_tp)
+                data["states"], ts, gamma, gamma_tp)
             for name in spec.bipartitions:
                 curves[f"{label}:{name}:fock"] = data[name]
-    return TimeseriesResult(t=ts, curves=curves)
+    return TimeseriesResult(t=ts, curves=curves, fock_n=fock_n)
 
 
 __all__ = [

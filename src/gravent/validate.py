@@ -9,14 +9,9 @@ deviation of at most a tolerance, and `run_validation` gathers them in a
 `params.Report` over the base system.  The constants below, and the
 oracle's `fock.TAIL_TOL` and `fock.EN_CONVERGENCE`, fix the policy.
 
-Every oracle cutoff comes from `fock.search_cutoff` under the one policy
-`fock` fixes: from `fock.N_START`, or `fock.N_START_LAB` for lab-frame
-rows, N doubles up to the ceiling `fock.N_MAX`, past which NoConvergence
-names every N tried.  Each check reports that, or any other numerical
-error, as a failed check whose note names it, never as a crash; checks
+Every oracle cutoff comes from the one search that `fock` fixes; checks
 that need the lab-frame oracle are skipped with a note once the
-squeezing parameter puts lab occupations out of reach.  Apart from the
-overlap tuples, every row is a `fock.converge_cutoff` trajectory; the
+squeezing parameter puts lab occupations out of reach.  The
 partial-transpose frames share one search, and so do the three drives.
 """
 
@@ -126,9 +121,8 @@ def check_pt_matrix() -> Check:
         t = rng.uniform(0.1, 1.9) * frame.t_period
         rows.append((params, init, [t], "squeezed"))
         ana.append(partial_transpose_matrix(frame, init, t))
-    curves, rep = fock.converge_cutoff(rows, PT_TAIL, cuts=())
-    orc = [fock.cut_pt(c["states"], n, "tp_qubit")[0]
-           for c, n in zip(curves, rep.n)]
+    curves, _ = fock.converge_cutoff(rows, PT_TAIL, cuts=())
+    orc = [fock.cut_pt(c["states"], "tp_qubit")[0] for c in curves]
     worst = float(np.max(np.abs(np.subtract(ana, orc))))
     return worst, PT_TOL, f"{PT_SAMPLES} random frames, s <= 0.5"
 
@@ -155,7 +149,7 @@ def check_decoupling(params: ModelParams, init: MediatorInit) -> Check:
     [curves], rep = fock.converge_cutoff(
         [(params, init, t_n, "squeezed")], fock.TAIL_TOL, fock.EN_CONVERGENCE)
     dev = float(np.max([log_negativity_from_partial_transpose(
-        fock.cut_pt(curves["states"], rep.n[0], cut))
+        fock.cut_pt(curves["states"], cut))
         for cut in ("tp_mediator", "qubit_mediator")]))
     return dev, EN_TOL, f"N = {rep.n[0]}, first two decoupling times"
 

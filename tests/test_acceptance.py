@@ -115,7 +115,7 @@ class TestOracleEquivalence:
         n = rep.n[0]
         h = fock.build_hamiltonian_squeezed(params, n)
         psi0 = prepare_one(init, n, params)
-        curves = fock.en_curves(h, psi0, t_n, n,
+        curves = fock.en_curves(h, psi0, t_n,
                                 ("tp_mediator", "qubit_mediator"))
         assert curves["tp_mediator"].max() < 1e-3
         assert curves["qubit_mediator"].max() < 1e-3

@@ -34,9 +34,9 @@ MINIMAL = {
 
 # every preset's config_hash, which each result file's provenance carries
 PRESET_HASHES = {
-    "fig2": "6b0ed9ad660631a1", "fig3a": "4e0ff6fe04350a99",
-    "fig3b": "7c99cc554e1cb1d8", "fig4": "e0bf729bbe2c80d4",
-    "fig5": "a4fb74d40b6f8bd0", "fig6": "96845d8878375689",
+    "fig2": "4d3cd19efc9a18c9", "fig3a": "d6249d042fd6a6f3",
+    "fig3b": "a482814e1178cffc", "fig4": "d992aa64afe9d5f4",
+    "fig5": "6d4080d71c81ae5d", "fig6": "f7d7f47466d4c2f5",
     "sec5-feasibility": "508657ab45d04f84"}
 
 
@@ -269,16 +269,6 @@ class TestConfigBoundary:
                                         "delta": 1.5}}),
         ("<config>.system.g_a", {"system": {"g_a": 10 ** 400, "g_b": 1.0,
                                             "F": 0.1}}),
-        ("<config>.dynamics.fock_n", {"dynamics": {
-            "t_stop": 1.0, "points": 5, "backend": "fock", "fock_n": 0}}),
-        ("<config>.sweep.fock_n", {"sweep": {
-            "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
-            "backend": "fock", "fock_n": 0}}),
-        ("<config>.dynamics.fock_n", {"dynamics": {
-            "t_stop": 1.0, "points": 5, "backend": "fock", "fock_n": 1025}}),
-        ("<config>.sweep.fock_n", {"sweep": {
-            "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
-            "backend": "fock", "fock_n": 1025}}),
         ("<config>.dynamics.variants[0]", {"dynamics": {
             "t_stop": 1.0, "points": 5,
             "variants": [["v", {"xi_mag": -1.0}]]}}),
@@ -350,11 +340,9 @@ class TestConfigBoundary:
         ("<config>.sweep.time.t", {"sweep": {
             "axes": [{"name": "F", "start": 0.0, "stop": 0.2, "count": 3}],
             "time": {"cycles": 1.0, "t": 5.0}}}),
-    ], ids=["negative-drive", "float-overflow", "dynamics.fock_n",
-            "sweep.fock_n", "dynamics.fock_n-past-the-ceiling",
-            "sweep.fock_n-past-the-ceiling",
-            "variant-xi_mag", "variant-delta", "variant-unknown-key",
-            "variant-unstable", "sweep-axis-F", "sweep-axis-gamma",
+    ], ids=["negative-drive", "float-overflow", "variant-xi_mag",
+            "variant-delta", "variant-unknown-key", "variant-unstable",
+            "sweep-axis-F", "sweep-axis-gamma",
             "rate-variant-gamma_tp", "rate-axis-gamma", "rate-axis-name",
             "rate-axis-count", "rate-axis-width", "sweep-three-axes",
             "sweep-two-drives",
@@ -890,12 +878,12 @@ class TestCliDynamics:
     @pytest.mark.parametrize("backend", ["analytic", "both"])
     def test_a_fock_run_records_its_cutoff_in_every_table(self, tmp_path,
                                                           backend):
-        """The cutoff is a setting of the Fock oracle alone: each table
-        of a Fock run gives it once, after the backend, and an analytic
-        run's tables do not."""
+        """The cutoff is found by the Fock oracle's search: each table of
+        a Fock run gives the N each variant was accepted at once, after
+        the backend, and an analytic run's tables do not."""
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg_with(dynamics={
-            "t_stop": 1.0, "points": 3, "backend": backend, "fock_n": 32})))
+            "t_stop": 1.0, "points": 3, "backend": backend})))
         assert main(["dynamics", "--config", str(cfg_path), "--out",
                      str(tmp_path / "out")]) == 0
         tables = sorted(p for p in (tmp_path / "out").iterdir()
@@ -907,7 +895,7 @@ class TestCliDynamics:
             if backend == "analytic":
                 assert cutoff == []
             else:
-                assert cutoff == ["# fock_n: 32"]
+                assert cutoff == ["# fock_n: base=64"]
                 assert header.index(cutoff[0]) - 1 == \
                     header.index(f"# backend: {backend}")
 
@@ -918,22 +906,27 @@ class TestCliDynamics:
                    str(tmp_path / "out")])
         assert rc == 2
 
-    def test_even_level_leak_fails_the_run(self, tmp_path, capsys):
+    def test_even_level_leak_fails_the_run(self, tmp_path, capsys,
+                                           monkeypatch):
         """Without couplings the squeezed vacuum evolves under a
         parity-conserving lab Hamiltonian and never fills the odd top
-        level N - 1 = 23; the even level 22 holds the leak."""
+        level N - 1 = 23; the even level 22 holds the leak, so a search
+        that stops at N = 24 fails the run."""
+        from gravent import fock
+        monkeypatch.setattr(fock, "N_START_LAB", 24)
+        monkeypatch.setattr(fock, "N_MAX", 24)
         data = serialize_config(load_preset("fig6"))
         data["system"].update(g_a=0.0, g_b=0.0,
                               F=(1.0 - math.exp(-2.0)) / 4.0)
         data["mediator"].update(alpha0=0.0, xi_mag=1.0, theta=0.0)
-        data["dynamics"].update(fock_n=24,
-                                variants=[["eps=0", {"epsilon": 0.0}]])
+        data["dynamics"].update(variants=[["eps=0", {"epsilon": 0.0}]])
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(data))
         rc = main(["dynamics", "--config", str(cfg_path), "--out",
                    str(tmp_path / "out")])
         assert rc == 2
-        assert "trajectory leaks at N = 24 in one parity group (tail mass " \
+        assert "no cutoff up to the ceiling N = 24 passes (N = 24: " \
+            "trajectory leaks at N = 24 in one parity group (tail mass " \
             "3.6" in capsys.readouterr().err
 
 
@@ -1005,28 +998,31 @@ class TestCliSweep:
             np.array(cells["en"], float), res.en.ravel())
 
     def test_fock_column_round_trips_through_the_csv(self, tmp_path):
-        """On backend "both" at N = 32 the oracle rejects three of six
-        cells: the CSV gives back en, valid and every extra, en_fock
-        among them, bit for bit with nan in each invalid cell, and the
-        JSON lists each rejected cell with the oracle's reason; both
-        files' provenance carries the backend and its cutoff."""
+        """On backend "both" no N up to the ceiling holds one of six
+        cells: the CSV gives back en, valid and every extra, en_fock and
+        each cell's accepted N among them, bit for bit with nan in each
+        invalid cell, and the JSON lists the rejected cell with the
+        oracle's reason; both files' provenance carries the backend and
+        no cutoff."""
         data = cfg_with(
             system={"g_a": 1.0 / 48.0, "g_b": 1.0, "F": 0.0},
             sweep={"axes": [
-                {"name": "F", "start": 0.0, "stop": 0.2, "count": 3},
+                {"name": "F", "start": 0.0, "stop": 0.24, "count": 3},
                 {"name": "g_b", "start": 0.5, "stop": 1.0, "count": 2}],
-                "backend": "both", "fock_n": 32})
+                "backend": "both"})
         cfg = parse_config(data)
         res = gravent.sweep.run_sweep(cfg.sweep, base_cell(cfg))
-        assert res.valid.tolist() == [[True, True], [True, False],
-                                      [False, False]]
-        assert "en_fock" in res.extras
+        assert res.valid.tolist() == [[True, True], [True, True],
+                                      [True, False]]
+        np.testing.assert_array_equal(res.extras["fock_n"], [
+            [64, 64], [64, 64], [512, np.nan]])
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(data))
         assert main(["sweep", "--config", str(cfg_path), "--out",
                      str(tmp_path)]) == 0
         header, names, rows = read_csv(tmp_path / "unit_sweep.csv")
-        assert header[header.index("# backend: both") + 1] == "# fock_n: 32"
+        assert names[-2:] == ["en_fock", "fock_n"]
+        assert not [line for line in header if "fock_n" in line]
         cells = {name: np.array([row[k] for row in rows], float)
                  for k, name in enumerate(names)}
 
@@ -1044,7 +1040,7 @@ class TestCliSweep:
         assert [(tuple(c["index"]), c["note"])
                 for c in blob["invalid_cells"]] == res.invalid_cells
         assert blob["provenance"]["backend"] == "both"
-        assert blob["provenance"]["fock_n"] == 32
+        assert "fock_n" not in blob["provenance"]
 
     def test_axis_overrides_fixed_drive(self, tmp_path):
         # the system block pins F; the sweep axis takes it over
@@ -1059,9 +1055,9 @@ class TestCliSweep:
     def test_fock_tail_tolerance_reaches_the_cells(self, tmp_path,
                                                    monkeypatch):
         # at F = 0.2 the N = 64 trajectory leaks 7.6e-4 into its top two
-        # levels
+        # levels, so the search takes that cell to N = 128
         from gravent import fock
-        valid = {}
+        found = {}
         for tail in (1e-8, 1e-3):
             monkeypatch.setattr(fock, "TAIL_TOL", tail)
             cfg_path = tmp_path / "run.json"
@@ -1070,13 +1066,15 @@ class TestCliSweep:
                 mediator={"xi_mag": 0.0},
                 sweep={"axes": [{"name": "F", "start": 0.0, "stop": 0.2,
                                  "count": 3}],
-                       "backend": "both", "fock_n": 64})
+                       "backend": "both"})
             cfg_path.write_text(json.dumps(data))
             assert main(["sweep", "--config", str(cfg_path), "--out",
                          str(tmp_path / "out")]) == 0
             _, names, rows = read_csv(tmp_path / "out" / "unit_sweep.csv")
-            valid[tail] = [row[names.index("valid")] for row in rows]
-        assert valid == {1e-8: ["1", "1", "0"], 1e-3: ["1", "1", "1"]}
+            found[tail] = [(row[names.index("valid")],
+                            row[names.index("fock_n")]) for row in rows]
+        assert found == {1e-8: [("1", "64"), ("1", "64"), ("1", "128")],
+                         1e-3: [("1", "64")] * 3}
 
 
 class TestCliRate:
@@ -1199,8 +1197,9 @@ class TestCliValidate:
     def test_a_float_edge_gap_fails_its_checks_under_w_error(
             self, tmp_path, monkeypatch):
         """fig3a at delta = 1e-200 (s = 115) with warnings as errors: the
-        closed form's overflow RuntimeWarning is a failed check, as the
-        searches that find no cutoff are, and the report is written."""
+        closed form, whose overlaps past the largest float are their limit
+        0, fails closed_form_at_tn by a measured deviation, the searches
+        that find no cutoff fail theirs, and the report is written."""
         from gravent import validate
         for name, value in (("OVERLAP_SAMPLES", 2), ("PT_SAMPLES", 1),
                             ("T_POINTS", 5)):
@@ -1222,7 +1221,7 @@ class TestCliValidate:
             assert by_name[name]["note"].startswith("no cutoff up to the ")
         closed = by_name["closed_form_at_tn"]
         assert not closed["passed"] and not closed["skipped"]
-        assert closed["note"].startswith("RuntimeWarning: overflow")
+        assert closed["max_dev"] > 0.5 and closed["tol"] == 1e-10
         assert by_name["epsilon_irrelevance"]["skipped"]
         assert by_name["frame_equivalence"]["skipped"]
 
@@ -1248,13 +1247,29 @@ class TestCliValidate:
         trajectory, whose Fock column read 0 beside an analytic 0.4615 at
         t = 6.  Now any config that carries one exits 2, before a run."""
         data = cfg_with(**section, dynamics={
-            "t_stop": 6.0, "points": 3, "backend": "both", "fock_n": 2})
+            "t_stop": 6.0, "points": 3, "backend": "both"})
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(data))
         rc = main([command, "--config", str(cfg_path), "--out",
                    str(tmp_path / "out")])
         assert rc == 2
         assert f"error: {cfg_path}.{next(iter(section))}: unknown key" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,section", [
+        ("dynamics", {"t_stop": 1.0, "points": 5, "backend": "fock"}),
+        ("sweep", {"axes": [{"name": "F", "start": 0.0, "stop": 0.2,
+                             "count": 3}], "backend": "fock"})])
+    def test_a_fock_n_exits_2(self, tmp_path, capsys, command, section):
+        """Every Fock cutoff comes from the one search in fock.py, so a
+        section that still sets one exits 2, before a run."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg_with(
+            **{command: dict(section, fock_n=64)})))
+        assert main([command, "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert f"error: {cfg_path}.{command}.fock_n: unknown key" in \
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -145,6 +146,31 @@ class TestDisplacedOverlap:
         assert val <= 1.0 + 1e-12
         if a_i != a_j and abs(a_i - a_j) > 1e-6:
             assert val < 1.0
+
+    def test_an_overlap_past_the_largest_float_is_its_limit(self):
+        """At xi_mag = 710 cosh(xi_mag) = 1.1e308 is finite, but |beta'|^2
+        is not for a beta off the squeezed axis past about 1e-154: the
+        overlap is then its limit, 0, while beta = 0 still gives 1, and no
+        warning is raised; the matrix built from such overlaps has an EN
+        in [0, 1].  Along the squeezed axis beta' = beta e^{-xi_mag} is
+        tiny although beta cosh and its partner each overflow: the overlap
+        is 1 at 710 as at 709, not inf - inf, and a NaN beta stays NaN."""
+        xi = 710.0 * cmath.exp(1j * math.pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dynamics._overlap(0j, 1.0 + 0.0j, xi) == 1.0
+            got = dynamics._overlap(np.array([0.0, 1e-3j, 2.0 + 1.0j, 5.0]),
+                                    1.0 + 0.0j, xi)
+            squeezed = [dynamics._overlap(2j, 1.0 + 0.0j, complex(mag))
+                        for mag in (709.0, 710.0)]
+            nan = dynamics._overlap(complex(math.nan), 1.0 + 0.0j, xi)
+            en = log_negativity_from_partial_transpose(
+                partial_transpose_matrix(frame_for(), MediatorInit(
+                    xi_mag=710.0), np.linspace(0.0, 12.0, 25)))
+        assert got.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert squeezed == [1.0, 1.0]
+        assert np.isnan(nan)
+        assert ((0.0 <= en) & (en <= 1.0)).all()
 
     def test_coherent_limit(self):
         # no squeezing, vacuum start: |<a_i|a_j>| = e^{-|a_i-a_j|^2/2}

@@ -306,8 +306,8 @@ def _record_pt_batch(monkeypatch):
 
     def recording_search(*args, **kwargs):
         curves, report = search(*args, **kwargs)
-        batch["out"] = [fock.cut_pt(c["states"], n, "tp_qubit")[0]
-                        for c, n in zip(curves, report.n)]
+        batch["out"] = [fock.cut_pt(c["states"], "tp_qubit")[0]
+                        for c in curves]
         return curves, report
 
     monkeypatch.setattr(fock, "prepare_initial", recording_prepare)
@@ -329,7 +329,7 @@ class TestPtMatrixOracle:
             def attempt(n, todo):
                 runs, why = fock.trajectories([row], n, (), 1e-14)
                 return [None if run is None else fock.cut_pt(
-                    run["states"], n, "tp_qubit")[0] for run in runs], why
+                    run["states"], "tp_qubit")[0] for run in runs], why
             return attempt
 
         for (params, _, init, t), pt in zip(_pt_frames(), batch["out"]):
@@ -703,12 +703,12 @@ class TestEnCurves:
         assert set(fock.BIPARTITIONS) == set(self.SIDES)
         for cut, sides in self.SIDES.items():
             got = log_negativity_from_partial_transpose(
-                fock.cut_pt(states, n, cut))
+                fock.cut_pt(states, cut))
             want = [en_bipartition(psi, (2, 2, n), *sides) for psi in states]
             assert np.max(np.abs(got - want)) <= 1e-12
             assert got[0] == 0.0
-            assert len(fock.cut_pt(states[:0], n, cut)) == 0
-        for psi, got in zip(states, fock.cut_pt(states, n, "tp_qubit")):
+            assert len(fock.cut_pt(states[:0], cut)) == 0
+        for psi, got in zip(states, fock.cut_pt(states, "tp_qubit")):
             rho = partial_trace(psi, (2, 2, n), (0, 1))
             want = partial_transpose(rho, (2, 2), 1)
             assert np.allclose(got, want, rtol=0, atol=1e-13)
@@ -727,7 +727,7 @@ class TestEnCurves:
                 monkeypatch.setattr(module, "en_bipartition", no_reference)
         fixed = {"g_a": 1.0 / 48.0, "g_b": 1.0, "F": 0.05}
         res = timeseries_figure(DynamicsSection(
-            4.0, 5, backend="fock", fock_n=64,
+            4.0, 5, backend="fock",
             bipartitions=tuple(fock.BIPARTITIONS)), fixed)
         assert len(res.curves) == 3
         params = ModelParams.dimensionless(**fixed)
@@ -740,7 +740,7 @@ class TestEnCurves:
         h = fock.build_hamiltonian_squeezed(params, n)
         psi0 = prepare_one(MediatorInit(), n, params)
         ts = [0.0, 1.0, 2.0]
-        out = fock.en_curves(h, psi0, ts, n, tuple(fock.BIPARTITIONS))
+        out = fock.en_curves(h, psi0, ts, tuple(fock.BIPARTITIONS))
         assert set(out) == {"tp_qubit", "tp_mediator", "qubit_mediator",
                             "states"}
         assert all(len(v) == 3 for v in out.values())
@@ -865,6 +865,19 @@ class TestSearchCutoff:
             "(N = 2: differs from N = 4 by 1.00e+00; "
             "N = 4: differs from N = 8 by 1.00e+00; "
             "N = 8: not confirmed at a larger N)")
+        assert exc.value.report.left == {0: "not confirmed at a larger N"}
+
+    def test_no_convergence_carries_the_settled_rows(self, monkeypatch):
+        """Past the ceiling the search still hands over the rows it
+        settled, and names each row left with its rejection at the last
+        N tried."""
+        monkeypatch.setattr(fock, "N_MAX", 8)
+        with pytest.raises(NoConvergence) as exc:
+            fock.search_cutoff(self.fits_from([4, 16, 8], []), 3, 2)
+        assert exc.value.results == [4, None, 8]
+        assert exc.value.report.n == [4, 0, 8]
+        assert exc.value.report.left == {
+            1: "too small at N = 8 (tail mass 5.000e-01)"}
 
     def test_a_start_above_the_ceiling_is_not_tried(self):
         tried = []

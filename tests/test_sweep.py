@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gravent.sweep
-from gravent import (AxisSpec, ConfigError, CutoffTooSmall, DynamicsSection,
+from gravent import (AxisSpec, ConfigError, DynamicsSection, NoConvergence,
                      RateSection, SweepSection, TimeRule, UnstableFrame,
                      entanglement_rate, fock, io, load_preset,
                      log_negativity_from_partial_transpose,
-                     partial_transpose_matrix, run_sweep, timeseries_figure)
+                     partial_transpose_matrix, run_sweep, timeseries_figure,
+                     validate)
 from gravent.config import base_cell
 from gravent.dynamics import dephasing_mask, en_timeseries
 from gravent.sweep import _sign_changes, merge_cell, resolve_cell
@@ -111,9 +112,7 @@ class TestSections:
 
     def test_section_rules_name_their_field(self):
         for make, path in (
-                (lambda: SweepSection((f_axis(),), fock_n=0), "fock_n"),
                 (lambda: DynamicsSection(1.0, 1), "points"),
-                (lambda: DynamicsSection(1.0, 5, fock_n=0), "fock_n"),
                 (lambda: DynamicsSection(1.0, 5, t_start=-1.0), "t_start"),
                 (lambda: TimeRule(t=-1.0), "t"),
                 (lambda: TimeRule(cycles=-1.0), "cycles")):
@@ -278,66 +277,99 @@ class TestRunSweep:
 
     def test_fock_backend_agrees_on_small_grid(self):
         both = SweepSection(axes=(AxisSpec("F", 0.0, 0.1, 3),),
-                            backend="both", fock_n=48)
+                            backend="both")
         res = run_sweep(both, BASE)
         assert np.max(np.abs(res.extras["en_fock"] - res.en)) < 1e-3
+        assert res.extras["fock_n"].tolist() == [64, 64, 64]
 
-    def test_leaking_fock_trajectory_marks_the_cell_invalid(self):
+    def test_a_cell_that_leaks_at_the_start_takes_a_larger_n(self):
+        """At F = 0.2 the N = 64 trajectory leaks 6.4e-4 into its top two
+        levels, so the search accepts that cell at N = 128."""
         spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.2, 3),),
-                            backend="both", fock_n=64)
+                            backend="both")
         res = run_sweep(spec, dict(BASE, xi_mag=0.0))
-        assert res.valid.tolist() == [True, True, False]
-        assert np.max(np.abs(res.extras["en_fock"][:2] - res.en[:2])) < 1e-3
-        [(idx, note)] = res.invalid_cells
-        assert idx == (2,)
-        assert note == ("Fock backend: trajectory leaks at N = 64 in one "
-                        "parity group (tail mass 6.400e-04)")
+        assert res.valid.all() and res.invalid_cells == []
+        assert res.extras["fock_n"].tolist() == [64, 64, 128]
+        assert np.max(np.abs(res.extras["en_fock"] - res.en)) < 1e-3
 
-    def test_tail_tolerance_reaches_the_fock_cell(self, monkeypatch):
+    def test_tail_tolerance_sets_the_accepted_n(self, monkeypatch):
         monkeypatch.setattr(fock, "TAIL_TOL", 1e-3)
         spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.2, 3),),
-                            backend="both", fock_n=64)
+                            backend="both")
         res = run_sweep(spec, dict(BASE, xi_mag=0.0))
         assert res.valid.all()
+        assert res.extras["fock_n"].tolist() == [64, 64, 64]
 
-    def test_state_beyond_the_cutoff_marks_the_cell_invalid(self):
+    def test_state_past_the_ceiling_marks_the_cell_invalid(self):
+        """F = 0.24 (s = 0.80) leaks at every N up to N_MAX; the note is
+        its rejection there."""
         spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.24, 3),),
-                            backend="both", fock_n=64)
+                            backend="both")
         res = run_sweep(spec, BASE)
         assert res.valid.tolist() == [True, True, False]
         [(idx, note)] = res.invalid_cells
         assert idx == (2,)
-        assert "at N = 64 (tail mass" in note
+        assert note == ("Fock backend: trajectory leaks at N = 512 in one "
+                        "parity group (tail mass 2.289e-03)")
+        assert np.isnan(res.extras["fock_n"][2])
 
-    def test_fock_cells_run_as_one_batch(self, monkeypatch):
-        """Fitting and leaking cells in one `fock.trajectories` batch: each
-        leaking cell, at F = 0.2, is invalid with its own note, and every
-        other cell is its one-row run, bit for bit."""
+    def test_fock_cells_run_as_one_search(self, monkeypatch):
+        """Cells that fit at N = 64, cells that need 128 or 256, and cells
+        past the ceiling in one search, each N tried once for the rows
+        still left: each cell past the ceiling is invalid with its own
+        note, and every other cell is its one-row search, bit for bit,
+        at the same N."""
         batches, trajectories = [], fock.trajectories
-        monkeypatch.setattr(fock, "trajectories", lambda rows, *args: (
-            batches.append(len(rows)) or trajectories(rows, *args)))
-        spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.2, 5),
+        monkeypatch.setattr(fock, "trajectories", lambda rows, n, *args: (
+            batches.append((n, len(rows))) or trajectories(rows, n, *args)))
+        spec = SweepSection(axes=(AxisSpec("F", 0.0, 0.24, 5),
                                   AxisSpec("alpha0", 0.0, 2.0, 3)),
-                            backend="fock", fock_n=64)
+                            backend="fock")
         fixed = dict(BASE, xi_mag=0.0, gamma=0.1, gamma_tp=0.05)
         res = run_sweep(spec, fixed)
-        assert batches == [15]
-        assert res.valid[:4].all() and not res.valid[4].any()
+        assert batches == [(64, 15), (128, 4), (256, 3), (512, 2)]
+        assert res.valid[:4].all() and res.valid[4].tolist() == [
+            True, False, False]
+        np.testing.assert_array_equal(res.extras["fock_n"][3:], [
+            [64, 64, 128], [256, np.nan, np.nan]])
         notes = dict(res.invalid_cells)
-        assert len(set(notes.values())) == 3
+        assert len(set(notes.values())) == 2
         for idx in np.ndindex(*res.en.shape):
             params, _, init, gamma, gamma_tp, t = resolve_cell(
                 merge_cell(fixed, {ax.name: float(ax.values()[i])
                                    for ax, i in zip(spec.axes, idx)}),
                 spec.time)
-            [run], [why] = trajectories(
-                [(params, init, [t], "squeezed")], 64, (), 1e-8)
-            if why is not None:
-                assert notes[idx] == f"Fock backend: {why}"
+            try:
+                [run], rep = fock.converge_cutoff(
+                    [(params, init, [t], "squeezed")], 1e-8, cuts=())
+            except NoConvergence as exc:
+                assert notes[idx] == f"Fock backend: {exc.report.left[0]}"
+                assert "at N = 512" in notes[idx]
                 continue
+            assert res.extras["fock_n"][idx] == rep.n[0]
             assert res.en[idx] == log_negativity_from_partial_transpose(
-                fock.cut_pt(run["states"], 64, "tp_qubit")
+                fock.cut_pt(run["states"], "tp_qubit")
                 * dephasing_mask([t], gamma, gamma_tp))[0]
+
+    def test_fig2_drives_across_the_reach_edges(self):
+        """Every third drive of fig2's axis from s = 0.40 to 0.72 on
+        backend "both": the search accepts cells at N = 128 up to s =
+        0.418, at 256 up to 0.570 and at 512 up to 0.715, each within
+        validate's EN_TOL of the closed form, and the last drive is past
+        the ceiling."""
+        cfg = load_preset("fig2")
+        drive = cfg.sweep.axes[0].values()
+        spec = dataclasses.replace(cfg.sweep, backend="both", axes=(
+            AxisSpec("F", float(drive[159]), float(drive[189]), 11),))
+        res = run_sweep(spec, base_cell(cfg))
+        assert res.valid.tolist() == [True] * 10 + [False]
+        np.testing.assert_array_equal(
+            res.extras["fock_n"], [128] * 2 + [256] * 5 + [512] * 3 + [np.nan])
+        assert np.max(np.abs(res.en - res.extras["en_fock"])[res.valid]) \
+            <= validate.EN_TOL
+        [(idx, note)] = res.invalid_cells
+        assert idx == (10,)
+        assert note.startswith("Fock backend: trajectory leaks at N = 512 ")
 
     def test_cells_that_differ_in_dephasing_share_one_run(self, monkeypatch):
         """F (2 values) x gamma (3 values) makes as many eigensolves as F
@@ -347,11 +379,10 @@ class TestRunSweep:
         monkeypatch.setattr(fock.ExactPropagator, "solve", lambda self, k: (
             solves.append(k) or solve(self, k)))
         drive = AxisSpec("F", 0.0, 0.1, 2)
-        run_sweep(SweepSection(axes=(drive,), backend="both", fock_n=64),
-                  BASE)
+        run_sweep(SweepSection(axes=(drive,), backend="both"), BASE)
         alone = len(solves)
         spec = SweepSection(axes=(drive, AxisSpec("gamma", 0.0, 0.2, 3)),
-                            backend="both", fock_n=64)
+                            backend="both")
         res = run_sweep(spec, BASE)
         assert len(solves) == 2 * alone > 0
         assert res.valid.all()
@@ -363,13 +394,15 @@ EXTRA_NAMES = ("s", "omega_s", "g_a_s", "g_b_s", "g_eff", "t_eval")
 
 def per_cell_sweep(spec, fixed):
     """The grid one cell at a time through resolve_cell, the kernel and
-    EN, with the Fock column of the "both" backend: the reference that the
-    grouped run_sweep must equal bit for bit."""
+    EN, with the Fock column of the "both" backend from a search of the
+    cell's own: the reference that the grouped run_sweep must equal bit
+    for bit."""
     shape = tuple(ax.count for ax in spec.axes)
     en = np.full(shape, np.nan)
     extras = {name: np.full(shape, np.nan) for name in EXTRA_NAMES}
     if spec.backend == "both":
         extras["en_fock"] = np.full(shape, np.nan)
+        extras["fock_n"] = np.full(shape, np.nan)
     invalid = []
     for idx in np.ndindex(*shape):
         cell = merge_cell(fixed, {ax.name: float(ax.values()[i])
@@ -378,19 +411,18 @@ def per_cell_sweep(spec, fixed):
             params, frame, init, gamma, gamma_tp, t = resolve_cell(
                 cell, spec.time)
             if spec.backend == "both":
-                [run], [why] = fock.trajectories(
-                    [(params, init, [t], "squeezed")], spec.fock_n, (),
-                    fock.TAIL_TOL)
-                if why is not None:
-                    raise why
+                [run], rep = fock.converge_cutoff(
+                    [(params, init, [t], "squeezed")], fock.TAIL_TOL,
+                    cuts=())
                 extras["en_fock"][idx] = log_negativity_from_partial_transpose(
-                    fock.cut_pt(run["states"], spec.fock_n, "tp_qubit")
+                    fock.cut_pt(run["states"], "tp_qubit")
                     * dephasing_mask([t], gamma, gamma_tp))[0]
+                extras["fock_n"][idx] = rep.n[0]
         except UnstableFrame as exc:
             invalid.append((idx, str(exc)))
             continue
-        except CutoffTooSmall as exc:
-            invalid.append((idx, f"Fock backend: {exc}"))
+        except NoConvergence as exc:
+            invalid.append((idx, f"Fock backend: {exc.report.left[0]}"))
             continue
         en[idx] = log_negativity_from_partial_transpose(
             partial_transpose_matrix(frame, init, t, gamma, gamma_tp))
@@ -412,6 +444,14 @@ def assert_same_sweep(res, en, extras, invalid):
 
 F_ACROSS = AxisSpec("F", 0.1, 0.3, 5)   # 0.25 is stable no more
 F_LEAKS = AxisSpec("F", 0.0, 0.26, 3)   # 0.13 leaks at N = 32, 0.26 unstable
+
+
+@pytest.fixture
+def search_to_32(monkeypatch):
+    """The search policy narrowed to N = 16 and 32, so that F_LEAKS's
+    middle drive is past the ceiling at some couplings."""
+    monkeypatch.setattr(fock, "N_START", 16)
+    monkeypatch.setattr(fock, "N_MAX", 32)
 
 
 class TestGroupedSweep:
@@ -453,12 +493,13 @@ class TestGroupedSweep:
         ((AxisSpec("t", 1.0, 6.0, 2), F_LEAKS), 1),
     ], ids=["F-gamma", "gamma-F", "F-g_a", "g_a-F", "F-g_b", "g_b-F", "F-t",
             "t-F"])
-    def test_both_backend_equals_the_per_cell_loop(self, axes, leaks):
+    def test_both_backend_equals_the_per_cell_loop(self, search_to_32, axes,
+                                                   leaks):
         """At N = 32 the middle drive leaks, at both couplings g_a but only
         at the larger g_b or t, and the last one is unstable; each group
         of a broadcast axis splits into a Fock row per cell, and a
         Fock-invalid cell keeps NaN extras."""
-        spec = SweepSection(axes=axes, backend="both", fock_n=32)
+        spec = SweepSection(axes=axes, backend="both")
         fixed = dict(BASE, xi_mag=0.0)
         res = run_sweep(spec, fixed)
         assert_same_sweep(res, *per_cell_sweep(spec, fixed))
@@ -470,9 +511,11 @@ class TestGroupedSweep:
             assert all(np.isnan(v[idx]) for v in res.extras.values())
 
     def test_fock_rows_come_from_the_groups(self, monkeypatch):
-        """fig4's grid on backend "both" at N = 64: one resolve_cell per
-        group of 41 damping rates, 49 in all, and one cut_pt for the 1,312
-        cells the oracle accepts."""
+        """fig4's grid on backend "both": one resolve_cell per group of 41
+        damping rates, 49 in all, and one cut_pt per N the search accepts
+        cells at, 64, 128, 256 and 512, for the 1,968 cells it accepts;
+        the 41 cells of the last drive (s = 0.80) are past the ceiling,
+        and every accepted cell is within validate's EN_TOL."""
         calls = {"resolve_cell": 0, "cut_pt": 0}
         for module, name in ((gravent.sweep, "resolve_cell"),
                              (fock, "cut_pt")):
@@ -481,10 +524,13 @@ class TestGroupedSweep:
                 return real(*args)
             monkeypatch.setattr(module, name, counting)
         cfg = load_preset("fig4")
-        res = run_sweep(dataclasses.replace(cfg.sweep, backend="both",
-                                            fock_n=64), base_cell(cfg))
-        assert calls == {"resolve_cell": 49, "cut_pt": 1}
-        assert res.valid.sum() == 1312
+        res = run_sweep(dataclasses.replace(cfg.sweep, backend="both"),
+                        base_cell(cfg))
+        assert calls == {"resolve_cell": 49, "cut_pt": 4}
+        assert res.valid.sum() == 1968 and not res.valid[-1].any()
+        assert set(res.extras["fock_n"][res.valid]) == {64, 128, 256, 512}
+        assert np.max(np.abs(res.en - res.extras["en_fock"])[res.valid]) \
+            <= validate.EN_TOL
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -526,11 +572,12 @@ class TestInvalidCells:
         ((AxisSpec("g_b", 0.5, 1.0, 3), F_ACROSS), "analytic"),
         ((AxisSpec("g_b", 0.5, 1.0, 2), F_LEAKS), "both"),
     ], ids=["F-g_b", "g_b-F", "g_b-F-both"])
-    def test_c_order_with_int_indices(self, tmp_path, axes, backend):
-        """F past 1/4 is unstable at every g_b; on "both" at N = 32 the
-        middle drive leaks at the larger g_b only, so the invalid cells
-        spread along both axes."""
-        spec = SweepSection(axes=axes, backend=backend, fock_n=32)
+    def test_c_order_with_int_indices(self, search_to_32, tmp_path, axes,
+                                      backend):
+        """F past 1/4 is unstable at every g_b; on "both", with the search
+        stopping at N = 32, the middle drive leaks at the larger g_b only,
+        so the invalid cells spread along both axes."""
+        spec = SweepSection(axes=axes, backend=backend)
         res = run_sweep(spec, dict(BASE, xi_mag=0.0))
         walk = [idx for idx in np.ndindex(*res.valid.shape)
                 if not res.valid[idx]]
@@ -615,9 +662,10 @@ class TestEntanglementRate:
 
 class TestTimeseriesFigure:
     def test_column_naming_and_backends(self):
-        spec = DynamicsSection(4.0, 9, backend="both", fock_n=64,
+        spec = DynamicsSection(4.0, 9, backend="both",
                                bipartitions=("tp_qubit", "tp_mediator"))
         res = timeseries_figure(spec, dict(BASE, F=0.0))
+        assert res.fock_n == {"base": 64}
         assert set(res.curves) == {"base:tp_qubit:analytic",
                                    "base:tp_qubit:fock",
                                    "base:tp_mediator:fock"}
@@ -625,21 +673,22 @@ class TestTimeseriesFigure:
                             - res.curves["base:tp_qubit:fock"]))
         assert dev < 1e-3
 
-    def test_fock_variants_run_as_one_batch(self, monkeypatch):
-        """Three variants in one `fock.trajectories` batch: the columns stay
-        variant by variant, and each Fock column is its variant's one-row
-        run, bit for bit."""
+    def test_fock_variants_run_as_one_search(self, monkeypatch):
+        """Three variants in one search, all accepted at N = 64 in one
+        `fock.trajectories` batch: the columns stay variant by variant,
+        and each Fock column is its variant's one-row run, bit for bit."""
         batches, trajectories = [], fock.trajectories
         monkeypatch.setattr(fock, "trajectories", lambda rows, *args: (
             batches.append(len(rows)) or trajectories(rows, *args)))
         variants = (("F=0", {"F": 0.0}), ("F=0.05", {"F": 0.05}),
                     ("F=0.1", {"F": 0.1}))
-        spec = DynamicsSection(8.0, 9, backend="both", fock_n=64,
+        spec = DynamicsSection(8.0, 9, backend="both",
                                bipartitions=("tp_qubit", "tp_mediator"),
                                variants=variants)
         fixed = dict(BASE, xi_mag=0.0)
         res = timeseries_figure(spec, fixed)
         assert batches == [3]
+        assert res.fock_n == {"F=0": 64, "F=0.05": 64, "F=0.1": 64}
         assert list(res.curves) == [
             f"{label}:{cut}" for label, _ in variants
             for cut in ("tp_qubit:analytic", "tp_qubit:fock",
@@ -656,26 +705,36 @@ class TestTimeseriesFigure:
             assert np.array_equal(
                 res.curves[f"{label}:tp_qubit:fock"],
                 log_negativity_from_partial_transpose(
-                    fock.cut_pt(run["states"], 64, "tp_qubit")
+                    fock.cut_pt(run["states"], "tp_qubit")
                     * dephasing_mask(res.t, gamma, gamma_tp)))
 
-    def test_first_leaking_variant_is_raised(self):
-        """The second and third variants both leak at N = 64; the second's
-        rejection is the one raised."""
-        variants = (("F=0.1", {"F": 0.1}), ("F=0.2", {"F": 0.2}),
-                    ("F=0.24", {"F": 0.24}))
-        spec = DynamicsSection(8.0, 9, backend="both", fock_n=64,
-                               variants=variants)
+    def test_variants_take_their_own_n(self):
+        """F = 0.2 leaks at N = 64 and fits at 128; F = 0.1 stays at 64,
+        and each Fock column is its variant's own search."""
+        variants = (("F=0.1", {"F": 0.1}), ("F=0.2", {"F": 0.2}))
+        spec = DynamicsSection(8.0, 9, backend="both", variants=variants)
         fixed = dict(BASE, xi_mag=0.0)
-        with pytest.raises(CutoffTooSmall) as exc:
-            timeseries_figure(spec, fixed)
-        params, _, init, *_ = resolve_cell(merge_cell(fixed, {"F": 0.2}))
-        _, [why] = fock.trajectories(
-            [(params, init, np.linspace(0.0, 8.0, 9), "squeezed")], 64, (),
-            1e-8)
-        assert str(exc.value) == str(why)
-        assert exc.value.tail_mass == why.tail_mass == pytest.approx(
-            1.540e-02, abs=1e-5)
+        res = timeseries_figure(spec, fixed)
+        assert res.fock_n == {"F=0.1": 64, "F=0.2": 128}
+        for variant in variants:
+            alone = timeseries_figure(DynamicsSection(
+                8.0, 9, backend="both", variants=(variant,)), fixed)
+            for name, curve in alone.curves.items():
+                assert np.array_equal(res.curves[name], curve), name
+
+    def test_a_variant_past_the_ceiling_is_raised(self):
+        """F = 0.249 leaks at every N up to N_MAX: the run raises the
+        search's NoConvergence, which names every N tried."""
+        variants = (("F=0.1", {"F": 0.1}), ("F=0.249", {"F": 0.249}))
+        spec = DynamicsSection(8.0, 9, backend="both", variants=variants)
+        with pytest.raises(NoConvergence) as exc:
+            timeseries_figure(spec, dict(BASE, xi_mag=0.0))
+        msg = str(exc.value)
+        assert msg.startswith("no cutoff up to the ceiling N = 512 passes")
+        for n in (64, 128, 256, 512):
+            assert f"N = {n}: trajectory leaks at N = {n}" in msg
+        assert exc.value.report.n[0] == 64
+        assert list(exc.value.report.left) == [1]
 
     def test_variants_that_differ_in_dephasing_share_a_trajectory(
             self, monkeypatch):
@@ -687,33 +746,31 @@ class TestTimeseriesFigure:
         variants = (("g=0", {"gamma": 0.0}), ("g=0.2", {"gamma": 0.2}))
         fixed = dict(BASE, F=0.1)
         res = timeseries_figure(DynamicsSection(8.0, 9, backend="both",
-                                                fock_n=64, variants=variants),
-                                fixed)
+                                                variants=variants), fixed)
         assert len(evolved) == 1
         alone = {}
         for variant in variants:
             alone.update(timeseries_figure(DynamicsSection(
-                8.0, 9, backend="both", fock_n=64, variants=(variant,)),
-                fixed).curves)
+                8.0, 9, backend="both", variants=(variant,)), fixed).curves)
         assert list(res.curves) == list(alone)
         for name, curve in alone.items():
             assert np.array_equal(res.curves[name], curve), name
 
     def test_a_rejected_shared_trajectory_leaves_no_exception_cycle(self):
-        """With the collector off, raising the rejection that two variants
-        share leaves nothing for it to find."""
+        """With the collector off, raising the NoConvergence of a
+        trajectory that two variants share leaves nothing for it to
+        find."""
         variants = (("g=0", {"gamma": 0.0}), ("g=0.1", {"gamma": 0.1}))
-        spec = DynamicsSection(8.0, 9, backend="both", fock_n=64,
-                               variants=variants)
-        fixed = dict(BASE, F=0.2, xi_mag=0.0)
+        spec = DynamicsSection(8.0, 9, backend="both", variants=variants)
+        fixed = dict(BASE, F=0.249, xi_mag=0.0)
 
         def rejected():
             try:
                 timeseries_figure(spec, fixed)
-            except CutoffTooSmall as exc:
+            except NoConvergence as exc:
                 return str(exc)
 
-        assert "leaks at N = 64" in rejected()
+        assert "leaks at N = 512" in rejected()
         gc.collect()
         gc.disable()
         try:
@@ -729,7 +786,7 @@ class TestTimeseriesFigure:
         values 0.5779 and 0.8933."""
         fixed = dict(BASE, g_a=0.3, F=0.1, gamma=0.2)
         t_1 = resolve_cell(fixed)[1].decoupling_time(1)
-        spec = DynamicsSection(2.0 * t_1, 3, backend="both", fock_n=64)
+        spec = DynamicsSection(2.0 * t_1, 3, backend="both")
         res = timeseries_figure(spec, fixed)
         ana = res.curves["base:tp_qubit:analytic"][1:]
         assert ana == pytest.approx([0.0784, 0.0412], abs=1e-4)
@@ -740,11 +797,11 @@ class TestTimeseriesFigure:
         fixed = dict(BASE, g_a=0.3, F=0.1, gamma=0.2, gamma_tp=0.05)
         t_1 = resolve_cell(fixed)[1].decoupling_time(1)
         column = timeseries_figure(
-            DynamicsSection(t_1, 2, backend="fock", fock_n=64),
+            DynamicsSection(t_1, 2, backend="fock"),
             fixed).curves["base:tp_qubit:fock"][1]
         cells = run_sweep(SweepSection(
             axes=(AxisSpec("gamma", 0.0, 0.2, 2),),
-            time=TimeRule(t=t_1), backend="fock", fock_n=64), fixed)
+            time=TimeRule(t=t_1), backend="fock"), fixed)
         assert cells.en[1] == pytest.approx(column, abs=1e-12)
         assert cells.en[0] > column
 
@@ -766,11 +823,11 @@ class TestTimeseriesFigure:
                                                 gamma_tp))
 
     def test_lab_hamiltonian_with_drive_term(self):
-        spec = DynamicsSection(2.0, 5, backend="fock", hamiltonian="lab",
-                               fock_n=48)
+        spec = DynamicsSection(2.0, 5, backend="fock", hamiltonian="lab")
         res = timeseries_figure(spec, dict(BASE, F=0.0, epsilon=0.5,
                                            xi_mag=0.0))
         assert "base:tp_qubit:fock" in res.curves
+        assert res.fock_n == {"base": fock.N_START_LAB}
 
 
 def _skewed_frame(params):
@@ -790,7 +847,7 @@ class TestFockCatchesAFrameError:
             monkeypatch.setattr(gravent.sweep, "derive_squeezed_frame",
                                 _skewed_frame)
         res = timeseries_figure(
-            DynamicsSection(12.0, 25, backend="both", fock_n=64),
+            DynamicsSection(12.0, 25, backend="both"),
             dict(BASE, delta=0.5))
         dev = np.max(np.abs(res.curves["base:tp_qubit:analytic"]
                             - res.curves["base:tp_qubit:fock"]))
@@ -802,7 +859,7 @@ class TestFockCatchesAFrameError:
             monkeypatch.setattr(gravent.sweep, "derive_squeezed_frame",
                                 _skewed_frame)
         res = run_sweep(SweepSection(axes=(f_axis(0.0, 0.12, 4),),
-                                     backend="both", fock_n=64), BASE)
+                                     backend="both"), BASE)
         assert res.valid.all()
         dev = np.max(np.abs(res.en - res.extras["en_fock"]))
         assert dev > 1e-4 if skewed else dev < 1e-8
